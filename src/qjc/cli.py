@@ -10,7 +10,6 @@ else to stdout; human messages go to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -67,25 +66,6 @@ _BUILDERS = {
     "ht": build_ht,
 }
 
-_PARAM_KEYS = (
-    "model",
-    "k",
-    "phi",
-    "eps",
-    "hw",
-    "rho",
-    "theta",
-    "N",
-    "c",
-    "c_hat",
-    "rho1",
-    "rho1_hat",
-    "poly",
-    "D",
-    "guard",
-    "format",
-)
-
 
 def _parse_phi(raw: str) -> int:
     try:
@@ -106,6 +86,45 @@ def _parse_poly(raw: str) -> tuple[float, ...]:
         ) from None
 
 
+# every value flag that a --config file may also set: dest -> (type, help);
+# argparse, the config reader and the per-model check all read this table
+_PARAMS = {
+    "k": (int, "photon transfer order (extended)"),
+    "phi": (_parse_phi, "+1 or -1 coupling sign"),
+    "eps": (float, "level splitting"),
+    "hw": (float, "oscillator quantum"),
+    "rho": (float, "k-photon coupling"),
+    "theta": (float, "mixed-coupling strength"),
+    "N": (int, "invariant subspace label (ht)"),
+    "c": (float, "explicit dressing coupling"),
+    "c_hat": (float, None),
+    "rho1": (float, "bare one-photon strength (h12)"),
+    "rho1_hat": (float, None),
+    "poly": (_parse_poly, "diagonal P coefficients, ascending"),
+    "D": (int, "Fock cutoff (default 64)"),
+    "guard": (int, "guard band (default 8)"),
+}
+_FOCK_KEYS = ("D", "guard")
+_CONFIG_KEYS = ("model", *_PARAMS, "format")
+_DEFAULTS = {"D": 64, "guard": 8, "format": "csv"}
+
+# ModelParams field behind a flag, where the names differ
+_FIELDS = {"eps": "epsilon", "hw": "hbar_omega"}
+
+# k and phi that the model name itself fixes
+_FIXED = {
+    "h2": {"k": 2},
+    "jcm": {"k": 1, "phi": 1},
+    "pseudo-jcm": {"k": 1, "phi": -1},
+}
+
+_LADDER = ("extended", "h2", "jcm", "pseudo-jcm")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _read_config(path: str) -> dict[str, str]:
     """key = value lines; '#' comments; keys restricted to parameter names."""
     values: dict[str, str] = {}
@@ -121,62 +140,53 @@ def _read_config(path: str) -> dict[str, str]:
             raise ValidationError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in _PARAM_KEYS:
+        if key not in _CONFIG_KEYS:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = raw.strip()
     return values
 
 
+def _config_value(key: str, raw: str):
+    if key not in _PARAMS:
+        return raw
+    cast = _PARAMS[key][0]
+    try:
+        return cast(raw)
+    except ValidationError:
+        raise
+    except ValueError:
+        raise ValidationError(
+            f"config value for {key} must be {cast.__name__}, got {raw!r}"
+        ) from None
+
+
 def _merged(args: argparse.Namespace) -> dict:
     """Apply precedence: explicit flags, then config file, then defaults."""
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
+    config = _read_config(args.config) if args.config else {}
     merged: dict = {}
-    for key in _PARAM_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-        elif key in config:
-            merged[key] = config[key]
-        else:
-            merged[key] = None
-    # normalize strings coming from the config file
-    if isinstance(merged["phi"], str):
-        merged["phi"] = _parse_phi(merged["phi"])
-    if isinstance(merged["poly"], str):
-        merged["poly"] = _parse_poly(merged["poly"])
-    for key, cast in (
-        ("k", int),
-        ("N", int),
-        ("D", int),
-        ("guard", int),
-        ("eps", float),
-        ("hw", float),
-        ("rho", float),
-        ("theta", float),
-        ("c", float),
-        ("c_hat", float),
-        ("rho1", float),
-        ("rho1_hat", float),
-    ):
-        if isinstance(merged[key], str):
-            try:
-                merged[key] = cast(merged[key])
-            except ValueError:
-                raise ValidationError(
-                    f"config value for {key} must be {cast.__name__}, "
-                    f"got {merged[key]!r}"
-                ) from None
-    merged.setdefault("model", None)
-    if merged["D"] is None:
-        merged["D"] = 64
-    if merged["guard"] is None:
-        merged["guard"] = 8
-    if merged["format"] is None:
-        merged["format"] = "csv"
+    for key in _CONFIG_KEYS:
+        value = getattr(args, key)
+        if value is None and key in config:
+            value = _config_value(key, config[key])
+        merged[key] = _DEFAULTS.get(key) if value is None else value
     return merged
 
 
-def _require_model(merged: dict) -> str:
+def _request(
+    merged: dict,
+    models: tuple[str, ...] = tuple(_MODEL_FLAGS),
+    need: str = "",
+    extra: tuple[str, ...] = (),
+    fock: bool = True,
+) -> tuple[str, ModelParams, TruncatedFockSpace | None]:
+    """Resolve (model, params, space) for one command.
+
+    The model must be one of `models` (else `need` is the error).  A flag
+    the model does not accept, apart from the command's own `extra` flags,
+    is rejected by name.  The parameters carry the k and phi that the model
+    name fixes.  Commands that use no Fock space pass fock=False and get
+    space None, without --D and --guard being checked.
+    """
     model = merged["model"]
     if model is None:
         raise ValidationError("--model is required")
@@ -184,53 +194,24 @@ def _require_model(merged: dict) -> str:
         raise ValidationError(
             f"unknown model {model!r}; choose from {sorted(_MODEL_FLAGS)}"
         )
-    return model
-
-
-def _check_flags_against_model(model: str, merged: dict):
-    allowed = _MODEL_FLAGS[model]
-    for key in ("k", "phi", "rho", "theta", "N", "c", "c_hat", "rho1", "rho1_hat", "poly", "eps", "hw"):
+    if model not in models:
+        raise ValidationError(need)
+    allowed = _MODEL_FLAGS[model].union(extra, _FOCK_KEYS)
+    for key in _PARAMS:
         if merged[key] is not None and key not in allowed:
-            flag = "--" + key.replace("_", "-")
-            raise ValidationError(f"{flag} is not a parameter of model {model!r}")
-    if model == "ht" and merged["N"] is None:
-        raise ValidationError("model 'ht' requires --N (invariant-subspace label)")
-
-
-def _params_from(merged: dict, model: str) -> ModelParams:
-    _check_flags_against_model(model, merged)
+            raise ValidationError(f"{_flag(key)} is not a parameter of model {model!r}")
     kwargs = {
-        "epsilon": merged["eps"] if merged["eps"] is not None else 1.0,
-        "hbar_omega": merged["hw"] if merged["hw"] is not None else 1.0,
-        "rho": merged["rho"] if merged["rho"] is not None else 0.0,
+        _FIELDS.get(key, key): merged[key]
+        for key in _MODEL_FLAGS[model] - {"N"}
+        if merged[key] is not None
     }
-    if merged["phi"] is not None:
-        kwargs["phi"] = merged["phi"]
-    if model == "extended":
-        kwargs["k"] = merged["k"] if merged["k"] is not None else 1
-        kwargs["poly"] = merged["poly"] if merged["poly"] is not None else ()
-    elif model == "h2":
-        kwargs["k"] = 2
-    elif model == "h12":
-        for key in ("theta", "rho1", "rho1_hat"):
-            if merged[key] is not None:
-                kwargs[key] = merged[key]
-    elif model == "ht":
+    if model == "ht":
+        if merged["N"] is None:
+            raise ValidationError("model 'ht' requires --N (invariant-subspace label)")
         kwargs["n_qes"] = merged["N"] + 2
-        for key in ("theta", "c", "c_hat"):
-            if merged[key] is not None:
-                kwargs[key] = merged[key]
-    try:
-        return ModelParams(**kwargs)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-def _space_from(merged: dict) -> TruncatedFockSpace:
-    try:
-        return TruncatedFockSpace(merged["D"], merged["guard"])
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    params = ModelParams(**kwargs, **_FIXED.get(model, {}))
+    space = TruncatedFockSpace(merged["D"], merged["guard"]) if fock else None
+    return model, params, space
 
 
 def _emit(text: str, output: str | None):
@@ -246,88 +227,84 @@ def _complex_str(value: complex) -> str:
     return f"{format_number(value.real)}{sign}{format_number(abs(value.imag))}j"
 
 
+def _write(merged: dict, args, table: Table, document: dict) -> int:
+    """Emit `document` as JSON under --format json, else `table` as CSV."""
+    json_out = merged["format"] == "json"
+    _emit(write_json(document) if json_out else write_csv(table), args.output)
+    return 0
+
+
+def _add_route(table: Table, source: str, rows):
+    """Append one route's (label, n, branch, energy, residual) rows."""
+    for label, n, branch, energy, residual in rows:
+        table.add(label, n, branch, energy.real, energy.imag, source, residual)
+
+
+def _qes_rows(pairs, big_n: int):
+    return (
+        (f"qes:{index}", big_n, "defective" if pair.defective else "", pair.energy, pair.residual)
+        for index, pair in enumerate(pairs)
+    )
+
+
+def _reconstructions(params, space, h_matrix) -> list[tuple[complex, float]]:
+    """Truncation-polynomial roots with their reconstruction residuals.
+
+    Each residual is ||H v - E v|| of the reconstructed eigenvector v on
+    the full matrix `h_matrix`.
+    """
+    rows = []
+    for root in critical_roots(params):
+        vec = reconstruct_eigenvector(params, root, space)
+        rows.append((complex(root), float(np.linalg.norm(h_matrix @ vec - root * vec))))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_spectrum(merged: dict, output: str | None) -> int:
-    model = _require_model(merged)
-    params = _params_from(merged, model)
-    space = _space_from(merged)
-    builder = _BUILDERS[model]
-    operator = builder(params, space)
-    numeric, vectors = eig_checked(operator.matrix)
+def cmd_spectrum(merged: dict, args) -> int:
+    """labeled eigenvalue table by every applicable route"""
+    model, params, space = _request(merged)
+    h_matrix = _BUILDERS[model](params, space).matrix
+    numeric, vectors = eig_checked(h_matrix)
     table = Table(columns=SPECTRUM_COLUMNS)
-
-    if model in ("extended", "h2", "jcm", "pseudo-jcm"):
-        effective = params if model == "extended" else dataclasses.replace(
-            params,
-            k=2 if model == "h2" else 1,
-            phi={"jcm": 1, "pseudo-jcm": -1}.get(model, params.phi),
-        )
-        for level in full_algebraic_spectrum(effective, space):
-            nearest = float(np.min(np.abs(numeric - level.energy)))
-            table.add(
-                level.label,
-                level.n,
-                level.branch or "",
-                level.energy.real,
-                level.energy.imag,
-                "closed-form",
-                nearest,
-            )
+    if model in _LADDER:
+        levels = full_algebraic_spectrum(params, space)
+        _add_route(table, "closed-form", (
+            (level.label, level.n, level.branch or "", level.energy,
+             float(np.min(np.abs(numeric - level.energy))))
+            for level in levels
+        ))
     if model == "ht":
         sub = build_subspace(params, space)
-        for index, pair in enumerate(algebraic_spectrum(sub, params)):
-            table.add(
-                f"qes:{index}",
-                params.big_n,
-                "defective" if pair.defective else "",
-                pair.energy.real,
-                pair.energy.imag,
-                "qes",
-                pair.residual,
-            )
-        h_matrix = operator.matrix
-        for index, root in enumerate(critical_roots(params)):
-            vec = reconstruct_eigenvector(params, root, space)
-            residual = float(np.linalg.norm(h_matrix @ vec - root * vec))
-            table.add(
-                f"recurrence:{index}",
-                params.big_n,
-                "",
-                complex(root).real,
-                complex(root).imag,
-                "recurrence",
-                residual,
-            )
+        _add_route(table, "qes", _qes_rows(algebraic_spectrum(sub, params), params.big_n))
+        roots = _reconstructions(params, space, h_matrix)
+        _add_route(table, "recurrence", (
+            (f"recurrence:{index}", params.big_n, "", root, residual)
+            for index, (root, residual) in enumerate(roots)
+        ))
     # dense route rows for every model (the only route for h12)
     order = np.lexsort((numeric.imag, numeric.real))
-    for rank, index in enumerate(order):
-        value = numeric[index]
-        residual = float(
-            np.linalg.norm(operator.matrix @ vectors[:, index] - value * vectors[:, index])
-        )
-        table.add(
-            f"numeric:{rank}", "", "", value.real, value.imag, "numeric", residual
-        )
+    _add_route(table, "numeric", (
+        (f"numeric:{rank}", "", "", numeric[index], float(
+            np.linalg.norm(h_matrix @ vectors[:, index] - numeric[index] * vectors[:, index])
+        ))
+        for rank, index in enumerate(order)
+    ))
     table.comments.append(f"model {model}, D {space.cutoff}, guard {space.guard}")
-    if merged["format"] == "json":
-        document = {
-            "command": "spectrum",
-            "model": model,
-            "rows": [dict(zip(SPECTRUM_COLUMNS, row)) for row in table.rows],
-        }
-        _emit(write_json(document), output)
-    else:
-        _emit(write_csv(table), output)
-    return 0
+    document = {
+        "command": "spectrum",
+        "model": model,
+        "rows": [dict(zip(SPECTRUM_COLUMNS, row)) for row in table.rows],
+    }
+    return _write(merged, args, table, document)
 
 
-def cmd_check(merged: dict, output: str | None) -> int:
-    model = _require_model(merged)
-    params = _params_from(merged, model)
-    space = _space_from(merged)
+def cmd_check(merged: dict, args) -> int:
+    """hermiticity / pseudo-hermiticity report as JSON"""
+    model, params, space = _request(merged)
     report = symmetry_report(_BUILDERS[model](params, space))
     pseudo = {
         name: {"ok": ok, "dev": dev}
@@ -343,95 +320,68 @@ def cmd_check(merged: dict, output: str | None) -> int:
         "spectrum_class": report.spectrum_class,
         "tolerances": {"structure": STRUCTURE_TOL, "realness": REALNESS_TOL},
     }
-    _emit(write_json(document), output)
+    _emit(write_json(document), args.output)
     return 0
 
 
-def cmd_qes(merged: dict, output: str | None) -> int:
-    model = _require_model(merged)
-    if model != "ht":
-        raise ValidationError("qes requires --model ht")
-    params = _params_from(merged, model)
-    space = _space_from(merged)
+def cmd_qes(merged: dict, args) -> int:
+    """invariant-subspace certificate and algebraic spectrum"""
+    _, params, space = _request(merged, ("ht",), "qes requires --model ht")
     sub = build_subspace(params, space)
     pairs = algebraic_spectrum(sub, params)
-    if merged["format"] == "json":
-        document = {
-            "command": "qes",
-            "N": params.big_n,
-            "subspace_dim": sub.dim,
-            "invariance_defect": sub.defect,
-            "eigenvalues": [
-                {
-                    "re": pair.energy.real,
-                    "im": pair.energy.imag,
-                    "residual": pair.residual,
-                    "defective": pair.defective,
-                }
-                for pair in pairs
-            ],
-        }
-        _emit(write_json(document), output)
-        return 0
+    document = {
+        "command": "qes",
+        "N": params.big_n,
+        "subspace_dim": sub.dim,
+        "invariance_defect": sub.defect,
+        "eigenvalues": [
+            {
+                "re": pair.energy.real,
+                "im": pair.energy.imag,
+                "residual": pair.residual,
+                "defective": pair.defective,
+            }
+            for pair in pairs
+        ],
+    }
     table = Table(columns=SPECTRUM_COLUMNS)
-    for index, pair in enumerate(pairs):
-        table.add(
-            f"qes:{index}",
-            params.big_n,
-            "defective" if pair.defective else "",
-            pair.energy.real,
-            pair.energy.imag,
-            "qes",
-            pair.residual,
-        )
+    _add_route(table, "qes", _qes_rows(pairs, params.big_n))
     table.comments.append(f"subspace dim {sub.dim}")
     table.comments.append(f"invariance defect {format_number(sub.defect)}")
-    _emit(write_csv(table), output)
-    return 0
+    return _write(merged, args, table, document)
 
 
-def cmd_recur(merged: dict, output: str | None) -> int:
-    model = _require_model(merged)
-    if model != "ht":
-        raise ValidationError("recur requires --model ht")
-    params = _params_from(merged, model)
-    space = _space_from(merged)
+def cmd_recur(merged: dict, args) -> int:
+    """series-truncation roots with reconstruction residuals"""
+    _, params, space = _request(merged, ("ht",), "recur requires --model ht")
     poly = critical_polynomial(params)
-    roots = critical_roots(params)
-    h_matrix = build_ht(params, space).matrix
     algebraic = algebraic_eigenvalues(params)
-    rows = []
-    for index, root in enumerate(roots):
-        vec = reconstruct_eigenvector(params, root, space)
-        residual = float(np.linalg.norm(h_matrix @ vec - root * vec))
-        distance = float(np.min(np.abs(algebraic - root)))
-        rows.append((index, complex(root), residual, distance))
-    if merged["format"] == "json":
-        document = {
-            "command": "recur",
-            "N": params.big_n,
-            "degree": int(poly.degree),
-            "coefficients": [float(c) for c in poly.float_coefficients()],
-            "roots": [
-                {
-                    "re": value.real,
-                    "im": value.imag,
-                    "reconstruction_residual": residual,
-                    "distance_to_algebraic": distance,
-                }
-                for _, value, residual, distance in rows
-            ],
-        }
-        _emit(write_json(document), output)
-        return 0
     table = Table(
         columns=("index", "re_energy", "im_energy", "reconstruction_residual", "distance_to_algebraic")
     )
-    for index, value, residual, distance in rows:
-        table.add(index, value.real, value.imag, residual, distance)
+    roots = []
+    for index, (root, residual) in enumerate(
+        _reconstructions(params, space, build_ht(params, space).matrix)
+    ):
+        distance = float(np.min(np.abs(algebraic - root)))
+        table.add(index, root.real, root.imag, residual, distance)
+        roots.append(
+            {
+                "re": root.real,
+                "im": root.imag,
+                "reconstruction_residual": residual,
+                "distance_to_algebraic": distance,
+            }
+        )
     table.comments.append(f"critical polynomial degree {int(poly.degree)}")
-    _emit(write_csv(table), output)
-    return 0
+    document = {
+        "command": "recur",
+        "N": params.big_n,
+        "degree": int(poly.degree),
+        "coefficients": [float(c) for c in poly.float_coefficients()],
+        "roots": roots,
+    }
+    return _write(merged, args, table, document)
 
 
 def _event_comment(event: FlowEvent) -> str:
@@ -483,30 +433,25 @@ def _run_sweep(spec: SweepSpec, merged: dict, output: str | None, title: str) ->
     return 0
 
 
-def cmd_sweep(merged: dict, args, output: str | None) -> int:
-    model = _require_model(merged)
-    params = _params_from(merged, model)
-    if args.param == "rho":
-        if model not in ("extended", "h2", "jcm", "pseudo-jcm"):
-            raise ValidationError("rho sweeps need a ladder model (extended/h2/jcm/pseudo-jcm)")
-        effective = params if model == "extended" else dataclasses.replace(
-            params,
-            k=2 if model == "h2" else 1,
-            phi={"jcm": 1, "pseudo-jcm": -1}.get(model, params.phi),
-        )
-    else:
-        if model != "ht":
-            raise ValidationError("theta sweeps need --model ht")
-        effective = params
+# models a sweep of each parameter drives, and the error otherwise
+_SWEPT_MODELS = {
+    "rho": (_LADDER, "rho sweeps need a ladder model (extended/h2/jcm/pseudo-jcm)"),
+    "theta": (("ht",), "theta sweeps need --model ht"),
+}
+
+
+def cmd_sweep(merged: dict, args) -> int:
+    """eigenvalue trajectories over rho or theta"""
+    model, params, _ = _request(merged, *_SWEPT_MODELS[args.param], fock=False)
     spec = SweepSpec(
-        params=effective,
+        params=params,
         parameter=args.param,
         start=args.start,
         stop=args.stop,
         points=args.points,
         doublets=args.doublets,
     )
-    return _run_sweep(spec, merged, output, f"{model} {args.param} sweep")
+    return _run_sweep(spec, merged, args.output, f"{model} {args.param} sweep")
 
 
 def _figure_spec(which: int, rho: float | None = None) -> SweepSpec:
@@ -519,7 +464,9 @@ def _figure_spec(which: int, rho: float | None = None) -> SweepSpec:
     return SweepSpec(params=params, parameter="theta", start=0.0, stop=3.0, points=151)
 
 
-def cmd_figures(merged: dict, args, output: str | None) -> int:
+def cmd_figures(merged: dict, args) -> int:
+    """CSV/SVG data behind the three figures"""
+    output = args.output
     if args.which in (1, 2):
         spec = _figure_spec(args.which)
         return _run_sweep(spec, merged, output, f"levels vs rho (phi = {spec.params.phi:+d})")
@@ -537,31 +484,26 @@ def cmd_figures(merged: dict, args, output: str | None) -> int:
     return code
 
 
-def cmd_polyrep_check(merged: dict, output: str | None) -> int:
-    model = _require_model(merged)
-    if model not in ("pseudo-jcm", "ht"):
-        raise ValidationError("polyrep-check supports --model pseudo-jcm or ht")
+def cmd_polyrep_check(merged: dict, args) -> int:
+    """polynomial-space route cross-check"""
+    model, params, _ = _request(
+        merged,
+        ("pseudo-jcm", "ht"),
+        "polyrep-check supports --model pseudo-jcm or ht",
+        extra=("N",),
+        fock=False,
+    )
     if model == "ht":
-        params = _params_from(merged, model)
         op = gauge_transform_ht(params)
         reference = algebraic_eigenvalues(params)
     else:
         n = merged["N"] if merged["N"] is not None else 5
         if n < 1:
             raise ValidationError("--N must be >= 1 for polyrep-check")
-        base = {
-            key: merged[key] for key in ("eps", "hw", "rho") if merged[key] is not None
-        }
-        params = ModelParams(
-            epsilon=base.get("eps", 1.0),
-            hbar_omega=base.get("hw", 1.0),
-            rho=base.get("rho", 0.0),
-        )
         op = gauge_transform_pseudo_jcm(params, n)
-        fock = dataclasses.replace(params, phi=-1, k=1)
-        levels = [complex(-0.5 * fock.epsilon)]
+        levels = [complex(-0.5 * params.epsilon)]
         for j in range(n):
-            levels.extend(doublet_eigenvalues(doublet_block(fock, j)))
+            levels.extend(doublet_eigenvalues(doublet_block(params, j)))
         reference = np.array(levels)
     deviation = float(spectrum_mismatch(restriction_spectrum(op), reference))
     ok = bool(op.leak == 0.0 and deviation <= 1e-9)
@@ -574,7 +516,7 @@ def cmd_polyrep_check(merged: dict, output: str | None) -> int:
         "max_spectrum_deviation": deviation,
         "ok": ok,
     }
-    _emit(write_json(document), output)
+    _emit(write_json(document), args.output)
     if not ok:
         print(
             f"error: polynomial-space route deviates by {deviation:.3e} "
@@ -585,26 +527,25 @@ def cmd_polyrep_check(merged: dict, output: str | None) -> int:
     return 0
 
 
+_COMMANDS = {
+    "spectrum": cmd_spectrum,
+    "check": cmd_check,
+    "qes": cmd_qes,
+    "recur": cmd_recur,
+    "sweep": cmd_sweep,
+    "figures": cmd_figures,
+    "polyrep-check": cmd_polyrep_check,
+}
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
 def _add_model_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--model", choices=sorted(_MODEL_FLAGS), default=None)
-    parser.add_argument("--k", type=int, default=None, help="photon transfer order (extended)")
-    parser.add_argument("--phi", type=_parse_phi, default=None, help="+1 or -1 coupling sign")
-    parser.add_argument("--eps", type=float, default=None, help="level splitting")
-    parser.add_argument("--hw", type=float, default=None, help="oscillator quantum")
-    parser.add_argument("--rho", type=float, default=None, help="k-photon coupling")
-    parser.add_argument("--theta", type=float, default=None, help="mixed-coupling strength")
-    parser.add_argument("--N", type=int, default=None, help="invariant subspace label (ht)")
-    parser.add_argument("--c", type=float, default=None, help="explicit dressing coupling")
-    parser.add_argument("--c-hat", dest="c_hat", type=float, default=None)
-    parser.add_argument("--rho1", type=float, default=None, help="bare one-photon strength (h12)")
-    parser.add_argument("--rho1-hat", dest="rho1_hat", type=float, default=None)
-    parser.add_argument("--poly", type=_parse_poly, default=None, help="diagonal P coefficients, ascending")
-    parser.add_argument("--D", type=int, default=None, help="Fock cutoff (default 64)")
-    parser.add_argument("--guard", type=int, default=None, help="guard band (default 8)")
+    for key, (kind, help_text) in _PARAMS.items():
+        parser.add_argument(_flag(key), dest=key, type=kind, default=None, help=help_text)
     parser.add_argument("--output", default=None, help="write here instead of stdout")
     parser.add_argument("--format", choices=("csv", "json", "svg"), default=None)
     parser.add_argument("--config", default=None, help="key = value parameter file")
@@ -616,54 +557,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra of extended Jaynes-Cummings models, three ways.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    subs = {}
+    for name, command in _COMMANDS.items():
+        subs[name] = commands.add_parser(name, help=command.__doc__)
+        _add_model_flags(subs[name])
 
-    for name, help_text in (
-        ("spectrum", "labeled eigenvalue table by every applicable route"),
-        ("check", "hermiticity / pseudo-hermiticity report as JSON"),
-        ("qes", "invariant-subspace certificate and algebraic spectrum"),
-        ("recur", "series-truncation roots with reconstruction residuals"),
-    ):
-        sub = commands.add_parser(name, help=help_text)
-        _add_model_flags(sub)
-
-    sub = commands.add_parser("sweep", help="eigenvalue trajectories over rho or theta")
-    _add_model_flags(sub)
+    sub = subs["sweep"]
     sub.add_argument("--param", choices=("rho", "theta"), required=True)
     sub.add_argument("--start", type=float, required=True)
     sub.add_argument("--stop", type=float, required=True)
     sub.add_argument("--points", type=int, required=True)
     sub.add_argument("--doublets", type=int, default=2)
-
-    sub = commands.add_parser("figures", help="CSV/SVG data behind the three figures")
-    _add_model_flags(sub)
-    sub.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
-
-    sub = commands.add_parser("polyrep-check", help="polynomial-space route cross-check")
-    _add_model_flags(sub)
+    subs["figures"].add_argument("--which", type=int, choices=(1, 2, 3), required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        merged = _merged(args)
-        output = args.output
-        if args.command == "spectrum":
-            return cmd_spectrum(merged, output)
-        if args.command == "check":
-            return cmd_check(merged, output)
-        if args.command == "qes":
-            return cmd_qes(merged, output)
-        if args.command == "recur":
-            return cmd_recur(merged, output)
-        if args.command == "sweep":
-            return cmd_sweep(merged, args, output)
-        if args.command == "figures":
-            return cmd_figures(merged, args, output)
-        if args.command == "polyrep-check":
-            return cmd_polyrep_check(merged, output)
-        raise ValidationError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](_merged(args), args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,10 +39,6 @@ class DoubletBlock:
     coupling_squared: float | None = None
 
     @property
-    def basis(self) -> tuple[tuple[int, float], tuple[int, float]]:
-        return ((self.n, SPIN_UP), (self.n + self.k, SPIN_DOWN))
-
-    @property
     def gap(self) -> float:
         """Diagonal splitting (lower-right minus upper-left entry)."""
         return float(self.matrix[1, 1] - self.matrix[0, 0])
@@ -83,12 +79,17 @@ class LabeledLevel:
     branch: str | None = None
 
 
-def transfer_amplitude(n: int, k: int) -> float:
-    """sqrt((n+1)(n+2)...(n+k)), the k-step ladder matrix element."""
+def _ladder_product(n: int, k: int) -> float:
+    """(n+1)(n+2)...(n+k), the square of the k-step ladder matrix element."""
     prod = 1.0
     for i in range(1, k + 1):
         prod *= n + i
-    return math.sqrt(prod)
+    return prod
+
+
+def transfer_amplitude(n: int, k: int) -> float:
+    """sqrt((n+1)(n+2)...(n+k)), the k-step ladder matrix element."""
+    return math.sqrt(_ladder_product(n, k))
 
 
 def doublet_block(params: ModelParams, n: int) -> DoubletBlock:
@@ -96,10 +97,8 @@ def doublet_block(params: ModelParams, n: int) -> DoubletBlock:
     if n < 0:
         raise ValidationError(f"doublet index must be >= 0, got {n}")
     hw, eps, k = params.hbar_omega, params.epsilon, params.k
-    amp = params.rho * transfer_amplitude(n, k)
-    prod = 1.0
-    for i in range(1, k + 1):
-        prod *= n + i
+    prod = _ladder_product(n, k)
+    amp = params.rho * math.sqrt(prod)
     matrix = np.array(
         [
             [hw * n + poly_value(params, n) + 0.5 * eps, amp],

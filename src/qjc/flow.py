@@ -158,7 +158,27 @@ def sweep(spec: SweepSpec) -> SweepResult:
         grid,
     )
     tracks = np.array(point_values, dtype=complex).T
-    events = _closed_form_events(spec, grid, labels, tracks)
+
+    def locate(i, j, g):
+        # localized on the exact closed-form difference
+        def gap(value):
+            p = spec.at(value)
+            return (
+                _closed_form_level(p, labels[i]).real
+                - _closed_form_level(p, labels[j]).real
+            )
+
+        root = _bisect(gap, grid[g], grid[g + 1], PARAM_TOL)
+        return root, _closed_form_level(spec.at(root), labels[i])
+
+    # coalescences: discriminant zero of each tracked block (phi = -1 only)
+    coalescences = []
+    if spec.params.phi == -1:
+        for t in range(spec.doublets):
+            event = _coalescence(spec.params, t, spec.start, spec.stop)
+            if event is not None:
+                coalescences.append(event)
+    events = _events(spec, grid, labels, tracks, locate, coalescences)
     return SweepResult(spec=spec, grid=grid, labels=labels, tracks=tracks, events=events)
 
 
@@ -185,78 +205,44 @@ def _real_rows(tracks: np.ndarray) -> np.ndarray:
     return np.all(np.abs(tracks.imag) <= REAL_TOL * scale, axis=1)
 
 
-def _closed_form_events(spec, grid, labels, tracks) -> tuple[FlowEvent, ...]:
+def _events(spec, grid, labels, tracks, locate, extra=()) -> tuple[FlowEvent, ...]:
+    """Crossings of every pair of real rows plus `extra`, sorted by value.
+
+    A sign change of the difference between grid points g and g + 1 is
+    handed to `locate(i, j, g)`, which returns (value, energy).  A
+    difference that is exactly zero on an interior grid point (the rho = 1
+    degeneracies land there) is already localized; endpoint zeros are
+    boundary degeneracies, not events.
+    """
     events = []
     real_row = _real_rows(tracks)
-    # crossings of real labeled levels: sign change of the difference,
-    # localized on the exact closed-form difference
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
             if not (real_row[i] and real_row[j]):
                 continue
             diff = tracks[i].real - tracks[j].real
-            label_i, label_j = labels[i], labels[j]
             for g in range(len(grid) - 1):
-                # a difference that is exactly zero on an interior grid point
-                # (the rho = 1 degeneracies land there) is already localized;
-                # endpoint zeros are boundary degeneracies, not events
                 if diff[g + 1] == 0.0:
-                    if g + 1 < len(grid) - 1:
-                        energy = _closed_form_level(spec.at(grid[g + 1]), label_i)
-                        events.append(
-                            FlowEvent(
-                                kind="crossing",
-                                parameter=spec.parameter,
-                                value=float(grid[g + 1]),
-                                energy=energy,
-                                labels=(label_i, label_j),
-                                tolerance=0.0,
-                            )
-                        )
+                    if g + 1 == len(grid) - 1:
+                        continue
+                    value, energy = float(grid[g + 1]), complex(tracks[i, g + 1])
+                    tolerance = 0.0
+                elif diff[g] * diff[g + 1] < 0.0:
+                    value, energy = locate(i, j, g)
+                    tolerance = PARAM_TOL
+                else:
                     continue
-                if diff[g] * diff[g + 1] < 0.0:
-
-                    def gap(value, li=label_i, lj=label_j):
-                        p = spec.at(value)
-                        return (
-                            _closed_form_level(p, li).real
-                            - _closed_form_level(p, lj).real
-                        )
-
-                    root = _bisect(gap, grid[g], grid[g + 1], PARAM_TOL)
-                    energy = _closed_form_level(spec.at(root), label_i)
-                    events.append(
-                        FlowEvent(
-                            kind="crossing",
-                            parameter=spec.parameter,
-                            value=root,
-                            energy=energy,
-                            labels=(label_i, label_j),
-                            tolerance=PARAM_TOL,
-                        )
-                    )
-    # coalescences: discriminant zero of each tracked block (phi = -1 only)
-    if spec.params.phi == -1:
-        for t in range(spec.doublets):
-
-            def disc(value, t=t):
-                return doublet_block(spec.at(value), t).discriminant()
-
-            d_lo, d_hi = disc(spec.start), disc(spec.stop)
-            if d_lo > 0.0 > d_hi:
-                root = _bisect(disc, spec.start, spec.stop, PARAM_TOL)
-                block = doublet_block(spec.at(root), t)
-                mean = 0.5 * (block.matrix[0, 0] + block.matrix[1, 1])
                 events.append(
                     FlowEvent(
-                        kind="coalescence",
+                        kind="crossing",
                         parameter=spec.parameter,
-                        value=root,
-                        energy=complex(mean),
-                        labels=(f"doublet:{t}:I", f"doublet:{t}:II"),
-                        tolerance=PARAM_TOL,
+                        value=value,
+                        energy=energy,
+                        labels=(labels[i], labels[j]),
+                        tolerance=tolerance,
                     )
                 )
+    events.extend(extra)
     events.sort(key=lambda e: e.value)
     return tuple(events)
 
@@ -389,63 +375,28 @@ def qes_theta_sweep(spec: SweepSpec) -> SweepResult:
         t_prev, v_prev = t_next, v_next
     tracks = np.array(columns, dtype=complex).T
     labels = tuple(f"track:{i}" for i in range(tracks.shape[0]))
-    events = _tracked_crossings(spec, grid, labels, tracks, values_at)
+
+    def locate(i, j, g):
+        def nearest(value):
+            # interpolate both endpoint tracks to the probe point, then read
+            # off the nearest actual eigenvalues
+            w = values_at(value)
+            frac = (value - grid[g]) / (grid[g + 1] - grid[g])
+            out = []
+            for row in (i, j):
+                guess = (1 - frac) * tracks[row, g] + frac * tracks[row, g + 1]
+                out.append(w[np.argmin(np.abs(w - guess))])
+            return out
+
+        def gap(value):
+            e_i, e_j = nearest(value)
+            return e_i.real - e_j.real
+
+        root = _bisect(gap, grid[g], grid[g + 1], PARAM_TOL)
+        return root, nearest(root)[0]
+
+    events = _events(spec, grid, labels, tracks, locate)
     return SweepResult(spec=spec, grid=grid, labels=labels, tracks=tracks, events=events)
-
-
-def _tracked_crossings(spec, grid, labels, tracks, values_at) -> tuple[FlowEvent, ...]:
-    """Bisect sign changes of real track differences, re-matching locally."""
-    events = []
-    real_row = _real_rows(tracks)
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            if not (real_row[i] and real_row[j]):
-                continue
-            diff = tracks[i].real - tracks[j].real
-            for g in range(len(grid) - 1):
-                if diff[g + 1] == 0.0 and g + 1 < len(grid) - 1:
-                    events.append(
-                        FlowEvent(
-                            kind="crossing",
-                            parameter=spec.parameter,
-                            value=float(grid[g + 1]),
-                            energy=complex(tracks[i, g + 1]),
-                            labels=(labels[i], labels[j]),
-                            tolerance=0.0,
-                        )
-                    )
-                    continue
-                if not diff[g] * diff[g + 1] < 0.0:
-                    continue
-
-                def gap(value):
-                    # interpolate both endpoint tracks to the probe point,
-                    # then read off the nearest actual eigenvalues
-                    w = values_at(value)
-                    frac = (value - grid[g]) / (grid[g + 1] - grid[g])
-                    out = []
-                    for row in (i, j):
-                        guess = (1 - frac) * tracks[row, g] + frac * tracks[row, g + 1]
-                        out.append(w[np.argmin(np.abs(w - guess))])
-                    return out[0].real - out[1].real
-
-                root = _bisect(gap, grid[g], grid[g + 1], PARAM_TOL)
-                w = values_at(root)
-                frac = (root - grid[g]) / (grid[g + 1] - grid[g])
-                guess = (1 - frac) * tracks[i, g] + frac * tracks[i, g + 1]
-                energy = w[np.argmin(np.abs(w - guess))]
-                events.append(
-                    FlowEvent(
-                        kind="crossing",
-                        parameter=spec.parameter,
-                        value=root,
-                        energy=energy,
-                        labels=(labels[i], labels[j]),
-                        tolerance=PARAM_TOL,
-                    )
-                )
-    events.sort(key=lambda e: e.value)
-    return tuple(events)
 
 
 def max_theta_slope(result: SweepResult) -> float:
@@ -458,12 +409,14 @@ def max_theta_slope(result: SweepResult) -> float:
     return float(np.max(slopes)) if slopes.size else 0.0
 
 
-def locate_coalescence(
+def _coalescence(
     params: ModelParams, doublet: int, lo: float, hi: float
-) -> FlowEvent:
-    """Bisection on the exact block discriminant for one ladder doublet."""
-    if params.phi != -1:
-        raise ValidationError("only the sign-flipped coupling coalesces at real rho")
+) -> FlowEvent | None:
+    """Coalescence event of one ladder doublet on [lo, hi], or None.
+
+    Bisection on the exact block discriminant, which must go from positive
+    at lo to negative at hi.
+    """
 
     def disc(value):
         return doublet_block(
@@ -471,10 +424,7 @@ def locate_coalescence(
         ).discriminant()
 
     if not disc(lo) > 0.0 > disc(hi):
-        raise ValidationError(
-            f"discriminant of doublet {doublet} does not change sign on "
-            f"[{lo}, {hi}]"
-        )
+        return None
     root = _bisect(disc, lo, hi, PARAM_TOL)
     block = doublet_block(dataclasses.replace(params, rho=root), doublet)
     mean = 0.5 * (block.matrix[0, 0] + block.matrix[1, 1])
@@ -486,3 +436,18 @@ def locate_coalescence(
         labels=(f"doublet:{doublet}:I", f"doublet:{doublet}:II"),
         tolerance=PARAM_TOL,
     )
+
+
+def locate_coalescence(
+    params: ModelParams, doublet: int, lo: float, hi: float
+) -> FlowEvent:
+    """Bisection on the exact block discriminant for one ladder doublet."""
+    if params.phi != -1:
+        raise ValidationError("only the sign-flipped coupling coalesces at real rho")
+    event = _coalescence(params, doublet, lo, hi)
+    if event is None:
+        raise ValidationError(
+            f"discriminant of doublet {doublet} does not change sign on "
+            f"[{lo}, {hi}]"
+        )
+    return event

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 SPIN_UP = 0.5
 SPIN_DOWN = -0.5
 
@@ -40,11 +42,11 @@ class TruncatedFockSpace:
 
     def __post_init__(self):
         if self.cutoff < 4:
-            raise ValueError(f"cutoff must be >= 4, got {self.cutoff}")
+            raise ValidationError(f"cutoff must be >= 4, got {self.cutoff}")
         if self.guard < 0:
-            raise ValueError(f"guard must be >= 0, got {self.guard}")
+            raise ValidationError(f"guard must be >= 0, got {self.guard}")
         if self.guard >= self.cutoff:
-            raise ValueError(
+            raise ValidationError(
                 f"guard band ({self.guard}) must be smaller than cutoff ({self.cutoff})"
             )
 
@@ -61,7 +63,7 @@ class TruncatedFockSpace:
 
 @dataclass(frozen=True, eq=False)
 class SpinFockOperator:
-    """A dense operator on the spin tensor Fock space, with basis labels."""
+    """A dense operator on the spin tensor Fock space."""
 
     matrix: np.ndarray
     space: TruncatedFockSpace
@@ -69,17 +71,9 @@ class SpinFockOperator:
     def __post_init__(self):
         d = self.space.dim
         if self.matrix.shape != (d, d):
-            raise ValueError(
+            raise ValidationError(
                 f"matrix shape {self.matrix.shape} does not match space dim {d}"
             )
-
-    @property
-    def basis(self) -> list[tuple[int, float]]:
-        """Ordered basis labels (n, m_s) matching rows/columns of `matrix`."""
-        return basis_labels(self.space)
-
-    def dagger(self) -> "SpinFockOperator":
-        return SpinFockOperator(self.matrix.conj().T, self.space)
 
 
 def basis_labels(space: TruncatedFockSpace) -> list[tuple[int, float]]:
@@ -92,28 +86,17 @@ def basis_labels(space: TruncatedFockSpace) -> list[tuple[int, float]]:
 def basis_index(space: TruncatedFockSpace, n: int, ms: float) -> int:
     """Flat index of |n, ms> under the frozen spin-major ordering."""
     if not 0 <= n < space.cutoff:
-        raise ValueError(f"photon index {n} outside [0, {space.cutoff})")
+        raise ValidationError(f"photon index {n} outside [0, {space.cutoff})")
     if ms == SPIN_UP:
         return n
     if ms == SPIN_DOWN:
         return space.cutoff + n
-    raise ValueError(f"ms must be +0.5 or -0.5, got {ms}")
+    raise ValidationError(f"ms must be +0.5 or -0.5, got {ms}")
 
 
 def annihilation(space: TruncatedFockSpace) -> np.ndarray:
     """Lowering operator on the Fock factor: a|n> = sqrt(n)|n-1>."""
     return np.diag(np.sqrt(np.arange(1.0, space.cutoff)), k=1)
-
-
-def creation(space: TruncatedFockSpace) -> np.ndarray:
-    """Raising operator with hard cutoff: adag|D-1> = 0."""
-    return annihilation(space).T.copy()
-
-
-def build_ladder(space: TruncatedFockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Return (a, adag) on the Fock factor; adag is exactly a.T."""
-    a = annihilation(space)
-    return a, a.T.copy()
 
 
 def number_op(space: TruncatedFockSpace) -> np.ndarray:
@@ -124,11 +107,6 @@ def number_op(space: TruncatedFockSpace) -> np.ndarray:
 def fock_parity(space: TruncatedFockSpace) -> np.ndarray:
     """Photon-number parity diag((-1)^n) on the Fock factor."""
     return np.diag((-1.0) ** np.arange(space.cutoff))
-
-
-def sigma3() -> np.ndarray:
-    """Pauli z, diag(+1, -1) in the (up, down) ordering."""
-    return np.diag([1.0, -1.0])
 
 
 def sigma_plus() -> np.ndarray:
@@ -146,25 +124,12 @@ def tensor(
 ) -> SpinFockOperator:
     """Kronecker product with the spin factor major (block structure literal)."""
     if spin_op.shape != (2, 2):
-        raise ValueError(f"spin factor must be 2x2, got {spin_op.shape}")
+        raise ValidationError(f"spin factor must be 2x2, got {spin_op.shape}")
     if fock_op.shape != (space.cutoff, space.cutoff):
-        raise ValueError(
+        raise ValidationError(
             f"Fock factor shape {fock_op.shape} does not match cutoff {space.cutoff}"
         )
     return SpinFockOperator(np.kron(spin_op, fock_op), space)
-
-
-def identity_operator(space: TruncatedFockSpace) -> SpinFockOperator:
-    return SpinFockOperator(np.eye(space.dim), space)
-
-
-def parity_operator(space: TruncatedFockSpace) -> SpinFockOperator:
-    """Photon parity tensored with the spin identity.
-
-    Anticommutes exactly with a and adag (entrywise, including the corner):
-    conjugation flips the sign of every off-diagonal of an odd ladder string.
-    """
-    return tensor(np.eye(2), fock_parity(space), space)
 
 
 def from_blocks(

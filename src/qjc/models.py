@@ -16,11 +16,13 @@ n = n_qes = N + 2.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .errors import ValidationError
 from .fock import (
     SpinFockOperator,
     TruncatedFockSpace,
@@ -77,31 +79,31 @@ class ModelParams:
 
     def __post_init__(self):
         if self.phi not in (-1, 1):
-            raise ValueError(f"phi must be +1 or -1, got {self.phi}")
+            raise ValidationError(f"phi must be +1 or -1, got {self.phi}")
         if self.k < 1:
-            raise ValueError(f"photon transfer order k must be >= 1, got {self.k}")
+            raise ValidationError(f"photon transfer order k must be >= 1, got {self.k}")
         if self.poly:
             degree = _poly_degree(self.poly)
             if degree < 2:
-                raise ValueError(
+                raise ValidationError(
                     "diagonal polynomial must have degree >= 2 "
                     f"(got coefficients {self.poly}); fold lower orders into "
                     "hbar_omega and epsilon instead"
                 )
         if self.n_qes is not None and self.n_qes < 2:
-            raise ValueError(f"n_qes must be >= 2, got {self.n_qes}")
+            raise ValidationError(f"n_qes must be >= 2, got {self.n_qes}")
 
     @property
     def big_n(self) -> int:
         """Subspace label N = n_qes - 2."""
         if self.n_qes is None:
-            raise ValueError("n_qes is not set on these parameters")
+            raise ValidationError("n_qes is not set on these parameters")
         return self.n_qes - 2
 
     def qes_couplings(self) -> tuple[float, float]:
         """Effective (c, c_hat), defaulting to -theta / n_qes."""
         if self.n_qes is None and (self.c is None or self.c_hat is None):
-            raise ValueError("need n_qes to derive c, c_hat from theta")
+            raise ValidationError("need n_qes to derive c, c_hat from theta")
         c = self.c if self.c is not None else -self.theta / self.n_qes
         c_hat = self.c_hat if self.c_hat is not None else -self.theta / self.n_qes
         return c, c_hat
@@ -138,12 +140,12 @@ def poly_value(params: ModelParams, n: float) -> float:
 
 def _check_guard(space: TruncatedFockSpace, transfer: int, model: str) -> None:
     if space.guard < transfer + 2:
-        raise ValueError(
+        raise ValidationError(
             f"{model} moves up to {transfer} quanta; guard band must be >= "
             f"{transfer + 2}, got {space.guard}"
         )
     if space.cutoff <= transfer + space.guard:
-        raise ValueError(
+        raise ValidationError(
             f"cutoff {space.cutoff} too small for transfer order {transfer} "
             f"with guard {space.guard}"
         )
@@ -180,14 +182,7 @@ def build_extended(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOp
 
 def build_jcm(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator:
     """One-photon Jaynes-Cummings matrix (hermitian; phi forced to +1)."""
-    base = ModelParams(
-        epsilon=params.epsilon,
-        hbar_omega=params.hbar_omega,
-        rho=params.rho,
-        phi=1,
-        k=1,
-    )
-    return build_extended(base, space)
+    return build_extended(dataclasses.replace(params, phi=1, k=1, poly=()), space)
 
 
 def build_pseudo_jcm(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator:
@@ -197,14 +192,7 @@ def build_pseudo_jcm(params: ModelParams, space: TruncatedFockSpace) -> SpinFock
     hermitian, but conjugation by sigma3 maps it to its adjoint, so the
     spectrum is real wherever the doublet discriminants stay positive.
     """
-    base = ModelParams(
-        epsilon=params.epsilon,
-        hbar_omega=params.hbar_omega,
-        rho=params.rho,
-        phi=-1,
-        k=1,
-    )
-    return build_extended(base, space)
+    return build_extended(dataclasses.replace(params, phi=-1, k=1, poly=()), space)
 
 
 def build_h12(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator:
@@ -243,10 +231,10 @@ def build_ht(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator
     {|0..N, up>} + {|0..N+2, down>} is invariant for any rho, c, c_hat.
     """
     if params.n_qes is None:
-        raise ValueError("build_ht requires n_qes (= N + 2) to be set")
+        raise ValidationError("build_ht requires n_qes (= N + 2) to be set")
     _check_guard(space, 2, "subspace-closed model")
     if space.cutoff <= params.big_n + 4 + space.guard:
-        raise ValueError(
+        raise ValidationError(
             f"cutoff {space.cutoff} too small: need > N + 4 + guard = "
             f"{params.big_n + 4 + space.guard}"
         )

@@ -56,12 +56,6 @@ class InvariantSubspace:
     def indices(self) -> tuple[int, ...]:
         return self.upper_indices + self.lower_indices
 
-    def projector(self) -> np.ndarray:
-        pi = np.zeros((self.space.dim, self.space.dim))
-        for i in self.indices:
-            pi[i, i] = 1.0
-        return pi
-
 
 def invariance_defect(h_matrix: np.ndarray, indices: tuple[int, ...]) -> float:
     """Largest matrix element leaking out of span{indices}."""
@@ -72,20 +66,23 @@ def invariance_defect(h_matrix: np.ndarray, indices: tuple[int, ...]) -> float:
     return float(np.max(np.abs(block)))
 
 
-def build_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantSubspace:
-    """Construct span{|0..N, up>, |0..N+2, down>} and certify its closure."""
-    big_n = params.big_n
-    if space.cutoff < big_n + 5 + space.guard:
-        raise ValidationError(
-            f"cutoff {space.cutoff} too small for N = {big_n} with guard "
-            f"{space.guard}"
-        )
+def _subspace_indices(big_n: int, space: TruncatedFockSpace):
+    """Full-basis positions of |0..N, up> and of |0..N+2, down>."""
     upper = tuple(basis_index(space, j, SPIN_UP) for j in range(big_n + 1))
     lower = tuple(basis_index(space, m, SPIN_DOWN) for m in range(big_n + 3))
+    return upper, lower
+
+
+def build_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantSubspace:
+    """Construct span{|0..N, up>, |0..N+2, down>} and certify its closure.
+
+    `build_ht` rejects a cutoff too small for N and the guard band.
+    """
     h = build_ht(params, space)
+    upper, lower = _subspace_indices(params.big_n, space)
     defect = invariance_defect(h.matrix, upper + lower)
     return InvariantSubspace(
-        big_n=big_n,
+        big_n=params.big_n,
         space=space,
         upper_indices=upper,
         lower_indices=lower,
@@ -200,18 +197,15 @@ def _schur_cluster_basis(mat: np.ndarray, w: np.ndarray, cluster: list[int]) -> 
 def embed_subspace_vector(
     sub: InvariantSubspace, vec: np.ndarray, space: TruncatedFockSpace | None = None
 ) -> np.ndarray:
-    """Lift subspace coordinates into the full spin-major basis."""
+    """Lift subspace coordinates into the full spin-major basis.
+
+    `vec` holds one coordinate vector, or one per column.
+    """
     space = space or sub.space
-    full = np.zeros(space.dim, dtype=vec.dtype)
-    for coord, (kind, label) in zip(vec, _subspace_labels(sub)):
-        full[basis_index(space, label, kind)] = coord
+    full = np.zeros((space.dim,) + vec.shape[1:], dtype=vec.dtype)
+    upper, lower = _subspace_indices(sub.big_n, space)
+    full[list(upper + lower)] = vec
     return full
-
-
-def _subspace_labels(sub: InvariantSubspace) -> list[tuple[float, int]]:
-    ups = [(SPIN_UP, j) for j in range(sub.big_n + 1)]
-    downs = [(SPIN_DOWN, m) for m in range(sub.big_n + 3)]
-    return ups + downs
 
 
 def certify_in_full_space(
@@ -242,8 +236,7 @@ def _certify_cluster(
 ) -> float:
     """Full-space residual ||H V - V (V* H V)||_F for an embedded basis V."""
     h = build_ht(params, sub.space)
-    cols = [embed_subspace_vector(sub, basis[:, i]) for i in range(basis.shape[1])]
-    full = np.column_stack(cols)
+    full = embed_subspace_vector(sub, basis)
     small = basis.conj().T @ restriction @ basis
     return float(np.linalg.norm(h.matrix @ full - full @ small))
 

@@ -41,7 +41,6 @@ from .fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
 from .models import ModelParams, build_ht
 
 ROOT_IMAG_TOL = 1e-10
-ROOT_MATCH_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------

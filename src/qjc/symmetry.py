@@ -152,6 +152,7 @@ def symmetry_report(
     No identity is asserted here -- the report just records what holds.
     """
     space = h.space
+    parity_sigma3 = parity_sigma3_operator(space)
     herm_ok, herm_dev = check_hermitian(h, tol)
     pt_ok, pt_dev = check_pt(h, tol)
     pseudo = {
@@ -159,9 +160,7 @@ def symmetry_report(
         "parity": check_pseudo_hermitian(
             h, parity_matrix(space), tol, guard_banded=True
         ),
-        "parity_sigma3": check_pseudo_hermitian(
-            h, parity_sigma3_operator(space), tol
-        ),
+        "parity_sigma3": check_pseudo_hermitian(h, parity_sigma3, tol),
     }
     return SymmetryReport(
         hermitian=herm_ok,
@@ -169,8 +168,6 @@ def symmetry_report(
         pt_symmetric=pt_ok,
         pt_deviation=pt_dev,
         pseudo_hermitian=pseudo,
-        parity_sigma3_commutant=commutator_deviation(
-            h, parity_sigma3_operator(space)
-        ),
+        parity_sigma3_commutant=commutator_deviation(h, parity_sigma3),
         spectrum_class=classify_spectrum(h, real_tol),
     )

@@ -6,6 +6,7 @@ see it.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,15 @@ def test_spectrum_json_format(capsys):
           "--start", "0", "--stop", "1", "--points", "1"), "grid"),
         (("figures", "--which", "3"), "--output"),
         (("polyrep-check", "--model", "extended"), "polyrep"),
+        # builder preconditions on the Fock space
+        (("spectrum", "--model", "h2", "--guard", "3"), "guard"),
+        (("spectrum", "--model", "h2", "--D", "10"), "cutoff"),
+        (("recur", "--model", "ht", "--N", "1", "--guard", "2"), "guard"),
+        # flags the pseudo-jcm polynomial check does not take
+        (("polyrep-check", "--model", "pseudo-jcm", "--theta", "1"), "--theta"),
+        (("polyrep-check", "--model", "pseudo-jcm", "--phi", "-1"), "--phi"),
+        (("polyrep-check", "--model", "pseudo-jcm", "--k", "3"), "--k"),
+        (("polyrep-check", "--model", "pseudo-jcm", "--poly", "0,0,1"), "--poly"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, fragment):
@@ -404,3 +414,53 @@ def test_config_bad_number_exits_2(tmp_path, capsys):
 def test_missing_config_file_exits_2(capsys):
     code = main(["spectrum", "--model", "jcm", "--config", "/nonexistent/x.conf"])
     assert code == 2
+
+
+# one value per key of the CLI parameter table, with a command and model
+# that accept it; small spaces keep each case fast
+_CONFIG_CASES = {
+    "k": (("spectrum", "--model", "extended", "--D", "12", "--guard", "5"), "3"),
+    "phi": (("spectrum", "--model", "h2", "--rho", "0.3", "--D", "12", "--guard", "4"), "-1"),
+    "eps": (("spectrum", "--model", "jcm", "--D", "12", "--guard", "4"), "0.75"),
+    "hw": (("spectrum", "--model", "jcm", "--D", "12", "--guard", "4"), "1.25"),
+    "rho": (("spectrum", "--model", "pseudo-jcm", "--D", "12", "--guard", "4"), "0.3"),
+    "theta": (("spectrum", "--model", "h12", "--D", "12", "--guard", "4"), "0.4"),
+    "N": (("qes", "--model", "ht", "--theta", "1"), "2"),
+    "c": (("qes", "--model", "ht", "--N", "1"), "0.2"),
+    "c_hat": (("qes", "--model", "ht", "--N", "1"), "-0.3"),
+    "rho1": (("spectrum", "--model", "h12", "--D", "12", "--guard", "4"), "0.2"),
+    "rho1_hat": (("spectrum", "--model", "h12", "--D", "12", "--guard", "4"), "0.1"),
+    "poly": (("spectrum", "--model", "extended", "--D", "12", "--guard", "4"), "0,0,0.01"),
+    "D": (("spectrum", "--model", "jcm", "--guard", "4"), "14"),
+    "guard": (("spectrum", "--model", "jcm", "--D", "12"), "3"),
+}
+
+
+def test_config_cases_cover_the_parameter_table():
+    from qjc.cli import _PARAMS
+
+    assert set(_CONFIG_CASES) == set(_PARAMS)
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_CASES))
+def test_config_value_equals_flag(tmp_path, capsys, key):
+    argv, value = _CONFIG_CASES[key]
+    flag = "--" + key.replace("_", "-")
+    code_flag, by_flag = run(capsys, *argv, flag, value)
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = {value}\n")
+    code_config, by_config = run(capsys, *argv, "--config", str(config))
+    assert code_flag == code_config == 0
+    assert by_config == by_flag
+    # the value does reach the output
+    assert by_flag != run(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_CASES))
+def test_config_bad_value_exits_2_naming_the_key(tmp_path, capsys, key):
+    argv, _ = _CONFIG_CASES[key]
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = not-a-number\n")
+    code = main([*argv, "--config", str(config)])
+    assert code == 2
+    assert re.search(rf"(for |--){key}\b", capsys.readouterr().err)

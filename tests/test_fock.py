@@ -13,15 +13,13 @@ from qjc.fock import (
     annihilation,
     basis_index,
     basis_labels,
-    build_ladder,
-    creation,
     fock_parity,
     number_op,
-    parity_operator,
     sigma_minus,
     sigma_plus,
     tensor,
 )
+from qjc.symmetry import parity_matrix
 
 
 def test_annihilation_action_on_number_states():
@@ -38,15 +36,16 @@ def test_annihilation_action_on_number_states():
 
 
 def test_creation_is_exact_transpose():
+    # the raising operator is annihilation(space).T wherever it is used:
+    # sqrt(n) on the subdiagonal and nothing else
     space = TruncatedFockSpace(cutoff=12, guard=3)
-    a, adag = build_ladder(space)
-    assert_array_equal(adag, a.T)
-    assert_array_equal(creation(space), annihilation(space).T)
+    adag = annihilation(space).T
+    assert_array_equal(adag, np.diag(np.sqrt(np.arange(1.0, 12.0)), k=-1))
 
 
 def test_hard_cutoff_annihilates_top_state():
     space = TruncatedFockSpace(cutoff=6, guard=1)
-    adag = creation(space)
+    adag = annihilation(space).T
     top = np.zeros(6)
     top[5] = 1.0
     assert_array_equal(adag @ top, np.zeros(6))
@@ -59,7 +58,8 @@ def test_commutator_matrix_elements_at_d8():
     # truncated commutator evaluates to 1 - D instead of 1.  sqrt(n)**2
     # rounds within an ulp, hence the tiny absolute tolerance.
     space = TruncatedFockSpace(cutoff=8, guard=2)
-    a, adag = build_ladder(space)
+    a = annihilation(space)
+    adag = a.T
     comm = a @ adag - adag @ a
     for m in range(8):
         for n in range(8):
@@ -71,7 +71,8 @@ def test_commutator_matrix_elements_at_d8():
 
 def test_parity_anticommutes_with_ladder_everywhere():
     space = TruncatedFockSpace(cutoff=10, guard=2)
-    a, adag = build_ladder(space)
+    a = annihilation(space)
+    adag = a.T
     pi = fock_parity(space)
     assert_array_equal(pi @ a @ pi, -a)
     assert_array_equal(pi @ adag @ pi, -adag)
@@ -122,7 +123,7 @@ def test_tensor_block_placement():
 
 def test_parity_operator_acts_on_fock_factor_only():
     space = TruncatedFockSpace(cutoff=5, guard=1)
-    pi = parity_operator(space).matrix
+    pi = parity_matrix(space)
     for n in range(5):
         for ms in (SPIN_UP, SPIN_DOWN):
             i = basis_index(space, n, ms)
@@ -141,7 +142,8 @@ def test_construction_is_deterministic():
 @settings(max_examples=25, deadline=None)
 def test_commutator_identity_off_corner(cutoff):
     space = TruncatedFockSpace(cutoff=cutoff, guard=0)
-    a, adag = build_ladder(space)
+    a = annihilation(space)
+    adag = a.T
     comm = a @ adag - adag @ a
     assert_allclose(comm[:-1, :-1], np.eye(cutoff - 1), atol=3e-14)
     assert comm[-1, -1] == pytest.approx(1.0 - cutoff, abs=3e-14)

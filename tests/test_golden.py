@@ -42,6 +42,15 @@ CASES = {
         "--start", "0", "--stop", "3", "--points", "13",
     ),
     "polyrep-check-pseudo": ("polyrep-check", "--model", "pseudo-jcm", "--N", "4", "--rho", "0.3"),
+    "recur-rho-zero": ("recur", "--model", "ht", "--N", "2", "--theta", "1.5"),
+    "recur-chat-zero": ("recur", "--model", "ht", "--N", "3", "--rho", "0.8"),
+    "recur-both-limits": ("recur", "--model", "ht", "--N", "2"),
+    "qes-defective": (
+        "qes", "--model", "ht", "--N", "1", "--rho", "0.35355339059327373",
+        "--theta", "0", "--phi", "-1",
+    ),
+    "spectrum-ht": ("spectrum", "--model", "ht", "--N", "3", "--rho", "0.7", "--theta", "1.2", "--phi", "-1"),
+    "check-h12": ("check", "--model", "h12", "--phi", "-1", "--rho", "0.9", "--theta", "1.2", "--D", "96"),
 }
 
 

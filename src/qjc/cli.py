@@ -107,6 +107,7 @@ _PARAMS = {
 _FOCK_KEYS = ("D", "guard")
 _CONFIG_KEYS = ("model", *_PARAMS, "format")
 _DEFAULTS = {"D": 64, "guard": 8, "format": "csv"}
+_FORMATS = ("csv", "json", "svg")
 
 # ModelParams field behind a flag, where the names differ
 _FIELDS = {"eps": "epsilon", "hw": "hbar_omega"}
@@ -527,14 +528,16 @@ def cmd_polyrep_check(merged: dict, args) -> int:
     return 0
 
 
+# each command with the --format values it writes; check and polyrep-check
+# always write JSON, whichever value is given
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "check": cmd_check,
-    "qes": cmd_qes,
-    "recur": cmd_recur,
-    "sweep": cmd_sweep,
-    "figures": cmd_figures,
-    "polyrep-check": cmd_polyrep_check,
+    "spectrum": (cmd_spectrum, ("csv", "json")),
+    "check": (cmd_check, _FORMATS),
+    "qes": (cmd_qes, ("csv", "json")),
+    "recur": (cmd_recur, ("csv", "json")),
+    "sweep": (cmd_sweep, ("csv", "svg")),
+    "figures": (cmd_figures, ("csv", "svg")),
+    "polyrep-check": (cmd_polyrep_check, _FORMATS),
 }
 
 
@@ -547,7 +550,7 @@ def _add_model_flags(parser: argparse.ArgumentParser):
     for key, (kind, help_text) in _PARAMS.items():
         parser.add_argument(_flag(key), dest=key, type=kind, default=None, help=help_text)
     parser.add_argument("--output", default=None, help="write here instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json", "svg"), default=None)
+    parser.add_argument("--format", choices=_FORMATS, default=None)
     parser.add_argument("--config", default=None, help="key = value parameter file")
 
 
@@ -558,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     subs = {}
-    for name, command in _COMMANDS.items():
+    for name, (command, _) in _COMMANDS.items():
         subs[name] = commands.add_parser(name, help=command.__doc__)
         _add_model_flags(subs[name])
 
@@ -574,8 +577,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, formats = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](_merged(args), args)
+        merged = _merged(args)
+        if merged["format"] not in formats:
+            raise ValidationError(f"{args.command} cannot write format {merged['format']!r}")
+        return command(merged, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

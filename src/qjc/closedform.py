@@ -36,7 +36,7 @@ class DoubletBlock:
     matrix: np.ndarray
     # coupling^2 computed as rho^2 * (n+1)...(n+k) without the sqrt
     # round-trip, so integer discriminants stay integers
-    coupling_squared: float | None = None
+    coupling_squared: float
 
     @property
     def gap(self) -> float:
@@ -50,10 +50,7 @@ class DoubletBlock:
 
     def discriminant(self) -> float:
         """gap^2 + 4 phi coupling^2, negative when the pair is complex."""
-        squared = self.coupling_squared
-        if squared is None:
-            squared = self.coupling**2
-        return self.gap**2 + 4.0 * self.phi * squared
+        return self.gap**2 + 4.0 * self.phi * self.coupling_squared
 
 
 @dataclass(frozen=True)

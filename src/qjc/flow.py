@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,28 +37,6 @@ from .qes import algebraic_eigenvalues
 PARAM_TOL = 1e-8
 MAX_REFINEMENTS = 10
 REAL_TOL = 1e-10
-
-
-def worker_count() -> int:
-    """Thread budget for grid evaluation, from QJC_THREADS (default 1)."""
-    raw = os.environ.get("QJC_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"QJC_THREADS must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise ValidationError(f"QJC_THREADS must be >= 1, got {count}")
-    return count
-
-
-def _evaluate_grid(func, grid):
-    workers = worker_count()
-    if workers == 1:
-        return [func(value) for value in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, grid))
 
 
 @dataclass(frozen=True)
@@ -153,11 +129,10 @@ def sweep(spec: SweepSpec) -> SweepResult:
         raise ValidationError("closed-form sweeps drive rho; use qes_theta_sweep")
     grid = spec.grid()
     labels = _sweep_labels(spec)
-    point_values = _evaluate_grid(
-        lambda value: [_closed_form_level(spec.at(value), label) for label in labels],
-        grid,
-    )
-    tracks = np.array(point_values, dtype=complex).T
+    tracks = np.array(
+        [[_closed_form_level(spec.at(value), label) for label in labels] for value in grid],
+        dtype=complex,
+    ).T
 
     def locate(i, j, g):
         # localized on the exact closed-form difference
@@ -251,16 +226,12 @@ def numeric_deviation(spec: SweepSpec, space: TruncatedFockSpace) -> float:
     """Worst |closed-form - nearest full-matrix eigenvalue| over the sweep.
 
     The independent route: dense eigenvalues of the truncated matrix at
-    every grid point, evaluated in parallel when QJC_THREADS allows.
+    every grid point.
     """
     result = sweep(spec)
-
-    def numeric_values(value: float) -> np.ndarray:
-        return eigvals_checked(build_extended(spec.at(value), space).matrix)
-
-    per_point = _evaluate_grid(numeric_values, result.grid)
     worst = 0.0
-    for g, numeric in enumerate(per_point):
+    for g, value in enumerate(result.grid):
+        numeric = eigvals_checked(build_extended(spec.at(value), space).matrix)
         for row in result.tracks[:, g]:
             worst = max(worst, float(np.min(np.abs(numeric - row))))
     return worst

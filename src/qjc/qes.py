@@ -208,6 +208,27 @@ def embed_subspace_vector(
     return full
 
 
+def _certification_matrix(
+    sub: InvariantSubspace, params: ModelParams, space: TruncatedFockSpace
+) -> np.ndarray:
+    """The full matrix that certifies `sub`, on a cutoff that holds its image."""
+    if space.cutoff < 2 * (sub.big_n + 3):
+        raise ValidationError(
+            f"certification cutoff {space.cutoff} below twice the subspace "
+            f"extent {sub.big_n + 3}"
+        )
+    return build_ht(params, space).matrix
+
+
+def _full_space_residual(h_matrix: np.ndarray, full: np.ndarray, energy) -> float:
+    """||H v - E v|| / ||v|| for an eigenvalue E, or ||H V - V E|| for a
+    cluster basis V and its compressed matrix E = V* H V."""
+    applied = h_matrix @ full
+    if np.ndim(energy) == 0:
+        return float(np.linalg.norm(applied - energy * full) / np.linalg.norm(full))
+    return float(np.linalg.norm(applied - full @ energy))
+
+
 def certify_in_full_space(
     energy: complex,
     vector: np.ndarray,
@@ -217,28 +238,8 @@ def certify_in_full_space(
 ) -> float:
     """Relative residual of the embedded eigenpair on the full matrix."""
     space = space or sub.space
-    if space.cutoff < 2 * (sub.big_n + 3):
-        raise ValidationError(
-            f"certification cutoff {space.cutoff} below twice the subspace "
-            f"extent {sub.big_n + 3}"
-        )
-    h = build_ht(params, space)
-    full = embed_subspace_vector(sub, vector, space)
-    norm = np.linalg.norm(full)
-    return float(np.linalg.norm(h.matrix @ full - energy * full) / norm)
-
-
-def _certify_cluster(
-    basis: np.ndarray,
-    restriction: np.ndarray,
-    sub: InvariantSubspace,
-    params: ModelParams,
-) -> float:
-    """Full-space residual ||H V - V (V* H V)||_F for an embedded basis V."""
-    h = build_ht(params, sub.space)
-    full = embed_subspace_vector(sub, basis)
-    small = basis.conj().T @ restriction @ basis
-    return float(np.linalg.norm(h.matrix @ full - full @ small))
+    h = _certification_matrix(sub, params, space)
+    return _full_space_residual(h, embed_subspace_vector(sub, vector, space), energy)
 
 
 def algebraic_spectrum(
@@ -252,40 +253,42 @@ def algebraic_spectrum(
     exceptional point -- and gets a shared Schur basis instead of per-value
     eigenvectors.  (Computed eigenvalues of an exact Jordan pair split by
     about sqrt(machine eps) times the matrix norm, hence the relative
-    clustering scale.)
+    clustering scale.)  Every pair and cluster is certified on one full
+    matrix built for the call.
     """
+    h = _certification_matrix(sub, params, sub.space)
     mat = restriction_matrix(params)
     w, v = eig_checked(mat)
     tol = DEGENERACY_TOL * max(1.0, float(np.linalg.norm(mat)))
-    defective: dict[int, np.ndarray] = {}
-    cluster_residual: dict[int, float] = {}
+    clusters: dict[int, tuple[np.ndarray, float]] = {}
     for cluster in _group_close_eigenvalues(w, tol):
         if len(cluster) > 1 and _cluster_is_defective(v, cluster):
             basis = _schur_cluster_basis(mat, w, cluster)
-            res = _certify_cluster(basis, mat, sub, params)
+            small = basis.conj().T @ mat @ basis
+            res = _full_space_residual(h, embed_subspace_vector(sub, basis), small)
             for i in cluster:
-                defective[i] = basis
-                cluster_residual[i] = res
+                clusters[i] = (basis, res)
     pairs = []
     for i in np.lexsort((w.imag, w.real)):
         energy = complex(w[i])
         if abs(energy.imag) == 0.0:
             energy = complex(energy.real)
-        if i in defective:
+        if i in clusters:
+            basis, res = clusters[i]
             pairs.append(
                 AlgebraicEigenpair(
                     energy=energy,
                     vector=None,
-                    residual=cluster_residual[i],
+                    residual=res,
                     defective=True,
-                    cluster_basis=defective[i],
+                    cluster_basis=basis,
                 )
             )
             continue
         vec = v[:, i]
         if np.max(np.abs(vec.imag)) == 0.0:
             vec = vec.real
-        residual = certify_in_full_space(energy, vec, sub, params)
+        residual = _full_space_residual(h, embed_subspace_vector(sub, vec), energy)
         pairs.append(
             AlgebraicEigenpair(energy=energy, vector=vec, residual=residual)
         )

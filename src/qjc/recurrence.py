@@ -498,71 +498,58 @@ def _truncated_vector_generic(
     return psi
 
 
-def _chain_vector_rho_zero(
-    params: ModelParams, energy: complex, space: TruncatedFockSpace
-) -> np.ndarray:
+def _chain_limit(params: ModelParams):
+    """Seeded level and 2x2 chain blocks of a decoupled limit.
+
+    Returns ((level, down photon), blocks), each block (up photon, down
+    photon, up diag, down diag, B C, B, C) for the chain block
+    [[up, B], [C, down]].  Both limits at once leave only the seeded level.
+    """
     hw, eps = params.hbar_omega, params.epsilon
     c, c_hat = params.qes_couplings()
     n = params.n_qes
-    psi = np.zeros(space.dim, dtype=_vector_dtype(energy))
-    # decoupled top of the lower tower
-    if abs(energy - (hw * n - eps / 2)) < 1e-8:
-        psi[basis_index(space, n, SPIN_DOWN)] = 1.0
-        return psi
-    best = None
-    for j in range(-1, n - 2):
-        up_diag = hw * (j + 1) + eps / 2
-        down_diag = hw * (j + 2) - eps / 2
-        value = abs((energy - up_diag) * (energy - down_diag)
-                    - c * c_hat * (j + 2 - n) ** 2 * (j + 2))
-        if best is None or value < best[0]:
-            best = (value, j, up_diag, down_diag)
-    _, j, up_diag, down_diag = best
-    # block [[up, B], [C, down]] with B = c (j+2-n) sqrt(j+2): eigenvector
-    # (B, E - up), falling back to (E - down, C) when that degenerates
-    amp = c * (j + 2 - n) * math.sqrt(j + 2)
-    pair = (
-        (amp, energy - up_diag)
-        if max(abs(amp), abs(energy - up_diag)) > 1e-12
-        else (energy - down_diag, c_hat * (j + 2 - n) * math.sqrt(j + 2))
-    )
-    psi[basis_index(space, j + 1, SPIN_UP)] = pair[0]
-    psi[basis_index(space, j + 2, SPIN_DOWN)] = pair[1]
-    return psi
-
-
-def _chain_vector_chat_zero(
-    params: ModelParams, energy: complex, space: TruncatedFockSpace
-) -> np.ndarray:
-    c, _ = params.qes_couplings()
+    _, _, rho, _, exact_c_hat = _rational_params(params)
+    if rho == 0 and exact_c_hat == 0:
+        return (hw - eps / 2, 1), []
+    if rho == 0:
+        # the decoupled top of the lower tower is the seeded level
+        return (hw * n - eps / 2, n), [
+            (j + 1, j + 2, hw * (j + 1) + eps / 2, hw * (j + 2) - eps / 2,
+             c * c_hat * (j + 2 - n) ** 2 * (j + 2),
+             c * (j + 2 - n) * math.sqrt(j + 2), c_hat * (j + 2 - n) * math.sqrt(j + 2))
+            for j in range(-1, n - 2)
+        ]
     if c != 0.0:
         raise ValidationError(
             "reconstruction with c_hat = 0 but c != 0 is not supported (the "
             "chains couple triangularly); override both couplings or none"
         )
-    hw, eps = params.hbar_omega, params.epsilon
-    n = params.n_qes
+    amps = [params.rho * math.sqrt((j + 1) * (j + 2)) for j in range(n - 1)]
+    return (hw - eps / 2, 1), [
+        (j, j + 2, hw * j + eps / 2, hw * (j + 2) - eps / 2,
+         params.phi * params.rho**2 * (j + 1) * (j + 2), amp, params.phi * amp)
+        for j, amp in enumerate(amps)
+    ]
+
+
+def _chain_vector(params: ModelParams, energy: complex, space: TruncatedFockSpace) -> np.ndarray:
+    """Eigenvector of the seeded level, or of the chain block nearest `energy`."""
+    (level, photon), blocks = _chain_limit(params)
     psi = np.zeros(space.dim, dtype=_vector_dtype(energy))
-    if abs(energy - (hw - eps / 2)) < 1e-8:
-        psi[basis_index(space, 1, SPIN_DOWN)] = 1.0
+    if not blocks or abs(energy - level) < 1e-8:
+        psi[basis_index(space, photon, SPIN_DOWN)] = 1.0
         return psi
-    best = None
-    for j in range(0, n - 1):
-        up_diag = hw * j + eps / 2
-        down_diag = hw * (j + 2) - eps / 2
-        value = abs((energy - up_diag) * (energy - down_diag)
-                    - params.phi * params.rho**2 * (j + 1) * (j + 2))
-        if best is None or value < best[0]:
-            best = (value, j, up_diag, down_diag)
-    _, j, up_diag, down_diag = best
-    amp = params.rho * math.sqrt((j + 1) * (j + 2))
-    pair = (
-        (amp, energy - up_diag)
-        if max(abs(amp), abs(energy - up_diag)) > 1e-12
-        else (energy - down_diag, params.phi * amp)
+    up, down, up_diag, down_diag, _, b, c = min(
+        blocks, key=lambda blk: abs((energy - blk[2]) * (energy - blk[3]) - blk[4])
     )
-    psi[basis_index(space, j, SPIN_UP)] = pair[0]
-    psi[basis_index(space, j + 2, SPIN_DOWN)] = pair[1]
+    # eigenvector (B, E - up), falling back to (E - down, C) when that degenerates
+    pair = (
+        (b, energy - up_diag)
+        if max(abs(b), abs(energy - up_diag)) > 1e-12
+        else (energy - down_diag, c)
+    )
+    psi[basis_index(space, up, SPIN_UP)] = pair[0]
+    psi[basis_index(space, down, SPIN_DOWN)] = pair[1]
     return psi
 
 
@@ -578,33 +565,29 @@ def reconstruct_eigenvector(
     Returns the unit-normalized full-space vector (complex when the root
     is).  Refuses when `energy` is not a root (the series would not
     truncate) and reports the leaking frontier component when certification
-    fails.
+    fails.  At generic couplings the critical polynomial comes from the
+    same exact series the vector is read from.
     """
     if params.n_qes is None:
         raise ValidationError("series solution requires n_qes")
     energy = complex(energy)
     if energy.imag == 0.0:
         energy = energy.real
-    _, _, rho, c, c_hat = _rational_params(params)
-    poly = critical_polynomial(params)
+    _, _, rho, _, c_hat = _rational_params(params)
+    if rho != 0 and c_hat != 0:
+        state = run_to_critical(params, normalization)
+        # exactly critical_polynomial(params): the recurrence is linear in its start
+        poly = state.critical.scale(1 / state.normalization)
+        psi = _truncated_vector_generic(state, energy, space)
+    else:
+        poly = critical_polynomial(params)
+        psi = _chain_vector(params, energy, space) * float(Fraction(normalization))
     if abs(poly(energy)) > 1e-8 * _residual_scale(poly, energy):
         raise ValidationError(
             f"E = {energy} is not a truncation root: the critical polynomial "
             f"evaluates to {poly(energy):.3e}, so post-frontier coefficients "
             "stay nonzero"
         )
-    if rho != 0 and c_hat != 0:
-        state = run_to_critical(params, normalization)
-        psi = _truncated_vector_generic(state, energy, space)
-    elif rho == 0 and c_hat == 0:
-        psi = np.zeros(space.dim)
-        psi[basis_index(space, 1, SPIN_DOWN)] = float(Fraction(normalization))
-    elif rho == 0:
-        psi = _chain_vector_rho_zero(params, energy, space)
-        psi *= float(Fraction(normalization))
-    else:
-        psi = _chain_vector_chat_zero(params, energy, space)
-        psi *= float(Fraction(normalization))
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise NumericalError("series collapsed to the zero vector")

@@ -54,19 +54,25 @@ def check_hermitian(h: SpinFockOperator, tol: float = STRUCTURE_TOL) -> tuple[bo
     return dev <= tol, dev
 
 
+def _signs(op: np.ndarray, h: SpinFockOperator) -> np.ndarray:
+    """Diagonal of `op`, which must be a +-1 diagonal operator shaped like H."""
+    if op.shape != h.matrix.shape:
+        raise ValidationError(f"operator shape {op.shape} does not match {h.matrix.shape}")
+    signs = np.diag(op)
+    if np.count_nonzero(op - np.diag(signs)) or not np.all((signs == 1) | (signs == -1)):
+        raise ValidationError("metric operators must be diagonal with entries +1 or -1")
+    return signs
+
+
 def check_pseudo_hermitian(
     h: SpinFockOperator,
     eta: np.ndarray,
     tol: float = STRUCTURE_TOL,
     guard_banded: bool = False,
 ) -> tuple[bool, float]:
-    """Deviation of eta H eta^-1 from the adjoint of H."""
-    if eta.shape != h.matrix.shape:
-        raise ValidationError(
-            f"eta shape {eta.shape} does not match operator {h.matrix.shape}"
-        )
-    conjugated = eta @ h.matrix @ np.linalg.inv(eta)
-    delta = conjugated - h.matrix.conj().T
+    """Deviation of eta H eta^-1 = eta H eta from the adjoint of H (eta diagonal +-1)."""
+    s = _signs(eta, h)
+    delta = s[:, None] * h.matrix * s[None, :] - h.matrix.conj().T
     if guard_banded:
         dev = guard_banded_deviation(delta, h.space)
     else:
@@ -76,14 +82,15 @@ def check_pseudo_hermitian(
 
 def check_pt(h: SpinFockOperator, tol: float = STRUCTURE_TOL) -> tuple[bool, float]:
     """Invariance under parity conjugation plus complex conjugation."""
-    parity = parity_matrix(h.space)
-    transformed = parity @ h.matrix.conj() @ parity
-    dev = float(np.max(np.abs(transformed - h.matrix)))
+    p = np.diag(parity_matrix(h.space))
+    dev = float(np.max(np.abs(p[:, None] * h.matrix.conj() * p[None, :] - h.matrix)))
     return dev <= tol, dev
 
 
 def commutator_deviation(h: SpinFockOperator, op: np.ndarray) -> float:
-    return float(np.max(np.abs(h.matrix @ op - op @ h.matrix)))
+    """Largest entry of [H, op] for a +-1 diagonal op."""
+    s = _signs(op, h)
+    return float(np.max(np.abs(h.matrix * s[None, :] - s[:, None] * h.matrix)))
 
 
 def classify_eigenvalues(

@@ -7,6 +7,7 @@ see it.
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from qjc.cli import main
 from qjc.errors import TrackingAmbiguityError
 from qjc.output import read_csv
+
+XML_CONFIG = Path(__file__).parent / "golden" / "format-xml.conf"
 
 
 def run(capsys, *argv):
@@ -136,6 +139,16 @@ def test_spectrum_json_format(capsys):
         (("polyrep-check", "--model", "pseudo-jcm", "--phi", "-1"), "--phi"),
         (("polyrep-check", "--model", "pseudo-jcm", "--k", "3"), "--k"),
         (("polyrep-check", "--model", "pseudo-jcm", "--poly", "0,0,1"), "--poly"),
+        # a format the command cannot write, from a flag or a config file
+        (("qes", "--model", "ht", "--N", "1", "--format", "svg"), "svg"),
+        (("spectrum", "--model", "jcm", "--format", "svg"), "svg"),
+        (("recur", "--model", "ht", "--N", "1", "--format", "svg"), "svg"),
+        (("sweep", "--model", "h2", "--param", "rho", "--start", "0", "--stop", "1",
+          "--points", "5", "--format", "json"), "json"),
+        (("figures", "--which", "1", "--format", "json"), "json"),
+        (("spectrum", "--model", "jcm", "--D", "8", "--guard", "3",
+          "--config", str(XML_CONFIG)), "xml"),
+        (("check", "--model", "jcm", "--config", str(XML_CONFIG)), "xml"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, fragment):

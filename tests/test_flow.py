@@ -16,7 +16,6 @@ from qjc.flow import (
     numeric_deviation,
     qes_theta_sweep,
     sweep,
-    worker_count,
 )
 from qjc.fock import TruncatedFockSpace
 from qjc.models import ModelParams
@@ -258,29 +257,6 @@ def test_rho_sweep_rejects_theta_parameter_mixup():
         qes_theta_sweep(
             SweepSpec(params=TWO_PHOTON, parameter="theta", start=0.0, stop=1.0, points=3)
         )
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("QJC_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("QJC_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("QJC_THREADS", "zero")
-    with pytest.raises(ValidationError, match="integer"):
-        worker_count()
-    monkeypatch.setenv("QJC_THREADS", "0")
-    with pytest.raises(ValidationError, match=">= 1"):
-        worker_count()
-
-
-def test_threaded_sweep_matches_serial(monkeypatch):
-    spec = SweepSpec(params=FLIPPED, parameter="rho", start=0.0, stop=0.5, points=21)
-    monkeypatch.delenv("QJC_THREADS", raising=False)
-    serial = sweep(spec)
-    monkeypatch.setenv("QJC_THREADS", "4")
-    threaded = sweep(spec)
-    npt.assert_array_equal(serial.tracks, threaded.tracks)
-    assert serial.events == threaded.events
 
 
 def test_event_fields():

@@ -3,8 +3,8 @@
 Each case runs one command in a fresh interpreter and compares its stdout
 with the file recorded under `tests/golden/`.  BLAS is pinned to one thread
 because dense eigenvectors differ in their last digits between thread
-counts, and `QJC_THREADS` is cleared.  The cases cover the README commands
-plus the JSON, SVG and `--config` paths.
+counts.  The cases cover the README commands plus the JSON, SVG and
+`--config` paths.
 
 Re-record (only when an output change is intended) with
 
@@ -56,7 +56,6 @@ CASES = {
 
 def run_qjc(argv) -> bytes:
     env = dict(os.environ)
-    env.pop("QJC_THREADS", None)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))

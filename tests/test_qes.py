@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qjc.qes
 from qjc.closedform import doublet_block, doublet_eigenvalues
 from qjc.errors import ValidationError
 from qjc.fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
@@ -224,3 +225,30 @@ def test_cutoff_guards():
 def test_restriction_requires_qes_parameters():
     with pytest.raises(ValidationError):
         restriction_matrix(ModelParams(rho=0.5, phi=-1))
+
+
+ONE_BUILD_CASES = [
+    ModelParams(rho=0.4, theta=0.9, n_qes=big_n + 2, phi=phi)
+    for big_n in range(7)
+    for phi in (1, -1)
+] + [ModelParams(rho=0.35355339059327373, theta=0.0, n_qes=3, phi=-1)]
+
+
+@pytest.mark.parametrize(
+    "params", ONE_BUILD_CASES, ids=lambda p: f"N{p.big_n}-phi{p.phi:+d}-theta{p.theta}"
+)
+def test_algebraic_spectrum_builds_the_full_matrix_once(monkeypatch, params):
+    sub = build_subspace(params, SPACE)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_ht(*args)
+
+    monkeypatch.setattr(qjc.qes, "build_ht", counted)
+    pairs = algebraic_spectrum(sub, params)
+    assert len(calls) == 1
+    assert len(pairs) == sub.dim
+    if params.theta == 0.0:
+        # rho = 1 / (2 sqrt 2), theta = 0 sits on a coalescence
+        assert any(pair.defective for pair in pairs)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qjc.recurrence
 from qjc.closedform import doublet_block, doublet_eigenvalues
 from qjc.errors import NumericalError, ValidationError
 from qjc.fock import SPIN_DOWN, TruncatedFockSpace, basis_index
@@ -270,6 +271,34 @@ def test_reconstruction_of_complex_roots():
         psi = reconstruct_eigenvector(params, root, SPACE)
         assert np.iscomplexobj(psi)
         assert np.linalg.norm(h.matrix @ psi - root * psi) <= 1e-9
+
+
+@pytest.mark.parametrize("phi", [1, -1])
+@pytest.mark.parametrize("big_n", [1, 2, 3])
+def test_reconstruction_builds_one_series_per_call(monkeypatch, big_n, phi):
+    params = ModelParams(rho=0.7, theta=1.2, n_qes=big_n + 2, phi=phi)
+    roots = critical_roots(params)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series_start(*args, **kwargs)
+
+    monkeypatch.setattr(qjc.recurrence, "series_start", counted)
+    for root in roots:
+        calls.clear()
+        reconstruct_eigenvector(params, root, SPACE)
+        assert len(calls) == 1
+
+
+def test_reconstruction_is_independent_of_normalization():
+    params = ModelParams(rho=0.8, theta=1.2, n_qes=4, phi=-1)
+    for root in critical_roots(params):
+        unit = reconstruct_eigenvector(params, root, SPACE)
+        scaled = reconstruct_eigenvector(params, root, SPACE, normalization=Fraction(-7, 3))
+        npt.assert_allclose(scaled, -unit, atol=1e-12)
+    with pytest.raises(ValidationError, match="not a truncation root"):
+        reconstruct_eigenvector(params, 0.123456, SPACE, normalization=1000)
 
 
 def test_reconstruction_refuses_non_roots():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qjc.errors import UnpairableSpectrumError
+from qjc.errors import UnpairableSpectrumError, ValidationError
 from qjc.fock import TruncatedFockSpace
 from qjc.models import ModelParams, build_extended, build_jcm, build_pseudo_jcm
 from qjc.symmetry import (
@@ -136,3 +136,30 @@ def test_symmetry_report_shape():
     assert not report.pseudo_hermitian["parity_sigma3"][0]
     assert report.parity_sigma3_commutant == 0.0
     assert report.spectrum_class in {"all-real", "mixed", "conjugate-pairs"}
+
+
+@pytest.mark.parametrize("check", [check_pseudo_hermitian, commutator_deviation])
+def test_metric_operators_must_be_diagonal_signs(check):
+    h = build_pseudo_jcm(ModelParams(rho=0.4), SPACE)
+    reversal = np.eye(SPACE.dim)[::-1]  # an involution, but not diagonal
+    off_diagonal = sigma3_operator(SPACE)
+    off_diagonal[0, 1] = 0.5
+    doubled = sigma3_operator(SPACE)
+    doubled[3, 3] = 2.0
+    for op in (reversal, off_diagonal, doubled):
+        with pytest.raises(ValidationError, match=r"diagonal with entries \+1 or -1"):
+            check(h, op)
+
+
+@pytest.mark.parametrize("phi", [1, -1])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sign_masks_match_dense_conjugation(k, phi):
+    h = build_extended(ModelParams(epsilon=0.7, rho=0.9, k=k, phi=phi), SPACE)
+    for eta in (sigma3_operator(SPACE), parity_matrix(SPACE), parity_sigma3_operator(SPACE)):
+        dense = eta @ h.matrix @ np.linalg.inv(eta) - h.matrix.conj().T
+        assert check_pseudo_hermitian(h, eta)[1] == float(np.max(np.abs(dense)))
+        commutator = h.matrix @ eta - eta @ h.matrix
+        assert commutator_deviation(h, eta) == float(np.max(np.abs(commutator)))
+    parity = parity_matrix(SPACE)
+    pt = parity @ h.matrix.conj() @ parity - h.matrix
+    assert check_pt(h)[1] == float(np.max(np.abs(pt)))

@@ -1,16 +1,24 @@
-"""Byte-for-byte golden outputs of the `qjc` command.
+"""Byte-for-byte golden outputs of the `qjc` command and the exact recurrence.
 
-Each case runs one command in a fresh interpreter and compares its stdout
-with the file recorded under `tests/golden/`.  BLAS is pinned to one thread
-because dense eigenvectors differ in their last digits between thread
-counts.  The cases cover the README commands plus the JSON, SVG and
+Each CLI case runs one command in a fresh interpreter and compares its
+stdout with the file recorded under `tests/golden/`.  BLAS is pinned to one
+thread because dense eigenvectors differ in their last digits between
+thread counts.  The cases cover the README commands plus the JSON, SVG and
 `--config` paths.
+
+`recurrence-exact.json` pins the exact recurrence route bit for bit: per
+case, the critical polynomial's coefficients as "num/den" strings, each
+polished root as `float.hex` pairs, each root's reconstruction-gate verdict
+("pass" or the error it raised) and the SHA-256 of each certified vector's
+bytes.
 
 Re-record (only when an output change is intended) with
 
     python tests/test_golden.py
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -54,6 +62,52 @@ CASES = {
 }
 
 
+# name -> (N, phi, rho, theta); n_qes = N + 2, as in `qjc --N`
+RECURRENCE_CASES = {
+    f"N{big_n}:phi{'+' if phi > 0 else '-'}:rho{rho}:theta{theta}": (big_n, phi, rho, theta)
+    for big_n in range(2, 13)
+    for phi in (1, -1)
+    for rho, theta in ((0.7, 1.2), (1.6, 0.5))
+}
+RECURRENCE_CASES.update(
+    {
+        "weak-coupling": (10, -1, 0.05, 0.4),
+        "rho-zero": (3, -1, 0.0, 1.5),
+        "chat-zero": (3, 1, 0.8, 0.0),
+        "both-limits": (2, -1, 0.0, 0.0),
+        "N16": (16, 1, 0.7, 1.2),
+    }
+)
+RECURRENCE_GOLDEN = GOLDEN / "recurrence-exact.json"
+
+
+def recurrence_record(case) -> dict:
+    """Exact coefficients, root bits, gate verdicts and vector hashes of one case."""
+    from qjc.errors import NumericalError, ValidationError
+    from qjc.fock import TruncatedFockSpace
+    from qjc.models import ModelParams
+    from qjc.recurrence import critical_polynomial, critical_roots, reconstruct_eigenvector
+
+    big_n, phi, rho, theta = case
+    params = ModelParams(rho=rho, theta=theta, phi=phi, n_qes=big_n + 2)
+    space = TruncatedFockSpace(64, 8)
+    roots = []
+    for root in critical_roots(params):
+        try:
+            psi = reconstruct_eigenvector(params, root, space)
+        except (NumericalError, ValidationError) as err:
+            gate, digest = type(err).__name__, None
+        else:
+            gate, digest = "pass", hashlib.sha256(psi.tobytes()).hexdigest()
+        roots.append(
+            {"root": [float(root.real).hex(), float(root.imag).hex()], "gate": gate, "sha256": digest}
+        )
+    return {
+        "critical": [f"{c.numerator}/{c.denominator}" for c in critical_polynomial(params).coefficients],
+        "roots": roots,
+    }
+
+
 def run_qjc(argv) -> bytes:
     env = dict(os.environ)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -75,7 +129,17 @@ def test_output_matches_golden(name):
     assert run_qjc(CASES[name]) == expected
 
 
+@pytest.mark.parametrize("name", list(RECURRENCE_CASES))
+def test_recurrence_matches_golden(name):
+    expected = json.loads(RECURRENCE_GOLDEN.read_text())[name]
+    assert recurrence_record(RECURRENCE_CASES[name]) == expected
+
+
 if __name__ == "__main__":
+    sys.path.insert(0, str(SRC))
     for name, argv in CASES.items():
         (GOLDEN / f"{name}.out").write_bytes(run_qjc(argv))
         print(f"recorded {name}")
+    records = {name: recurrence_record(case) for name, case in RECURRENCE_CASES.items()}
+    RECURRENCE_GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"recorded {RECURRENCE_GOLDEN.name}")

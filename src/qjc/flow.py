@@ -29,7 +29,7 @@ import numpy as np
 
 from ._linalg import eigvals_checked
 from .closedform import doublet_block, doublet_eigenvalues
-from .errors import TrackingAmbiguityError, ValidationError
+from .errors import NumericalError, TrackingAmbiguityError, ValidationError
 from .fock import TruncatedFockSpace
 from .models import ModelParams, build_extended, poly_value
 from .qes import algebraic_eigenvalues
@@ -143,7 +143,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
                 - _closed_form_level(p, labels[j]).real
             )
 
-        root = _bisect(gap, grid[g], grid[g + 1], PARAM_TOL)
+        root = _bisect(gap, grid[g], grid[g + 1])
         return root, _closed_form_level(spec.at(root), labels[i])
 
     # coalescences: discriminant zero of each tracked block (phi = -1 only)
@@ -157,13 +157,18 @@ def sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec=spec, grid=grid, labels=labels, tracks=tracks, events=events)
 
 
-def _bisect(func, lo: float, hi: float, tol: float) -> float:
+def _bisect(func, lo: float, hi: float) -> float:
+    """A sign change of `func` in [lo, hi], narrowed to PARAM_TOL.
+
+    Raises NumericalError when 200 halvings do not get there, as happens
+    once the float spacing at lo exceeds PARAM_TOL (|lo| above ~1e8).
+    """
     f_lo = func(lo)
     if f_lo == 0.0:
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
+        if hi - lo <= PARAM_TOL:
             return mid
         f_mid = func(mid)
         if f_mid == 0.0:
@@ -172,7 +177,10 @@ def _bisect(func, lo: float, hi: float, tol: float) -> float:
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise NumericalError(
+        f"bisection stalled at [{lo!r}, {hi!r}] after 200 halvings: width "
+        f"{hi - lo:.3e} stays above PARAM_TOL = {PARAM_TOL:.0e}"
+    )
 
 
 def _real_rows(tracks: np.ndarray) -> np.ndarray:
@@ -363,7 +371,7 @@ def qes_theta_sweep(spec: SweepSpec) -> SweepResult:
             e_i, e_j = nearest(value)
             return e_i.real - e_j.real
 
-        root = _bisect(gap, grid[g], grid[g + 1], PARAM_TOL)
+        root = _bisect(gap, grid[g], grid[g + 1])
         return root, nearest(root)[0]
 
     events = _events(spec, grid, labels, tracks, locate)
@@ -396,7 +404,7 @@ def _coalescence(
 
     if not disc(lo) > 0.0 > disc(hi):
         return None
-    root = _bisect(disc, lo, hi, PARAM_TOL)
+    root = _bisect(disc, lo, hi)
     block = doublet_block(dataclasses.replace(params, rho=root), doublet)
     mean = 0.5 * (block.matrix[0, 0] + block.matrix[1, 1])
     return FlowEvent(

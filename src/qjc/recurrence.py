@@ -19,9 +19,12 @@ the recurrence closes over the rationals:
     (hw (j+2) - eps/2 - E) qt_j + phi rho pt_j
                             + c_hat (j+2-n) pt_{j+1} = 0         (lower |j+2>)
 
-so all polynomials here live in exact Fraction arithmetic and the critical
-polynomial's roots carry no recurrence noise.  The stored polynomials are
-the rescaled pt_j, qt_j; `p_value`/`q_value` restore the factorial scaling.
+so all polynomials here are exact and the critical polynomial's roots carry
+no recurrence noise.  Arithmetic is fraction-free: an `EnergyPolynomial`
+holds Python-int numerators over one common denominator, and the Newton
+polish evaluates by Horner in scaled integers at float (dyadic) iterates.
+The stored polynomials are the rescaled pt_j, qt_j; `p_value`/`q_value`
+restore the factorial scaling.
 
 Generic stepping divides by rho and by c_hat (j+2-n); the rho = 0 and
 c_hat = 0 limits decouple into 2x2 chains whose consistency factors are
@@ -30,6 +33,7 @@ assembled directly (`critical_polynomial` handles the dispatch).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -49,16 +53,37 @@ ROOT_IMAG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EnergyPolynomial:
-    """Dense polynomial in E with exact rational coefficients, ascending."""
+    """Dense polynomial in E with exact rational coefficients, ascending.
 
-    coefficients: tuple[Fraction, ...]
+    Held fraction-free: integer `numerators` over one positive common
+    `denominator`, with no factor shared by all of them and no trailing
+    zero, so equal polynomials have equal fields.  Build through
+    `from_coefficients` (or the other constructors), which normalize.
+    """
+
+    numerators: tuple[int, ...]
+    denominator: int = 1
+
+    @staticmethod
+    def _make(nums, den: int) -> "EnergyPolynomial":
+        """Normalize: strip trailing zeros, make den positive, remove the content."""
+        nums = list(nums)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        if not nums:
+            return EnergyPolynomial(())
+        if den < 0:
+            nums, den = [-c for c in nums], -den
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+        return EnergyPolynomial(tuple(nums), den)
 
     @staticmethod
     def from_coefficients(coeffs) -> "EnergyPolynomial":
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return EnergyPolynomial(tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        return EnergyPolynomial._make([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def zero() -> "EnergyPolynomial":
@@ -74,78 +99,107 @@ class EnergyPolynomial:
         return EnergyPolynomial.from_coefficients([a0, a1])
 
     @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
+
+    @functools.cached_property
+    def _floats(self) -> tuple[float, ...]:
+        # int true division rounds correctly, exactly as Fraction.__float__
+        return tuple(c / self.denominator for c in self.numerators)
+
+    @property
     def degree(self) -> float:
-        return len(self.coefficients) - 1 if self.coefficients else -math.inf
+        return len(self.numerators) - 1 if self.numerators else -math.inf
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.numerators
+
+    def _combine(self, other: "EnergyPolynomial", sign: int) -> "EnergyPolynomial":
+        """self + sign * other over the least common denominator."""
+        g = math.gcd(self.denominator, other.denominator)
+        fa, fb = other.denominator // g, sign * (self.denominator // g)
+        a, b = self.numerators, other.numerators
+        out = [c * fa for c in a] + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] += c * fb
+        return EnergyPolynomial._make(out, self.denominator * fa)
 
     def __add__(self, other: "EnergyPolynomial") -> "EnergyPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return EnergyPolynomial.from_coefficients(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "EnergyPolynomial") -> "EnergyPolynomial":
-        return self + other.scale(-1)
+        return self._combine(other, -1)
 
     def scale(self, factor) -> "EnergyPolynomial":
         f = Fraction(factor)
-        return EnergyPolynomial.from_coefficients([f * c for c in self.coefficients])
+        return EnergyPolynomial._make(
+            [f.numerator * c for c in self.numerators], f.denominator * self.denominator
+        )
 
     def __mul__(self, other: "EnergyPolynomial") -> "EnergyPolynomial":
         if self.is_zero or other.is_zero:
             return EnergyPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
+        out = [0] * (len(self.numerators) + len(other.numerators) - 1)
+        for i, a in enumerate(self.numerators):
+            for j, b in enumerate(other.numerators):
                 out[i + j] += a * b
-        return EnergyPolynomial.from_coefficients(out)
+        return EnergyPolynomial._make(out, self.denominator * other.denominator)
 
     def divmod_exact(self, other: "EnergyPolynomial"):
-        """Exact polynomial division: self = quotient * other + remainder."""
+        """Exact polynomial division: self = quotient * other + remainder.
+
+        Integer pseudo-division: the dividend's numerators are multiplied
+        by lead**e up front (e quotient terms, lead the divisor's top
+        numerator), after which every quotient digit divides exactly.
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        div = other.coefficients
-        if len(rem) < len(div):
+        div = other.numerators
+        e = len(self.numerators) - len(div) + 1
+        if e <= 0:
             return EnergyPolynomial.zero(), self
-        quot = [Fraction(0)] * (len(rem) - len(div) + 1)
-        for top in range(len(rem) - 1, len(div) - 2, -1):
-            k = top - (len(div) - 1)
-            factor = rem[top] / div[-1]
+        lead = div[-1]
+        rem = [c * lead**e for c in self.numerators]
+        quot = [0] * e
+        for k in range(e - 1, -1, -1):
+            factor = rem[k + len(div) - 1] // lead
             quot[k] = factor
             for i, c in enumerate(div):
                 rem[k + i] -= factor * c
+        # self = rem_num / (lead**e den_a),  other = div / den_b
+        den = self.denominator * lead**e
         return (
-            EnergyPolynomial.from_coefficients(quot),
-            EnergyPolynomial.from_coefficients(rem),
+            EnergyPolynomial._make([q * other.denominator for q in quot], den),
+            EnergyPolynomial._make(rem[: len(div) - 1], den),
         )
 
     def derivative(self) -> "EnergyPolynomial":
-        return EnergyPolynomial.from_coefficients(
-            [i * c for i, c in enumerate(self.coefficients)][1:]
+        return EnergyPolynomial._make(
+            [i * c for i, c in enumerate(self.numerators)][1:], self.denominator
         )
 
-    def eval_exact(self, value: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * value + c
-        return acc
+    def eval_exact(self, value) -> Fraction:
+        if self.is_zero:
+            return Fraction(0)
+        x = Fraction(value)
+        p, q = x.numerator, x.denominator
+        # homogeneous Horner: q**deg * poly(p/q) over the integers
+        acc, qpow = 0, 1
+        for c in reversed(self.numerators):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc, self.denominator * (qpow // q))
 
     def __call__(self, value):
         """Horner evaluation through floats (accepts complex)."""
         acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * value + float(c)
+        for c in reversed(self._floats):
+            acc = acc * value + c
         return acc
 
     def float_coefficients(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coefficients])
+        return np.array(self._floats)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +285,7 @@ def step(state: SeriesState) -> SeriesState:
     """Advance the frontier by one (regular step, j + 2 != n).
 
     Solves the lower |j+2> equation for pt_{j+1}, then the upper |j+1>
-    equation for qt_{j+1}.  Exact over Fraction.
+    equation for qt_{j+1}.  Exact over the rationals.
     """
     j = state.frontier
     n = state.n
@@ -376,39 +430,70 @@ def critical_polynomial(params: ModelParams) -> EnergyPolynomial:
     return poly
 
 
-def _eval_exact_complex(poly: EnergyPolynomial, re: Fraction, im: Fraction):
-    """Exact Horner evaluation at re + i*im over Fraction pairs."""
-    acc_re, acc_im = Fraction(0), Fraction(0)
-    for c in reversed(poly.coefficients):
-        acc_re, acc_im = acc_re * re - acc_im * im + c, acc_re * im + acc_im * re
-    return acc_re, acc_im
+def _dyadic(re: float, im: float):
+    """Integers (x_re, x_im, k) with re + i im = (x_re + i x_im) / 2**k."""
+    (a, s), (b, t) = re.as_integer_ratio(), im.as_integer_ratio()
+    k = max(s, t).bit_length() - 1
+    return a << (k - s.bit_length() + 1), b << (k - t.bit_length() + 1), k
+
+
+def _eval_exact_complex(poly: EnergyPolynomial, x_re: int, x_im: int, k: int):
+    """Exact Horner at the dyadic point (x_re + i x_im) / 2**k.
+
+    Returns integers (f_re, f_im, den), den > 0, with poly = (f_re + i f_im)
+    / den there: the numerators are run through Horner homogeneously, the
+    j-th from the top carrying 2**(k j) in place of the point's denominator.
+    """
+    acc_re = acc_im = shift = 0
+    for c in reversed(poly.numerators):
+        acc_re, acc_im = acc_re * x_re - acc_im * x_im + (c << shift), acc_re * x_im + acc_im * x_re
+        shift += k
+    return acc_re, acc_im, poly.denominator << max(shift - k, 0)
+
+
+def _newton_step(poly: EnergyPolynomial, deriv: EnergyPolynomial, re: float, im: float):
+    """poly / deriv at the float point re + i im, each part the correctly
+    rounded float of the exact ratio (one int true division); None where
+    poly or deriv vanishes exactly."""
+    x_re, x_im, k = _dyadic(re, im)
+    f_re, f_im, f_den = _eval_exact_complex(poly, x_re, x_im, k)
+    if f_re == 0 and f_im == 0:
+        return None
+    d_re, d_im, d_den = _eval_exact_complex(deriv, x_re, x_im, k)
+    norm = d_re * d_re + d_im * d_im
+    if norm == 0:
+        return None
+    # (f_re + i f_im) conj(d) d_den / (|d|^2 f_den)
+    denom = norm * f_den
+    return complex(
+        (f_re * d_re + f_im * d_im) * d_den / denom,
+        (f_im * d_re - f_re * d_im) * d_den / denom,
+    )
 
 
 def _newton_exact(poly: EnergyPolynomial, deriv: EnergyPolynomial, seed: complex):
     """Polish one root by Newton iteration with exact polynomial evaluation.
 
-    The iterate is re-rounded to a float (pair) each step, so denominators
-    stay bounded while the evaluation itself carries no rounding noise --
-    float-Horner evaluation noise would otherwise floor the root error near
-    1e-9 once coefficients reach ~1e4.  At an m-fold root plain Newton only
-    converges linearly with ratio (m-1)/m, so once the step ratio settles
-    the remaining geometric tail is summed in one extrapolated jump.
+    The iterate is re-rounded to a float (pair) each step, so it stays
+    dyadic and the evaluation runs on integers while carrying no rounding
+    noise -- float-Horner evaluation noise would otherwise floor the root
+    error near 1e-9 once coefficients reach ~1e4.  At an m-fold root plain
+    Newton only converges linearly with ratio (m-1)/m, so once the step
+    ratio settles the remaining geometric tail is summed in one extrapolated
+    jump.
     """
-    re, im = Fraction(float(seed.real)), Fraction(float(seed.imag))
+    # + 0.0 turns a -0.0 seed into 0.0; later iterates never become -0.0
+    re, im = float(seed.real) + 0.0, float(seed.imag) + 0.0
     prev_step = None
     prev_ratio = None
+    # The cap ends the polish silently on purpose: at weak coupling some
+    # roots of a defective cluster use all 80 iterations (N=10, phi=-1,
+    # rho=0.05, theta=0.4 has four), and raising would drop the whole
+    # spectrum instead of returning the best iterate.
     for _ in range(80):
-        f_re, f_im = _eval_exact_complex(poly, re, im)
-        if f_re == 0 and f_im == 0:
+        step = _newton_step(poly, deriv, re, im)
+        if step is None:
             break
-        d_re, d_im = _eval_exact_complex(deriv, re, im)
-        denom = d_re * d_re + d_im * d_im
-        if denom == 0:
-            break
-        step = complex(
-            float((f_re * d_re + f_im * d_im) / denom),
-            float((f_im * d_re - f_re * d_im) / denom),
-        )
         if prev_step not in (None, 0) and abs(step) > 0:
             ratio = step / prev_step
             if (
@@ -422,12 +507,12 @@ def _newton_exact(poly: EnergyPolynomial, deriv: EnergyPolynomial, seed: complex
                 prev_step, prev_ratio = step, ratio
         else:
             prev_step, prev_ratio = step, None
-        nxt_re = Fraction(float(re) - step.real)
-        nxt_im = Fraction(float(im) - step.imag)
+        nxt_re = re - step.real
+        nxt_im = im - step.imag
         if nxt_re == re and nxt_im == im:
             break
         re, im = nxt_re, nxt_im
-    return complex(float(re), float(im))
+    return complex(re, im)
 
 
 def critical_roots(params: ModelParams) -> np.ndarray:
@@ -459,8 +544,8 @@ def _residual_scale(poly: EnergyPolynomial, value: complex) -> float:
     """Sum |c_i| |E|^i -- the natural backward-error scale for |poly(E)|."""
     mag = abs(value)
     acc = 0.0
-    for c in reversed(poly.coefficients):
-        acc = acc * mag + abs(float(c))
+    for c in reversed(poly._floats):
+        acc = acc * mag + abs(c)
     return max(acc, 1.0)
 
 

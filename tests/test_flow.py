@@ -6,11 +6,13 @@ import pytest
 
 from qjc._linalg import spectrum_mismatch
 from qjc.closedform import doublet_coalescence_rho
-from qjc.errors import TrackingAmbiguityError, ValidationError
+from qjc.errors import NumericalError, TrackingAmbiguityError, ValidationError
 from qjc.flow import (
+    PARAM_TOL,
     FlowEvent,
     SweepSpec,
     _advance,
+    _bisect,
     locate_coalescence,
     max_theta_slope,
     numeric_deviation,
@@ -91,6 +93,20 @@ def test_crossing_is_bisected_when_off_grid():
     assert len(hits) == 1
     assert abs(hits[0].value - 1.0) <= 1e-7
     assert hits[0].tolerance == 1e-8
+
+
+def test_bisection_narrows_to_param_tol():
+    root = _bisect(lambda x: x - 0.3, 0.0, 1.0)
+    assert abs(root - 0.3) <= PARAM_TOL
+
+
+def test_bisection_cap_raises_naming_param_tol():
+    # floats near 1e9 are 1.2e-7 apart, wider than PARAM_TOL = 1e-8, so
+    # halving stalls on two neighbouring floats around the sign change
+    lo = 1e9
+    assert np.spacing(lo) > PARAM_TOL
+    with pytest.raises(NumericalError, match="PARAM_TOL"):
+        _bisect(lambda x: x - lo - 3e-7, lo, lo + 1e-6)
 
 
 def test_lower_branches_cross_each_other_at_rho_one_too():

@@ -217,6 +217,28 @@ def test_multiple_root_is_polished_through_linear_convergence():
     npt.assert_allclose(cluster.imag, 0.0, atol=1e-10)
 
 
+def test_newton_cap_keeps_every_weak_coupling_root(monkeypatch):
+    # Four roots of this cell use all 80 Newton iterations; the cap stays
+    # silent so the spectrum keeps all 2n - 1 roots instead of raising.
+    params = ModelParams(rho=0.05, theta=0.4, n_qes=12, phi=-1)
+    steps = []
+
+    def counted(*args):
+        steps[-1] += 1
+        return newton_step(*args)
+
+    def polish(*args):
+        steps.append(0)
+        return newton_exact(*args)
+
+    newton_step, newton_exact = qjc.recurrence._newton_step, qjc.recurrence._newton_exact
+    monkeypatch.setattr(qjc.recurrence, "_newton_step", counted)
+    monkeypatch.setattr(qjc.recurrence, "_newton_exact", polish)
+    roots = critical_roots(params)
+    assert len(roots) == 23 and np.all(np.isfinite(roots))
+    assert steps.count(80) == 4
+
+
 def test_conjugate_root_pairs_for_flipped_sign():
     params = ModelParams(rho=1.0, theta=0.5, n_qes=3, phi=-1)
     roots = critical_roots(params)

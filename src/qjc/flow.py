@@ -161,7 +161,7 @@ def _bisect(func, lo: float, hi: float) -> float:
     """A sign change of `func` in [lo, hi], narrowed to PARAM_TOL.
 
     Raises NumericalError when 200 halvings do not get there, as happens
-    once the float spacing at lo exceeds PARAM_TOL (|lo| above ~1e8).
+    where floats lie farther apart than PARAM_TOL (|lo| above about 6.7e7).
     """
     f_lo = func(lo)
     if f_lo == 0.0:

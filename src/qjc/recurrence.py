@@ -304,16 +304,15 @@ def step(state: SeriesState) -> SeriesState:
     qt_j = state.q_poly(j)
     # lower |j+2>:  pt_{j+1} = [(E - hw (j+2) + eps/2) qt_j - phi rho pt_j]
     #                          / (c_hat (j + 2 - n))
-    lead = EnergyPolynomial.linear(-hw * (j + 2) + eps / 2, 1)
-    pt_next = (lead * qt_j - pt_j.scale(state.params.phi * rho)).scale(
-        1 / (c_hat * (j + 2 - n))
-    )
+    # (the divisor goes into the short factors: one pass less over the long ones)
+    s = 1 / (c_hat * (j + 2 - n))
+    lead = EnergyPolynomial.linear((-hw * (j + 2) + eps / 2) * s, s)
+    pt_next = lead * qt_j - pt_j.scale(state.params.phi * rho * s)
     # upper |j+1>:  qt_{j+1} = [(E - hw (j+1) - eps/2) pt_{j+1}
     #                           - c (j + 2 - n)(j + 2) qt_j] / (rho (j+2)(j+3))
-    lead = EnergyPolynomial.linear(-hw * (j + 1) - eps / 2, 1)
-    qt_next = (lead * pt_next - qt_j.scale(c * (j + 2 - n) * (j + 2))).scale(
-        1 / (rho * (j + 2) * (j + 3))
-    )
+    s = 1 / (rho * (j + 2) * (j + 3))
+    lead = EnergyPolynomial.linear((-hw * (j + 1) - eps / 2) * s, s)
+    qt_next = lead * pt_next - qt_j.scale(c * (j + 2 - n) * (j + 2) * s)
     return replace(
         state, p=state.p + (pt_next,), q=state.q + (qt_next,), frontier=j + 1
     )
@@ -482,7 +481,8 @@ def _newton_exact(poly: EnergyPolynomial, deriv: EnergyPolynomial, seed: complex
     ratio settles the remaining geometric tail is summed in one extrapolated
     jump.
     """
-    # + 0.0 turns a -0.0 seed into 0.0; later iterates never become -0.0
+    # + 0.0 turns a -0.0 seed into 0.0, so a root at zero comes back as +0.0
+    # (the pinned root bits); x - step is never -0.0 once x is not
     re, im = float(seed.real) + 0.0, float(seed.imag) + 0.0
     prev_step = None
     prev_ratio = None

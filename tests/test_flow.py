@@ -95,11 +95,6 @@ def test_crossing_is_bisected_when_off_grid():
     assert hits[0].tolerance == 1e-8
 
 
-def test_bisection_narrows_to_param_tol():
-    root = _bisect(lambda x: x - 0.3, 0.0, 1.0)
-    assert abs(root - 0.3) <= PARAM_TOL
-
-
 def test_bisection_cap_raises_naming_param_tol():
     # floats near 1e9 are 1.2e-7 apart, wider than PARAM_TOL = 1e-8, so
     # halving stalls on two neighbouring floats around the sign change

@@ -252,8 +252,3 @@ def test_zero_polynomial_edge_cases():
     assert _newton_step(zero, zero, 0.5, 0.0) is None
     assert _newton_step(one, zero, 0.5, 0.0) is None
 
-
-def test_negative_denominator_is_normalized():
-    poly = EnergyPolynomial._make([6, -4, 2], -4)
-    assert (poly.numerators, poly.denominator) == ((-3, 2, -1), 2)
-    assert poly.coefficients == (Fraction(-3, 2), Fraction(1), Fraction(-1, 2))

@@ -83,6 +83,7 @@ RECURRENCE_GOLDEN = GOLDEN / "recurrence-exact.json"
 
 def recurrence_record(case) -> dict:
     """Exact coefficients, root bits, gate verdicts and vector hashes of one case."""
+    # imported here: `python tests/test_golden.py` puts src on the path first
     from qjc.errors import NumericalError, ValidationError
     from qjc.fock import TruncatedFockSpace
     from qjc.models import ModelParams

@@ -62,20 +62,34 @@ CASES = {
 }
 
 
-# name -> (N, phi, rho, theta); n_qes = N + 2, as in `qjc --N`
+# name -> (N, phi, rho, theta, hbar_omega, epsilon); n_qes = N + 2, as in `qjc --N`
 RECURRENCE_CASES = {
-    f"N{big_n}:phi{'+' if phi > 0 else '-'}:rho{rho}:theta{theta}": (big_n, phi, rho, theta)
+    f"N{big_n}:phi{'+' if phi > 0 else '-'}:rho{rho}:theta{theta}": (big_n, phi, rho, theta, 1.0, 1.0)
     for big_n in range(2, 13)
     for phi in (1, -1)
     for rho, theta in ((0.7, 1.2), (1.6, 0.5))
 }
 RECURRENCE_CASES.update(
     {
-        "weak-coupling": (10, -1, 0.05, 0.4),
-        "rho-zero": (3, -1, 0.0, 1.5),
-        "chat-zero": (3, 1, 0.8, 0.0),
-        "both-limits": (2, -1, 0.0, 0.0),
-        "N16": (16, 1, 0.7, 1.2),
+        "weak-coupling": (10, -1, 0.05, 0.4, 1.0, 1.0),
+        "rho-zero": (3, -1, 0.0, 1.5, 1.0, 1.0),
+        "chat-zero": (3, 1, 0.8, 0.0, 1.0, 1.0),
+        "both-limits": (2, -1, 0.0, 0.0, 1.0, 1.0),
+        "N16": (16, 1, 0.7, 1.2, 1.0, 1.0),
+    }
+)
+# off the default hbar_omega = epsilon = 1, where the two enter the exact couplings separately
+RECURRENCE_CASES.update(
+    {
+        f"hw0.75:eps1.3:N{big_n}:phi{'+' if phi > 0 else '-'}": (big_n, phi, 0.7, 1.2, 0.75, 1.3)
+        for big_n in (3, 7)
+        for phi in (1, -1)
+    }
+)
+RECURRENCE_CASES.update(
+    {
+        "hw0.75:eps1.3:rho-zero": (3, -1, 0.0, 1.5, 0.75, 1.3),
+        "hw0.75:eps1.3:chat-zero": (3, 1, 0.8, 0.0, 0.75, 1.3),
     }
 )
 RECURRENCE_GOLDEN = GOLDEN / "recurrence-exact.json"
@@ -89,8 +103,10 @@ def recurrence_record(case) -> dict:
     from qjc.models import ModelParams
     from qjc.recurrence import critical_polynomial, critical_roots, reconstruct_eigenvector
 
-    big_n, phi, rho, theta = case
-    params = ModelParams(rho=rho, theta=theta, phi=phi, n_qes=big_n + 2)
+    big_n, phi, rho, theta, hbar_omega, epsilon = case
+    params = ModelParams(
+        epsilon=epsilon, hbar_omega=hbar_omega, rho=rho, theta=theta, phi=phi, n_qes=big_n + 2
+    )
     space = TruncatedFockSpace(64, 8)
     roots = []
     for root in critical_roots(params):

@@ -17,6 +17,7 @@ n = n_qes = N + 2.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,12 @@ class ModelParams:
     rho1_hat: float | None = None
 
     def __post_init__(self):
+        for name in ("epsilon", "hbar_omega", "rho", "theta", "c", "c_hat", "rho1", "rho1_hat"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
+        if not all(math.isfinite(coef) for coef in self.poly):
+            raise ValidationError(f"poly coefficients must be finite, got {self.poly}")
         if self.phi not in (-1, 1):
             raise ValidationError(f"phi must be +1 or -1, got {self.phi}")
         if self.k < 1:

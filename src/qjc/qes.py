@@ -15,7 +15,7 @@ no truncation noise enters the algebraic spectrum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -34,15 +34,21 @@ class InvariantSubspace:
 
     upper_indices / lower_indices are positions in the full spin-major
     basis; the subspace ordering is all upper states (photon ascending)
-    followed by all lower states.  `defect` is the certified leak
-    max |<out| H |in>| of the generating model on `space`.
+    followed by all lower states.  `matrix` is the full matrix of the
+    generating model `params` on `space`, and `defect` its certified leak
+    max |<out| H |in>|.
     """
 
-    big_n: int
+    params: ModelParams
     space: TruncatedFockSpace
     upper_indices: tuple[int, ...]
     lower_indices: tuple[int, ...]
     defect: float
+    matrix: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def big_n(self) -> int:
+        return self.params.big_n
 
     @property
     def n(self) -> int:
@@ -78,15 +84,15 @@ def build_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantS
 
     `build_ht` rejects a cutoff too small for N and the guard band.
     """
-    h = build_ht(params, space)
+    h = build_ht(params, space).matrix
     upper, lower = _subspace_indices(params.big_n, space)
-    defect = invariance_defect(h.matrix, upper + lower)
     return InvariantSubspace(
-        big_n=params.big_n,
+        params=params,
         space=space,
         upper_indices=upper,
         lower_indices=lower,
-        defect=defect,
+        defect=invariance_defect(h, upper + lower),
+        matrix=h,
     )
 
 
@@ -211,13 +217,16 @@ def embed_subspace_vector(
 def _certification_matrix(
     sub: InvariantSubspace, params: ModelParams, space: TruncatedFockSpace
 ) -> np.ndarray:
-    """The full matrix that certifies `sub`, on a cutoff that holds its image."""
+    """The full matrix that certifies `sub`, on a cutoff that holds its image;
+    the subspace's own matrix when `space` is the one it was built on."""
+    if params != sub.params:
+        raise ValidationError("certification params differ from the subspace's")
     if space.cutoff < 2 * (sub.big_n + 3):
         raise ValidationError(
             f"certification cutoff {space.cutoff} below twice the subspace "
             f"extent {sub.big_n + 3}"
         )
-    return build_ht(params, space).matrix
+    return sub.matrix if space == sub.space else build_ht(params, space).matrix
 
 
 def _full_space_residual(h_matrix: np.ndarray, full: np.ndarray, energy) -> float:
@@ -253,8 +262,8 @@ def algebraic_spectrum(
     exceptional point -- and gets a shared Schur basis instead of per-value
     eigenvectors.  (Computed eigenvalues of an exact Jordan pair split by
     about sqrt(machine eps) times the matrix norm, hence the relative
-    clustering scale.)  Every pair and cluster is certified on one full
-    matrix built for the call.
+    clustering scale.)  Every pair and cluster is certified on the full
+    matrix `build_subspace` built.
     """
     h = _certification_matrix(sub, params, sub.space)
     mat = restriction_matrix(params)

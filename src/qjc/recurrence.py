@@ -2,11 +2,10 @@
 
 The ansatz psi = (sum_j p_j(E)|j>, sum_j q_j(E)|j+2>)^t turns the
 eigenequation into a two-term block recurrence for polynomial pairs in E.
-The solve for p_{n-1} is singular exactly at the invariant-subspace size
-n = n_qes; the scalar consistency condition there is the *critical
-polynomial*, whose roots are algebraic eigenvalues.  At a root, choosing
-p_{n-1} = 0 makes every later coefficient vanish identically and the series
-truncates onto the invariant subspace.
+At the invariant-subspace size n = n_qes it ends in a scalar consistency
+condition, the *critical polynomial*, whose roots are algebraic eigenvalues
+at which the series truncates onto the invariant subspace
+(`run_to_critical` spells out the steps).
 
 Scaling.  The raw coefficients carry square roots of factorials.  With
 
@@ -26,16 +25,17 @@ polish evaluates by Horner in scaled integers at float (dyadic) iterates.
 The stored polynomials are the rescaled pt_j, qt_j; `p_value`/`q_value`
 restore the factorial scaling.
 
-Generic stepping divides by rho and by c_hat (j+2-n); the rho = 0 and
-c_hat = 0 limits decouple into 2x2 chains whose consistency factors are
-assembled directly (`critical_polynomial` handles the dispatch).
+`run_to_critical` builds the series in one pass; it divides by rho and by
+c_hat (j+2-n), so the rho = 0 and c_hat = 0 limits, which decouple into 2x2
+chains, have their consistency factors assembled directly
+(`critical_polynomial` handles the dispatch).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +45,7 @@ from .fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
 from .models import ModelParams, build_ht
 
 ROOT_IMAG_TOL = 1e-10
+RECONSTRUCTION_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +106,12 @@ class EnergyPolynomial:
     @functools.cached_property
     def _floats(self) -> tuple[float, ...]:
         # int true division rounds correctly, exactly as Fraction.__float__
-        return tuple(c / self.denominator for c in self.numerators)
+        try:
+            return tuple(c / self.denominator for c in self.numerators)
+        except OverflowError:
+            raise NumericalError(
+                "an exact coefficient lies beyond the float range (|x| > 1.8e308)"
+            ) from None
 
     @property
     def degree(self) -> float:
@@ -231,24 +237,17 @@ def _rational_params(params: ModelParams):
 
 @dataclass(frozen=True)
 class SeriesState:
-    """Rescaled polynomial pairs generated so far.
+    """The rescaled polynomial pairs up to the singular step.
 
-    `p[j + 1]` holds pt_j for j >= -1 (pt_{-1} is identically zero) and
-    `q[j + 2]` holds qt_j for j >= -2; `frontier` is the largest j whose
-    pair (pt_j, qt_j) is complete.  `critical` appears after the singular
-    step.  The state is a value: stepping returns a new state.
+    `p[j + 1]` holds pt_j for j = -1 .. n - 2 (pt_{-1} is identically zero)
+    and `q[j + 2]` holds qt_j for j = -2 .. n - 2; `critical` is the
+    consistency polynomial of the singular step.
     """
 
-    params: ModelParams
-    normalization: Fraction
+    n: int
     p: tuple[EnergyPolynomial, ...]
     q: tuple[EnergyPolynomial, ...]
-    frontier: int
-    critical: EnergyPolynomial | None = None
-
-    @property
-    def n(self) -> int:
-        return self.params.n_qes
+    critical: EnergyPolynomial
 
     def p_poly(self, j: int) -> EnergyPolynomial:
         return self.p[j + 1]
@@ -265,64 +264,14 @@ class SeriesState:
         return math.sqrt(math.factorial(j + 2)) * self.q_poly(j)(energy)
 
 
-def series_start(params: ModelParams, normalization=1) -> SeriesState:
-    """Initial conditions qt_{-2} = 0, qt_{-1} = normalization."""
-    if params.n_qes is None:
-        raise ValidationError("series solution requires n_qes")
-    norm = Fraction(normalization)
-    if norm == 0:
-        raise ValidationError("normalization must be nonzero")
-    return SeriesState(
-        params=params,
-        normalization=norm,
-        p=(EnergyPolynomial.zero(),),
-        q=(EnergyPolynomial.zero(), EnergyPolynomial.constant(norm)),
-        frontier=-1,
-    )
+def run_to_critical(params: ModelParams) -> SeriesState:
+    """Build the series from qt_{-2} = 0, qt_{-1} = 1 up to the critical
+    polynomial (generic couplings only).
 
-
-def step(state: SeriesState) -> SeriesState:
-    """Advance the frontier by one (regular step, j + 2 != n).
-
-    Solves the lower |j+2> equation for pt_{j+1}, then the upper |j+1>
-    equation for qt_{j+1}.  Exact over the rationals.
-    """
-    j = state.frontier
-    n = state.n
-    if j + 2 == n:
-        raise ValidationError(
-            f"solve for p_{n - 1} is singular; use step_critical at the "
-            f"frontier j = {j}"
-        )
-    hw, eps, rho, c, c_hat = _rational_params(state.params)
-    if rho == 0 or c_hat == 0:
-        raise ValidationError(
-            "generic stepping needs rho != 0 and c_hat != 0; use "
-            "critical_polynomial, which handles the decoupled limits"
-        )
-    pt_j = state.p_poly(j)
-    qt_j = state.q_poly(j)
-    # lower |j+2>:  pt_{j+1} = [(E - hw (j+2) + eps/2) qt_j - phi rho pt_j]
-    #                          / (c_hat (j + 2 - n))
-    # (the divisor goes into the short factors: one pass less over the long ones)
-    s = 1 / (c_hat * (j + 2 - n))
-    lead = EnergyPolynomial.linear((-hw * (j + 2) + eps / 2) * s, s)
-    pt_next = lead * qt_j - pt_j.scale(state.params.phi * rho * s)
-    # upper |j+1>:  qt_{j+1} = [(E - hw (j+1) - eps/2) pt_{j+1}
-    #                           - c (j + 2 - n)(j + 2) qt_j] / (rho (j+2)(j+3))
-    s = 1 / (rho * (j + 2) * (j + 3))
-    lead = EnergyPolynomial.linear((-hw * (j + 1) - eps / 2) * s, s)
-    qt_next = lead * pt_next - qt_j.scale(c * (j + 2 - n) * (j + 2) * s)
-    return replace(
-        state, p=state.p + (pt_next,), q=state.q + (qt_next,), frontier=j + 1
-    )
-
-
-def step_critical(state: SeriesState) -> SeriesState:
-    """The singular step at j = n - 2.
-
-    The lower |n> equation loses its pt_{n-1} term, leaving the scalar
-    consistency condition
+    Each step j = -1 .. n - 3 solves the lower |j+2> equation for pt_{j+1},
+    then the upper |j+1> equation for qt_{j+1}, exactly over the rationals.
+    At j = n - 2 the lower |n> equation loses its pt_{n-1} term, leaving the
+    scalar consistency condition
 
         C(E) = (E - hw n + eps/2) qt_{n-2}(E) - phi rho pt_{n-2}(E) = 0,
 
@@ -331,45 +280,32 @@ def step_critical(state: SeriesState) -> SeriesState:
     coupling annihilated by the same (j + 1 - n) factor), so at any root of
     C every later coefficient vanishes and the series truncates.
     """
-    j = state.frontier
-    n = state.n
-    if j != n - 2:
-        raise ValidationError(f"critical step applies at frontier {n - 2}, not {j}")
-    hw, eps, rho, _, _ = _rational_params(state.params)
-    lead = EnergyPolynomial.linear(-hw * n + eps / 2, 1)
-    critical = lead * state.q_poly(n - 2) - state.p_poly(n - 2).scale(
-        state.params.phi * rho
-    )
-    return replace(
-        state,
-        p=state.p + (EnergyPolynomial.zero(),),
-        q=state.q + (EnergyPolynomial.zero(),),
-        frontier=j + 1,
-        critical=critical,
-    )
-
-
-def run_to_critical(params: ModelParams, normalization=1) -> SeriesState:
-    """Generate all pairs up to the singular step and extract the critical
-    polynomial (generic couplings only)."""
-    state = series_start(params, normalization)
-    while state.frontier < params.n_qes - 2:
-        state = step(state)
-    return step_critical(state)
-
-
-def compare_critical_with_last_regular_q(state: SeriesState):
-    """Exact division of the critical polynomial by qt_{n-3}.
-
-    Returns (quotient, remainder).  A zero remainder would mean the
-    consistency condition is a polynomial multiple of q_{n-3}; measured
-    behavior (see tests) is a nonzero remainder -- the critical polynomial
-    is genuinely new content, with 2n - 1 roots versus the 2(n - 2)
-    of q_{n-3}.
-    """
-    if state.critical is None:
-        raise ValidationError("run step_critical first")
-    return state.critical.divmod_exact(state.q_poly(state.n - 3))
+    if params.n_qes is None:
+        raise ValidationError("series solution requires n_qes")
+    hw, eps, rho, c, c_hat = _rational_params(params)
+    if rho == 0 or c_hat == 0:
+        raise ValidationError(
+            "generic stepping needs rho != 0 and c_hat != 0; use "
+            "critical_polynomial, which handles the decoupled limits"
+        )
+    n, phi_rho = params.n_qes, params.phi * rho
+    p = [EnergyPolynomial.zero()]
+    q = [EnergyPolynomial.zero(), EnergyPolynomial.constant(1)]
+    for j in range(-1, n - 2):
+        pt_j, qt_j = p[-1], q[-1]
+        # lower |j+2>:  pt_{j+1} = [(E - hw (j+2) + eps/2) qt_j - phi rho pt_j]
+        #                          / (c_hat (j + 2 - n))
+        # (the divisor goes into the short factors: one pass less over the long ones)
+        s = 1 / (c_hat * (j + 2 - n))
+        lead = EnergyPolynomial.linear((-hw * (j + 2) + eps / 2) * s, s)
+        p.append(lead * qt_j - pt_j.scale(phi_rho * s))
+        # upper |j+1>:  qt_{j+1} = [(E - hw (j+1) - eps/2) pt_{j+1}
+        #                           - c (j + 2 - n)(j + 2) qt_j] / (rho (j+2)(j+3))
+        s = 1 / (rho * (j + 2) * (j + 3))
+        lead = EnergyPolynomial.linear((-hw * (j + 1) - eps / 2) * s, s)
+        q.append(lead * p[-1] - qt_j.scale(c * (j + 2 - n) * (j + 2) * s))
+    critical = EnergyPolynomial.linear(-hw * n + eps / 2, 1) * q[-1] - p[-1].scale(phi_rho)
+    return SeriesState(n, tuple(p), tuple(q), critical)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +463,13 @@ def critical_roots(params: ModelParams) -> np.ndarray:
         raise NumericalError("zero critical polynomial: every E would truncate")
     if poly.degree == 0:
         return np.array([])
-    coeffs = poly.float_coefficients()
-    roots = np.roots(coeffs[::-1])
+    try:
+        roots = np.roots(poly.float_coefficients()[::-1])
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            "companion matrix of the critical polynomial leaves the float range "
+            "(coefficient ratios beyond 1.8e308)"
+        ) from None
     deriv = poly.derivative()
     polished = []
     for r in roots:
@@ -550,13 +491,11 @@ def _residual_scale(poly: EnergyPolynomial, value: complex) -> float:
 
 
 def truncation_spectrum(
-    params: ModelParams,
-    interval: tuple[float, float] | None = None,
-    tol: float = ROOT_IMAG_TOL,
+    params: ModelParams, interval: tuple[float, float] | None = None
 ) -> np.ndarray:
     """Real roots of the critical polynomial, optionally windowed."""
     roots = critical_roots(params)
-    real = roots[np.abs(roots.imag) <= tol * np.maximum(1.0, np.abs(roots))].real
+    real = roots[np.abs(roots.imag) <= ROOT_IMAG_TOL * np.maximum(1.0, np.abs(roots))].real
     if interval is not None:
         lo, hi = interval
         real = real[(real >= lo) & (real <= hi)]
@@ -639,11 +578,7 @@ def _chain_vector(params: ModelParams, energy: complex, space: TruncatedFockSpac
 
 
 def reconstruct_eigenvector(
-    params: ModelParams,
-    energy: complex,
-    space: TruncatedFockSpace,
-    normalization=1,
-    residual_tol: float = 1e-9,
+    params: ModelParams, energy: complex, space: TruncatedFockSpace
 ) -> np.ndarray:
     """Assemble the truncated series at a critical root and certify it.
 
@@ -660,13 +595,12 @@ def reconstruct_eigenvector(
         energy = energy.real
     _, _, rho, _, c_hat = _rational_params(params)
     if rho != 0 and c_hat != 0:
-        state = run_to_critical(params, normalization)
-        # exactly critical_polynomial(params): the recurrence is linear in its start
-        poly = state.critical.scale(1 / state.normalization)
+        state = run_to_critical(params)
+        poly = state.critical
         psi = _truncated_vector_generic(state, energy, space)
     else:
         poly = critical_polynomial(params)
-        psi = _chain_vector(params, energy, space) * float(Fraction(normalization))
+        psi = _chain_vector(params, energy, space)
     if abs(poly(energy)) > 1e-8 * _residual_scale(poly, energy):
         raise ValidationError(
             f"E = {energy} is not a truncation root: the critical polynomial "
@@ -679,23 +613,19 @@ def reconstruct_eigenvector(
     h = build_ht(params, space)
     residual = h.matrix @ psi - energy * psi
     rel = float(np.linalg.norm(residual) / norm)
-    if rel > residual_tol:
+    if rel > RECONSTRUCTION_TOL:
         worst = int(np.argmax(np.abs(residual)))
         photon = worst % space.cutoff
         sector = "upper" if worst < space.cutoff else "lower"
         raise NumericalError(
-            f"reconstruction residual {rel:.3e} exceeds {residual_tol:.1e}; "
+            f"reconstruction residual {rel:.3e} exceeds {RECONSTRUCTION_TOL:.1e}; "
             f"largest leak on the {sector} |{photon}> component"
         )
     return psi / norm
 
 
 def partial_residual_support(
-    params: ModelParams,
-    order: int,
-    energy: float,
-    space: TruncatedFockSpace,
-    normalization=1,
+    params: ModelParams, order: int, energy: float, space: TruncatedFockSpace
 ):
     """Residual of the half-step partial sum (p through J+1, q through J).
 
@@ -706,9 +636,7 @@ def partial_residual_support(
     """
     if not 0 <= order <= params.n_qes - 3:
         raise ValidationError("order must keep the frontier below the singular step")
-    state = series_start(params, normalization)
-    while state.frontier <= order:
-        state = step(state)
+    state = run_to_critical(params)
     psi = np.zeros(space.dim)
     for j in range(0, order + 2):
         psi[basis_index(space, j, SPIN_UP)] = state.p_value(j, energy)

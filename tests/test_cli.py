@@ -17,6 +17,7 @@ from qjc.errors import TrackingAmbiguityError
 from qjc.output import read_csv
 
 XML_CONFIG = Path(__file__).parent / "golden" / "format-xml.conf"
+NAN_CONFIG = Path(__file__).parent / "golden" / "rho-nan.conf"
 
 
 def run(capsys, *argv):
@@ -149,6 +150,13 @@ def test_spectrum_json_format(capsys):
         (("spectrum", "--model", "jcm", "--D", "8", "--guard", "3",
           "--config", str(XML_CONFIG)), "xml"),
         (("check", "--model", "jcm", "--config", str(XML_CONFIG)), "xml"),
+        # non-finite parameters, from a flag or a config file
+        (("spectrum", "--model", "h2", "--rho", "nan"), "rho must be finite"),
+        (("spectrum", "--model", "h2", "--rho", "inf"), "rho must be finite"),
+        (("check", "--model", "jcm", "--hw", "nan"), "hbar_omega must be finite"),
+        (("polyrep-check", "--model", "ht", "--N", "1", "--rho", "nan"), "rho must be finite"),
+        (("recur", "--model", "ht", "--N", "1", "--theta", "nan"), "theta must be finite"),
+        (("spectrum", "--model", "h2", "--config", str(NAN_CONFIG)), "rho must be finite"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, fragment):
@@ -312,6 +320,15 @@ def test_tracking_failure_emits_partial_csv_and_exit_3(capsys, monkeypatch):
     assert "# INCOMPLETE" in out
     _, rows = csv_rows(out)
     assert len(rows) == 4  # two grid points, two salvaged tracks
+
+
+@pytest.mark.parametrize("rho", ["1e300", "1e100"])
+def test_float_range_overflow_in_recur_exits_3(capsys, rho):
+    # 1e300: an exact coefficient passes the float range; 1e100: the
+    # coefficients fit but the companion matrix's ratios do not
+    code = main(["recur", "--model", "ht", "--N", "2", "--rho", rho, "--theta", "1"])
+    assert code == 3
+    assert "float range" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

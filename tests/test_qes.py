@@ -222,6 +222,16 @@ def test_cutoff_guards():
         certify_in_full_space(1.0, np.ones(6), sub, small, TruncatedFockSpace(7, 0))
 
 
+def test_certification_refuses_other_params():
+    params = ModelParams(rho=0.1, theta=0.2, n_qes=3, phi=-1)
+    sub = build_subspace(params, SPACE)
+    other = ModelParams(rho=0.3, theta=0.2, n_qes=3, phi=-1)
+    with pytest.raises(ValidationError, match="params"):
+        algebraic_spectrum(sub, other)
+    with pytest.raises(ValidationError, match="params"):
+        certify_in_full_space(1.0, np.ones(6), sub, other)
+
+
 def test_restriction_requires_qes_parameters():
     with pytest.raises(ValidationError):
         restriction_matrix(ModelParams(rho=0.5, phi=-1))
@@ -247,7 +257,7 @@ def test_algebraic_spectrum_builds_the_full_matrix_once(monkeypatch, params):
 
     monkeypatch.setattr(qjc.qes, "build_ht", counted)
     pairs = algebraic_spectrum(sub, params)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert len(pairs) == sub.dim
     if params.theta == 0.0:
         # rho = 1 / (2 sqrt 2), theta = 0 sits on a coalescence

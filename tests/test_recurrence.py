@@ -17,15 +17,11 @@ from qjc.models import ModelParams, build_ht
 from qjc.qes import algebraic_eigenvalues
 from qjc.recurrence import (
     EnergyPolynomial,
-    compare_critical_with_last_regular_q,
     critical_polynomial,
     critical_roots,
     partial_residual_support,
     reconstruct_eigenvector,
     run_to_critical,
-    series_start,
-    step,
-    step_critical,
     truncation_spectrum,
 )
 
@@ -86,8 +82,7 @@ def test_first_step_matches_hand_expansion():
     #   => pt_0 = 3 (E - 1/2)
     # Upper |0> equation:  (1/2 - E) pt_0 + 2 rho qt_0 + c (1 - 3) qt_{-1} = 0
     #   => qt_0 = 3 (E - 1/2)^2 - 1/3
-    state = step(series_start(hand_params()))
-    assert state.frontier == 0
+    state = run_to_critical(hand_params())
     assert state.p_poly(0).coefficients == (Fraction(-3, 2), Fraction(3))
     assert state.q_poly(0).coefficients == (
         Fraction(5, 12),
@@ -99,23 +94,13 @@ def test_first_step_matches_hand_expansion():
 def test_degree_growth_is_measured():
     # measured degrees: deg pt_j = 2j + 1, deg qt_j = 2j + 2, strictly
     # increasing up to the singular step
-    state = series_start(ModelParams(rho=0.7, theta=1.1, n_qes=7, phi=-1))
+    state = run_to_critical(ModelParams(rho=0.7, theta=1.1, n_qes=7, phi=-1))
     degrees = []
-    while state.frontier < 5:
-        state = step(state)
-        j = state.frontier
+    for j in range(6):
         assert state.p_poly(j).degree == 2 * j + 1
         assert state.q_poly(j).degree == 2 * j + 2
         degrees.append(state.q_poly(j).degree)
     assert degrees == sorted(degrees)
-
-
-def test_singular_step_is_fenced():
-    state = step(step(series_start(hand_params())))  # frontier n - 2 = 1
-    with pytest.raises(ValidationError):
-        step(state)  # solving p_{n-1} divides by c_hat (n - n) = 0
-    with pytest.raises(ValidationError):
-        step_critical(step(series_start(hand_params(n_qes=4))))  # frontier 0 != 2
 
 
 def test_critical_polynomial_degree_and_reality():
@@ -130,20 +115,24 @@ def test_critical_is_not_a_multiple_of_last_q():
     # measured: the division leaves a nonzero remainder, so the two are
     # related but not equal up to a polynomial factor
     state = run_to_critical(ModelParams(rho=0.8, theta=1.2, n_qes=5, phi=-1))
-    quot, rem = compare_critical_with_last_regular_q(state)
+    quot, rem = state.critical.divmod_exact(state.q_poly(state.n - 3))
     assert quot.degree == 3
     assert not rem.is_zero
     assert quot * state.q_poly(state.n - 3) + rem == state.critical
 
 
-def test_normalization_scales_linearly():
-    params = hand_params()
-    s1 = step(series_start(params, normalization=1))
-    s2 = step(series_start(params, normalization=2))
-    assert s2.p_poly(0) == s1.p_poly(0).scale(2)
-    assert s2.q_poly(0) == s1.q_poly(0).scale(2)
-    with pytest.raises(ValidationError):
-        series_start(params, normalization=0)
+@pytest.mark.parametrize("big_n", [0, 3, 10])
+def test_series_derives_couplings_once(monkeypatch, big_n):
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return rational_params(params)
+
+    rational_params = qjc.recurrence._rational_params
+    monkeypatch.setattr(qjc.recurrence, "_rational_params", counted)
+    run_to_critical(ModelParams(rho=0.9, theta=1.2, n_qes=big_n + 2, phi=-1))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +228,12 @@ def test_newton_cap_keeps_every_weak_coupling_root(monkeypatch):
     assert steps.count(80) == 4
 
 
+def test_float_range_overflow_is_a_numerical_error():
+    # the exact coefficients grow like rho**-2j: at rho = 1e-80 they pass 1e308
+    with pytest.raises(NumericalError, match="float range"):
+        critical_roots(ModelParams(rho=1e-80, theta=1.0, n_qes=5, phi=1))
+
+
 def test_conjugate_root_pairs_for_flipped_sign():
     params = ModelParams(rho=1.0, theta=0.5, n_qes=3, phi=-1)
     roots = critical_roots(params)
@@ -304,23 +299,13 @@ def test_reconstruction_builds_one_series_per_call(monkeypatch, big_n, phi):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return series_start(*args, **kwargs)
+        return run_to_critical(*args, **kwargs)
 
-    monkeypatch.setattr(qjc.recurrence, "series_start", counted)
+    monkeypatch.setattr(qjc.recurrence, "run_to_critical", counted)
     for root in roots:
         calls.clear()
         reconstruct_eigenvector(params, root, SPACE)
         assert len(calls) == 1
-
-
-def test_reconstruction_is_independent_of_normalization():
-    params = ModelParams(rho=0.8, theta=1.2, n_qes=4, phi=-1)
-    for root in critical_roots(params):
-        unit = reconstruct_eigenvector(params, root, SPACE)
-        scaled = reconstruct_eigenvector(params, root, SPACE, normalization=Fraction(-7, 3))
-        npt.assert_allclose(scaled, -unit, atol=1e-12)
-    with pytest.raises(ValidationError, match="not a truncation root"):
-        reconstruct_eigenvector(params, 0.123456, SPACE, normalization=1000)
 
 
 def test_reconstruction_refuses_non_roots():
@@ -376,6 +361,8 @@ def test_partial_sum_residual_hits_both_frontier_states_generically():
 
 def test_series_requires_qes_model():
     with pytest.raises(ValidationError):
-        series_start(ModelParams(rho=0.5, phi=-1))
+        run_to_critical(ModelParams(rho=0.5, phi=-1))
     with pytest.raises(ValidationError):
         critical_polynomial(ModelParams(rho=0.5, phi=-1))
+    with pytest.raises(ValidationError, match="decoupled limits"):
+        run_to_critical(ModelParams(rho=0.0, theta=1.0, n_qes=3, phi=-1))

@@ -229,7 +229,7 @@ def test_newton_cap_keeps_every_weak_coupling_root(monkeypatch):
 
 
 def test_float_range_overflow_is_a_numerical_error():
-    # the exact coefficients grow like rho**-2j: at rho = 1e-80 they pass 1e308
+    # every step divides by rho, so at rho = 1e-80 exact coefficients pass 1e308
     with pytest.raises(NumericalError, match="float range"):
         critical_roots(ModelParams(rho=1e-80, theta=1.0, n_qes=5, phi=1))
 

@@ -59,6 +59,15 @@ CASES = {
     ),
     "spectrum-ht": ("spectrum", "--model", "ht", "--N", "3", "--rho", "0.7", "--theta", "1.2", "--phi", "-1"),
     "check-h12": ("check", "--model", "h12", "--phi", "-1", "--rho", "0.9", "--theta", "1.2", "--D", "96"),
+    # closed-form rho sweep with polynomial singlets: nine crossings bisected on closed-form gaps
+    "sweep-extended-poly": (
+        "sweep", "--model", "extended", "--k", "3", "--poly", "0,0,0.05", "--phi", "1",
+        "--param", "rho", "--start", "0", "--stop", "2", "--points", "101", "--doublets", "3",
+    ),
+    "spectrum-extended-poly": (
+        "spectrum", "--model", "extended", "--k", "3", "--poly", "0,0,0.001",
+        "--phi", "-1", "--rho", "0.3", "--D", "32",
+    ),
 }
 
 

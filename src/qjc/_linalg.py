@@ -8,6 +8,8 @@ so the caller can enlarge the cutoff instead of silently consuming noise.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -22,12 +24,22 @@ def eig_checked(
     """Eigenvalues and right eigenvectors with a backward-error gate.
 
     Returns (w, v) with v[:, i] normalized.  Raises NumericalError when any
-    residual exceeds residual_tol * max(1, ||H||_F).
+    residual exceeds residual_tol * max(1, ||H||_F), or when ||H||_F or a
+    residual is not finite, since the gate cannot be applied then.
     """
-    w, v = scipy.linalg.eig(matrix)
-    scale = max(1.0, np.linalg.norm(matrix))
-    residuals = np.linalg.norm(matrix @ v - v * w[np.newaxis, :], axis=0)
-    worst = float(np.max(residuals)) if residuals.size else 0.0
+    with np.errstate(over="ignore"):  # an overflow is reported below, as an error
+        norm = float(np.linalg.norm(matrix))
+    worst = math.inf
+    if math.isfinite(norm):
+        w, v = scipy.linalg.eig(matrix)
+        residuals = np.linalg.norm(matrix @ v - v * w[np.newaxis, :], axis=0)
+        worst = float(np.max(residuals)) if residuals.size else 0.0
+    if not math.isfinite(worst):
+        raise NumericalError(
+            "eigensolver residual gate cannot be checked outside the float range "
+            f"(1.8e308): ||H||_F = {norm:.3e}, worst residual {worst:.3e}"
+        )
+    scale = max(1.0, norm)
     if worst > residual_tol * scale:
         raise NumericalError(
             f"eigensolver residual {worst:.3e} exceeds "

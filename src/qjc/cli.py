@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._linalg import eig_checked, spectrum_mismatch
-from .closedform import doublet_block, doublet_eigenvalues, full_algebraic_spectrum
+from .closedform import closed_form_levels, full_algebraic_spectrum
 from .errors import NumericalError, TrackingAmbiguityError, ValidationError
 from .flow import FlowEvent, SweepSpec, qes_theta_sweep, sweep
 from .fock import TruncatedFockSpace
@@ -46,25 +47,30 @@ from .symmetry import REALNESS_TOL, STRUCTURE_TOL, symmetry_report
 
 SPECTRUM_COLUMNS = ("label", "n", "branch", "re_energy", "im_energy", "source", "residual")
 
-# which ModelParams-facing flags each model accepts; anything else set by
-# the user is rejected by name
-_MODEL_FLAGS = {
-    "extended": {"k", "phi", "rho", "eps", "hw", "poly"},
-    "h2": {"phi", "rho", "eps", "hw"},
-    "jcm": {"rho", "eps", "hw"},
-    "pseudo-jcm": {"rho", "eps", "hw"},
-    "h12": {"phi", "rho", "theta", "rho1", "rho1_hat", "eps", "hw"},
-    "ht": {"phi", "rho", "theta", "c", "c_hat", "N", "eps", "hw"},
-}
 
-_BUILDERS = {
-    "extended": build_extended,
-    "h2": build_extended,
-    "jcm": build_jcm,
-    "pseudo-jcm": build_pseudo_jcm,
-    "h12": build_h12,
-    "ht": build_ht,
+class _Model(NamedTuple):
+    """One model name: its builder, the ModelParams-facing flags it accepts
+    (anything else set by the user is rejected by name), the k and phi the
+    name fixes, and whether it is a k-photon ladder with a closed form.
+    """
+
+    build: Callable
+    flags: set[str]
+    fixed: dict[str, int]
+    ladder: bool
+
+
+_MODELS = {
+    "extended": _Model(build_extended, {"k", "phi", "rho", "eps", "hw", "poly"}, {}, True),
+    "h2": _Model(build_extended, {"phi", "rho", "eps", "hw"}, {"k": 2}, True),
+    "jcm": _Model(build_jcm, {"rho", "eps", "hw"}, {"k": 1, "phi": 1}, True),
+    "pseudo-jcm": _Model(build_pseudo_jcm, {"rho", "eps", "hw"}, {"k": 1, "phi": -1}, True),
+    "h12": _Model(build_h12, {"phi", "rho", "theta", "rho1", "rho1_hat", "eps", "hw"}, {}, False),
+    "ht": _Model(build_ht, {"phi", "rho", "theta", "c", "c_hat", "N", "eps", "hw"}, {}, False),
 }
+# the builder column as a flat dict: perfbench's tracer patches the functions
+# it finds in module-level dicts, so commands build through this one
+_BUILDERS = {name: model.build for name, model in _MODELS.items()}
 
 
 def _parse_phi(raw: str) -> int:
@@ -111,15 +117,6 @@ _FORMATS = ("csv", "json", "svg")
 
 # ModelParams field behind a flag, where the names differ
 _FIELDS = {"eps": "epsilon", "hw": "hbar_omega"}
-
-# k and phi that the model name itself fixes
-_FIXED = {
-    "h2": {"k": 2},
-    "jcm": {"k": 1, "phi": 1},
-    "pseudo-jcm": {"k": 1, "phi": -1},
-}
-
-_LADDER = ("extended", "h2", "jcm", "pseudo-jcm")
 
 
 def _flag(key: str) -> str:
@@ -175,7 +172,7 @@ def _merged(args: argparse.Namespace) -> dict:
 
 def _request(
     merged: dict,
-    models: tuple[str, ...] = tuple(_MODEL_FLAGS),
+    models: tuple[str, ...] = tuple(_MODELS),
     need: str = "",
     extra: tuple[str, ...] = (),
     fock: bool = True,
@@ -191,26 +188,25 @@ def _request(
     model = merged["model"]
     if model is None:
         raise ValidationError("--model is required")
-    if model not in _MODEL_FLAGS:
-        raise ValidationError(
-            f"unknown model {model!r}; choose from {sorted(_MODEL_FLAGS)}"
-        )
+    if model not in _MODELS:
+        raise ValidationError(f"unknown model {model!r}; choose from {sorted(_MODELS)}")
     if model not in models:
         raise ValidationError(need)
-    allowed = _MODEL_FLAGS[model].union(extra, _FOCK_KEYS)
+    flags, fixed = _MODELS[model].flags, _MODELS[model].fixed
+    allowed = flags.union(extra, _FOCK_KEYS)
     for key in _PARAMS:
         if merged[key] is not None and key not in allowed:
             raise ValidationError(f"{_flag(key)} is not a parameter of model {model!r}")
     kwargs = {
         _FIELDS.get(key, key): merged[key]
-        for key in _MODEL_FLAGS[model] - {"N"}
+        for key in flags - {"N"}
         if merged[key] is not None
     }
     if model == "ht":
         if merged["N"] is None:
             raise ValidationError("model 'ht' requires --N (invariant-subspace label)")
         kwargs["n_qes"] = merged["N"] + 2
-    params = ModelParams(**kwargs, **_FIXED.get(model, {}))
+    params = ModelParams(**kwargs, **fixed)
     space = TruncatedFockSpace(merged["D"], merged["guard"]) if fock else None
     return model, params, space
 
@@ -271,7 +267,7 @@ def cmd_spectrum(merged: dict, args) -> int:
     h_matrix = _BUILDERS[model](params, space).matrix
     numeric, vectors = eig_checked(h_matrix)
     table = Table(columns=SPECTRUM_COLUMNS)
-    if model in _LADDER:
+    if _MODELS[model].ladder:
         levels = full_algebraic_spectrum(params, space)
         _add_route(table, "closed-form", (
             (level.label, level.n, level.branch or "", level.energy,
@@ -436,7 +432,10 @@ def _run_sweep(spec: SweepSpec, merged: dict, output: str | None, title: str) ->
 
 # models a sweep of each parameter drives, and the error otherwise
 _SWEPT_MODELS = {
-    "rho": (_LADDER, "rho sweeps need a ladder model (extended/h2/jcm/pseudo-jcm)"),
+    "rho": (
+        tuple(name for name, model in _MODELS.items() if model.ladder),
+        "rho sweeps need a ladder model (extended/h2/jcm/pseudo-jcm)",
+    ),
     "theta": (("ht",), "theta sweeps need --model ht"),
 }
 
@@ -502,10 +501,7 @@ def cmd_polyrep_check(merged: dict, args) -> int:
         if n < 1:
             raise ValidationError("--N must be >= 1 for polyrep-check")
         op = gauge_transform_pseudo_jcm(params, n)
-        levels = [complex(-0.5 * params.epsilon)]
-        for j in range(n):
-            levels.extend(doublet_eigenvalues(doublet_block(params, j)))
-        reference = np.array(levels)
+        reference = np.array([level.energy for level in closed_form_levels(params, n)])
     deviation = float(spectrum_mismatch(restriction_spectrum(op), reference))
     ok = bool(op.leak == 0.0 and deviation <= 1e-9)
     document = {
@@ -546,7 +542,7 @@ _COMMANDS = {
 
 
 def _add_model_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--model", choices=sorted(_MODEL_FLAGS), default=None)
+    parser.add_argument("--model", choices=sorted(_MODELS), default=None)
     for key, (kind, help_text) in _PARAMS.items():
         parser.add_argument(_flag(key), dest=key, type=kind, default=None, help=help_text)
     parser.add_argument("--output", default=None, help="write here instead of stdout")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
+from .fock import TruncatedFockSpace
 from .models import ModelParams, poly_value
 
 
@@ -128,24 +128,6 @@ def doublet_eigenvalues(block: DoubletBlock) -> tuple[complex, complex]:
     return lam_1, lam_2
 
 
-def doublet_eigenvalues_charpoly(block: DoubletBlock) -> tuple[complex, complex]:
-    """Independent route: solve the secular quadratic directly.
-
-    Uses the numerically stable splitting q = -(b + sign(b) sqrt(disc)) / 2
-    for lambda^2 + b lambda + c, then the product rule for the second root.
-    """
-    b = -float(np.trace(block.matrix))
-    c = float(np.linalg.det(block.matrix))
-    disc = cmath.sqrt(b * b - 4.0 * c)
-    q = -0.5 * (b + disc) if b >= 0.0 else -0.5 * (b - disc)
-    if q == 0.0:
-        roots = [complex(-0.5 * b)] * 2
-    else:
-        roots = [q, c / q]
-    roots.sort(key=lambda z: (-z.real, -z.imag))
-    return roots[0], roots[1]
-
-
 def mixing_angle(block: DoubletBlock) -> MixingAngle:
     """Angle theta with 2 * coupling = gap * sin(theta) (or sinh).
 
@@ -209,49 +191,25 @@ def normalize(vec: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
-def eigenvalue_from_angle(block: DoubletBlock, angle: MixingAngle, branch: str) -> float:
-    """Branch eigenvalue through the angle: mean + gap*cos(theta)/2 etc."""
-    mean = 0.5 * (block.matrix[0, 0] + block.matrix[1, 1])
-    if angle.trig:
-        stretch = block.gap * math.cos(angle.value)
-    else:
-        stretch = block.gap * math.cosh(angle.value)
-        if block.gap < 0.0:
-            stretch = -stretch
-    if branch == "I":
-        return float(mean + 0.5 * stretch)
-    if branch == "II":
-        return float(mean - 0.5 * stretch)
-    raise ValidationError(f"branch must be 'I' or 'II', got {branch!r}")
+def closed_form_levels(params: ModelParams, doublets: int) -> list[LabeledLevel]:
+    """The k spin-down singlets, then both branches of doublets 0..doublets-1.
 
-
-def rho_independent_levels(
-    params: ModelParams, space: TruncatedFockSpace
-) -> list[tuple[float, np.ndarray]]:
-    """The k spin-down singlets (0, |j>) with E_j = j hw + P(j) - eps/2.
-
-    These are exact eigenvectors for every coupling strength because a^k
-    annihilates |j> for j < k.
+    Singlet j is (0, |j>) with E_j = j hw + P(j) - eps/2, exact for every
+    coupling strength because a^k annihilates |j> for j < k.
     """
-    out = []
-    for j in range(params.k):
-        energy = (
-            params.hbar_omega * j + poly_value(params, j) - 0.5 * params.epsilon
+    levels = [
+        LabeledLevel(
+            label=f"singlet:{j}",
+            energy=complex(params.hbar_omega * j + poly_value(params, j) - 0.5 * params.epsilon),
+            n=j,
         )
-        vec = np.zeros(space.dim)
-        vec[basis_index(space, j, SPIN_DOWN)] = 1.0
-        out.append((float(energy), vec))
-    return out
-
-
-def embed_doublet_vector(
-    block: DoubletBlock, psi: np.ndarray, space: TruncatedFockSpace
-) -> np.ndarray:
-    """Lift block coordinates (upper, lower) into the full spin-Fock space."""
-    vec = np.zeros(space.dim)
-    vec[basis_index(space, block.n, SPIN_UP)] = psi[0]
-    vec[basis_index(space, block.n + block.k, SPIN_DOWN)] = psi[1]
-    return vec
+        for j in range(params.k)
+    ]
+    for n in range(doublets):
+        lam_1, lam_2 = doublet_eigenvalues(doublet_block(params, n))
+        levels.append(LabeledLevel(label=f"doublet:{n}:I", energy=lam_1, n=n, branch="I"))
+        levels.append(LabeledLevel(label=f"doublet:{n}:II", energy=lam_2, n=n, branch="II"))
+    return levels
 
 
 def full_algebraic_spectrum(
@@ -261,22 +219,7 @@ def full_algebraic_spectrum(
 
     Doublets are enumerated for n + k < D - guard; singlets always qualify.
     """
-    levels = [
-        LabeledLevel(label=f"singlet:{j}", energy=complex(e), n=j, branch=None)
-        for j, (e, _) in enumerate(rho_independent_levels(params, space))
-    ]
-    n = 0
-    while n + params.k < space.cutoff - space.guard:
-        block = doublet_block(params, n)
-        lam_1, lam_2 = doublet_eigenvalues(block)
-        levels.append(
-            LabeledLevel(label=f"doublet:{n}:I", energy=lam_1, n=n, branch="I")
-        )
-        levels.append(
-            LabeledLevel(label=f"doublet:{n}:II", energy=lam_2, n=n, branch="II")
-        )
-        n += 1
-    return levels
+    return closed_form_levels(params, max(0, space.cutoff - space.guard - params.k))
 
 
 def doublet_coalescence_rho(params: ModelParams, n: int) -> float | None:

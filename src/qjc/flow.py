@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import eigvals_checked
-from .closedform import doublet_block, doublet_eigenvalues
+from .closedform import closed_form_levels, doublet_block
 from .errors import NumericalError, TrackingAmbiguityError, ValidationError
 from .fock import TruncatedFockSpace
-from .models import ModelParams, build_extended, poly_value
+from .models import ModelParams, build_extended
 from .qes import algebraic_eigenvalues
 
 PARAM_TOL = 1e-8
@@ -98,26 +98,6 @@ class SweepResult:
             raise ValidationError(f"no tracked level labeled {label!r}") from None
 
 
-def _closed_form_level(params: ModelParams, label: str) -> complex:
-    kind, index, *branch = label.split(":")
-    if kind == "singlet":
-        j = int(index)
-        return complex(
-            params.hbar_omega * j + poly_value(params, j) - 0.5 * params.epsilon
-        )
-    block = doublet_block(params, int(index))
-    lam_1, lam_2 = doublet_eigenvalues(block)
-    return lam_1 if branch[0] == "I" else lam_2
-
-
-def _sweep_labels(spec: SweepSpec) -> tuple[str, ...]:
-    singlets = [f"singlet:{j}" for j in range(spec.params.k)]
-    doublets = []
-    for t in range(spec.doublets):
-        doublets.extend([f"doublet:{t}:I", f"doublet:{t}:II"])
-    return tuple(singlets + doublets)
-
-
 def sweep(spec: SweepSpec) -> SweepResult:
     """Trajectories of labeled closed-form levels over the grid.
 
@@ -128,23 +108,18 @@ def sweep(spec: SweepSpec) -> SweepResult:
     if spec.parameter != "rho":
         raise ValidationError("closed-form sweeps drive rho; use qes_theta_sweep")
     grid = spec.grid()
-    labels = _sweep_labels(spec)
-    tracks = np.array(
-        [[_closed_form_level(spec.at(value), label) for label in labels] for value in grid],
-        dtype=complex,
-    ).T
+    columns = [closed_form_levels(spec.at(value), spec.doublets) for value in grid]
+    labels = tuple(level.label for level in columns[0])
+    tracks = np.array([[level.energy for level in column] for column in columns], dtype=complex).T
 
     def locate(i, j, g):
         # localized on the exact closed-form difference
         def gap(value):
-            p = spec.at(value)
-            return (
-                _closed_form_level(p, labels[i]).real
-                - _closed_form_level(p, labels[j]).real
-            )
+            levels = closed_form_levels(spec.at(value), spec.doublets)
+            return levels[i].energy.real - levels[j].energy.real
 
         root = _bisect(gap, grid[g], grid[g + 1])
-        return root, _closed_form_level(spec.at(root), labels[i])
+        return root, closed_form_levels(spec.at(root), spec.doublets)[i].energy
 
     # coalescences: discriminant zero of each tracked block (phi = -1 only)
     coalescences = []
@@ -376,16 +351,6 @@ def qes_theta_sweep(spec: SweepSpec) -> SweepResult:
 
     events = _events(spec, grid, labels, tracks, locate)
     return SweepResult(spec=spec, grid=grid, labels=labels, tracks=tracks, events=events)
-
-
-def max_theta_slope(result: SweepResult) -> float:
-    """Largest |dE/dtheta| over all tracks, by forward differences.
-
-    Reported (not asserted) for the weak-dependence regime at large rho.
-    """
-    steps = np.diff(result.grid)
-    slopes = np.abs(np.diff(result.tracks.real, axis=1)) / steps
-    return float(np.max(slopes)) if slopes.size else 0.0
 
 
 def _coalescence(

@@ -5,7 +5,8 @@ spanned by the number states |0>, ..., |D-1> tensored with a spin-1/2.
 The basis ordering is frozen to *spin-major*: first all (n, +1/2) with n
 ascending, then all (n, -1/2) with n ascending.  With that ordering every
 two-by-two operator-block expression maps literally onto matrix quadrants,
-e.g. tensor(sigma_plus, a) occupies the upper-right D-by-D block.
+which `from_blocks` assembles: sigma_plus (x) a, for instance, is
+from_blocks(z, a, z, z, space) with z the D-by-D zero block.
 
 Truncation artifacts live in the top `guard` photon states; callers that
 compare against exact formulas should restrict to indices n < D - guard.
@@ -76,13 +77,6 @@ class SpinFockOperator:
             )
 
 
-def basis_labels(space: TruncatedFockSpace) -> list[tuple[int, float]]:
-    """Spin-major labels: all (n, +1/2) ascending, then all (n, -1/2)."""
-    ups = [(n, SPIN_UP) for n in range(space.cutoff)]
-    downs = [(n, SPIN_DOWN) for n in range(space.cutoff)]
-    return ups + downs
-
-
 def basis_index(space: TruncatedFockSpace, n: int, ms: float) -> int:
     """Flat index of |n, ms> under the frozen spin-major ordering."""
     if not 0 <= n < space.cutoff:
@@ -107,29 +101,6 @@ def number_op(space: TruncatedFockSpace) -> np.ndarray:
 def fock_parity(space: TruncatedFockSpace) -> np.ndarray:
     """Photon-number parity diag((-1)^n) on the Fock factor."""
     return np.diag((-1.0) ** np.arange(space.cutoff))
-
-
-def sigma_plus() -> np.ndarray:
-    """Spin raising: sigma_plus |down> = |up>, sigma_plus |up> = 0."""
-    return np.array([[0.0, 1.0], [0.0, 0.0]])
-
-
-def sigma_minus() -> np.ndarray:
-    """Spin lowering: sigma_minus |up> = |down>."""
-    return np.array([[0.0, 0.0], [1.0, 0.0]])
-
-
-def tensor(
-    spin_op: np.ndarray, fock_op: np.ndarray, space: TruncatedFockSpace
-) -> SpinFockOperator:
-    """Kronecker product with the spin factor major (block structure literal)."""
-    if spin_op.shape != (2, 2):
-        raise ValidationError(f"spin factor must be 2x2, got {spin_op.shape}")
-    if fock_op.shape != (space.cutoff, space.cutoff):
-        raise ValidationError(
-            f"Fock factor shape {fock_op.shape} does not match cutoff {space.cutoff}"
-        )
-    return SpinFockOperator(np.kron(spin_op, fock_op), space)
 
 
 def from_blocks(

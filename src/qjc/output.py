@@ -97,15 +97,6 @@ def write_json(document: dict) -> str:
     return json.dumps(body, indent=2, allow_nan=False) + "\n"
 
 
-def read_json(text: str) -> dict:
-    document = json.loads(text)
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported schema_version {document.get('schema_version')!r}"
-        )
-    return document
-
-
 # ---------------------------------------------------------------------------
 # SVG emitter
 

@@ -490,18 +490,6 @@ def _residual_scale(poly: EnergyPolynomial, value: complex) -> float:
     return max(acc, 1.0)
 
 
-def truncation_spectrum(
-    params: ModelParams, interval: tuple[float, float] | None = None
-) -> np.ndarray:
-    """Real roots of the critical polynomial, optionally windowed."""
-    roots = critical_roots(params)
-    real = roots[np.abs(roots.imag) <= ROOT_IMAG_TOL * np.maximum(1.0, np.abs(roots))].real
-    if interval is not None:
-        lo, hi = interval
-        real = real[(real >= lo) & (real <= hi)]
-    return np.sort(real)
-
-
 # ---------------------------------------------------------------------------
 # eigenvector reconstruction
 
@@ -623,26 +611,3 @@ def reconstruct_eigenvector(
         )
     return psi / norm
 
-
-def partial_residual_support(
-    params: ModelParams, order: int, energy: float, space: TruncatedFockSpace
-):
-    """Residual of the half-step partial sum (p through J+1, q through J).
-
-    Returns (psi_partial, residual_vector, support_indices).  For generic E
-    every interior equation is satisfied by construction, so the residual
-    sits exactly on the two frontier states |J+1, up> and |J+3, down> --
-    this is the invariant that makes the recurrence a solution method.
-    """
-    if not 0 <= order <= params.n_qes - 3:
-        raise ValidationError("order must keep the frontier below the singular step")
-    state = run_to_critical(params)
-    psi = np.zeros(space.dim)
-    for j in range(0, order + 2):
-        psi[basis_index(space, j, SPIN_UP)] = state.p_value(j, energy)
-    for j in range(-1, order + 1):
-        psi[basis_index(space, j + 2, SPIN_DOWN)] = state.q_value(j, energy)
-    h = build_ht(params, space)
-    residual = h.matrix @ psi - energy * psi
-    support = np.nonzero(np.abs(residual) > 1e-10 * max(1.0, np.max(np.abs(residual))))[0]
-    return psi, residual, support

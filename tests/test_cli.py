@@ -331,6 +331,24 @@ def test_float_range_overflow_in_recur_exits_3(capsys, rho):
     assert "float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--model", "h2", "--rho", "1e300"),
+        ("spectrum", "--model", "jcm", "--rho", "1e200"),
+        ("qes", "--model", "ht", "--N", "2", "--rho", "1e300", "--theta", "1"),
+        ("check", "--model", "h2", "--rho", "1e300"),
+    ],
+)
+def test_matrix_norm_overflow_exits_3_at_the_eigensolver_gate(capsys, argv):
+    # ||H||_F overflows, so the residual gate cannot be checked
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "eigensolver residual gate" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # figures
 

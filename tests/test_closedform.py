@@ -1,5 +1,6 @@
 """Doublet/singlet formulas checked against direct 2x2 diagonalization."""
 
+import cmath
 import math
 
 import numpy as np
@@ -11,19 +12,28 @@ from qjc.closedform import (
     doublet_block,
     doublet_coalescence_rho,
     doublet_eigenvalues,
-    doublet_eigenvalues_charpoly,
     doublet_eigenvectors,
-    eigenvalue_from_angle,
-    embed_doublet_vector,
     full_algebraic_spectrum,
     mixing_angle,
     normalize,
-    rho_independent_levels,
     transfer_amplitude,
 )
 from qjc.errors import ValidationError
-from qjc.fock import TruncatedFockSpace
+from qjc.fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
 from qjc.models import ModelParams, build_extended
+
+
+def charpoly_eigenvalues(block):
+    """Independent route: solve the secular quadratic directly.
+
+    Uses the numerically stable splitting q = -(b + sign(b) sqrt(disc)) / 2
+    for lambda^2 + b lambda + c, then the product rule for the second root.
+    """
+    b = -float(np.trace(block.matrix))
+    c = float(np.linalg.det(block.matrix))
+    disc = cmath.sqrt(b * b - 4.0 * c)
+    q = -0.5 * (b + disc) if b >= 0.0 else -0.5 * (b - disc)
+    return [complex(-0.5 * b)] * 2 if q == 0.0 else [q, c / q]
 
 
 def test_transfer_amplitude():
@@ -65,7 +75,7 @@ def test_charpoly_route_agrees_with_radical_route():
         )
         block = doublet_block(params, int(rng.integers(0, 12)))
         direct = doublet_eigenvalues(block)
-        charp = list(doublet_eigenvalues_charpoly(block))
+        charp = charpoly_eigenvalues(block)
         for a in direct:
             nearest = min(abs(a - b) for b in charp)
             assert nearest <= 1e-12 * max(1.0, abs(a))
@@ -103,11 +113,13 @@ def test_rho_independent_levels_are_exact_eigenvectors():
     space = TruncatedFockSpace(cutoff=24, guard=6)
     params = ModelParams(epsilon=0.8, rho=1.7, k=3, phi=-1, poly=(0.0, 0.0, 0.5))
     h = build_extended(params, space).matrix
-    levels = rho_independent_levels(params, space)
-    assert len(levels) == 3
-    for j, (energy, vec) in enumerate(levels):
-        assert energy == pytest.approx(j + 0.5 * j * j - 0.4)
-        assert_allclose(h @ vec, energy * vec, atol=1e-13)
+    levels = [level for level in full_algebraic_spectrum(params, space) if level.branch is None]
+    assert [level.label for level in levels] == ["singlet:0", "singlet:1", "singlet:2"]
+    for j, level in enumerate(levels):
+        assert level.energy == pytest.approx(j + 0.5 * j * j - 0.4)
+        vec = np.zeros(space.dim)
+        vec[basis_index(space, j, SPIN_DOWN)] = 1.0
+        assert_allclose(h @ vec, level.energy.real * vec, atol=1e-13)
 
 
 def test_trig_angle_identity_and_vectors():
@@ -127,12 +139,11 @@ def test_trig_angle_identity_and_vectors():
         angle = mixing_angle(block)
         assert angle.trig
         lam_1, lam_2 = doublet_eigenvalues(block)
-        assert eigenvalue_from_angle(block, angle, "I") == pytest.approx(
-            lam_1.real, abs=1e-12 * max(1.0, abs(lam_1))
-        )
-        assert eigenvalue_from_angle(block, angle, "II") == pytest.approx(
-            lam_2.real, abs=1e-12 * max(1.0, abs(lam_2))
-        )
+        # through the angle: mean +- gap cos(theta) / 2
+        mean = 0.5 * float(np.trace(block.matrix))
+        stretch = 0.5 * block.gap * math.cos(angle.value)
+        assert mean + stretch == pytest.approx(lam_1.real, abs=1e-12 * max(1.0, abs(lam_1)))
+        assert mean - stretch == pytest.approx(lam_2.real, abs=1e-12 * max(1.0, abs(lam_2)))
         psi_1, psi_2 = doublet_eigenvectors(block, angle)
         r_1 = block.matrix @ psi_1 - lam_1.real * psi_1
         r_2 = block.matrix @ psi_2 - lam_2.real * psi_2
@@ -221,5 +232,8 @@ def test_embedded_doublet_vector_is_full_space_eigenvector():
     angle = mixing_angle(block)
     lam_1, _ = doublet_eigenvalues(block)
     psi_1, _ = doublet_eigenvectors(block, angle)
-    full = embed_doublet_vector(block, normalize(psi_1), space)
+    upper, lower = normalize(psi_1)
+    full = np.zeros(space.dim)
+    full[basis_index(space, block.n, SPIN_UP)] = upper
+    full[basis_index(space, block.n + block.k, SPIN_DOWN)] = lower
     assert_allclose(h @ full, lam_1.real * full, atol=1e-12)

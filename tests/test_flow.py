@@ -14,7 +14,6 @@ from qjc.flow import (
     _advance,
     _bisect,
     locate_coalescence,
-    max_theta_slope,
     numeric_deviation,
     qes_theta_sweep,
     sweep,
@@ -205,6 +204,10 @@ def test_theta_sweep_finds_the_crossing_at_three_halves():
 def test_theta_sweep_weak_dependence_at_large_rho():
     # "weak dependence" is qualitative; assert the monotone comparison
     # rather than pinning a threshold
+    def max_theta_slope(result):
+        # largest |dE/dtheta| over all tracks, by forward differences
+        return np.max(np.abs(np.diff(result.tracks.real, axis=1)) / np.diff(result.grid))
+
     slope_small = max_theta_slope(qes_theta_sweep(theta_spec(0.0)))
     slope_large = max_theta_slope(qes_theta_sweep(theta_spec(2.0)))
     npt.assert_allclose(slope_small, 2.0 / 3.0, atol=1e-6)

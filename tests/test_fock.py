@@ -9,17 +9,25 @@ from numpy.testing import assert_allclose, assert_array_equal
 from qjc.fock import (
     SPIN_DOWN,
     SPIN_UP,
+    SpinFockOperator,
     TruncatedFockSpace,
     annihilation,
     basis_index,
-    basis_labels,
     fock_parity,
+    from_blocks,
     number_op,
-    sigma_minus,
-    sigma_plus,
-    tensor,
 )
 from qjc.symmetry import parity_matrix
+
+# spin factors in the (up, down) basis for spin-major Kronecker products
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+SIGMA_MINUS = SIGMA_PLUS.T
+
+
+def sigma_plus_a(space):
+    """sigma_plus (x) a assembled from its spin blocks."""
+    zero = np.zeros((space.cutoff, space.cutoff))
+    return from_blocks(zero, annihilation(space), zero, zero, space)
 
 
 def test_annihilation_action_on_number_states():
@@ -85,11 +93,7 @@ def test_number_operator_diagonal():
 
 def test_spin_major_ordering_and_index():
     space = TruncatedFockSpace(cutoff=4, guard=0)
-    labels = basis_labels(space)
-    assert labels[0] == (0, SPIN_UP)
-    assert labels[3] == (3, SPIN_UP)
-    assert labels[4] == (0, SPIN_DOWN)
-    assert labels[7] == (3, SPIN_DOWN)
+    labels = [(n, SPIN_UP) for n in range(4)] + [(n, SPIN_DOWN) for n in range(4)]
     for i, (n, ms) in enumerate(labels):
         assert basis_index(space, n, ms) == i
 
@@ -97,7 +101,7 @@ def test_spin_major_ordering_and_index():
 def test_tensor_sigma_plus_a_moves_one_down_quantum_up():
     # Hand expansion: (sigma_plus x a)|1, down> = sqrt(1)|0, up>.
     space = TruncatedFockSpace(cutoff=4, guard=0)
-    op = tensor(sigma_plus(), annihilation(space), space)
+    op = sigma_plus_a(space)
     ket = np.zeros(space.dim)
     ket[basis_index(space, 1, SPIN_DOWN)] = 1.0
     out = op.matrix @ ket
@@ -111,14 +115,12 @@ def test_tensor_sigma_plus_a_moves_one_down_quantum_up():
 
 
 def test_tensor_block_placement():
+    # the spin-major Kronecker product is the block assembly, quadrant by quadrant
     space = TruncatedFockSpace(cutoff=4, guard=0)
     a = annihilation(space)
-    up_right = tensor(sigma_plus(), a, space).matrix
-    low_left = tensor(sigma_minus(), a.T, space).matrix
-    d = space.cutoff
-    assert_array_equal(up_right[:d, d:], a)
-    assert up_right[:d, :d].any() == False  # noqa: E712 - ndarray truthiness
-    assert_array_equal(low_left[d:, :d], a.T)
+    zero = np.zeros((4, 4))
+    assert_array_equal(sigma_plus_a(space).matrix, np.kron(SIGMA_PLUS, a))
+    assert_array_equal(from_blocks(zero, zero, a.T, zero, space).matrix, np.kron(SIGMA_MINUS, a.T))
 
 
 def test_parity_operator_acts_on_fock_factor_only():
@@ -133,8 +135,8 @@ def test_parity_operator_acts_on_fock_factor_only():
 
 def test_construction_is_deterministic():
     space = TruncatedFockSpace(cutoff=16, guard=4)
-    first = tensor(sigma_plus(), annihilation(space), space).matrix
-    second = tensor(sigma_plus(), annihilation(space), space).matrix
+    first = sigma_plus_a(space).matrix
+    second = sigma_plus_a(space).matrix
     assert first.tobytes() == second.tobytes()
 
 
@@ -161,6 +163,6 @@ def test_space_validation(cutoff, guard):
 def test_operator_shape_validation():
     space = TruncatedFockSpace(cutoff=4, guard=0)
     with pytest.raises(ValueError):
-        tensor(np.eye(3), annihilation(space), space)
+        SpinFockOperator(np.eye(6), space)
     with pytest.raises(ValueError):
-        tensor(np.eye(2), np.eye(5), space)
+        from_blocks(*[np.eye(5)] * 4, space)

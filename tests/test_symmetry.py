@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qjc.errors import UnpairableSpectrumError, ValidationError
+from qjc._linalg import eig_checked
+from qjc.errors import NumericalError, UnpairableSpectrumError, ValidationError
 from qjc.fock import TruncatedFockSpace
 from qjc.models import ModelParams, build_extended, build_jcm, build_pseudo_jcm
 from qjc.symmetry import (
@@ -124,6 +125,16 @@ def test_classify_eigenvalue_lists_directly():
         classify_eigenvalues(np.array([1.0, 1 + 2j]))
     with pytest.raises(UnpairableSpectrumError):
         classify_eigenvalues(np.array([1 + 2j, 1 - 2.001j]))
+
+
+@pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
+def test_eigensolver_gate_refuses_a_matrix_outside_the_float_range(entry):
+    # ||H||_F overflows (1e200 squared) or is not finite at all: no residual
+    # can be judged against it, so no spectrum comes back to be classified
+    with pytest.raises(NumericalError, match="eigensolver residual gate.*float range"):
+        eig_checked(np.diag([entry, 1.0]))
+    with pytest.raises(NumericalError, match="eigensolver residual gate"):
+        symmetry_report(build_extended(ModelParams(rho=1e300, k=2), SPACE))
 
 
 def test_symmetry_report_shape():

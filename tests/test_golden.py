@@ -64,6 +64,11 @@ CASES = {
         "sweep", "--model", "extended", "--k", "3", "--poly", "0,0,0.05", "--phi", "1",
         "--param", "rho", "--start", "0", "--stop", "2", "--points", "101", "--doublets", "3",
     ),
+    # high doublets: 100 crossings bisected among ten tracked doublets
+    "sweep-h2-doublets": (
+        "sweep", "--model", "h2", "--param", "rho", "--start", "0", "--stop", "2",
+        "--points", "51", "--doublets", "10",
+    ),
     "spectrum-extended-poly": (
         "spectrum", "--model", "extended", "--k", "3", "--poly", "0,0,0.001",
         "--phi", "-1", "--rho", "0.3", "--D", "32",

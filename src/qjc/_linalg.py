@@ -2,8 +2,8 @@
 
 The heavy lifting is LAPACK via scipy; this module only adds the quality
 gate every caller relies on: each returned eigenpair must satisfy
-||H v - w v|| <= tol * max(1, ||H||), otherwise a NumericalError is raised
-so the caller can enlarge the cutoff instead of silently consuming noise.
+||H v - w v|| <= RESIDUAL_TOL * max(1, ||H||), otherwise a NumericalError is
+raised so the caller can enlarge the cutoff instead of silently consuming noise.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ from .errors import NumericalError
 RESIDUAL_TOL = 1e-12
 
 
-def eig_checked(
-    matrix: np.ndarray, residual_tol: float = RESIDUAL_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def eig_checked(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors with a backward-error gate.
 
     Returns (w, v) with v[:, i] normalized.  Raises NumericalError when any
-    residual exceeds residual_tol * max(1, ||H||_F), or when ||H||_F or a
+    residual exceeds RESIDUAL_TOL * max(1, ||H||_F), or when ||H||_F or a
     residual is not finite, since the gate cannot be applied then.
     """
     with np.errstate(over="ignore"):  # an overflow is reported below, as an error
@@ -40,16 +38,16 @@ def eig_checked(
             f"(1.8e308): ||H||_F = {norm:.3e}, worst residual {worst:.3e}"
         )
     scale = max(1.0, norm)
-    if worst > residual_tol * scale:
+    if worst > RESIDUAL_TOL * scale:
         raise NumericalError(
             f"eigensolver residual {worst:.3e} exceeds "
-            f"{residual_tol:.1e} * {scale:.3e}"
+            f"{RESIDUAL_TOL:.1e} * {scale:.3e}"
         )
     return w, v
 
 
-def eigvals_checked(matrix: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
-    return eig_checked(matrix, residual_tol)[0]
+def eigvals_checked(matrix: np.ndarray) -> np.ndarray:
+    return eig_checked(matrix)[0]
 
 
 def spectrum_mismatch(got, expected) -> float:

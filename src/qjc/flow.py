@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import eigvals_checked
-from .closedform import closed_form_levels, doublet_block
+from .closedform import closed_form_levels, doublet_block, doublet_eigenvalues
 from .errors import NumericalError, TrackingAmbiguityError, ValidationError
 from .fock import TruncatedFockSpace
 from .models import ModelParams, build_extended
@@ -112,14 +112,21 @@ def sweep(spec: SweepSpec) -> SweepResult:
     labels = tuple(level.label for level in columns[0])
     tracks = np.array([[level.energy for level in column] for column in columns], dtype=complex).T
 
+    def energy(row, value):
+        # rows follow closed_form_levels: k constant singlets, then each
+        # doublet's branches I and II; only this row's block is built
+        if row < spec.params.k:
+            return complex(tracks[row, 0])
+        doublet, branch = divmod(row - spec.params.k, 2)
+        return doublet_eigenvalues(doublet_block(spec.at(value), doublet))[branch]
+
     def locate(i, j, g):
         # localized on the exact closed-form difference
         def gap(value):
-            levels = closed_form_levels(spec.at(value), spec.doublets)
-            return levels[i].energy.real - levels[j].energy.real
+            return energy(i, value).real - energy(j, value).real
 
         root = _bisect(gap, grid[g], grid[g + 1])
-        return root, closed_form_levels(spec.at(root), spec.doublets)[i].energy
+        return root, energy(i, root)
 
     # coalescences: discriminant zero of each tracked block (phi = -1 only)
     coalescences = []

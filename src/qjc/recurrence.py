@@ -27,8 +27,8 @@ restore the factorial scaling.
 
 `run_to_critical` builds the series in one pass; it divides by rho and by
 c_hat (j+2-n), so the rho = 0 and c_hat = 0 limits, which decouple into 2x2
-chains, have their consistency factors assembled directly
-(`critical_polynomial` handles the dispatch).
+chains, are read from one chain table instead (`_chain_limit`, which also
+decides from the exact couplings whether a limit applies).
 """
 
 from __future__ import annotations
@@ -219,20 +219,12 @@ def _rational_params(params: ModelParams):
     by converting the float quotient, so the recurrence matches the
     mathematical -theta/n exactly instead of its rounded double.
     """
-    hw = Fraction(params.hbar_omega)
-    eps = Fraction(params.epsilon)
-    rho = Fraction(params.rho)
-    c = (
-        Fraction(params.c)
-        if params.c is not None
-        else -Fraction(params.theta) / params.n_qes
-    )
-    c_hat = (
-        Fraction(params.c_hat)
-        if params.c_hat is not None
-        else -Fraction(params.theta) / params.n_qes
-    )
-    return hw, eps, rho, c, c_hat
+    if params.n_qes is None:
+        raise ValidationError("series solution requires n_qes")
+    derived = -Fraction(params.theta) / params.n_qes
+    c = Fraction(params.c) if params.c is not None else derived
+    c_hat = Fraction(params.c_hat) if params.c_hat is not None else derived
+    return Fraction(params.hbar_omega), Fraction(params.epsilon), Fraction(params.rho), c, c_hat
 
 
 @dataclass(frozen=True)
@@ -280,8 +272,6 @@ def run_to_critical(params: ModelParams) -> SeriesState:
     coupling annihilated by the same (j + 1 - n) factor), so at any root of
     C every later coefficient vanishes and the series truncates.
     """
-    if params.n_qes is None:
-        raise ValidationError("series solution requires n_qes")
     hw, eps, rho, c, c_hat = _rational_params(params)
     if rho == 0 or c_hat == 0:
         raise ValidationError(
@@ -312,55 +302,71 @@ def run_to_critical(params: ModelParams) -> SeriesState:
 # critical polynomial, including decoupled limits
 
 
-def _pair_quadratic(a0_up, a0_down, coupling2) -> EnergyPolynomial:
-    """(E - a0_up)(E - a0_down) - coupling2 with exact coefficients."""
-    up = EnergyPolynomial.linear(-a0_up, 1)
-    down = EnergyPolynomial.linear(-a0_down, 1)
-    return up * down - EnergyPolynomial.constant(coupling2)
+def _chain_limit(params: ModelParams, exact: bool):
+    """Seeded level and 2x2 chain blocks of a decoupled limit, or None.
+
+    Whether rho = 0, c_hat = 0 or both hold is read from the exact
+    couplings; None means neither does and the series does not decouple.
+    Returns ((level, down photon), blocks), each block (up photon, down
+    photon, up diag, down diag, B C, b, c, m) for the chain block
+    [[up diag, B], [C, down diag]] with B = b sqrt(m) and C = c sqrt(m).
+    Both limits at once leave only the seeded level.  The values are exact
+    rationals if `exact`, else floats of the same expressions on the float
+    couplings the matrix is built from.
+    """
+    hw, eps, rho, c, c_hat = _rational_params(params)
+    no_rho, no_c_hat = rho == 0, c_hat == 0
+    if not (no_rho or no_c_hat):
+        return None
+    n, phi = params.n_qes, params.phi
+    if not exact:
+        hw, eps, rho = params.hbar_omega, params.epsilon, params.rho
+        c, c_hat = params.qes_couplings()
+    if no_rho and no_c_hat:
+        return (hw - eps / 2, 1), []
+    if no_rho:
+        # the decoupled top of the lower tower is the seeded level
+        return (hw * n - eps / 2, n), [
+            (j + 1, j + 2, hw * (j + 1) + eps / 2, hw * (j + 2) - eps / 2,
+             c * c_hat * (j + 2 - n) ** 2 * (j + 2), c * (j + 2 - n), c_hat * (j + 2 - n), j + 2)
+            for j in range(-1, n - 2)
+        ]
+    if not exact and c != 0.0:
+        raise ValidationError(
+            "reconstruction with c_hat = 0 but c != 0 is not supported (the "
+            "chains couple triangularly); override both couplings or none"
+        )
+    return (hw - eps / 2, 1), [
+        (j, j + 2, hw * j + eps / 2, hw * (j + 2) - eps / 2,
+         phi * rho**2 * (j + 1) * (j + 2), rho, phi * rho, (j + 1) * (j + 2))
+        for j in range(n - 1)
+    ]
 
 
 def critical_polynomial(params: ModelParams) -> EnergyPolynomial:
     """Scalar consistency polynomial whose roots truncate the series.
 
     Generic rho, c_hat: degree 2n - 1 from the block recurrence.  In the
-    decoupled limits the recurrence splits into 2x2 chains and the
-    consistency condition becomes the product of their determinants:
+    decoupled limits the recurrence splits into the 2x2 chains of
+    `_chain_limit` and the consistency condition becomes the product of
+    their determinants,
 
-      rho = 0:   (E - hw n + eps/2) * prod_{j=-1}^{n-3} [(E - hw (j+2)
-                 + eps/2)(E - hw (j+1) - eps/2) - c c_hat (j+2-n)^2 (j+2)]
-      c_hat = 0: (E - hw + eps/2) * prod_{j=0}^{n-2} [(E - hw j - eps/2)
-                 (E - hw (j+2) + eps/2) - phi rho^2 (j+1)(j+2)]
-      both:      E - hw + eps/2   (only the seeded level survives)
+        (E - level) prod_blocks [(E - up diag)(E - down diag) - B C],
 
-    Each limit keeps degree 2n - 1 except the doubly decoupled one.  The
-    series ansatz starts from the |1, down> coefficient, so the decoupled
-    |0, down> level at -eps/2 is never a root: root sets are a subset of
-    the algebraic spectrum, one level short.
+    which keeps degree 2n - 1 except in the doubly decoupled limit, where
+    only the seeded level survives.  The series ansatz starts from the
+    |1, down> coefficient, so the decoupled |0, down> level at -eps/2 is
+    never a root: root sets are a subset of the algebraic spectrum, one
+    level short.
     """
-    if params.n_qes is None:
-        raise ValidationError("critical polynomial requires n_qes")
-    hw, eps, rho, c, c_hat = _rational_params(params)
-    n = params.n_qes
-    if rho != 0 and c_hat != 0:
+    limit = _chain_limit(params, exact=True)
+    if limit is None:
         return run_to_critical(params).critical
-    if rho == 0 and c_hat == 0:
-        return EnergyPolynomial.linear(-(hw - eps / 2), 1)
-    if rho == 0:
-        poly = EnergyPolynomial.linear(-(hw * n - eps / 2), 1)
-        for j in range(-1, n - 2):
-            poly = poly * _pair_quadratic(
-                hw * (j + 2) - eps / 2,
-                hw * (j + 1) + eps / 2,
-                c * c_hat * (j + 2 - n) ** 2 * (j + 2),
-            )
-        return poly
-    # c_hat == 0, rho != 0: two-photon doublet chains plus the seeded level
-    poly = EnergyPolynomial.linear(-(hw - eps / 2), 1)
-    for j in range(0, n - 1):
-        poly = poly * _pair_quadratic(
-            hw * j + eps / 2,
-            hw * (j + 2) - eps / 2,
-            Fraction(params.phi) * rho**2 * (j + 1) * (j + 2),
+    (level, _), blocks = limit
+    poly = EnergyPolynomial.linear(-level, 1)
+    for _, _, up_diag, down_diag, bc, *_ in blocks:
+        poly = poly * EnergyPolynomial.from_coefficients(
+            [up_diag * down_diag - bc, -(up_diag + down_diag), 1]
         )
     return poly
 
@@ -510,50 +516,17 @@ def _truncated_vector_generic(
     return psi
 
 
-def _chain_limit(params: ModelParams):
-    """Seeded level and 2x2 chain blocks of a decoupled limit.
-
-    Returns ((level, down photon), blocks), each block (up photon, down
-    photon, up diag, down diag, B C, B, C) for the chain block
-    [[up, B], [C, down]].  Both limits at once leave only the seeded level.
-    """
-    hw, eps = params.hbar_omega, params.epsilon
-    c, c_hat = params.qes_couplings()
-    n = params.n_qes
-    _, _, rho, _, exact_c_hat = _rational_params(params)
-    if rho == 0 and exact_c_hat == 0:
-        return (hw - eps / 2, 1), []
-    if rho == 0:
-        # the decoupled top of the lower tower is the seeded level
-        return (hw * n - eps / 2, n), [
-            (j + 1, j + 2, hw * (j + 1) + eps / 2, hw * (j + 2) - eps / 2,
-             c * c_hat * (j + 2 - n) ** 2 * (j + 2),
-             c * (j + 2 - n) * math.sqrt(j + 2), c_hat * (j + 2 - n) * math.sqrt(j + 2))
-            for j in range(-1, n - 2)
-        ]
-    if c != 0.0:
-        raise ValidationError(
-            "reconstruction with c_hat = 0 but c != 0 is not supported (the "
-            "chains couple triangularly); override both couplings or none"
-        )
-    amps = [params.rho * math.sqrt((j + 1) * (j + 2)) for j in range(n - 1)]
-    return (hw - eps / 2, 1), [
-        (j, j + 2, hw * j + eps / 2, hw * (j + 2) - eps / 2,
-         params.phi * params.rho**2 * (j + 1) * (j + 2), amp, params.phi * amp)
-        for j, amp in enumerate(amps)
-    ]
-
-
-def _chain_vector(params: ModelParams, energy: complex, space: TruncatedFockSpace) -> np.ndarray:
+def _chain_vector(limit, energy: complex, space: TruncatedFockSpace) -> np.ndarray:
     """Eigenvector of the seeded level, or of the chain block nearest `energy`."""
-    (level, photon), blocks = _chain_limit(params)
+    (level, photon), blocks = limit
     psi = np.zeros(space.dim, dtype=_vector_dtype(energy))
     if not blocks or abs(energy - level) < 1e-8:
         psi[basis_index(space, photon, SPIN_DOWN)] = 1.0
         return psi
-    up, down, up_diag, down_diag, _, b, c = min(
+    up, down, up_diag, down_diag, _, b, c, m = min(
         blocks, key=lambda blk: abs((energy - blk[2]) * (energy - blk[3]) - blk[4])
     )
+    b, c = b * math.sqrt(m), c * math.sqrt(m)
     # eigenvector (B, E - up), falling back to (E - down, C) when that degenerates
     pair = (
         (b, energy - up_diag)
@@ -576,19 +549,17 @@ def reconstruct_eigenvector(
     fails.  At generic couplings the critical polynomial comes from the
     same exact series the vector is read from.
     """
-    if params.n_qes is None:
-        raise ValidationError("series solution requires n_qes")
     energy = complex(energy)
     if energy.imag == 0.0:
         energy = energy.real
-    _, _, rho, _, c_hat = _rational_params(params)
-    if rho != 0 and c_hat != 0:
+    limit = _chain_limit(params, exact=False)
+    if limit is None:
         state = run_to_critical(params)
         poly = state.critical
         psi = _truncated_vector_generic(state, energy, space)
     else:
         poly = critical_polynomial(params)
-        psi = _chain_vector(params, energy, space)
+        psi = _chain_vector(limit, energy, space)
     if abs(poly(energy)) > 1e-8 * _residual_scale(poly, energy):
         raise ValidationError(
             f"E = {energy} is not a truncation root: the critical polynomial "

@@ -80,11 +80,11 @@ def check_pseudo_hermitian(
     return dev <= tol, dev
 
 
-def check_pt(h: SpinFockOperator, tol: float = STRUCTURE_TOL) -> tuple[bool, float]:
+def check_pt(h: SpinFockOperator) -> tuple[bool, float]:
     """Invariance under parity conjugation plus complex conjugation."""
     p = np.diag(parity_matrix(h.space))
     dev = float(np.max(np.abs(p[:, None] * h.matrix.conj() * p[None, :] - h.matrix)))
-    return dev <= tol, dev
+    return dev <= STRUCTURE_TOL, dev
 
 
 def commutator_deviation(h: SpinFockOperator, op: np.ndarray) -> float:
@@ -93,9 +93,7 @@ def commutator_deviation(h: SpinFockOperator, op: np.ndarray) -> float:
     return float(np.max(np.abs(h.matrix * s[None, :] - s[:, None] * h.matrix)))
 
 
-def classify_eigenvalues(
-    eigenvalues: np.ndarray, real_tol: float = REALNESS_TOL
-) -> str:
+def classify_eigenvalues(eigenvalues: np.ndarray) -> str:
     """Partition a spectrum into real values and conjugate pairs.
 
     Returns "all-real", "conjugate-pairs" (nothing real, everything
@@ -105,7 +103,7 @@ def classify_eigenvalues(
     """
     w = np.asarray(eigenvalues, dtype=complex)
     scale = np.maximum(1.0, np.abs(w))
-    real_mask = np.abs(w.imag) <= real_tol * scale
+    real_mask = np.abs(w.imag) <= REALNESS_TOL * scale
     complex_vals = list(w[~real_mask])
     n_real = int(np.count_nonzero(real_mask))
     while complex_vals:
@@ -116,7 +114,7 @@ def classify_eigenvalues(
                 f"eigenvalue {z:.6g} has no conjugate partner; raise the cutoff"
             )
         best = int(np.argmin(dists))
-        if dists[best] > real_tol * max(1.0, abs(z)):
+        if dists[best] > REALNESS_TOL * max(1.0, abs(z)):
             raise UnpairableSpectrumError(
                 f"eigenvalue {z:.6g} unpaired (nearest conjugate gap "
                 f"{dists[best]:.3e}); raise the cutoff"
@@ -129,9 +127,9 @@ def classify_eigenvalues(
     return "mixed"
 
 
-def classify_spectrum(h: SpinFockOperator, real_tol: float = REALNESS_TOL) -> str:
+def classify_spectrum(h: SpinFockOperator) -> str:
     w, _ = eig_checked(h.matrix)
-    return classify_eigenvalues(w, real_tol)
+    return classify_eigenvalues(w)
 
 
 @dataclass(frozen=True)
@@ -147,11 +145,7 @@ class SymmetryReport:
     spectrum_class: str
 
 
-def symmetry_report(
-    h: SpinFockOperator,
-    tol: float = STRUCTURE_TOL,
-    real_tol: float = REALNESS_TOL,
-) -> SymmetryReport:
+def symmetry_report(h: SpinFockOperator) -> SymmetryReport:
     """Run every check against the standard conjugations.
 
     The pseudo-hermiticity dictionary is keyed by "sigma3", "parity" and
@@ -160,14 +154,12 @@ def symmetry_report(
     """
     space = h.space
     parity_sigma3 = parity_sigma3_operator(space)
-    herm_ok, herm_dev = check_hermitian(h, tol)
-    pt_ok, pt_dev = check_pt(h, tol)
+    herm_ok, herm_dev = check_hermitian(h)
+    pt_ok, pt_dev = check_pt(h)
     pseudo = {
-        "sigma3": check_pseudo_hermitian(h, sigma3_operator(space), tol),
-        "parity": check_pseudo_hermitian(
-            h, parity_matrix(space), tol, guard_banded=True
-        ),
-        "parity_sigma3": check_pseudo_hermitian(h, parity_sigma3, tol),
+        "sigma3": check_pseudo_hermitian(h, sigma3_operator(space)),
+        "parity": check_pseudo_hermitian(h, parity_matrix(space), guard_banded=True),
+        "parity_sigma3": check_pseudo_hermitian(h, parity_sigma3),
     }
     return SymmetryReport(
         hermitian=herm_ok,
@@ -176,5 +168,5 @@ def symmetry_report(
         pt_deviation=pt_dev,
         pseudo_hermitian=pseudo,
         parity_sigma3_commutant=commutator_deviation(h, parity_sigma3),
-        spectrum_class=classify_spectrum(h, real_tol),
+        spectrum_class=classify_spectrum(h),
     )

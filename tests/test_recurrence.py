@@ -144,22 +144,33 @@ def test_series_derives_couplings_once(monkeypatch, big_n):
 # truncation spectrum
 
 
-@pytest.mark.parametrize("theta", [0.25, 1.0, 3.0])
-def test_decoupled_limit_roots(theta):
-    # rho = 0, N = 1: all algebraic levels except the seed-orthogonal
-    # singlet -1/2 appear as roots
-    params = ModelParams(rho=0.0, theta=theta, n_qes=3, phi=-1)
-    roots = truncation_spectrum(params)
-    expected = sorted(
-        [
-            (3 - 4 * theta) / 6,
-            (3 + 4 * theta) / 6,
-            (9 - 2 * math.sqrt(2) * theta) / 6,
-            (9 + 2 * math.sqrt(2) * theta) / 6,
-            2.5,
-        ]
-    )
-    npt.assert_allclose(roots, expected, atol=1e-12)
+# (hbar_omega, epsilon, rho, theta, phi): rho = 0 or c_hat = -theta/n = 0
+DECOUPLED = [
+    pytest.param(1.0, 1.0, 0.0, 0.25, -1, id="0.25"),
+    pytest.param(1.0, 1.0, 0.0, 1.0, -1, id="1.0"),
+    pytest.param(1.0, 1.0, 0.0, 3.0, -1, id="3.0"),
+    pytest.param(0.75, 1.3, 0.0, 1.5, -1, id="hw0.75-eps1.3-1.5"),
+    pytest.param(1.0, 1.0, 0.8, 0.0, 1, id="chat-zero"),
+    pytest.param(0.75, 1.3, 0.8, 0.0, 1, id="hw0.75-eps1.3-chat-zero"),
+]
+
+
+@pytest.mark.parametrize("hw, eps, rho, theta, phi", DECOUPLED)
+def test_decoupled_limit_roots(hw, eps, rho, theta, phi):
+    # N = 1: all algebraic levels except the seed-orthogonal singlet
+    # -eps/2 appear as roots -- the seeded level and two 2x2 chain blocks,
+    # each given by its mean diagonal and B C; both share one half gap
+    params = ModelParams(hbar_omega=hw, epsilon=eps, rho=rho, theta=theta, n_qes=3, phi=phi)
+    if rho == 0:
+        seed, half_gap = 3 * hw - eps / 2, (hw - eps) / 2
+        chains = ((hw / 2, 4 * theta**2 / 9), (3 * hw / 2, 2 * theta**2 / 9))
+    else:
+        seed, half_gap = hw - eps / 2, hw - eps / 2
+        chains = ((hw, 2 * phi * rho**2), (2 * hw, 6 * phi * rho**2))
+    expected = [seed] + [
+        mean + sign * math.sqrt(half_gap**2 + bc) for mean, bc in chains for sign in (-1, 1)
+    ]
+    npt.assert_allclose(truncation_spectrum(params), sorted(expected), atol=1e-12)
 
 
 def test_vanishing_theta_reduces_to_two_photon_roots():
@@ -313,16 +324,31 @@ def test_reconstruction_refuses_non_roots():
 
 
 def test_reconstruction_in_decoupled_limits():
-    # rho = 0: chain pairs; fully decoupled: the seeded |1, down> level
-    params = ModelParams(rho=0.0, theta=1.0, n_qes=3, phi=-1)
-    h = build_ht(params, SPACE)
-    for root in truncation_spectrum(params):
-        psi = reconstruct_eigenvector(params, root, SPACE)
-        assert np.linalg.norm(h.matrix @ psi - root * psi) <= 1e-12
-    bare = ModelParams(rho=0.0, theta=0.0, n_qes=3, phi=-1)
-    psi = reconstruct_eigenvector(bare, 0.5, SPACE)
+    for case in DECOUPLED:
+        hw, eps, rho, theta, phi = case.values
+        params = ModelParams(hbar_omega=hw, epsilon=eps, rho=rho, theta=theta, n_qes=3, phi=phi)
+        h = build_ht(params, SPACE)
+        for root in truncation_spectrum(params):
+            psi = reconstruct_eigenvector(params, root, SPACE)
+            assert np.linalg.norm(h.matrix @ psi - root * psi) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "theta, n_qes, root, photon",
+    [
+        # fully decoupled: only the seeded |1, down> level
+        (0.0, 3, 0.5, 1),
+        # theta/n underflows to c_hat = -0.0 in floats but not exactly, so
+        # this is the rho = 0 limit, whose seeded level is |n, down>
+        (5e-324, 4, 3.5, 4),
+    ],
+)
+def test_seeded_level_reconstructs_onto_its_photon(theta, n_qes, root, photon):
+    params = ModelParams(rho=0.0, theta=theta, n_qes=n_qes, phi=-1)
+    assert params.qes_couplings()[1] == 0.0
+    psi = reconstruct_eigenvector(params, root, SPACE)
     expected = np.zeros(SPACE.dim)
-    expected[basis_index(SPACE, 1, SPIN_DOWN)] = 1.0
+    expected[basis_index(SPACE, photon, SPIN_DOWN)] = 1.0
     npt.assert_array_equal(psi, expected)
 
 

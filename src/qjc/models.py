@@ -79,6 +79,8 @@ class ModelParams:
     rho1_hat: float | None = None
 
     def __post_init__(self):
+        # a list would leave the params unhashable and unequal to the tuple form
+        object.__setattr__(self, "poly", tuple(self.poly))
         for name in ("epsilon", "hbar_omega", "rho", "theta", "c", "c_hat", "rho1", "rho1_hat"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

@@ -29,6 +29,15 @@ restore the factorial scaling.
 c_hat (j+2-n), so the rho = 0 and c_hat = 0 limits, which decouple into 2x2
 chains, are read from one chain table instead (`_chain_limit`, which also
 decides from the exact couplings whether a limit applies).
+
+Consecutive calls for one parameter set share their work: `run_to_critical`
+keeps the last exact series it built, keyed on n, phi and the exact
+couplings, and `reconstruct_eigenvector`'s residual gate keeps the last
+full-space matrix, keyed on the parameters and the space.  So
+`critical_roots` and the reconstructions of all its roots build one series
+and one matrix.  Each cache holds one entry because the calls for one
+parameter set arrive back to back; more entries would only serve a return to
+an earlier parameter set, and would hold more memory for it.
 """
 
 from __future__ import annotations
@@ -278,7 +287,14 @@ def run_to_critical(params: ModelParams) -> SeriesState:
             "generic stepping needs rho != 0 and c_hat != 0; use "
             "critical_polynomial, which handles the decoupled limits"
         )
-    n, phi_rho = params.n_qes, params.phi * rho
+    return _series(params.n_qes, params.phi, hw, eps, rho, c, c_hat)
+
+
+# Keyed on exactly what the series depends on.  typed: a float phi makes
+# phi * rho a float, so phi = 1.0 must not share phi = 1's exact series.
+@functools.lru_cache(maxsize=1, typed=True)
+def _series(n: int, phi: int, hw, eps, rho, c, c_hat) -> SeriesState:
+    phi_rho = phi * rho
     p = [EnergyPolynomial.zero()]
     q = [EnergyPolynomial.zero(), EnergyPolynomial.constant(1)]
     for j in range(-1, n - 2):
@@ -538,6 +554,18 @@ def _chain_vector(limit, energy: complex, space: TruncatedFockSpace) -> np.ndarr
     return psi
 
 
+@functools.lru_cache(maxsize=1)
+def _gate_matrix(params: ModelParams, space: TruncatedFockSpace) -> np.ndarray:
+    """The full-space matrix the residual gate reads, shared across calls.
+
+    Read-only and never handed to a caller, so no caller can alter what a
+    later gate reads; `build_ht` itself still returns a fresh operator.
+    """
+    matrix = build_ht(params, space).matrix
+    matrix.setflags(write=False)
+    return matrix
+
+
 def reconstruct_eigenvector(
     params: ModelParams, energy: complex, space: TruncatedFockSpace
 ) -> np.ndarray:
@@ -569,8 +597,7 @@ def reconstruct_eigenvector(
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise NumericalError("series collapsed to the zero vector")
-    h = build_ht(params, space)
-    residual = h.matrix @ psi - energy * psi
+    residual = _gate_matrix(params, space) @ psi - energy * psi
     rel = float(np.linalg.norm(residual) / norm)
     if rel > RECONSTRUCTION_TOL:
         worst = int(np.argmax(np.abs(residual)))

@@ -25,16 +25,27 @@ REALNESS_TOL = 1e-10
 STRUCTURE_TOL = 1e-12
 
 
+# The metrics are diagonal +-1 operators; the checks work on their signs.
+
+
+def _sigma3_signs(space: TruncatedFockSpace) -> np.ndarray:
+    return np.repeat([1.0, -1.0], space.cutoff)
+
+
+def _parity_signs(space: TruncatedFockSpace) -> np.ndarray:
+    return np.tile(np.diag(fock_parity(space)), 2)
+
+
 def sigma3_operator(space: TruncatedFockSpace) -> np.ndarray:
-    return np.kron(np.diag([1.0, -1.0]), np.eye(space.cutoff))
+    return np.diag(_sigma3_signs(space))
 
 
 def parity_matrix(space: TruncatedFockSpace) -> np.ndarray:
-    return np.kron(np.eye(2), fock_parity(space))
+    return np.diag(_parity_signs(space))
 
 
 def parity_sigma3_operator(space: TruncatedFockSpace) -> np.ndarray:
-    return np.kron(np.diag([1.0, -1.0]), fock_parity(space))
+    return np.diag(_sigma3_signs(space) * _parity_signs(space))
 
 
 def _guard_mask(space: TruncatedFockSpace) -> np.ndarray:
@@ -55,11 +66,12 @@ def check_hermitian(h: SpinFockOperator, tol: float = STRUCTURE_TOL) -> tuple[bo
 
 
 def _signs(op: np.ndarray, h: SpinFockOperator) -> np.ndarray:
-    """Diagonal of `op`, which must be a +-1 diagonal operator shaped like H."""
-    if op.shape != h.matrix.shape:
+    """Signs of `op`: a +-1 diagonal operator shaped like H, or its diagonal."""
+    if op.shape not in (h.matrix.shape, h.matrix.shape[:1]):
         raise ValidationError(f"operator shape {op.shape} does not match {h.matrix.shape}")
-    signs = np.diag(op)
-    if np.count_nonzero(op - np.diag(signs)) or not np.all((signs == 1) | (signs == -1)):
+    signs = op if op.ndim == 1 else np.diag(op)
+    off_diagonal = op.ndim == 2 and np.count_nonzero(op - np.diag(signs))
+    if off_diagonal or not np.all((signs == 1) | (signs == -1)):
         raise ValidationError("metric operators must be diagonal with entries +1 or -1")
     return signs
 
@@ -70,7 +82,10 @@ def check_pseudo_hermitian(
     tol: float = STRUCTURE_TOL,
     guard_banded: bool = False,
 ) -> tuple[bool, float]:
-    """Deviation of eta H eta^-1 = eta H eta from the adjoint of H (eta diagonal +-1)."""
+    """Deviation of eta H eta^-1 = eta H eta from the adjoint of H.
+
+    `eta` is a diagonal +-1 operator, given as a matrix or as its diagonal.
+    """
     s = _signs(eta, h)
     delta = s[:, None] * h.matrix * s[None, :] - h.matrix.conj().T
     if guard_banded:
@@ -82,13 +97,13 @@ def check_pseudo_hermitian(
 
 def check_pt(h: SpinFockOperator) -> tuple[bool, float]:
     """Invariance under parity conjugation plus complex conjugation."""
-    p = np.diag(parity_matrix(h.space))
+    p = _parity_signs(h.space)
     dev = float(np.max(np.abs(p[:, None] * h.matrix.conj() * p[None, :] - h.matrix)))
     return dev <= STRUCTURE_TOL, dev
 
 
 def commutator_deviation(h: SpinFockOperator, op: np.ndarray) -> float:
-    """Largest entry of [H, op] for a +-1 diagonal op."""
+    """Largest entry of [H, op] for a +-1 diagonal op (matrix or diagonal)."""
     s = _signs(op, h)
     return float(np.max(np.abs(h.matrix * s[None, :] - s[:, None] * h.matrix)))
 
@@ -152,13 +167,13 @@ def symmetry_report(h: SpinFockOperator) -> SymmetryReport:
     "parity_sigma3"; the parity entry is measured below the guard band.
     No identity is asserted here -- the report just records what holds.
     """
-    space = h.space
-    parity_sigma3 = parity_sigma3_operator(space)
+    sigma3, parity = _sigma3_signs(h.space), _parity_signs(h.space)
+    parity_sigma3 = sigma3 * parity
     herm_ok, herm_dev = check_hermitian(h)
     pt_ok, pt_dev = check_pt(h)
     pseudo = {
-        "sigma3": check_pseudo_hermitian(h, sigma3_operator(space)),
-        "parity": check_pseudo_hermitian(h, parity_matrix(space), guard_banded=True),
+        "sigma3": check_pseudo_hermitian(h, sigma3),
+        "parity": check_pseudo_hermitian(h, parity, guard_banded=True),
         "parity_sigma3": check_pseudo_hermitian(h, parity_sigma3),
     }
     return SymmetryReport(

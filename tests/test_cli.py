@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qjc.recurrence
 from qjc.cli import main
 from qjc.errors import TrackingAmbiguityError
 from qjc.output import read_csv
@@ -320,6 +321,13 @@ def test_tracking_failure_emits_partial_csv_and_exit_3(capsys, monkeypatch):
     assert "# INCOMPLETE" in out
     _, rows = csv_rows(out)
     assert len(rows) == 4  # two grid points, two salvaged tracks
+
+
+def test_recur_builds_the_series_once(capsys):
+    qjc.recurrence._series.cache_clear()
+    code, _ = run(capsys, "recur", "--model", "ht", "--N", "3", "--rho", "0.7", "--theta", "1.2")
+    assert code == 0
+    assert qjc.recurrence._series.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("rho", ["1e300", "1e100"])

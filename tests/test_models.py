@@ -160,6 +160,18 @@ def test_param_validation():
         build_ht(ModelParams(rho=1.0), space)  # n_qes unset
 
 
+def test_poly_list_is_held_as_a_tuple():
+    from qjc.recurrence import critical_roots, reconstruct_eigenvector
+
+    listed = ModelParams(rho=0.8, theta=1.2, n_qes=4, phi=-1, poly=[0, 0, 0.1])
+    tupled = ModelParams(rho=0.8, theta=1.2, n_qes=4, phi=-1, poly=(0, 0, 0.1))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert isinstance(listed.poly, tuple)
+    space = TruncatedFockSpace(cutoff=32, guard=8)
+    for root in critical_roots(listed):
+        reconstruct_eigenvector(listed, root, space)
+
+
 def test_guard_band_enforcement():
     small_guard = TruncatedFockSpace(cutoff=32, guard=3)
     with pytest.raises(ValueError):

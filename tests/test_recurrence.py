@@ -317,6 +317,72 @@ def test_reconstruction_builds_one_series_per_call(monkeypatch, big_n, phi):
         assert len(calls) == 1
 
 
+def _clear_caches():
+    qjc.recurrence._series.cache_clear()
+    qjc.recurrence._gate_matrix.cache_clear()
+
+
+@pytest.mark.parametrize("phi", [1, -1])
+@pytest.mark.parametrize("big_n", range(1, 7))
+def test_all_roots_share_one_series_and_one_matrix(monkeypatch, big_n, phi):
+    params = ModelParams(rho=0.7, theta=1.2, n_qes=big_n + 2, phi=phi)
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return build_ht(*args)
+
+    monkeypatch.setattr(qjc.recurrence, "build_ht", counted)
+    _clear_caches()
+    for root in critical_roots(params):
+        try:
+            reconstruct_eigenvector(params, root, SPACE)
+        except NumericalError:
+            pass  # a failed gate has read the matrix all the same
+    assert qjc.recurrence._series.cache_info().misses == 1
+    assert len(builds) == 1
+
+
+def test_interleaved_params_match_a_fresh_cache():
+    a = (ModelParams(rho=0.7, theta=1.2, n_qes=5, phi=1), SPACE)
+    b = (ModelParams(rho=1.6, theta=0.5, n_qes=4, phi=-1), TruncatedFockSpace(24, 8))
+
+    def vectors(params, space, fresh):
+        out = []
+        for root in critical_roots(params):
+            if fresh:
+                _clear_caches()
+            out.append(reconstruct_eigenvector(params, root, space).tobytes())
+        return out
+
+    expected = {case: vectors(*case, fresh=True) for case in (a, b)}
+    for case in (a, b, a):
+        assert vectors(*case, fresh=False) == expected[case]
+
+
+def test_float_phi_does_not_share_the_exact_series():
+    # phi * rho is a float for phi = 1.0, so its series is not phi = 1's
+    exact = ModelParams(rho=0.7, theta=1.2, n_qes=5, phi=1)
+    rounded = ModelParams(rho=0.7, theta=1.2, n_qes=5, phi=1.0)
+    _clear_caches()
+    alone = run_to_critical(rounded)
+    _clear_caches()
+    assert run_to_critical(exact) != alone
+    assert run_to_critical(rounded) == alone
+
+
+def test_reconstructed_vector_is_the_callers_own():
+    params = ModelParams(rho=0.8, theta=1.2, n_qes=4, phi=-1)
+    root = critical_roots(params)[0]
+    psi = reconstruct_eigenvector(params, root, SPACE)
+    expected = psi.copy()
+    assert psi.flags.writeable
+    psi[:] = 7.0
+    npt.assert_array_equal(reconstruct_eigenvector(params, root, SPACE), expected)
+    assert not qjc.recurrence._gate_matrix(params, SPACE).flags.writeable
+    assert build_ht(params, SPACE).matrix.flags.writeable
+
+
 def test_reconstruction_refuses_non_roots():
     params = ModelParams(rho=0.8, theta=1.2, n_qes=4, phi=-1)
     with pytest.raises(ValidationError, match="not a truncation root"):

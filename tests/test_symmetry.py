@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qjc.symmetry
 from qjc._linalg import eig_checked
 from qjc.errors import NumericalError, UnpairableSpectrumError, ValidationError
 from qjc.fock import TruncatedFockSpace
@@ -157,9 +158,11 @@ def test_metric_operators_must_be_diagonal_signs(check):
     off_diagonal[0, 1] = 0.5
     doubled = sigma3_operator(SPACE)
     doubled[3, 3] = 2.0
-    for op in (reversal, off_diagonal, doubled):
+    for op in (reversal, off_diagonal, doubled, np.diag(doubled)):
         with pytest.raises(ValidationError, match=r"diagonal with entries \+1 or -1"):
             check(h, op)
+    with pytest.raises(ValidationError, match="does not match"):
+        check(h, np.ones(SPACE.dim - 1))
 
 
 @pytest.mark.parametrize("phi", [1, -1])
@@ -168,9 +171,23 @@ def test_sign_masks_match_dense_conjugation(k, phi):
     h = build_extended(ModelParams(epsilon=0.7, rho=0.9, k=k, phi=phi), SPACE)
     for eta in (sigma3_operator(SPACE), parity_matrix(SPACE), parity_sigma3_operator(SPACE)):
         dense = eta @ h.matrix @ np.linalg.inv(eta) - h.matrix.conj().T
-        assert check_pseudo_hermitian(h, eta)[1] == float(np.max(np.abs(dense)))
         commutator = h.matrix @ eta - eta @ h.matrix
-        assert commutator_deviation(h, eta) == float(np.max(np.abs(commutator)))
+        for form in (eta, np.diag(eta)):
+            assert check_pseudo_hermitian(h, form)[1] == float(np.max(np.abs(dense)))
+            assert commutator_deviation(h, form) == float(np.max(np.abs(commutator)))
     parity = parity_matrix(SPACE)
     pt = parity @ h.matrix.conj() @ parity - h.matrix
     assert check_pt(h)[1] == float(np.max(np.abs(pt)))
+
+
+def test_report_builds_no_dense_metric(monkeypatch):
+    h = build_extended(ModelParams(epsilon=0.7, rho=0.9, k=2, phi=-1), SPACE)
+    expected = symmetry_report(h)
+
+    def refuse(space):
+        raise AssertionError("dense metric built")
+
+    for name in ("sigma3_operator", "parity_matrix", "parity_sigma3_operator"):
+        monkeypatch.setattr(qjc.symmetry, name, refuse)
+    monkeypatch.setattr(qjc.symmetry.np, "kron", refuse)
+    assert symmetry_report(h) == expected

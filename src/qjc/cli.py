@@ -42,7 +42,7 @@ from .polyrep import (
     restriction_spectrum,
 )
 from .qes import algebraic_eigenvalues, algebraic_spectrum, build_subspace
-from .recurrence import critical_polynomial, critical_roots, reconstruct_eigenvector
+from .recurrence import critical_polynomial, critical_roots, gate_matrix, reconstruct_eigenvector
 from .symmetry import REALNESS_TOL, STRUCTURE_TOL, symmetry_report
 
 SPECTRUM_COLUMNS = ("label", "n", "branch", "re_energy", "im_energy", "source", "residual")
@@ -244,12 +244,13 @@ def _qes_rows(pairs, big_n: int):
     )
 
 
-def _reconstructions(params, space, h_matrix) -> list[tuple[complex, float]]:
+def _reconstructions(params, space) -> list[tuple[complex, float]]:
     """Truncation-polynomial roots with their reconstruction residuals.
 
     Each residual is ||H v - E v|| of the reconstructed eigenvector v on
-    the full matrix `h_matrix`.
+    the full matrix, the one the reconstruction gate read.
     """
+    h_matrix = gate_matrix(params, space)
     rows = []
     for root in critical_roots(params):
         vec = reconstruct_eigenvector(params, root, space)
@@ -277,7 +278,7 @@ def cmd_spectrum(merged: dict, args) -> int:
     if model == "ht":
         sub = build_subspace(params, space)
         _add_route(table, "qes", _qes_rows(algebraic_spectrum(sub, params), params.big_n))
-        roots = _reconstructions(params, space, h_matrix)
+        roots = _reconstructions(params, space)
         _add_route(table, "recurrence", (
             (f"recurrence:{index}", params.big_n, "", root, residual)
             for index, (root, residual) in enumerate(roots)
@@ -357,9 +358,7 @@ def cmd_recur(merged: dict, args) -> int:
         columns=("index", "re_energy", "im_energy", "reconstruction_residual", "distance_to_algebraic")
     )
     roots = []
-    for index, (root, residual) in enumerate(
-        _reconstructions(params, space, build_ht(params, space).matrix)
-    ):
+    for index, (root, residual) in enumerate(_reconstructions(params, space)):
         distance = float(np.min(np.abs(algebraic - root)))
         table.add(index, root.real, root.imag, residual, distance)
         roots.append(

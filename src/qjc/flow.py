@@ -312,8 +312,6 @@ def qes_theta_sweep(spec: SweepSpec) -> SweepResult:
     """
     if spec.parameter != "theta":
         raise ValidationError("the dressed-model sweep drives theta")
-    if spec.params.n_qes is None:
-        raise ValidationError("qes_theta_sweep requires n_qes")
     grid = spec.grid()
 
     def values_at(value: float) -> np.ndarray:

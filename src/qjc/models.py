@@ -81,6 +81,18 @@ class ModelParams:
     def __post_init__(self):
         # a list would leave the params unhashable and unequal to the tuple form
         object.__setattr__(self, "poly", tuple(self.poly))
+        # held as int, so phi = 1.0 is phi = 1 everywhere, exact series included
+        for name in ("phi", "k", "n_qes"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                integral = value == int(value)
+            except (TypeError, ValueError, OverflowError):  # int(nan), int(inf), int("x")
+                integral = False
+            if not integral:
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         for name in ("epsilon", "hbar_omega", "rho", "theta", "c", "c_hat", "rho1", "rho1_hat"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -91,14 +103,12 @@ class ModelParams:
             raise ValidationError(f"phi must be +1 or -1, got {self.phi}")
         if self.k < 1:
             raise ValidationError(f"photon transfer order k must be >= 1, got {self.k}")
-        if self.poly:
-            degree = _poly_degree(self.poly)
-            if degree < 2:
-                raise ValidationError(
-                    "diagonal polynomial must have degree >= 2 "
-                    f"(got coefficients {self.poly}); fold lower orders into "
-                    "hbar_omega and epsilon instead"
-                )
+        if self.poly and _poly_degree(self.poly) < 2:
+            raise ValidationError(
+                "diagonal polynomial must have degree >= 2 "
+                f"(got coefficients {self.poly}); fold lower orders into "
+                "hbar_omega and epsilon instead"
+            )
         if self.n_qes is not None and self.n_qes < 2:
             raise ValidationError(f"n_qes must be >= 2, got {self.n_qes}")
 
@@ -111,10 +121,10 @@ class ModelParams:
 
     def qes_couplings(self) -> tuple[float, float]:
         """Effective (c, c_hat), defaulting to -theta / n_qes."""
-        if self.n_qes is None and (self.c is None or self.c_hat is None):
-            raise ValidationError("need n_qes to derive c, c_hat from theta")
-        c = self.c if self.c is not None else -self.theta / self.n_qes
-        c_hat = self.c_hat if self.c_hat is not None else -self.theta / self.n_qes
+        if self.c is None or self.c_hat is None:
+            derived = -self.theta / (self.big_n + 2)
+        c = self.c if self.c is not None else derived
+        c_hat = self.c_hat if self.c_hat is not None else derived
         return c, c_hat
 
     def one_photon_couplings(self) -> tuple[float, float]:
@@ -239,8 +249,6 @@ def build_ht(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator
     that would leak |n, down> onto |n-1, up>, so the span of
     {|0..N, up>} + {|0..N+2, down>} is invariant for any rho, c, c_hat.
     """
-    if params.n_qes is None:
-        raise ValidationError("build_ht requires n_qes (= N + 2) to be set")
     _check_guard(space, 2, "subspace-closed model")
     if space.cutoff <= params.big_n + 4 + space.guard:
         raise ValidationError(
@@ -248,9 +256,8 @@ def build_ht(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator
             f"{params.big_n + 4 + space.guard}"
         )
     c, c_hat = params.qes_couplings()
-    n = float(params.n_qes)
     a = annihilation(space)
-    shifted = number_op(space) - n * np.eye(space.cutoff)
+    shifted = number_op(space) - params.n_qes * np.eye(space.cutoff)
     upper, lower = _diagonal_blocks(params, space, with_poly=False)
     return from_blocks(
         upper,

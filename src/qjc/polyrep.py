@@ -142,10 +142,8 @@ def gauge_transform_ht(
     carries the Euler factor (x d/dx - ... - n) whose kernel at degree
     N + 2 = n closes the space.
     """
-    if params.n_qes is None:
-        raise ValidationError("gauge transform of the dressed model requires n_qes")
-    n = params.n_qes
-    caps = caps or (params.big_n, params.big_n + 2)
+    n = params.big_n + 2
+    caps = caps or (n - 2, n)
     _validate_caps(caps)
     work_deg = max(caps) + 3
     _, _, number = _mode_operators(work_deg)

@@ -108,16 +108,13 @@ def restriction_matrix(params: ModelParams) -> np.ndarray:
         <j+2, dn| H | j, up>      = phi rho sqrt((j+1)(j+2))
         <j+1, dn| H | j, up>      = c_hat (j + 1 - n) sqrt(j+1)
     """
-    if params.n_qes is None:
-        raise ValidationError("restriction_matrix requires n_qes")
     big_n = params.big_n
     n = params.n_qes
     hw, eps = params.hbar_omega, params.epsilon
     c, c_hat = params.qes_couplings()
     n_up = big_n + 1
     n_down = big_n + 3
-    dim = n_up + n_down
-    mat = np.zeros((dim, dim))
+    mat = np.zeros((2 * n, 2 * n))
     for j in range(n_up):
         mat[j, j] = hw * j + 0.5 * eps
     for m in range(n_down):

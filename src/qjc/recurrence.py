@@ -28,16 +28,17 @@ restore the factorial scaling.
 `run_to_critical` builds the series in one pass; it divides by rho and by
 c_hat (j+2-n), so the rho = 0 and c_hat = 0 limits, which decouple into 2x2
 chains, are read from one chain table instead (`_chain_limit`, which also
-decides from the exact couplings whether a limit applies).
+decides whether a limit applies).
 
 Consecutive calls for one parameter set share their work: `run_to_critical`
-keeps the last exact series it built, keyed on n, phi and the exact
-couplings, and `reconstruct_eigenvector`'s residual gate keeps the last
-full-space matrix, keyed on the parameters and the space.  So
-`critical_roots` and the reconstructions of all its roots build one series
-and one matrix.  Each cache holds one entry because the calls for one
-parameter set arrive back to back; more entries would only serve a return to
-an earlier parameter set, and would hold more memory for it.
+keeps the last exact series it built, keyed on the parameters (which hold
+phi, k and n_qes as int, so phi = 1.0 shares phi = 1's exact series), and
+the residual gate keeps the last full-space matrix (`gate_matrix`), keyed on
+the parameters and the space.  So `critical_roots` and the reconstructions of
+all its roots build one series and one matrix.  Each cache holds one entry
+because the calls for one parameter set arrive back to back; more entries
+would only serve a return to an earlier parameter set, and would hold more
+memory for it.
 """
 
 from __future__ import annotations
@@ -226,10 +227,9 @@ def _rational_params(params: ModelParams):
 
     The theta-derived couplings are built as -Fraction(theta)/n rather than
     by converting the float quotient, so the recurrence matches the
-    mathematical -theta/n exactly instead of its rounded double.
+    mathematical -theta/n exactly instead of its rounded double.  Callers
+    reach `params.big_n` first, which refuses parameters without n_qes.
     """
-    if params.n_qes is None:
-        raise ValidationError("series solution requires n_qes")
     derived = -Fraction(params.theta) / params.n_qes
     c = Fraction(params.c) if params.c is not None else derived
     c_hat = Fraction(params.c_hat) if params.c_hat is not None else derived
@@ -265,6 +265,7 @@ class SeriesState:
         return math.sqrt(math.factorial(j + 2)) * self.q_poly(j)(energy)
 
 
+@functools.lru_cache(maxsize=1)
 def run_to_critical(params: ModelParams) -> SeriesState:
     """Build the series from qt_{-2} = 0, qt_{-1} = 1 up to the critical
     polynomial (generic couplings only).
@@ -279,22 +280,17 @@ def run_to_critical(params: ModelParams) -> SeriesState:
     the critical polynomial.  p_{n-1} is a free choice; taking it zero
     forces qt_{n-1} = 0 as well (the upper |n-1> equation has its qt_{n-2}
     coupling annihilated by the same (j + 1 - n) factor), so at any root of
-    C every later coefficient vanishes and the series truncates.
+    C every later coefficient vanishes and the series truncates.  The
+    returned state is shared by every caller with equal parameters.
     """
+    n = params.big_n + 2
     hw, eps, rho, c, c_hat = _rational_params(params)
     if rho == 0 or c_hat == 0:
         raise ValidationError(
             "generic stepping needs rho != 0 and c_hat != 0; use "
             "critical_polynomial, which handles the decoupled limits"
         )
-    return _series(params.n_qes, params.phi, hw, eps, rho, c, c_hat)
-
-
-# Keyed on exactly what the series depends on.  typed: a float phi makes
-# phi * rho a float, so phi = 1.0 must not share phi = 1's exact series.
-@functools.lru_cache(maxsize=1, typed=True)
-def _series(n: int, phi: int, hw, eps, rho, c, c_hat) -> SeriesState:
-    phi_rho = phi * rho
+    phi_rho = params.phi * rho
     p = [EnergyPolynomial.zero()]
     q = [EnergyPolynomial.zero(), EnergyPolynomial.constant(1)]
     for j in range(-1, n - 2):
@@ -321,8 +317,9 @@ def _series(n: int, phi: int, hw, eps, rho, c, c_hat) -> SeriesState:
 def _chain_limit(params: ModelParams, exact: bool):
     """Seeded level and 2x2 chain blocks of a decoupled limit, or None.
 
-    Whether rho = 0, c_hat = 0 or both hold is read from the exact
-    couplings; None means neither does and the series does not decouple.
+    None means neither rho = 0 nor c_hat = 0 holds, read off the float
+    parameters exactly: Fraction(x) is zero just where x is, and the derived
+    c_hat = -theta/n just where theta is (its float can underflow to -0.0).
     Returns ((level, down photon), blocks), each block (up photon, down
     photon, up diag, down diag, B C, b, c, m) for the chain block
     [[up diag, B], [C, down diag]] with B = b sqrt(m) and C = c sqrt(m).
@@ -330,12 +327,14 @@ def _chain_limit(params: ModelParams, exact: bool):
     rationals if `exact`, else floats of the same expressions on the float
     couplings the matrix is built from.
     """
-    hw, eps, rho, c, c_hat = _rational_params(params)
-    no_rho, no_c_hat = rho == 0, c_hat == 0
+    n, phi = params.big_n + 2, params.phi
+    no_rho = params.rho == 0
+    no_c_hat = params.theta == 0 if params.c_hat is None else params.c_hat == 0
     if not (no_rho or no_c_hat):
         return None
-    n, phi = params.n_qes, params.phi
-    if not exact:
+    if exact:
+        hw, eps, rho, c, c_hat = _rational_params(params)
+    else:
         hw, eps, rho = params.hbar_omega, params.epsilon, params.rho
         c, c_hat = params.qes_couplings()
     if no_rho and no_c_hat:
@@ -555,11 +554,11 @@ def _chain_vector(limit, energy: complex, space: TruncatedFockSpace) -> np.ndarr
 
 
 @functools.lru_cache(maxsize=1)
-def _gate_matrix(params: ModelParams, space: TruncatedFockSpace) -> np.ndarray:
-    """The full-space matrix the residual gate reads, shared across calls.
+def gate_matrix(params: ModelParams, space: TruncatedFockSpace) -> np.ndarray:
+    """The full-space `build_ht` matrix the residual gate reads.
 
-    Read-only and never handed to a caller, so no caller can alter what a
-    later gate reads; `build_ht` itself still returns a fresh operator.
+    Shared across calls, so read-only: no caller can alter what a later
+    gate reads.  `build_ht(params, space).matrix` is a fresh, writable copy.
     """
     matrix = build_ht(params, space).matrix
     matrix.setflags(write=False)
@@ -597,7 +596,7 @@ def reconstruct_eigenvector(
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise NumericalError("series collapsed to the zero vector")
-    residual = _gate_matrix(params, space) @ psi - energy * psi
+    residual = gate_matrix(params, space) @ psi - energy * psi
     rel = float(np.linalg.norm(residual) / norm)
     if rel > RECONSTRUCTION_TOL:
         worst = int(np.argmax(np.abs(residual)))

@@ -12,6 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qjc.cli
+import qjc.models
+import qjc.qes
 import qjc.recurrence
 from qjc.cli import main
 from qjc.errors import TrackingAmbiguityError
@@ -304,6 +307,18 @@ def test_sweep_svg_output(capsys):
     assert "polyline" in out
 
 
+def test_real_tracking_failure_salvages_the_tracked_prefix(capsys):
+    code, out = run(
+        capsys,
+        "sweep", "--model", "ht", "--N", "0", "--phi", "-1", "--rho", "0.25",
+        "--param", "theta", "--start", "0", "--stop", "3", "--points", "11",
+    )
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 42  # header, ten grid points of four tracks, the marker
+    assert lines[-1].startswith("# INCOMPLETE level matching still ambiguous")
+
+
 def test_tracking_failure_emits_partial_csv_and_exit_3(capsys, monkeypatch):
     def explode(spec):
         exc = TrackingAmbiguityError("could not disambiguate tracks")
@@ -324,10 +339,25 @@ def test_tracking_failure_emits_partial_csv_and_exit_3(capsys, monkeypatch):
 
 
 def test_recur_builds_the_series_once(capsys):
-    qjc.recurrence._series.cache_clear()
+    qjc.recurrence.run_to_critical.cache_clear()
     code, _ = run(capsys, "recur", "--model", "ht", "--N", "3", "--rho", "0.7", "--theta", "1.2")
     assert code == 0
-    assert qjc.recurrence._series.cache_info().misses == 1
+    assert qjc.recurrence.run_to_critical.cache_info().misses == 1
+
+
+def test_recur_builds_the_matrix_once(capsys, monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return qjc.models.build_ht(*args)
+
+    for module in (qjc.cli, qjc.qes, qjc.recurrence):
+        monkeypatch.setattr(module, "build_ht", counted)
+    qjc.recurrence.gate_matrix.cache_clear()
+    code, _ = run(capsys, "recur", "--model", "ht", "--N", "2", "--rho", "0.7", "--theta", "1.2")
+    assert code == 0
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("rho", ["1e300", "1e100"])

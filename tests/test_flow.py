@@ -219,6 +219,21 @@ def test_theta_sweep_finds_the_crossing_at_three_halves():
     assert 1.4 <= crossings[0].value <= 1.6
 
 
+def test_theta_sweep_halves_an_ambiguous_step_and_tracks_both_halves(monkeypatch):
+    depths = []
+
+    def counted(*args):
+        depths.append(args[-1])
+        return _advance(*args)
+
+    monkeypatch.setattr(qjc.flow, "_advance", counted)
+    result = qes_theta_sweep(theta_spec(0.25, points=11))
+    assert depths.count(1) == 2  # one halving: the step's first and second half
+    # the tracks through the halved step are those of a grid twice as fine
+    finer = qes_theta_sweep(theta_spec(0.25, points=21))
+    npt.assert_allclose(result.tracks, finer.tracks[:, ::2], rtol=0, atol=1e-12)
+
+
 def test_theta_sweep_weak_dependence_at_large_rho():
     # "weak dependence" is qualitative; assert the monotone comparison
     # rather than pinning a threshold

@@ -1,9 +1,12 @@
 """Hamiltonian assembly oracles: matrix elements checked by hand expansion."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from qjc.errors import ValidationError
 from qjc.fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
 from qjc.models import (
     ModelParams,
@@ -158,6 +161,14 @@ def test_param_validation():
     space = TruncatedFockSpace(cutoff=32, guard=8)
     with pytest.raises(ValueError):
         build_ht(ModelParams(rho=1.0), space)  # n_qes unset
+
+
+@pytest.mark.parametrize(
+    "field, value", [("k", 2.5), ("n_qes", 4.5), ("k", math.nan)]
+)
+def test_non_integral_fields_are_rejected(field, value):
+    with pytest.raises(ValidationError, match=field):
+        ModelParams(**{field: value})
 
 
 def test_poly_list_is_held_as_a_tuple():

@@ -136,6 +136,7 @@ def test_series_derives_couplings_once(monkeypatch, big_n):
 
     rational_params = qjc.recurrence._rational_params
     monkeypatch.setattr(qjc.recurrence, "_rational_params", counted)
+    run_to_critical.cache_clear()
     run_to_critical(ModelParams(rho=0.9, theta=1.2, n_qes=big_n + 2, phi=-1))
     assert len(calls) == 1
 
@@ -318,8 +319,8 @@ def test_reconstruction_builds_one_series_per_call(monkeypatch, big_n, phi):
 
 
 def _clear_caches():
-    qjc.recurrence._series.cache_clear()
-    qjc.recurrence._gate_matrix.cache_clear()
+    run_to_critical.cache_clear()
+    qjc.recurrence.gate_matrix.cache_clear()
 
 
 @pytest.mark.parametrize("phi", [1, -1])
@@ -339,7 +340,7 @@ def test_all_roots_share_one_series_and_one_matrix(monkeypatch, big_n, phi):
             reconstruct_eigenvector(params, root, SPACE)
         except NumericalError:
             pass  # a failed gate has read the matrix all the same
-    assert qjc.recurrence._series.cache_info().misses == 1
+    assert run_to_critical.cache_info().misses == 1
     assert len(builds) == 1
 
 
@@ -360,15 +361,18 @@ def test_interleaved_params_match_a_fresh_cache():
         assert vectors(*case, fresh=False) == expected[case]
 
 
-def test_float_phi_does_not_share_the_exact_series():
-    # phi * rho is a float for phi = 1.0, so its series is not phi = 1's
-    exact = ModelParams(rho=0.7, theta=1.2, n_qes=5, phi=1)
-    rounded = ModelParams(rho=0.7, theta=1.2, n_qes=5, phi=1.0)
+@pytest.mark.parametrize("phi", [1, -1])
+@pytest.mark.parametrize("big_n", [1, 4, 9])
+def test_float_phi_gives_the_exact_series(big_n, phi):
+    exact = ModelParams(rho=0.7, theta=1.2, n_qes=big_n + 2, phi=phi)
+    floated = ModelParams(rho=0.7, theta=1.2, n_qes=big_n + 2.0, phi=float(phi))
+    assert type(floated.phi) is type(floated.n_qes) is int
     _clear_caches()
-    alone = run_to_critical(rounded)
+    alone = run_to_critical(floated)
     _clear_caches()
-    assert run_to_critical(exact) != alone
-    assert run_to_critical(rounded) == alone
+    assert run_to_critical(exact) == alone
+    assert critical_polynomial(floated) == critical_polynomial(exact)
+    assert critical_roots(floated).tobytes() == critical_roots(exact).tobytes()
 
 
 def test_reconstructed_vector_is_the_callers_own():
@@ -379,7 +383,7 @@ def test_reconstructed_vector_is_the_callers_own():
     assert psi.flags.writeable
     psi[:] = 7.0
     npt.assert_array_equal(reconstruct_eigenvector(params, root, SPACE), expected)
-    assert not qjc.recurrence._gate_matrix(params, SPACE).flags.writeable
+    assert not qjc.recurrence.gate_matrix(params, SPACE).flags.writeable
     assert build_ht(params, SPACE).matrix.flags.writeable
 
 

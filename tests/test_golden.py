@@ -4,7 +4,7 @@ Each CLI case runs one command in a fresh interpreter and compares its
 stdout with the file recorded under `tests/golden/`.  BLAS is pinned to one
 thread because dense eigenvectors differ in their last digits between
 thread counts.  The cases cover the README commands plus the JSON, SVG and
-`--config` paths.
+`--config` paths, and the help text of `qjc` and of each command.
 
 `recurrence-exact.json` pins the exact recurrence route bit for bit: per
 case, the critical polynomial's coefficients as "num/den" strings, each
@@ -73,6 +73,12 @@ CASES = {
         "spectrum", "--model", "extended", "--k", "3", "--poly", "0,0,0.001",
         "--phi", "-1", "--rho", "0.3", "--D", "32",
     ),
+    # argparse help: the top level and each command's flags
+    "help": ("-h",),
+    **{
+        f"help-{command}": (command, "-h")
+        for command in ("spectrum", "check", "qes", "recur", "sweep", "figures", "polyrep-check")
+    },
 }
 
 
@@ -143,6 +149,8 @@ def run_qjc(argv) -> bytes:
     env = dict(os.environ)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = "1"
+    # argparse wraps help text to the terminal width it reads from COLUMNS
+    env["COLUMNS"] = "80"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     done = subprocess.run(
         [sys.executable, "-m", "qjc.cli", *argv],

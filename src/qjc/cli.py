@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 import numpy as np
 
@@ -73,16 +73,6 @@ _MODELS = {
 _BUILDERS = {name: model.build for name, model in _MODELS.items()}
 
 
-def _parse_phi(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"--phi must be +1 or -1, got {raw!r}") from None
-    if value not in (1, -1):
-        raise ValidationError(f"--phi must be +1 or -1, got {raw!r}")
-    return value
-
-
 def _parse_poly(raw: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in raw.split(",") if part.strip() != "")
@@ -93,10 +83,11 @@ def _parse_poly(raw: str) -> tuple[float, ...]:
 
 
 # every value flag that a --config file may also set: dest -> (type, help);
-# argparse, the config reader and the per-model check all read this table
+# argparse, the config reader and the per-model check all read this table;
+# phi parses as a plain int, and ModelParams is its one +1/-1 check
 _PARAMS = {
     "k": (int, "photon transfer order (extended)"),
-    "phi": (_parse_phi, "+1 or -1 coupling sign"),
+    "phi": (int, "+1 or -1 coupling sign"),
     "eps": (float, "level splitting"),
     "hw": (float, "oscillator quantum"),
     "rho": (float, "k-photon coupling"),
@@ -170,6 +161,13 @@ def _merged(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _reject_unused(merged: dict, allowed: Collection[str], owner: str):
+    """Refuse by name a model flag or config key that `owner` does not take."""
+    for key in ("model", *_PARAMS):
+        if merged[key] is not None and key not in allowed:
+            raise ValidationError(f"{_flag(key)} is not a parameter of {owner}")
+
+
 def _request(
     merged: dict,
     models: tuple[str, ...] = tuple(_MODELS),
@@ -193,10 +191,7 @@ def _request(
     if model not in models:
         raise ValidationError(need)
     flags, fixed = _MODELS[model].flags, _MODELS[model].fixed
-    allowed = flags.union(extra, _FOCK_KEYS)
-    for key in _PARAMS:
-        if merged[key] is not None and key not in allowed:
-            raise ValidationError(f"{_flag(key)} is not a parameter of model {model!r}")
+    _reject_unused(merged, flags.union(extra, _FOCK_KEYS, ("model",)), f"model {model!r}")
     kwargs = {
         _FIELDS.get(key, key): merged[key]
         for key in flags - {"N"}
@@ -265,7 +260,9 @@ def _reconstructions(params, space) -> list[tuple[complex, float]]:
 def cmd_spectrum(merged: dict, args) -> int:
     """labeled eigenvalue table by every applicable route"""
     model, params, space = _request(merged)
-    h_matrix = _BUILDERS[model](params, space).matrix
+    # for ht the dense route reads the full matrix the subspace was certified on
+    sub = build_subspace(params, space) if model == "ht" else None
+    h_matrix = sub.matrix if sub else _BUILDERS[model](params, space).matrix
     numeric, vectors = eig_checked(h_matrix)
     table = Table(columns=SPECTRUM_COLUMNS)
     if _MODELS[model].ladder:
@@ -276,7 +273,6 @@ def cmd_spectrum(merged: dict, args) -> int:
             for level in levels
         ))
     if model == "ht":
-        sub = build_subspace(params, space)
         _add_route(table, "qes", _qes_rows(algebraic_spectrum(sub, params), params.big_n))
         roots = _reconstructions(params, space)
         _add_route(table, "recurrence", (
@@ -465,6 +461,8 @@ def _figure_spec(which: int, rho: float | None = None) -> SweepSpec:
 
 def cmd_figures(merged: dict, args) -> int:
     """CSV/SVG data behind the three figures"""
+    # each figure fixes its model; --D and --guard are accepted and unused
+    _reject_unused(merged, _FOCK_KEYS, "figures")
     output = args.output
     if args.which in (1, 2):
         spec = _figure_spec(args.which)
@@ -540,25 +538,24 @@ _COMMANDS = {
 # argument parsing
 
 
-def _add_model_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--model", choices=sorted(_MODELS), default=None)
-    for key, (kind, help_text) in _PARAMS.items():
-        parser.add_argument(_flag(key), dest=key, type=kind, default=None, help=help_text)
-    parser.add_argument("--output", default=None, help="write here instead of stdout")
-    parser.add_argument("--format", choices=_FORMATS, default=None)
-    parser.add_argument("--config", default=None, help="key = value parameter file")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--model", choices=sorted(_MODELS), default=None)
+    for key, (kind, help_text) in _PARAMS.items():
+        shared.add_argument(_flag(key), dest=key, type=kind, default=None, help=help_text)
+    shared.add_argument("--output", default=None, help="write here instead of stdout")
+    shared.add_argument("--format", choices=_FORMATS, default=None)
+    shared.add_argument("--config", default=None, help="key = value parameter file")
+
     parser = argparse.ArgumentParser(
         prog="qjc",
         description="Spectra of extended Jaynes-Cummings models, three ways.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    subs = {}
-    for name, (command, _) in _COMMANDS.items():
-        subs[name] = commands.add_parser(name, help=command.__doc__)
-        _add_model_flags(subs[name])
+    subs = {
+        name: commands.add_parser(name, help=command.__doc__, parents=[shared])
+        for name, (command, _) in _COMMANDS.items()
+    }
 
     sub = subs["sweep"]
     sub.add_argument("--param", choices=("rho", "theta"), required=True)

@@ -226,26 +226,24 @@ def _certification_matrix(
     return sub.matrix if space == sub.space else build_ht(params, space).matrix
 
 
-def _full_space_residual(h_matrix: np.ndarray, full: np.ndarray, energy) -> float:
-    """||H v - E v|| / ||v|| for an eigenvalue E, or ||H V - V E|| for a
-    cluster basis V and its compressed matrix E = V* H V."""
-    applied = h_matrix @ full
-    if np.ndim(energy) == 0:
-        return float(np.linalg.norm(applied - energy * full) / np.linalg.norm(full))
-    return float(np.linalg.norm(applied - full @ energy))
-
-
 def certify_in_full_space(
-    energy: complex,
+    energy: complex | np.ndarray,
     vector: np.ndarray,
     sub: InvariantSubspace,
     params: ModelParams,
     space: TruncatedFockSpace | None = None,
 ) -> float:
-    """Relative residual of the embedded eigenpair on the full matrix."""
+    """Residual of the embedded eigenpair on the full matrix H.
+
+    ||H v - E v|| / ||v|| for an eigenvalue E and its vector v, or
+    ||H V - V E|| for a cluster basis V and its compressed matrix E = V* H V.
+    """
     space = space or sub.space
-    h = _certification_matrix(sub, params, space)
-    return _full_space_residual(h, embed_subspace_vector(sub, vector, space), energy)
+    full = embed_subspace_vector(sub, vector, space)
+    applied = _certification_matrix(sub, params, space) @ full
+    if np.ndim(energy) == 0:
+        return float(np.linalg.norm(applied - energy * full) / np.linalg.norm(full))
+    return float(np.linalg.norm(applied - full @ energy))
 
 
 def algebraic_spectrum(
@@ -262,7 +260,7 @@ def algebraic_spectrum(
     clustering scale.)  Every pair and cluster is certified on the full
     matrix `build_subspace` built.
     """
-    h = _certification_matrix(sub, params, sub.space)
+    _certification_matrix(sub, params, sub.space)  # refuse bad input before diagonalizing
     mat = restriction_matrix(params)
     w, v = eig_checked(mat)
     tol = DEGENERACY_TOL * max(1.0, float(np.linalg.norm(mat)))
@@ -271,7 +269,7 @@ def algebraic_spectrum(
         if len(cluster) > 1 and _cluster_is_defective(v, cluster):
             basis = _schur_cluster_basis(mat, w, cluster)
             small = basis.conj().T @ mat @ basis
-            res = _full_space_residual(h, embed_subspace_vector(sub, basis), small)
+            res = certify_in_full_space(small, basis, sub, params)
             for i in cluster:
                 clusters[i] = (basis, res)
     pairs = []
@@ -294,7 +292,7 @@ def algebraic_spectrum(
         vec = v[:, i]
         if np.max(np.abs(vec.imag)) == 0.0:
             vec = vec.real
-        residual = _full_space_residual(h, embed_subspace_vector(sub, vec), energy)
+        residual = certify_in_full_space(energy, vec, sub, params)
         pairs.append(
             AlgebraicEigenpair(energy=energy, vector=vec, residual=residual)
         )

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qjc.cli
 import qjc.models
@@ -22,6 +23,7 @@ from qjc.output import read_csv
 
 XML_CONFIG = Path(__file__).parent / "golden" / "format-xml.conf"
 NAN_CONFIG = Path(__file__).parent / "golden" / "rho-nan.conf"
+BOGUS_MODEL_CONFIG = Path(__file__).parent / "golden" / "model-bogus.conf"
 
 
 def run(capsys, *argv):
@@ -161,6 +163,20 @@ def test_spectrum_json_format(capsys):
         (("polyrep-check", "--model", "ht", "--N", "1", "--rho", "nan"), "rho must be finite"),
         (("recur", "--model", "ht", "--N", "1", "--theta", "nan"), "theta must be finite"),
         (("spectrum", "--model", "h2", "--config", str(NAN_CONFIG)), "rho must be finite"),
+        (("spectrum", "--model", "extended", "--k", "3", "--poly", "0,0,nan"),
+         "poly coefficients must be finite"),
+        # a model name only a config file can carry past argparse's choices
+        (("spectrum", "--config", str(BOGUS_MODEL_CONFIG)), "unknown model 'bogus'"),
+        (("polyrep-check", "--model", "pseudo-jcm", "--N", "0"), "--N must be >= 1"),
+        # phi's sign is checked by ModelParams, which every command but figures builds
+        (("spectrum", "--model", "h2", "--phi", "2"), "phi must be +1 or -1, got 2"),
+        (("check", "--model", "h12", "--phi", "2"), "phi must be +1 or -1, got 2"),
+        (("qes", "--model", "ht", "--N", "1", "--phi", "2"), "phi must be +1 or -1, got 2"),
+        (("recur", "--model", "ht", "--N", "1", "--phi", "2"), "phi must be +1 or -1, got 2"),
+        (("sweep", "--model", "h2", "--phi", "2", "--param", "rho", "--start", "0",
+          "--stop", "1", "--points", "5"), "phi must be +1 or -1, got 2"),
+        (("polyrep-check", "--model", "ht", "--N", "1", "--phi", "2"),
+         "phi must be +1 or -1, got 2"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, fragment):
@@ -360,6 +376,42 @@ def test_recur_builds_the_matrix_once(capsys, monkeypatch):
     assert len(builds) == 1
 
 
+def test_spectrum_ht_builds_the_matrix_twice(capsys, monkeypatch):
+    # once for the subspace, whose matrix the dense route reads, and once
+    # for the recurrence gate's own cache
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return qjc.models.build_ht(*args)
+
+    for module in (qjc.cli, qjc.qes, qjc.recurrence):
+        monkeypatch.setattr(module, "build_ht", counted)
+    monkeypatch.setitem(qjc.cli._BUILDERS, "ht", counted)
+    qjc.recurrence.gate_matrix.cache_clear()
+    code, _ = run(
+        capsys, "spectrum", "--model", "ht", "--N", "3", "--rho", "0.7", "--theta", "1.2",
+        "--phi", "-1",
+    )
+    assert code == 0
+    assert len(builds) == 2
+
+
+def test_eigensolver_gate_refuses_an_inaccurate_eigenpair(capsys, monkeypatch):
+    exact_eig = scipy.linalg.eig
+
+    def shifted(matrix):
+        w, v = exact_eig(matrix)
+        return w + 1e-6, v
+
+    monkeypatch.setattr(scipy.linalg, "eig", shifted)
+    code = main(["spectrum", "--model", "jcm", "--D", "16", "--guard", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "eigensolver residual" in captured.err and "exceeds" in captured.err
+
+
 @pytest.mark.parametrize("rho", ["1e300", "1e100"])
 def test_float_range_overflow_in_recur_exits_3(capsys, rho):
     # 1e300: an exact coefficient passes the float range; 1e100: the
@@ -453,6 +505,18 @@ def test_polyrep_check_passes(capsys, argv):
     assert document["ok"] is True
     assert document["leak"] == 0.0
     assert document["max_spectrum_deviation"] < 1e-9
+
+
+def test_polyrep_route_disagreement_exits_3(capsys, monkeypatch):
+    exact = qjc.cli.restriction_spectrum
+    monkeypatch.setattr(qjc.cli, "restriction_spectrum", lambda op: exact(op) + 1e-6)
+    code = main(["polyrep-check", "--model", "ht", "--N", "2", "--rho", "0.7", "--theta", "1.2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    document = json.loads(captured.out)
+    assert document["ok"] is False
+    assert document["max_spectrum_deviation"] > 1e-9
+    assert "polynomial-space route deviates" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -550,3 +614,22 @@ def test_config_bad_value_exits_2_naming_the_key(tmp_path, capsys, key):
     code = main([*argv, "--config", str(config)])
     assert code == 2
     assert re.search(rf"(for |--){key}\b", capsys.readouterr().err)
+
+
+# every model flag or config key; each figure fixes all of them
+_FIGURE_FIXED = {
+    "model": "ht",
+    **{key: value for key, (_, value) in _CONFIG_CASES.items() if key not in ("D", "guard")},
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("key", sorted(_FIGURE_FIXED))
+def test_figures_rejects_every_model_parameter(tmp_path, capsys, key, via):
+    flag = "--" + key.replace("_", "-")
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = {_FIGURE_FIXED[key]}\n")
+    given = [flag, _FIGURE_FIXED[key]] if via == "flag" else ["--config", str(config)]
+    code = main(["figures", "--which", "1", *given])
+    assert code == 2
+    assert f"{flag} is not a parameter of figures" in capsys.readouterr().err

@@ -189,6 +189,11 @@ def test_mixing_angle_validity_borders():
         normalize(np.zeros(2))
 
 
+def test_doublet_index_must_be_nonnegative():
+    with pytest.raises(ValidationError, match="doublet index"):
+        doublet_block(ModelParams(epsilon=1.0, rho=0.5, k=2), -1)
+
+
 def test_lowest_six_levels_two_photon_decoupled():
     space = TruncatedFockSpace(cutoff=16, guard=4)
     params = ModelParams(epsilon=1.0, rho=0.0, k=2, phi=1)

@@ -43,6 +43,11 @@ def test_spec_validation():
         SweepSpec(params=TWO_PHOTON, parameter="rho", start=2.0, stop=1.0, points=5)
 
 
+def test_spec_rejects_negative_doublets():
+    with pytest.raises(ValidationError, match="doublets"):
+        SweepSpec(params=TWO_PHOTON, parameter="rho", start=0.0, stop=1.0, points=5, doublets=-1)
+
+
 def test_six_level_structure_at_zero_coupling():
     spec = SweepSpec(params=TWO_PHOTON, parameter="rho", start=0.0, stop=2.0, points=81)
     result = sweep(spec)

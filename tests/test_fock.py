@@ -160,6 +160,13 @@ def test_space_validation(cutoff, guard):
         TruncatedFockSpace(cutoff=cutoff, guard=guard)
 
 
+@pytest.mark.parametrize("n, ms", [(4, SPIN_UP), (-1, SPIN_DOWN), (0, 0.0)])
+def test_basis_index_validation(n, ms):
+    space = TruncatedFockSpace(cutoff=4, guard=0)
+    with pytest.raises(ValueError):
+        basis_index(space, n, ms)
+
+
 def test_operator_shape_validation():
     space = TruncatedFockSpace(cutoff=4, guard=0)
     with pytest.raises(ValueError):

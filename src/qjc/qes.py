@@ -257,8 +257,8 @@ def algebraic_spectrum(
     exceptional point -- and gets a shared Schur basis instead of per-value
     eigenvectors.  (Computed eigenvalues of an exact Jordan pair split by
     about sqrt(machine eps) times the matrix norm, hence the relative
-    clustering scale.)  Every pair and cluster is certified on the full
-    matrix `build_subspace` built.
+    clustering scale.)  Every pair and cluster is certified by
+    `certify_in_full_space` on the full matrix `build_subspace` built.
     """
     _certification_matrix(sub, params, sub.space)  # refuse bad input before diagonalizing
     mat = restriction_matrix(params)

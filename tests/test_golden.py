@@ -73,6 +73,15 @@ CASES = {
         "spectrum", "--model", "extended", "--k", "3", "--poly", "0,0,0.001",
         "--phi", "-1", "--rho", "0.3", "--D", "32",
     ),
+    # photon transfer k >= 4, where numpy's matrix_power switches to binary squaring
+    "spectrum-extended-k4": ("spectrum", "--model", "extended", "--k", "4", "--phi", "-1", "--rho", "0.3"),
+    "spectrum-extended-k5-poly": (
+        "spectrum", "--model", "extended", "--k", "5", "--phi", "1", "--rho", "0.2", "--poly", "0,0,0.01",
+    ),
+    "check-extended-k4": ("check", "--model", "extended", "--k", "4", "--phi", "-1", "--rho", "0.3"),
+    "qes-ht-d256": (
+        "qes", "--model", "ht", "--N", "8", "--phi", "-1", "--rho", "0.9", "--theta", "1.2", "--D", "256",
+    ),
     # argparse help: the top level and each command's flags
     "help": ("-h",),
     **{

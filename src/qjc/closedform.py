@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .fock import TruncatedFockSpace
 from .models import ModelParams, poly_value
 
@@ -50,7 +50,13 @@ class DoubletBlock:
 
     def discriminant(self) -> float:
         """gap^2 + 4 phi coupling^2, negative when the pair is complex."""
-        return self.gap**2 + 4.0 * self.phi * self.coupling_squared
+        try:
+            return self.gap**2 + 4.0 * self.phi * self.coupling_squared
+        except OverflowError:  # float ** raises where * would give inf
+            raise NumericalError(
+                f"doublet discriminant at n = {self.n} overflows the float range: "
+                f"gap = {self.gap:.6g}"
+            ) from None
 
 
 @dataclass(frozen=True)

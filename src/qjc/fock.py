@@ -1,12 +1,13 @@
-"""Truncated Fock space and spin-boson operator construction.
+"""Truncated Fock space and the spin-boson operator container.
 
 Everything downstream works on a hard-truncated oscillator Hilbert space
 spanned by the number states |0>, ..., |D-1> tensored with a spin-1/2.
 The basis ordering is frozen to *spin-major*: first all (n, +1/2) with n
 ascending, then all (n, -1/2) with n ascending.  With that ordering every
-two-by-two operator-block expression maps literally onto matrix quadrants,
-which `from_blocks` assembles: sigma_plus (x) a, for instance, is
-from_blocks(z, a, z, z, space) with z the D-by-D zero block.
+two-by-two operator-block expression maps literally onto matrix quadrants:
+sigma_plus (x) a, for instance, is the upper-right D-by-D quadrant holding
+<n|a|n+1> = sqrt(n+1) on its first superdiagonal.  `models` writes each
+Hamiltonian straight from such bands.
 
 Truncation artifacts live in the top `guard` photon states; callers that
 compare against exact formulas should restrict to indices n < D - guard.
@@ -86,31 +87,3 @@ def basis_index(space: TruncatedFockSpace, n: int, ms: float) -> int:
     if ms == SPIN_DOWN:
         return space.cutoff + n
     raise ValidationError(f"ms must be +0.5 or -0.5, got {ms}")
-
-
-def annihilation(space: TruncatedFockSpace) -> np.ndarray:
-    """Lowering operator on the Fock factor: a|n> = sqrt(n)|n-1>."""
-    return np.diag(np.sqrt(np.arange(1.0, space.cutoff)), k=1)
-
-
-def number_op(space: TruncatedFockSpace) -> np.ndarray:
-    """Photon number operator diag(0, 1, ..., D-1)."""
-    return np.diag(np.arange(space.cutoff, dtype=float))
-
-
-def fock_parity(space: TruncatedFockSpace) -> np.ndarray:
-    """Photon-number parity diag((-1)^n) on the Fock factor."""
-    return np.diag((-1.0) ** np.arange(space.cutoff))
-
-
-def from_blocks(
-    upper_left: np.ndarray,
-    upper_right: np.ndarray,
-    lower_left: np.ndarray,
-    lower_right: np.ndarray,
-    space: TruncatedFockSpace,
-) -> SpinFockOperator:
-    """Assemble a SpinFockOperator from its four D-by-D spin blocks."""
-    return SpinFockOperator(
-        np.block([[upper_left, upper_right], [lower_left, lower_right]]), space
-    )

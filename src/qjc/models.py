@@ -12,6 +12,10 @@ with phi = +1 giving a hermitian matrix and phi = -1 the sign-flipped
 adds degree-one exchange terms c * a (n_hat - n) and c_hat * (n_hat - n) adag
 whose (n_hat - n) factor closes a finite invariant subspace when
 n = n_qes = N + 2.
+
+Every exchange term moves |n, up> onto |n+j, down> with j <= k, so each
+builder states only its diagonal and one pair of bands per photon offset j;
+`_assemble` writes them into the dense matrix.
 """
 
 from __future__ import annotations
@@ -24,13 +28,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ValidationError
-from .fock import (
-    SpinFockOperator,
-    TruncatedFockSpace,
-    annihilation,
-    from_blocks,
-    number_op,
-)
+from .fock import SpinFockOperator, TruncatedFockSpace
 
 
 @dataclass(frozen=True)
@@ -142,14 +140,6 @@ def _poly_degree(coeffs: tuple[float, ...]) -> int:
     return degree
 
 
-def poly_diagonal(params: ModelParams, space: TruncatedFockSpace) -> np.ndarray:
-    """P(n_hat) as a diagonal matrix on the Fock factor (zero if P empty)."""
-    if not params.poly:
-        return np.zeros((space.cutoff, space.cutoff))
-    values = npoly.polyval(np.arange(space.cutoff, dtype=float), params.poly)
-    return np.diag(values)
-
-
 def poly_value(params: ModelParams, n: float) -> float:
     """Scalar P(n)."""
     if not params.poly:
@@ -170,14 +160,50 @@ def _check_guard(space: TruncatedFockSpace, transfer: int, model: str) -> None:
         )
 
 
-def _diagonal_blocks(
-    params: ModelParams, space: TruncatedFockSpace, with_poly: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    base = params.hbar_omega * number_op(space)
-    if with_poly:
-        base = base + poly_diagonal(params, space)
-    half = 0.5 * params.epsilon * np.eye(space.cutoff)
-    return base + half, base - half
+def _lowering_band(cutoff: int, k: int) -> np.ndarray:
+    """Band <n|a^k|n+k>, n = 0 .. cutoff-1-k, of the truncated a^k.
+
+    The factors multiply in the order of numpy's dense matrix power (left
+    to right for k = 3, binary squaring otherwise), so each entry has the
+    bits of the dense product.
+    """
+
+    def times(x, y):  # band product: offsets add, entry n is x[n] * y[n + offset of x]
+        offset = cutoff - x.size
+        return x[: y.size - offset] * y[offset:]
+
+    a = np.sqrt(np.arange(1.0, cutoff))
+    if k == 3:
+        return times(times(a, a), a)
+    band = power = None
+    while k:
+        power = a if power is None else times(power, power)
+        k, bit = divmod(k, 2)
+        if bit:
+            band = power if band is None else times(band, power)
+    return band
+
+
+def _assemble(
+    params: ModelParams, space: TruncatedFockSpace, bands: dict, poly: tuple[float, ...] = ()
+) -> SpinFockOperator:
+    """H with diagonal hw*n + P(n) +- eps/2 on |n, up/down> and the given bands.
+
+    `bands` maps a photon offset j to the pair (<n, up|H|n+j, down>,
+    <n+j, down|H|n, up>) over n = 0 .. D-1-j; every other entry is zero.
+    """
+    d = space.cutoff
+    n = np.arange(d, dtype=float)
+    photon = params.hbar_omega * n
+    if poly:
+        photon = photon + npoly.polyval(n, poly)
+    half = 0.5 * params.epsilon
+    h = np.zeros((space.dim, space.dim))
+    np.fill_diagonal(h, np.concatenate([photon + half, photon - half]))
+    for j, (upper, lower) in bands.items():
+        np.fill_diagonal(h[:d, d + j :], upper)
+        np.fill_diagonal(h[d + j :, :d], lower)
+    return SpinFockOperator(h, space)
 
 
 def build_extended(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator:
@@ -187,16 +213,9 @@ def build_extended(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOp
     which is what makes the full spectrum available in closed form.
     """
     _check_guard(space, params.k, "extended model")
-    a = annihilation(space)
-    a_k = np.linalg.matrix_power(a, params.k)
-    upper, lower = _diagonal_blocks(params, space)
-    return from_blocks(
-        upper,
-        params.rho * a_k,
-        params.phi * params.rho * a_k.T,
-        lower,
-        space,
-    )
+    a_k = _lowering_band(space.cutoff, params.k)
+    bands = {params.k: (params.rho * a_k, params.phi * params.rho * a_k)}
+    return _assemble(params, space, bands, poly=params.poly)
 
 
 def build_jcm(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator:
@@ -225,16 +244,10 @@ def build_h12(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperato
     """
     _check_guard(space, 2, "mixed-exchange model")
     rho1, rho1_hat = params.one_photon_couplings()
-    a = annihilation(space)
-    a2 = a @ a
-    upper, lower = _diagonal_blocks(params, space, with_poly=False)
-    return from_blocks(
-        upper,
-        params.rho * a2 + rho1 * a,
-        params.phi * params.rho * a2.T + rho1_hat * a.T,
-        lower,
-        space,
-    )
+    a = _lowering_band(space.cutoff, 1)
+    a2 = _lowering_band(space.cutoff, 2)
+    bands = {1: (rho1 * a, rho1_hat * a), 2: (params.rho * a2, params.phi * params.rho * a2)}
+    return _assemble(params, space, bands)
 
 
 def build_ht(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator:
@@ -256,13 +269,8 @@ def build_ht(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator
             f"{params.big_n + 4 + space.guard}"
         )
     c, c_hat = params.qes_couplings()
-    a = annihilation(space)
-    shifted = number_op(space) - params.n_qes * np.eye(space.cutoff)
-    upper, lower = _diagonal_blocks(params, space, with_poly=False)
-    return from_blocks(
-        upper,
-        params.rho * (a @ a) + c * (a @ shifted),
-        params.phi * params.rho * (a.T @ a.T) + c_hat * (shifted @ a.T),
-        lower,
-        space,
-    )
+    # <m|a (n_hat - n)|m+1> = <m+1|(n_hat - n) adag|m> = sqrt(m+1) (m+1 - n)
+    dressed = _lowering_band(space.cutoff, 1) * (np.arange(1.0, space.cutoff) - params.n_qes)
+    a2 = _lowering_band(space.cutoff, 2)
+    bands = {1: (c * dressed, c_hat * dressed), 2: (params.rho * a2, params.phi * params.rho * a2)}
+    return _assemble(params, space, bands)

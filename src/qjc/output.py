@@ -69,27 +69,6 @@ def write_csv(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_csv(text: str) -> Table:
-    """Parse the dialect written by `write_csv`; cells come back as strings."""
-    lines = text.splitlines()
-    if not lines:
-        raise ValidationError("empty CSV document")
-    table = Table(columns=tuple(lines[0].split(",")))
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            table.comments.append(line[1:].strip())
-            continue
-        cells = tuple(line.split(","))
-        if len(cells) != len(table.columns):
-            raise ValidationError(
-                f"row {line!r} has {len(cells)} cells, expected {len(table.columns)}"
-            )
-        table.rows.append(cells)
-    return table
-
-
 def write_json(document: dict) -> str:
     """Canonical JSON: schema_version injected first, two-space indent."""
     body = {"schema_version": SCHEMA_VERSION}

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._linalg import eig_checked
 from .errors import UnpairableSpectrumError, ValidationError
-from .fock import SpinFockOperator, TruncatedFockSpace, fock_parity
+from .fock import SpinFockOperator, TruncatedFockSpace
 
 REALNESS_TOL = 1e-10
 STRUCTURE_TOL = 1e-12
@@ -33,7 +33,7 @@ def _sigma3_signs(space: TruncatedFockSpace) -> np.ndarray:
 
 
 def _parity_signs(space: TruncatedFockSpace) -> np.ndarray:
-    return np.tile(np.diag(fock_parity(space)), 2)
+    return np.tile((-1.0) ** np.arange(space.cutoff), 2)
 
 
 def sigma3_operator(space: TruncatedFockSpace) -> np.ndarray:

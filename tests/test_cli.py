@@ -19,7 +19,7 @@ import qjc.qes
 import qjc.recurrence
 from qjc.cli import main
 from qjc.errors import TrackingAmbiguityError
-from qjc.output import read_csv
+from csv_reader import read_csv
 
 XML_CONFIG = Path(__file__).parent / "golden" / "format-xml.conf"
 NAN_CONFIG = Path(__file__).parent / "golden" / "rho-nan.conf"
@@ -437,6 +437,21 @@ def test_matrix_norm_overflow_exits_3_at_the_eigensolver_gate(capsys, argv):
     assert code == 3
     assert captured.out == ""
     assert "eigensolver residual gate" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--model", "pseudo-jcm", "--hw", "1e155", "--param", "rho",
+         "--start", "0", "--stop", "1", "--points", "3"),
+        ("polyrep-check", "--model", "pseudo-jcm", "--hw", "1e300", "--rho", "0.1"),
+    ],
+)
+def test_doublet_discriminant_overflow_exits_3(capsys, argv):
+    # the closed-form gap^2 leaves the float range
+    code = main(list(argv))
+    assert code == 3
+    assert "doublet discriminant" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

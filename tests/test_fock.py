@@ -1,4 +1,9 @@
-"""Operator-construction oracles: ladder algebra on the truncated space."""
+"""Operator-construction oracles: ladder algebra on the truncated space.
+
+The builders write the exchange bands straight into the matrix, so the
+truncated lowering operator is read off the upper-right spin block of the
+one-photon model at rho = 1 with the diagonal switched off.
+"""
 
 import numpy as np
 import pytest
@@ -11,12 +16,9 @@ from qjc.fock import (
     SPIN_UP,
     SpinFockOperator,
     TruncatedFockSpace,
-    annihilation,
     basis_index,
-    fock_parity,
-    from_blocks,
-    number_op,
 )
+from qjc.models import ModelParams, build_jcm
 from qjc.symmetry import parity_matrix
 
 # spin factors in the (up, down) basis for spin-major Kronecker products
@@ -24,15 +26,19 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 SIGMA_MINUS = SIGMA_PLUS.T
 
 
-def sigma_plus_a(space):
-    """sigma_plus (x) a assembled from its spin blocks."""
-    zero = np.zeros((space.cutoff, space.cutoff))
-    return from_blocks(zero, annihilation(space), zero, zero, space)
+def exchange(cutoff):
+    """rho (sigma_plus (x) a + sigma_minus (x) adag) at rho = 1, no diagonal part."""
+    space = TruncatedFockSpace(cutoff=cutoff, guard=3)
+    return build_jcm(ModelParams(epsilon=0.0, hbar_omega=0.0, rho=1.0), space)
+
+
+def lowering(cutoff):
+    """The truncated a, read off the upper-right spin block of `exchange`."""
+    return exchange(cutoff).matrix[:cutoff, cutoff:]
 
 
 def test_annihilation_action_on_number_states():
-    space = TruncatedFockSpace(cutoff=8, guard=2)
-    a = annihilation(space)
+    a = lowering(8)
     for n in range(1, 8):
         ket = np.zeros(8)
         ket[n] = 1.0
@@ -44,16 +50,16 @@ def test_annihilation_action_on_number_states():
 
 
 def test_creation_is_exact_transpose():
-    # the raising operator is annihilation(space).T wherever it is used:
-    # sqrt(n) on the subdiagonal and nothing else
-    space = TruncatedFockSpace(cutoff=12, guard=3)
-    adag = annihilation(space).T
+    # the lower-left block is the raising operator: sqrt(n) on the
+    # subdiagonal and nothing else, the exact transpose of the lowering block
+    h = exchange(12).matrix
+    adag = h[12:, :12]
     assert_array_equal(adag, np.diag(np.sqrt(np.arange(1.0, 12.0)), k=-1))
+    assert_array_equal(adag, h[:12, 12:].T)
 
 
 def test_hard_cutoff_annihilates_top_state():
-    space = TruncatedFockSpace(cutoff=6, guard=1)
-    adag = annihilation(space).T
+    adag = lowering(6).T
     top = np.zeros(6)
     top[5] = 1.0
     assert_array_equal(adag @ top, np.zeros(6))
@@ -65,8 +71,7 @@ def test_commutator_matrix_elements_at_d8():
     # corner.  The only deviation allowed is the (D-1, D-1) entry, where the
     # truncated commutator evaluates to 1 - D instead of 1.  sqrt(n)**2
     # rounds within an ulp, hence the tiny absolute tolerance.
-    space = TruncatedFockSpace(cutoff=8, guard=2)
-    a = annihilation(space)
+    a = lowering(8)
     adag = a.T
     comm = a @ adag - adag @ a
     for m in range(8):
@@ -79,16 +84,19 @@ def test_commutator_matrix_elements_at_d8():
 
 def test_parity_anticommutes_with_ladder_everywhere():
     space = TruncatedFockSpace(cutoff=10, guard=2)
-    a = annihilation(space)
+    a = lowering(10)
     adag = a.T
-    pi = fock_parity(space)
+    pi = parity_matrix(space)[:10, :10]
     assert_array_equal(pi @ a @ pi, -a)
     assert_array_equal(pi @ adag @ pi, -adag)
 
 
 def test_number_operator_diagonal():
-    space = TruncatedFockSpace(cutoff=5, guard=1)
-    assert_array_equal(np.diag(number_op(space)), np.arange(5.0))
+    # hbar_omega n_hat +- epsilon/2 on the diagonal: at hbar_omega = 1,
+    # epsilon = 0 both spin blocks carry n_hat = diag(0, 1, ..., D-1)
+    space = TruncatedFockSpace(cutoff=5, guard=3)
+    h = build_jcm(ModelParams(epsilon=0.0, rho=0.0), space).matrix
+    assert_array_equal(np.diag(h), np.tile(np.arange(5.0), 2))
 
 
 def test_spin_major_ordering_and_index():
@@ -99,28 +107,27 @@ def test_spin_major_ordering_and_index():
 
 
 def test_tensor_sigma_plus_a_moves_one_down_quantum_up():
-    # Hand expansion: (sigma_plus x a)|1, down> = sqrt(1)|0, up>.
-    space = TruncatedFockSpace(cutoff=4, guard=0)
-    op = sigma_plus_a(space)
+    # Hand expansion: the exchange sends |1, down> to sqrt(1)|0, up> through
+    # sigma_plus (x) a, and |2, up> to sqrt(3)|3, down> through
+    # sigma_minus (x) adag.
+    op = exchange(5)
+    space = op.space
     ket = np.zeros(space.dim)
     ket[basis_index(space, 1, SPIN_DOWN)] = 1.0
-    out = op.matrix @ ket
     expected = np.zeros(space.dim)
     expected[basis_index(space, 0, SPIN_UP)] = 1.0
-    assert_allclose(out, expected, atol=0.0)
-    # and it annihilates any spin-up state
+    assert_allclose(op.matrix @ ket, expected, atol=0.0)
     up = np.zeros(space.dim)
     up[basis_index(space, 2, SPIN_UP)] = 1.0
-    assert_array_equal(op.matrix @ up, np.zeros(space.dim))
+    expected = np.zeros(space.dim)
+    expected[basis_index(space, 3, SPIN_DOWN)] = np.sqrt(3.0)
+    assert_allclose(op.matrix @ up, expected, atol=0.0)
 
 
 def test_tensor_block_placement():
-    # the spin-major Kronecker product is the block assembly, quadrant by quadrant
-    space = TruncatedFockSpace(cutoff=4, guard=0)
-    a = annihilation(space)
-    zero = np.zeros((4, 4))
-    assert_array_equal(sigma_plus_a(space).matrix, np.kron(SIGMA_PLUS, a))
-    assert_array_equal(from_blocks(zero, zero, a.T, zero, space).matrix, np.kron(SIGMA_MINUS, a.T))
+    # the spin-major Kronecker product is the band assembly, quadrant by quadrant
+    a = np.diag(np.sqrt(np.arange(1.0, 5.0)), k=1)
+    assert_array_equal(exchange(5).matrix, np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, a.T))
 
 
 def test_parity_operator_acts_on_fock_factor_only():
@@ -134,17 +141,15 @@ def test_parity_operator_acts_on_fock_factor_only():
 
 
 def test_construction_is_deterministic():
-    space = TruncatedFockSpace(cutoff=16, guard=4)
-    first = sigma_plus_a(space).matrix
-    second = sigma_plus_a(space).matrix
+    first = exchange(16).matrix
+    second = exchange(16).matrix
     assert first.tobytes() == second.tobytes()
 
 
-@given(cutoff=st.integers(min_value=4, max_value=40))
+@given(cutoff=st.integers(min_value=5, max_value=40))
 @settings(max_examples=25, deadline=None)
 def test_commutator_identity_off_corner(cutoff):
-    space = TruncatedFockSpace(cutoff=cutoff, guard=0)
-    a = annihilation(space)
+    a = lowering(cutoff)
     adag = a.T
     comm = a @ adag - adag @ a
     assert_allclose(comm[:-1, :-1], np.eye(cutoff - 1), atol=3e-14)
@@ -172,4 +177,4 @@ def test_operator_shape_validation():
     with pytest.raises(ValueError):
         SpinFockOperator(np.eye(6), space)
     with pytest.raises(ValueError):
-        from_blocks(*[np.eye(5)] * 4, space)
+        SpinFockOperator(np.eye(10), space)

@@ -1,9 +1,11 @@
 """Hamiltonian assembly oracles: matrix elements checked by hand expansion."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qjc.errors import ValidationError
@@ -15,8 +17,8 @@ from qjc.models import (
     build_ht,
     build_jcm,
     build_pseudo_jcm,
-    poly_diagonal,
 )
+from qjc.models import _lowering_band
 
 
 def element(space, h, bra, ket):
@@ -79,10 +81,11 @@ def test_extended_phi_plus_one_is_symmetric():
 
 
 def test_poly_diagonal_values():
-    space = TruncatedFockSpace(cutoff=6, guard=1)
-    params = ModelParams(poly=(1.0, 0.0, 2.0))  # P(n) = 1 + 2 n^2
-    diag = np.diag(poly_diagonal(params, space))
-    assert_allclose(diag, [1.0, 3.0, 9.0, 19.0, 33.0, 51.0], atol=0.0)
+    # with hbar_omega = epsilon = 0 both spin blocks carry P(n) alone
+    space = TruncatedFockSpace(cutoff=6, guard=3)
+    params = ModelParams(epsilon=0.0, hbar_omega=0.0, poly=(1.0, 0.0, 2.0))  # P(n) = 1 + 2 n^2
+    diag = np.diag(build_extended(params, space).matrix)
+    assert_allclose(diag, np.tile([1.0, 3.0, 9.0, 19.0, 33.0, 51.0], 2), atol=0.0)
 
 
 def test_h12_has_no_invariant_contiguous_subspace_elements():
@@ -202,3 +205,84 @@ def test_rho_sign_is_a_similarity():
     minus = build_extended(ModelParams(epsilon=0.7, rho=-0.8, k=2, phi=-1), space)
     s3 = np.kron(np.diag([1.0, -1.0]), np.eye(space.cutoff))
     assert_array_equal(s3 @ plus.matrix @ s3, minus.matrix)
+
+
+# Dense reference: ladder operators from np.diag, composed with @ and
+# np.linalg.matrix_power, spin blocks placed by np.kron as in test_fock.
+SPIN_UP_UP = np.diag([1.0, 0.0])
+SPIN_DOWN_DOWN = np.diag([0.0, 1.0])
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def dense_reference(kind, params, cutoff):
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
+    adag = a.T
+    n_hat = np.diag(np.arange(cutoff, dtype=float))
+    photon = params.hbar_omega * n_hat
+    if kind == "extended":
+        if params.poly:
+            photon = photon + np.diag(npoly.polyval(np.arange(cutoff, dtype=float), params.poly))
+        a_k = np.linalg.matrix_power(a, params.k)
+        upper = params.rho * a_k
+        lower = params.phi * params.rho * a_k.T
+    elif kind == "h12":
+        rho1, rho1_hat = params.one_photon_couplings()
+        upper = params.rho * (a @ a) + rho1 * a
+        lower = params.phi * params.rho * (a @ a).T + rho1_hat * adag
+    else:
+        c, c_hat = params.qes_couplings()
+        shifted = n_hat - params.n_qes * np.eye(cutoff)
+        upper = params.rho * (a @ a) + c * (a @ shifted)
+        lower = params.phi * params.rho * (adag @ adag) + c_hat * (shifted @ adag)
+    half = 0.5 * params.epsilon * np.eye(cutoff)
+    return (
+        np.kron(SPIN_UP_UP, photon + half)
+        + np.kron(SIGMA_PLUS, upper)
+        + np.kron(SIGMA_PLUS.T, lower)
+        + np.kron(SPIN_DOWN_DOWN, photon - half)
+    )
+
+
+# builder -> (reference kind, the parameters it actually reads)
+REFERENCE = {
+    build_extended: ("extended", lambda p: dataclasses.replace(p, theta=0.0)),
+    build_jcm: ("extended", lambda p: dataclasses.replace(p, phi=1, k=1, poly=(), theta=0.0)),
+    build_pseudo_jcm: ("extended", lambda p: dataclasses.replace(p, phi=-1, k=1, poly=(), theta=0.0)),
+    build_h12: ("h12", lambda p: dataclasses.replace(p, k=1, poly=())),
+    build_ht: ("ht", lambda p: dataclasses.replace(p, k=1, poly=())),
+}
+
+
+@pytest.mark.parametrize("cutoff", [16, 64, 512])
+def test_builders_equal_dense_kronecker_reference(cutoff):
+    seen = set()
+    for k in range(1, 11):
+        for phi in (1, -1):
+            for rho in (0.0, 0.37):
+                for theta in (0.0, 1.2):
+                    for poly in ((), (0.0, 0.0, 0.05)):
+                        params = ModelParams(
+                            epsilon=0.8, hbar_omega=1.1, rho=rho, phi=phi, k=k,
+                            poly=poly, theta=theta, n_qes=4,
+                        )
+                        for build, (kind, reads) in REFERENCE.items():
+                            effective = reads(params)
+                            guard = max(effective.k, 2) + 2
+                            if (build, effective) in seen or cutoff <= effective.k + guard:
+                                continue
+                            seen.add((build, effective))
+                            space = TruncatedFockSpace(cutoff, guard)
+                            assert np.array_equal(
+                                build(params, space).matrix,
+                                dense_reference(kind, effective, cutoff),
+                            ), (build.__name__, effective)
+    # every builder met every (phi, rho, theta, P) it reads, and k up to 10 where D allows
+    assert len(seen) == 2 * 2 * 2 * min(10, (cutoff - 3) // 2) + 2 + 2 + 8 + 8
+
+
+@pytest.mark.parametrize("cutoff", [16, 64, 512])
+def test_lowering_band_has_the_bits_of_matrix_power(cutoff):
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1)
+    for k in range(1, 13):
+        dense = np.diag(np.linalg.matrix_power(a, k), k=k)
+        assert _lowering_band(cutoff, k).tobytes() == dense.tobytes(), k

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from csv_reader import read_csv
 from qjc.errors import ValidationError
 from qjc.output import (
     SCHEMA_VERSION,
     Table,
     format_cell,
     format_number,
-    read_csv,
     svg_line_plot,
     write_csv,
     write_json,

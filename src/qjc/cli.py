@@ -10,6 +10,7 @@ else to stdout; human messages go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, Collection, NamedTuple
@@ -281,9 +282,11 @@ def cmd_spectrum(merged: dict, args) -> int:
         ))
     # dense route rows for every model (the only route for h12)
     order = np.lexsort((numeric.imag, numeric.real))
+    # cast once: a real matrix times a complex column would recast it per column
+    cast = h_matrix.astype(vectors.dtype, copy=False)
     _add_route(table, "numeric", (
         (f"numeric:{rank}", "", "", numeric[index], float(
-            np.linalg.norm(h_matrix @ vectors[:, index] - numeric[index] * vectors[:, index])
+            np.linalg.norm(cast @ vectors[:, index] - numeric[index] * vectors[:, index])
         ))
         for rank, index in enumerate(order)
     ))
@@ -538,6 +541,8 @@ _COMMANDS = {
 # argument parsing
 
 
+# built once per process; argparse reads COLUMNS only when it formats help
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--model", choices=sorted(_MODELS), default=None)

@@ -51,12 +51,15 @@ class DoubletBlock:
     def discriminant(self) -> float:
         """gap^2 + 4 phi coupling^2, negative when the pair is complex."""
         try:
-            return self.gap**2 + 4.0 * self.phi * self.coupling_squared
-        except OverflowError:  # float ** raises where * would give inf
+            value = self.gap**2 + 4.0 * self.phi * self.coupling_squared
+        except OverflowError:  # float ** raises where * gives inf
+            value = math.inf
+        if not math.isfinite(value):  # rho^2 (n+1)...(n+k) overflows silently
             raise NumericalError(
                 f"doublet discriminant at n = {self.n} overflows the float range: "
-                f"gap = {self.gap:.6g}"
-            ) from None
+                f"gap = {self.gap:.6g}, coupling^2 = {self.coupling_squared:.6g}"
+            )
+        return value
 
 
 @dataclass(frozen=True)

@@ -215,8 +215,8 @@ def _events(spec, grid, labels, tracks, locate, extra=()) -> tuple[FlowEvent, ..
 def numeric_deviation(spec: SweepSpec, space: TruncatedFockSpace) -> float:
     """Worst |closed-form - nearest full-matrix eigenvalue| over the sweep.
 
-    The independent route: dense eigenvalues of the truncated matrix at
-    every grid point.
+    The independent route: eigenvalues of the truncated matrix at every
+    grid point, solved on its strongly connected blocks.
     """
     result = sweep(spec)
     worst = 0.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eig_checked
+from ._linalg import eigvals_checked
 from .errors import UnpairableSpectrumError, ValidationError
 from .fock import SpinFockOperator, TruncatedFockSpace
 
@@ -119,22 +119,29 @@ def classify_eigenvalues(eigenvalues: np.ndarray) -> str:
     w = np.asarray(eigenvalues, dtype=complex)
     scale = np.maximum(1.0, np.abs(w))
     real_mask = np.abs(w.imag) <= REALNESS_TOL * scale
-    complex_vals = list(w[~real_mask])
+    complex_vals = w[~real_mask]
     n_real = int(np.count_nonzero(real_mask))
-    while complex_vals:
-        z = complex_vals.pop()
-        dists = [abs(z.conjugate() - other) for other in complex_vals]
-        if not dists:
+    # greedy: the last unpaired value takes its nearest conjugate partner,
+    # the first one in the original order on a tie
+    alive = np.ones(complex_vals.size, dtype=bool)
+    for i in range(complex_vals.size - 1, -1, -1):
+        if not alive[i]:
+            continue
+        alive[i] = False
+        z = complex_vals[i]
+        candidates = np.flatnonzero(alive)
+        if not candidates.size:
             raise UnpairableSpectrumError(
                 f"eigenvalue {z:.6g} has no conjugate partner; raise the cutoff"
             )
+        dists = np.abs(np.conj(z) - complex_vals[candidates])
         best = int(np.argmin(dists))
         if dists[best] > REALNESS_TOL * max(1.0, abs(z)):
             raise UnpairableSpectrumError(
                 f"eigenvalue {z:.6g} unpaired (nearest conjugate gap "
                 f"{dists[best]:.3e}); raise the cutoff"
             )
-        complex_vals.pop(best)
+        alive[candidates[best]] = False
     if n_real == len(w):
         return "all-real"
     if n_real == 0:
@@ -143,8 +150,7 @@ def classify_eigenvalues(eigenvalues: np.ndarray) -> str:
 
 
 def classify_spectrum(h: SpinFockOperator) -> str:
-    w, _ = eig_checked(h.matrix)
-    return classify_eigenvalues(w)
+    return classify_eigenvalues(eigvals_checked(h.matrix))
 
 
 @dataclass(frozen=True)

@@ -445,10 +445,15 @@ def test_matrix_norm_overflow_exits_3_at_the_eigensolver_gate(capsys, argv):
         ("sweep", "--model", "pseudo-jcm", "--hw", "1e155", "--param", "rho",
          "--start", "0", "--stop", "1", "--points", "3"),
         ("polyrep-check", "--model", "pseudo-jcm", "--hw", "1e300", "--rho", "0.1"),
+        # rho^2 (n+1)...(n+k) leaves it while the gap stays finite
+        ("sweep", "--model", "pseudo-jcm", "--param", "rho",
+         "--start", "0", "--stop", "1e160", "--points", "3"),
+        ("sweep", "--model", "extended", "--k", "2", "--phi", "1", "--param", "rho",
+         "--start", "1e160", "--stop", "1e161", "--points", "3"),
     ],
 )
 def test_doublet_discriminant_overflow_exits_3(capsys, argv):
-    # the closed-form gap^2 leaves the float range
+    # the closed-form discriminant leaves the float range
     code = main(list(argv))
     assert code == 3
     assert "doublet discriminant" in capsys.readouterr().err

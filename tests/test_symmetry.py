@@ -128,6 +128,59 @@ def test_classify_eigenvalue_lists_directly():
         classify_eigenvalues(np.array([1 + 2j, 1 - 2.001j]))
 
 
+def _classify_by_list(eigenvalues: np.ndarray) -> str:
+    """The list-based greedy pairing `classify_eigenvalues` replaced."""
+    w = np.asarray(eigenvalues, dtype=complex)
+    scale = np.maximum(1.0, np.abs(w))
+    real_mask = np.abs(w.imag) <= qjc.symmetry.REALNESS_TOL * scale
+    complex_vals = list(w[~real_mask])
+    n_real = int(np.count_nonzero(real_mask))
+    while complex_vals:
+        z = complex_vals.pop()
+        dists = [abs(z.conjugate() - other) for other in complex_vals]
+        if not dists:
+            raise UnpairableSpectrumError(
+                f"eigenvalue {z:.6g} has no conjugate partner; raise the cutoff"
+            )
+        best = int(np.argmin(dists))
+        if dists[best] > qjc.symmetry.REALNESS_TOL * max(1.0, abs(z)):
+            raise UnpairableSpectrumError(
+                f"eigenvalue {z:.6g} unpaired (nearest conjugate gap "
+                f"{dists[best]:.3e}); raise the cutoff"
+            )
+        complex_vals.pop(best)
+    if n_real == len(w):
+        return "all-real"
+    if n_real == 0:
+        return "conjugate-pairs"
+    return "mixed"
+
+
+def _verdict(classify, eigenvalues):
+    try:
+        return classify(eigenvalues)
+    except UnpairableSpectrumError as exc:
+        return f"raised: {exc}"
+
+
+def test_classify_matches_the_list_pairing():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n = int(rng.integers(0, 40))
+        pairs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        # repeated values make ties that the first-minimum rule must break the same way
+        pairs = np.concatenate([pairs, pairs[: trial % 4]])
+        spectrum = np.concatenate([pairs, pairs.conj(), rng.normal(size=rng.integers(0, 5))])
+        spectrum = spectrum[rng.permutation(spectrum.size)]
+        # shift a few values within, or beyond, the pairing tolerance
+        spectrum[: trial % 3] += (1e-12j, 1e-7)[trial % 2]
+        assert _verdict(classify_eigenvalues, spectrum) == _verdict(_classify_by_list, spectrum)
+    unpaired = np.array([2 + 1j, 2 - 1j, 0.5, 3 + 0.25j, 1 - 1e-3j, 1 + 1e-3j])
+    verdict = _verdict(classify_eigenvalues, unpaired)
+    assert verdict.startswith("raised: eigenvalue 3+0.25j unpaired")
+    assert verdict == _verdict(_classify_by_list, unpaired)
+
+
 @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
 def test_eigensolver_gate_refuses_a_matrix_outside_the_float_range(entry):
     # ||H||_F overflows (1e200 squared) or is not finite at all: no residual

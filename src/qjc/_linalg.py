@@ -6,11 +6,10 @@ quality gate every caller relies on: each returned eigenpair must satisfy
 raised so the caller can enlarge the cutoff instead of silently consuming noise.
 
 `eig_checked` solves the dense matrix.  `eigvals_checked` returns eigenvalues
-only, and solves the diagonal blocks of the block-triangular form that the
-strongly connected components of the pattern `H != 0` give (Tarjan,
-SIAM J. Comput. 1, 146 (1972)).  Its eigenvalues agree with the dense ones up
-to rounding, not bit for bit, so a caller that prints eigenvalue digits
-uses `eig_checked`.
+only, and solves the diagonal blocks that the connected components of the
+pattern `H != 0` (its edges taken both ways) give.  Its eigenvalues agree
+with the dense ones up to rounding, not bit for bit, so a caller that prints
+eigenvalue digits uses `eig_checked`.
 """
 
 from __future__ import annotations
@@ -62,60 +61,30 @@ def eig_checked(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _strong_components(matrix: np.ndarray) -> list[list[int]]:
-    """Strongly connected components of the graph i -> j for matrix[i, j] != 0.
+def _components(matrix: np.ndarray) -> list[list[int]]:
+    """Connected components of the graph with an edge i - j where H[i, j] or H[j, i] != 0.
 
-    Iterative Tarjan; components come out in reverse topological order.
+    No nonzero entry joins two components, so they split H block-diagonally.
     """
     n = matrix.shape[0]
     rows, cols = np.nonzero(matrix)
-    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    targets = cols.tolist()
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
+    heads = np.concatenate([rows, cols])
+    order = np.argsort(heads, kind="stable")
+    starts = np.searchsorted(heads[order], np.arange(n + 1)).tolist()
+    targets = np.concatenate([cols, rows])[order].tolist()
+    seen = [False] * n
     components: list[list[int]] = []
-    counter = 0
     for root in range(n):
-        if index[root] >= 0:
+        if seen[root]:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        calls = [(root, starts[root])]
-        while calls:
-            v, edge = calls.pop()
-            end = starts[v + 1]
-            while edge < end:
-                w = targets[edge]
-                edge += 1
-                if index[w] < 0:
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                # every edge of v is done: close v, then report to its caller
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        component.append(w)
-                        if w == v:
-                            break
-                    components.append(component)
-                if calls and low[v] < low[calls[-1][0]]:
-                    low[calls[-1][0]] = low[v]
-                continue
-            # descend into w and resume v at the next edge afterwards
-            calls.append((v, edge))
-            index[w] = low[w] = counter
-            counter += 1
-            stack.append(w)
-            on_stack[w] = True
-            calls.append((w, starts[w]))
+        seen[root] = True
+        component = [root]
+        for v in component:  # the list grows while it is read: breadth first
+            for w in targets[starts[v]:starts[v + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    component.append(w)
+        components.append(component)
     return components
 
 
@@ -123,20 +92,17 @@ def eigvals_checked(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues only, solved block by block, with `eig_checked`'s gate.
 
     The components of the pattern `matrix != 0` put the matrix in
-    block-triangular form, so its spectrum is the union of the diagonal
-    blocks' spectra.  Blocks of one size are solved in one stacked call,
-    and every block eigenpair must pass the gate scaled by the whole
-    matrix's ||H||_F.  A matrix with a single component goes to
-    `eig_checked` as it is.  The order of the result is not the dense one.
+    block-diagonal form, so its spectrum is the union of the blocks'
+    spectra.  Blocks of one size are solved in one stacked call (a matrix
+    with one component is a stack of one), and every block eigenpair must
+    pass the gate scaled by the whole matrix's ||H||_F.  The order of the
+    result is not the dense one.
     """
-    components = _strong_components(matrix)
-    if len(components) <= 1:
-        return eig_checked(matrix)[0]
     norm = _frobenius_norm(matrix)
     if not math.isfinite(norm):
         _gate(norm, math.inf)  # raises: no residual can be judged against it
     by_size: dict[int, list[list[int]]] = {}
-    for component in components:
+    for component in _components(matrix):
         by_size.setdefault(len(component), []).append(component)
     values, worst = [], []
     for members in by_size.values():

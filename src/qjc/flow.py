@@ -216,7 +216,7 @@ def numeric_deviation(spec: SweepSpec, space: TruncatedFockSpace) -> float:
     """Worst |closed-form - nearest full-matrix eigenvalue| over the sweep.
 
     The independent route: eigenvalues of the truncated matrix at every
-    grid point, solved on its strongly connected blocks.
+    grid point, solved on its connected blocks.
     """
     result = sweep(spec)
     worst = 0.0

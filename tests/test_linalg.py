@@ -1,11 +1,13 @@
-"""The block-triangular eigenvalue path against the dense one."""
+"""The block-diagonal eigenvalue path against the dense one."""
+
+import itertools
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from qjc._linalg import _strong_components, eig_checked, eigvals_checked, spectrum_mismatch
+from qjc._linalg import _components, eig_checked, eigvals_checked, spectrum_mismatch
 from qjc.errors import NumericalError
 from qjc.fock import TruncatedFockSpace
 from qjc.models import (
@@ -17,6 +19,7 @@ from qjc.models import (
     build_pseudo_jcm,
 )
 from qjc.qes import _subspace_indices
+from qjc.symmetry import classify_eigenvalues
 
 
 def _matrices(d: int):
@@ -47,29 +50,38 @@ def test_block_eigenvalues_match_the_dense_ones(d):
         assert spectrum_mismatch(block, eig_checked(matrix)[0]) <= 1e-9
 
 
+def _assert_scipy_partition(matrix):
+    count, labels = connected_components(csr_matrix(matrix != 0), directed=True, connection="weak")
+    components = _components(matrix)
+    assert len(components) == count
+    assert sorted(i for c in components for i in c) == list(range(len(matrix)))
+    assert all(len(set(labels[c])) == 1 for c in components)
+
+
 @pytest.mark.parametrize("d", [16, 64])
-def test_components_match_scipy_strong_components(d):
+def test_components_match_scipy_weak_components(d):
     for matrix in _matrices(d):
-        count, labels = connected_components(
-            csr_matrix(matrix != 0), directed=True, connection="strong"
-        )
-        components = _strong_components(matrix)
-        assert len(components) == count
-        assert sorted(i for c in components for i in c) == list(range(len(matrix)))
-        assert all(len(set(labels[c])) == 1 for c in components)
+        _assert_scipy_partition(matrix)
 
 
-def test_random_patterns_match_scipy_strong_components():
+def test_random_patterns_match_scipy_weak_components():
+    # directed patterns too: a coupling pair with one side zero leaves an edge one way
     rng = np.random.default_rng(7)
     for _ in range(200):
         n = int(rng.integers(1, 30))
-        matrix = (rng.random((n, n)) < 0.15 * rng.random()) * 1.0
-        count, labels = connected_components(
-            csr_matrix(matrix), directed=True, connection="strong"
-        )
-        components = _strong_components(matrix)
-        assert len(components) == count
-        assert all(len(set(labels[c])) == 1 for c in components)
+        _assert_scipy_partition((rng.random((n, n)) < 0.15 * rng.random()) * 1.0)
+
+
+def test_one_sided_coupling_still_gives_the_dense_spectrum():
+    # rho1_hat = 0 and c_hat = 0 leave a band on one side only: the pattern is not
+    # symmetric.  D = 16, since one-sided bands are far from normal and at D = 32
+    # ht's eigenvalues already differ by 5e-4 between any two solvers.
+    space = TruncatedFockSpace(16, 8)
+    for phi, theta in itertools.product((1, -1), (0.2, 0.7)):
+        params = ModelParams(rho=0.3, phi=phi, theta=theta, rho1_hat=0.0, c_hat=0.0, n_qes=4)
+        for matrix in (build_h12(params, space).matrix, build_ht(params, space).matrix):
+            assert not np.array_equal(matrix != 0, (matrix != 0).T)
+            assert spectrum_mismatch(eigvals_checked(matrix), eig_checked(matrix)[0]) <= 1e-9
 
 
 @pytest.mark.parametrize("big_n", [1, 2, 5])
@@ -81,7 +93,7 @@ def test_qes_subspace_is_a_union_of_components(big_n, phi):
         params = ModelParams(rho=rho, phi=phi, theta=theta, n_qes=big_n + 2)
         upper, lower = _subspace_indices(big_n, space)
         inside = set(upper + lower)
-        for component in _strong_components(build_ht(params, space).matrix):
+        for component in _components(build_ht(params, space).matrix):
             assert inside.issuperset(component) or inside.isdisjoint(component)
 
 
@@ -104,7 +116,17 @@ def test_block_gate_refuses_a_matrix_outside_the_float_range(entry):
         eigvals_checked(np.diag([entry, 1.0]))
 
 
-def test_one_component_goes_to_the_dense_solver():
+def test_one_component_is_a_stack_of_one():
     matrix = np.random.default_rng(3).normal(size=(12, 12))
-    assert len(_strong_components(matrix)) == 1
-    np.testing.assert_array_equal(eigvals_checked(matrix), eig_checked(matrix)[0])
+    assert len(_components(matrix)) == 1
+    assert spectrum_mismatch(eigvals_checked(matrix), eig_checked(matrix)[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("phi", [1, -1])
+@pytest.mark.parametrize("theta", [0.1, 0.7, 1.3])
+def test_block_and_dense_spectra_get_the_same_class(phi, theta):
+    # at phi = -1, theta = 0.7 the two routes' ht eigenvalues differ by 1e-2 (see _matrices)
+    matrices = [build_ht(ModelParams(rho=0.3, phi=phi, theta=theta, n_qes=4), TruncatedFockSpace(d, 8)).matrix
+                for d in (64, 128)]
+    for matrix in (*matrices, build_h12(ModelParams(rho=0.3, phi=phi, theta=theta), TruncatedFockSpace(64, 8)).matrix):
+        assert classify_eigenvalues(eigvals_checked(matrix)) == classify_eigenvalues(eig_checked(matrix)[0])

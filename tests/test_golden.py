@@ -84,6 +84,13 @@ CASES = {
     "check-ht": (
         "check", "--model", "ht", "--phi", "-1", "--rho", "0.3", "--theta", "0.7", "--N", "2", "--D", "64",
     ),
+    # hermitian (phi = +1, c = c_hat) eigenvalue-only problems
+    "check-h12-hermitian": (
+        "check", "--model", "h12", "--phi", "1", "--rho", "0.5", "--theta", "0.3", "--D", "128",
+    ),
+    "check-ht-hermitian": (
+        "check", "--model", "ht", "--phi", "1", "--N", "4", "--rho", "0.5", "--theta", "1.2", "--D", "128",
+    ),
     "qes-ht-d256": (
         "qes", "--model", "ht", "--N", "8", "--phi", "-1", "--rho", "0.9", "--theta", "1.2", "--D", "256",
     ),

@@ -1,4 +1,4 @@
-"""The block-diagonal eigenvalue path against the dense one."""
+"""The block-diagonal eigenvalue path against the dense one, and its choice of solver."""
 
 import itertools
 
@@ -29,7 +29,8 @@ def _matrices(d: int):
     ht keeps theta small: at phi = -1, D = 64 and theta = 0.7 the block
     outside the invariant subspace has eigenvalue condition numbers near
     1e12, and the dense and block eigenvalues there differ by 1e-2 while
-    both pass the residual gate.
+    both pass the residual gate.  At phi = +1 (c = c_hat) the same ht matrix is
+    hermitian, its blocks go to the symmetric solver, and theta = 0.7 is kept.
     """
     space = TruncatedFockSpace(d, 8)
     for rho in (0.0, 0.3, 1.1):
@@ -38,6 +39,7 @@ def _matrices(d: int):
                 yield build_extended(ModelParams(rho=rho, phi=phi, k=k), space).matrix
             yield build_h12(ModelParams(rho=rho, phi=phi, theta=0.4), space).matrix
             yield build_ht(ModelParams(rho=rho, phi=phi, theta=0.1, n_qes=4), space).matrix
+        yield build_ht(ModelParams(rho=rho, phi=1, theta=0.7, n_qes=4), space).matrix
         yield build_jcm(ModelParams(rho=rho), space).matrix
         yield build_pseudo_jcm(ModelParams(rho=rho), space).matrix
 
@@ -97,17 +99,55 @@ def test_qes_subspace_is_a_union_of_components(big_n, phi):
             assert inside.issuperset(component) or inside.isdisjoint(component)
 
 
-def test_a_wrong_block_eigenpair_fails_the_gate(monkeypatch):
-    matrix = build_extended(ModelParams(rho=0.3, k=2), TruncatedFockSpace(16, 8)).matrix
-    real_eig = np.linalg.eig
+@pytest.mark.parametrize("phi, solver", [(-1, "eig"), (1, "eigh")])
+def test_a_wrong_block_eigenpair_fails_the_gate(monkeypatch, phi, solver):
+    # extended at phi = +1 is exactly symmetric and goes to eigh; at phi = -1 to eig
+    matrix = build_extended(ModelParams(rho=0.3, phi=phi, k=2), TruncatedFockSpace(16, 8)).matrix
+    real_solver = getattr(np.linalg, solver)
 
     def shifted(blocks):
-        w, v = real_eig(blocks)
+        w, v = real_solver(blocks)
         return w + 1e-6, v
 
-    monkeypatch.setattr(np.linalg, "eig", shifted)
+    monkeypatch.setattr(np.linalg, solver, shifted)
     with pytest.raises(NumericalError, match="eigensolver residual .* exceeds"):
         eigvals_checked(matrix)
+
+
+def _symmetric(n, seed):
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    return a + a.T
+
+
+def _one_ulp_off(matrix):
+    moved = matrix.copy()
+    moved[0, 1] = np.nextafter(moved[0, 1], np.inf)
+    return moved
+
+
+def _hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize(
+    "matrix, solver",
+    [
+        (_symmetric(12, 5), "eigh"),
+        (_hermitian(12, 5), "eigh"),
+        (_one_ulp_off(_symmetric(12, 5)), "eig"),
+        (_symmetric(12, 5) * (1 + 1j), "eig"),  # complex symmetric, not hermitian
+    ],
+)
+def test_only_an_exactly_hermitian_stack_goes_to_eigh(monkeypatch, matrix, solver):
+    calls = []
+    for name in ("eig", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda blocks, real=real, name=name: calls.append(name) or real(blocks))
+    values = eigvals_checked(matrix)
+    assert calls == [solver]
+    assert spectrum_mismatch(values, eig_checked(matrix)[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])

@@ -94,6 +94,21 @@ CASES = {
     "qes-ht-d256": (
         "qes", "--model", "ht", "--N", "8", "--phi", "-1", "--rho", "0.9", "--theta", "1.2", "--D", "256",
     ),
+    # certification residuals at large cutoffs: complex (zgemv) and real (dgemv)
+    # vectors, and a lower tower that starts off a multiple of four rows
+    "qes-ht-d384-complex": (
+        "qes", "--model", "ht", "--N", "12", "--phi", "-1", "--rho", "1.0213", "--theta", "2.7864",
+        "--D", "384",
+    ),
+    "qes-ht-d512-real": (
+        "qes", "--model", "ht", "--N", "9", "--phi", "1", "--rho", "0.8732", "--theta", "1.0155",
+        "--D", "512",
+    ),
+    "qes-ht-d130": ("qes", "--model", "ht", "--N", "5", "--phi", "-1", "--rho", "0.6", "--theta", "2.1", "--D", "130"),
+    # reconstruction residuals on an odd cutoff (2D = 2 mod 4), generic and rho = 0 chains
+    "recur-ht-d129": ("recur", "--model", "ht", "--N", "3", "--rho", "0.7", "--theta", "1.2", "--D", "129"),
+    "recur-rho-zero-d129": ("recur", "--model", "ht", "--N", "2", "--theta", "1.5", "--D", "129"),
+    "spectrum-ht-d97": ("spectrum", "--model", "ht", "--N", "2", "--rho", "0.7", "--theta", "1.2", "--D", "97"),
     # argparse help: the top level and each command's flags
     "help": ("-h",),
     **{

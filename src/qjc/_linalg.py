@@ -16,6 +16,18 @@ The Symmetric Eigenvalue Problem, 1980, Thm 4.5.1).  On a far-from-normal
 block the gate bounds the backward error only.  The block eigenvalues agree
 with the dense ones up to rounding, not bit for bit, so a caller that
 prints eigenvalue digits uses `eig_checked`.
+
+`residual_on_rows` computes the eigenpair residual H x - E x of a vector x
+that lives on a few basis states, on the rows that x can reach and nowhere
+else.  Row rule: the rows are x's support and every row where H has a
+nonzero in a support column (`reached_rows`), widened to whole blocks of
+ROW_BLOCK consecutive rows that start at a multiple of ROW_BLOCK.  Then every
+kept row is the same full-length BLAS dot product, computed in the same
+kernel row block, as in the dense product H @ x, and every row left out is
+zero there.  So the full-length residual, and any norm of it, equals the
+dense one bit for bit -- with BLAS on one thread.  On more threads the
+dense product itself splits its rows differently, and the two differ in
+their last bits, as the golden outputs between thread counts do.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ import scipy.linalg
 from .errors import NumericalError
 
 RESIDUAL_TOL = 1e-12
+ROW_BLOCK = 4
 
 
 def _frobenius_norm(matrix: np.ndarray) -> float:
@@ -124,6 +137,43 @@ def eigvals_checked(matrix: np.ndarray) -> np.ndarray:
         values.append(w.ravel())
     _gate(norm, float(np.max(worst)))  # np.max, unlike max, keeps a nan
     return np.concatenate(values).astype(complex, copy=False)
+
+
+def reached_rows(columns: np.ndarray, support) -> np.ndarray:
+    """Rows of H @ x that can be nonzero when x lives on `support`.
+
+    `columns` is H[:, support].  Returns the support and every row with a
+    nonzero (or nan) entry in `columns`, widened to whole aligned blocks of
+    ROW_BLOCK rows, sorted: the row set `residual_on_rows` computes.
+    """
+    hit = np.flatnonzero(np.any(columns != 0, axis=1))
+    starts = np.unique(np.union1d(hit, support) // ROW_BLOCK) * ROW_BLOCK
+    rows = (starts[:, np.newaxis] + np.arange(ROW_BLOCK)).ravel()
+    return rows[rows < columns.shape[0]]
+
+
+def residual_on_rows(
+    matrix: np.ndarray, vector: np.ndarray, energy, support, rows: np.ndarray
+) -> np.ndarray:
+    """matrix @ vector - energy * vector, computed on `rows` only.
+
+    `rows` is `reached_rows(matrix[:, support], support)`; every other
+    entry of the full-length result is zero, as it is in the dense product.
+    Raises NumericalError when `vector` has a nonzero outside `support`,
+    since its column could reach a row outside `rows` and the residual
+    would silently omit it.
+    """
+    support = np.asarray(support)
+    if np.count_nonzero(vector[support]) != np.count_nonzero(vector):
+        raise NumericalError(
+            f"vector has a nonzero outside the support {support.tolist()} of "
+            f"the residual rows {rows.tolist()}; a residual on those rows "
+            "would omit what it reaches"
+        )
+    kept = matrix[rows] @ vector - energy * vector[rows]
+    out = np.zeros(matrix.shape[0], dtype=kept.dtype)
+    out[rows] = kept
+    return out
 
 
 def spectrum_mismatch(got, expected) -> float:

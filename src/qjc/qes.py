@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._linalg import eig_checked
+from ._linalg import eig_checked, reached_rows, residual_on_rows
 from .errors import NumericalError, ValidationError
 from .fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
 from .models import ModelParams, build_ht
@@ -35,8 +35,9 @@ class InvariantSubspace:
     upper_indices / lower_indices are positions in the full spin-major
     basis; the subspace ordering is all upper states (photon ascending)
     followed by all lower states.  `matrix` is the full matrix of the
-    generating model `params` on `space`, and `defect` its certified leak
-    max |<out| H |in>|.
+    generating model `params` on `space`, `defect` its certified leak
+    max |<out| H |in>|, and `rows` the rows of `matrix` that the subspace
+    reaches (`_linalg.reached_rows`), on which its eigenpairs are certified.
     """
 
     params: ModelParams
@@ -45,6 +46,7 @@ class InvariantSubspace:
     lower_indices: tuple[int, ...]
     defect: float
     matrix: np.ndarray = field(compare=False, repr=False)
+    rows: np.ndarray = field(compare=False, repr=False)
 
     @property
     def big_n(self) -> int:
@@ -63,13 +65,20 @@ class InvariantSubspace:
         return self.upper_indices + self.lower_indices
 
 
+def _scan(h_matrix: np.ndarray, indices: tuple[int, ...]) -> tuple[float, np.ndarray]:
+    """The leak of span{indices} and the rows it reaches, from one read of H[:, indices]."""
+    inside = list(indices)
+    columns = h_matrix[:, inside]
+    outside = np.ones(h_matrix.shape[0], dtype=bool)
+    outside[inside] = False
+    leak = columns[outside]
+    defect = float(np.max(np.abs(leak))) if leak.size else 0.0
+    return defect, reached_rows(columns, indices)
+
+
 def invariance_defect(h_matrix: np.ndarray, indices: tuple[int, ...]) -> float:
     """Largest matrix element leaking out of span{indices}."""
-    outside = np.setdiff1d(np.arange(h_matrix.shape[0]), np.array(indices))
-    if outside.size == 0:
-        return 0.0
-    block = h_matrix[np.ix_(outside, np.array(indices))]
-    return float(np.max(np.abs(block)))
+    return _scan(h_matrix, indices)[0]
 
 
 def _subspace_indices(big_n: int, space: TruncatedFockSpace):
@@ -86,13 +95,15 @@ def build_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantS
     """
     h = build_ht(params, space).matrix
     upper, lower = _subspace_indices(params.big_n, space)
+    defect, rows = _scan(h, upper + lower)
     return InvariantSubspace(
         params=params,
         space=space,
         upper_indices=upper,
         lower_indices=lower,
-        defect=invariance_defect(h, upper + lower),
+        defect=defect,
         matrix=h,
+        rows=rows,
     )
 
 
@@ -206,9 +217,16 @@ def embed_subspace_vector(
     """
     space = space or sub.space
     full = np.zeros((space.dim,) + vec.shape[1:], dtype=vec.dtype)
-    upper, lower = _subspace_indices(sub.big_n, space)
-    full[list(upper + lower)] = vec
+    full[list(_indices_in(sub, space))] = vec
     return full
+
+
+def _indices_in(sub: InvariantSubspace, space: TruncatedFockSpace) -> tuple[int, ...]:
+    """Full-basis positions of the subspace states on `space`."""
+    if space == sub.space:
+        return sub.indices
+    upper, lower = _subspace_indices(sub.big_n, space)
+    return upper + lower
 
 
 def _certification_matrix(
@@ -237,13 +255,19 @@ def certify_in_full_space(
 
     ||H v - E v|| / ||v|| for an eigenvalue E and its vector v, or
     ||H V - V E|| for a cluster basis V and its compressed matrix E = V* H V.
+    A plain pair is computed on the rows of H the subspace reaches, which
+    gives the dense residual bit for bit (`_linalg.residual_on_rows`); a
+    cluster basis takes the dense product.
     """
     space = space or sub.space
     full = embed_subspace_vector(sub, vector, space)
-    applied = _certification_matrix(sub, params, space) @ full
+    matrix = _certification_matrix(sub, params, space)
     if np.ndim(energy) == 0:
-        return float(np.linalg.norm(applied - energy * full) / np.linalg.norm(full))
-    return float(np.linalg.norm(applied - full @ energy))
+        indices = _indices_in(sub, space)
+        rows = sub.rows if space == sub.space else _scan(matrix, indices)[1]
+        residual = residual_on_rows(matrix, full, energy, indices, rows)
+        return float(np.linalg.norm(residual) / np.linalg.norm(full))
+    return float(np.linalg.norm(matrix @ full - full @ energy))
 
 
 def algebraic_spectrum(

@@ -33,9 +33,10 @@ decides whether a limit applies).
 Consecutive calls for one parameter set share their work: `run_to_critical`
 keeps the last exact series it built, keyed on the parameters (which hold
 phi, k and n_qes as int, so phi = 1.0 shares phi = 1's exact series), and
-the residual gate keeps the last full-space matrix (`gate_matrix`), keyed on
-the parameters and the space.  So `critical_roots` and the reconstructions of
-all its roots build one series and one matrix.  Each cache holds one entry
+the residual gate keeps the last full-space matrix (`gate_matrix`), and the
+rows of it that a reconstructed vector reaches, keyed on the parameters and
+the space.  So `critical_roots` and the reconstructions of all its roots
+build one series and one matrix.  Each cache holds one entry
 because the calls for one parameter set arrive back to back; more entries
 would only serve a return to an earlier parameter set, and would hold more
 memory for it.
@@ -50,6 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._linalg import reached_rows, residual_on_rows
 from .errors import NumericalError, ValidationError
 from .fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
 from .models import ModelParams, build_ht
@@ -565,6 +567,25 @@ def gate_matrix(params: ModelParams, space: TruncatedFockSpace) -> np.ndarray:
     return matrix
 
 
+@functools.lru_cache(maxsize=1)
+def _gate_rows(params: ModelParams, space: TruncatedFockSpace):
+    """Support of every reconstructed vector, up |0..n-2> and down |0..n>,
+    and the rows of the gate matrix that it reaches."""
+    n = params.big_n + 2
+    support = [basis_index(space, j, SPIN_UP) for j in range(n - 1)]
+    support += [basis_index(space, m, SPIN_DOWN) for m in range(n + 1)]
+    return support, reached_rows(gate_matrix(params, space)[:, support], support)
+
+
+def gate_residual(
+    params: ModelParams, space: TruncatedFockSpace, energy, vector: np.ndarray
+) -> np.ndarray:
+    """H v - E v on the gate matrix, computed on the rows a reconstructed
+    vector reaches; equal to the dense product bit for bit
+    (`_linalg.residual_on_rows`)."""
+    return residual_on_rows(gate_matrix(params, space), vector, energy, *_gate_rows(params, space))
+
+
 def reconstruct_eigenvector(
     params: ModelParams, energy: complex, space: TruncatedFockSpace
 ) -> np.ndarray:
@@ -596,7 +617,7 @@ def reconstruct_eigenvector(
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise NumericalError("series collapsed to the zero vector")
-    residual = gate_matrix(params, space) @ psi - energy * psi
+    residual = gate_residual(params, space, energy, psi)
     rel = float(np.linalg.norm(residual) / norm)
     if rel > RECONSTRUCTION_TOL:
         worst = int(np.argmax(np.abs(residual)))

@@ -181,16 +181,22 @@ def recurrence_record(case) -> dict:
     }
 
 
-def run_qjc(argv) -> bytes:
+def pinned_env() -> dict:
+    """Environment of a fresh interpreter whose output bits are pinned:
+    BLAS on one thread, help text 80 columns wide, `src` importable."""
     env = dict(os.environ)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = "1"
     # argparse wraps help text to the terminal width it reads from COLUMNS
     env["COLUMNS"] = "80"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
+def run_qjc(argv) -> bytes:
     done = subprocess.run(
         [sys.executable, "-m", "qjc.cli", *argv],
-        env=env,
+        env=pinned_env(),
         capture_output=True,
         check=False,
     )

@@ -1,13 +1,27 @@
-"""The block-diagonal eigenvalue path against the dense one, and its choice of solver."""
+"""The block-diagonal eigenvalue path against the dense one, its choice of
+solver, and residuals on reached rows against the dense product."""
 
 import itertools
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from test_golden import pinned_env
 
-from qjc._linalg import _components, eig_checked, eigvals_checked, spectrum_mismatch
+from qjc._linalg import (
+    ROW_BLOCK,
+    _components,
+    eig_checked,
+    eigvals_checked,
+    reached_rows,
+    residual_on_rows,
+    spectrum_mismatch,
+)
 from qjc.errors import NumericalError
 from qjc.fock import TruncatedFockSpace
 from qjc.models import (
@@ -18,7 +32,8 @@ from qjc.models import (
     build_jcm,
     build_pseudo_jcm,
 )
-from qjc.qes import _subspace_indices
+from qjc.qes import _subspace_indices, algebraic_spectrum, build_subspace, certify_in_full_space, embed_subspace_vector
+from qjc.recurrence import critical_roots, gate_matrix, gate_residual, reconstruct_eigenvector
 from qjc.symmetry import classify_eigenvalues
 
 
@@ -170,3 +185,120 @@ def test_block_and_dense_spectra_get_the_same_class(phi, theta):
                 for d in (64, 128)]
     for matrix in (*matrices, build_h12(ModelParams(rho=0.3, phi=phi, theta=theta), TruncatedFockSpace(64, 8)).matrix):
         assert classify_eigenvalues(eigvals_checked(matrix)) == classify_eigenvalues(eig_checked(matrix)[0])
+
+
+# ---------------------------------------------------------------------------
+# residuals on reached rows
+
+
+def _random_case(rng, dim, banded, complex_matrix, complex_vector):
+    """A matrix, a vector on a random support, an energy, and the support.
+
+    A dense matrix keeps the support's columns nonzero on a random set of
+    rows only, so the reached rows are scattered and each is a long sum; a
+    banded one reaches the support's neighbours.
+    """
+    matrix = rng.standard_normal((dim, dim))
+    if complex_matrix:
+        matrix = matrix + 1j * rng.standard_normal((dim, dim))
+    support = np.sort(rng.choice(dim, size=int(rng.integers(1, 60)), replace=False))
+    if banded:
+        width = int(rng.integers(1, 5))
+        offsets = np.subtract.outer(np.arange(dim), np.arange(dim))
+        matrix[np.abs(offsets) > width] = 0.0
+    else:
+        unreached = np.setdiff1d(np.arange(dim), rng.choice(dim, size=int(rng.integers(1, 40))))
+        matrix[np.ix_(unreached, support)] = 0.0
+    vector = np.zeros(dim, dtype=complex if complex_vector else float)
+    vector[support] = rng.standard_normal(support.size)
+    if complex_vector:
+        vector[support] += 1j * rng.standard_normal(support.size)
+    energy = complex(*rng.standard_normal(2)) if complex_vector else float(rng.standard_normal())
+    return matrix, vector, energy, support
+
+
+def _ht_cases():
+    """Certification and reconstruction residuals of the dressed model: the
+    function under test, the dense residual, and its norm divisor."""
+    for big_n, phi, cutoff in ((2, -1, 65), (3, 1, 64), (5, -1, 130), (6, 1, 97)):
+        params = ModelParams(rho=0.9, theta=1.7, n_qes=big_n + 2, phi=phi)
+        space = TruncatedFockSpace(cutoff, 8)
+        double = TruncatedFockSpace(2 * cutoff, 8)  # criterion 4's second cutoff
+        sub = build_subspace(params, space)
+        for pair in algebraic_spectrum(sub, params):
+            if pair.defective:
+                continue
+            for where in (space, double):
+                full = embed_subspace_vector(sub, pair.vector, where)
+                dense = build_ht(params, where).matrix @ full - pair.energy * full
+                got = certify_in_full_space(pair.energy, pair.vector, sub, params, where)
+                yield got, float(np.linalg.norm(dense) / np.linalg.norm(full))
+        for root in critical_roots(params):
+            try:
+                psi = reconstruct_eigenvector(params, root, space)
+            except NumericalError:
+                continue
+            dense = gate_matrix(params, space) @ psi - root * psi
+            yield gate_residual(params, space, root, psi).tolist(), dense.tolist()
+
+
+def bit_mismatches() -> list[str]:
+    """Every case where a reached-rows residual differs from the dense
+    `matrix @ x - E x` in any bit (run with BLAS on one thread)."""
+    rng = np.random.default_rng(2026)
+    found = []
+    for dim, banded, complex_matrix, complex_vector, trial in itertools.product(
+        (128, 130, 258, 260, 514), (False, True), (False, True), (False, True), range(6)
+    ):
+        matrix, vector, energy, support = _random_case(rng, dim, banded, complex_matrix, complex_vector)
+        rows = reached_rows(matrix[:, support], support)
+        got = residual_on_rows(matrix, vector, energy, support, rows)
+        dense = matrix @ vector - energy * vector
+        if not (np.array_equal(got, dense) and np.linalg.norm(got) == np.linalg.norm(dense)):
+            found.append(f"dim {dim} banded {banded} complex {complex_matrix}/{complex_vector} #{trial}")
+    for index, (got, dense) in enumerate(_ht_cases()):
+        if got != dense:
+            found.append(f"ht case {index}")
+    return found
+
+
+def test_reached_rows_residual_is_the_dense_one_bit_for_bit():
+    # dense products split their rows differently on more BLAS threads, so
+    # the comparison runs in a fresh interpreter with BLAS on one thread
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, test_linalg; print(json.dumps(test_linalg.bit_mismatches()))"],
+        env=pinned_env(),
+        cwd=Path(__file__).parent,
+        capture_output=True,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert json.loads(done.stdout) == []
+
+
+@pytest.mark.parametrize(
+    "dim, tail", [(128, [124, 125, 126, 127]), (130, [124, 125, 126, 127, 128, 129])]
+)
+def test_reached_rows_are_whole_aligned_blocks(dim, tail):
+    matrix = np.zeros((dim, dim))
+    support = [5, dim - 1]
+    matrix[17, 5] = matrix[dim - 3, dim - 1] = 1.0
+    rows = reached_rows(matrix[:, support], support)
+    assert ROW_BLOCK == 4
+    assert rows.tolist() == [4, 5, 6, 7, 16, 17, 18, 19, *tail]
+    matrix[40, 5] = np.nan  # a nan reaches its row as a nonzero does
+    assert 40 in reached_rows(matrix[:, support], support)
+
+
+def test_a_vector_off_its_support_is_refused():
+    matrix = build_ht(ModelParams(rho=0.9, theta=1.7, n_qes=4, phi=-1), TruncatedFockSpace(64, 8)).matrix
+    support = [0, 1, 2, 64, 65, 66]
+    rows = reached_rows(matrix[:, support], support)
+    vector = np.zeros(128)
+    vector[support] = 1.0
+    vector[3] = 1e-300  # inside the widened rows, but its column reaches row 67
+    with pytest.raises(NumericalError, match=r"outside the support .* rows \[0, 1, 2, 3, "):
+        residual_on_rows(matrix, vector, 1.0, support, rows)
+    vector[3], vector[100] = 0.0, 1.0
+    with pytest.raises(NumericalError, match="outside the support"):
+        residual_on_rows(matrix, vector, 1.0, support, rows)

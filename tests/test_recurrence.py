@@ -270,6 +270,46 @@ def test_reconstruction_certifies_and_stays_in_subspace():
         assert np.max(np.abs(psi[outside])) == 0.0
 
 
+@pytest.mark.parametrize("phi", [1, -1])
+@pytest.mark.parametrize("big_n", range(7))
+@pytest.mark.parametrize(
+    "rho, theta", [(0.7, 1.2), (0.0, 1.5), (0.8, 0.0), (0.0, 0.0)],
+    ids=["generic", "rho-zero", "chat-zero", "both-limits"],
+)
+def test_reconstructed_vectors_live_on_the_gate_support(rho, theta, big_n, phi):
+    # the gate computes its residual on the rows that up |0..n-2> and
+    # down |0..n> reach, so every vector must vanish outside them
+    params = ModelParams(rho=rho, theta=theta, n_qes=big_n + 2, phi=phi)
+    n = big_n + 2
+    inside = {basis_index(SPACE, j, SPIN_UP) for j in range(n - 1)}
+    inside |= {basis_index(SPACE, m, SPIN_DOWN) for m in range(n + 1)}
+    outside = [i for i in range(SPACE.dim) if i not in inside]
+    returned = 0
+    for root in critical_roots(params):
+        try:
+            psi = reconstruct_eigenvector(params, root, SPACE)
+        except NumericalError as err:
+            assert "reconstruction residual" in str(err)  # the 1e-9 gate, not the support
+            continue
+        assert not np.any(psi[outside])
+        returned += 1
+    assert returned
+
+
+def test_reconstruction_refuses_a_vector_off_the_gate_support(monkeypatch):
+    params = ModelParams(rho=0.8, theta=1.2, n_qes=4, phi=-1)
+    leaky = qjc.recurrence._truncated_vector_generic
+
+    def off_support(*args):
+        psi = leaky(*args)
+        psi[basis_index(SPACE, 20, SPIN_UP)] = 1e-300  # far below the 1e-9 gate
+        return psi
+
+    monkeypatch.setattr(qjc.recurrence, "_truncated_vector_generic", off_support)
+    with pytest.raises(NumericalError, match="outside the support"):
+        reconstruct_eigenvector(params, critical_roots(params)[0], SPACE)
+
+
 def test_reconstruction_matches_algebraic_eigenvectors():
     from qjc.qes import algebraic_spectrum, build_subspace, embed_subspace_vector
 
@@ -321,6 +361,7 @@ def test_reconstruction_builds_one_series_per_call(monkeypatch, big_n, phi):
 def _clear_caches():
     run_to_critical.cache_clear()
     qjc.recurrence.gate_matrix.cache_clear()
+    qjc.recurrence._gate_rows.cache_clear()
 
 
 @pytest.mark.parametrize("phi", [1, -1])

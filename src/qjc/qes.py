@@ -96,6 +96,8 @@ def build_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantS
     h = build_ht(params, space).matrix
     upper, lower = _subspace_indices(params.big_n, space)
     defect, rows = _scan(h, upper + lower)
+    for array in (h, rows):  # read-only, so `rows` stays the rows `h` reaches
+        array.setflags(write=False)
     return InvariantSubspace(
         params=params,
         space=space,

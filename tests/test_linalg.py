@@ -218,8 +218,9 @@ def _random_case(rng, dim, banded, complex_matrix, complex_vector):
 
 
 def _ht_cases():
-    """Certification and reconstruction residuals of the dressed model: the
-    function under test, the dense residual, and its norm divisor."""
+    """(reached-rows result, dense result) pairs of the dressed model:
+    certification residuals on the subspace's own cutoff and on twice it,
+    and reconstruction-gate residual vectors."""
     for big_n, phi, cutoff in ((2, -1, 65), (3, 1, 64), (5, -1, 130), (6, 1, 97)):
         params = ModelParams(rho=0.9, theta=1.7, n_qes=big_n + 2, phi=phi)
         space = TruncatedFockSpace(cutoff, 8)
@@ -296,7 +297,7 @@ def test_a_vector_off_its_support_is_refused():
     rows = reached_rows(matrix[:, support], support)
     vector = np.zeros(128)
     vector[support] = 1.0
-    vector[3] = 1e-300  # inside the widened rows, but its column reaches row 67
+    vector[3] = 1e-300  # off the support, though inside the widened rows
     with pytest.raises(NumericalError, match=r"outside the support .* rows \[0, 1, 2, 3, "):
         residual_on_rows(matrix, vector, 1.0, support, rows)
     vector[3], vector[100] = 0.0, 1.0

@@ -212,6 +212,13 @@ def test_embedding_slots():
     assert np.count_nonzero(full) == 6
 
 
+def test_subspace_matrix_and_its_rows_are_read_only():
+    params = ModelParams(rho=0.1, theta=0.2, n_qes=3, phi=-1)
+    sub = build_subspace(params, SPACE)
+    assert not sub.matrix.flags.writeable and not sub.rows.flags.writeable
+    assert set(sub.indices) <= set(sub.rows.tolist())
+
+
 def test_cutoff_guards():
     params = ModelParams(rho=0.1, theta=0.2, n_qes=12, phi=-1)
     with pytest.raises(ValidationError):

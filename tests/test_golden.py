@@ -69,6 +69,16 @@ CASES = {
         "sweep", "--model", "h2", "--param", "rho", "--start", "0", "--stop", "2",
         "--points", "51", "--doublets", "10",
     ),
+    # sign-flipped coupling with a polynomial diagonal: complex tracks plus coalescences
+    "sweep-extended-poly-pseudo": (
+        "sweep", "--model", "extended", "--k", "3", "--poly", "0,0,0.05", "--phi", "-1",
+        "--param", "rho", "--start", "0", "--stop", "2", "--points", "201", "--doublets", "4",
+    ),
+    # SVG of a sign-flipped sweep: eps != hw opens the gap, so two coalescence markers
+    "sweep-pseudo-jcm-svg": (
+        "sweep", "--model", "pseudo-jcm", "--eps", "0.5", "--param", "rho", "--start", "0",
+        "--stop", "1.5", "--points", "101", "--format", "svg",
+    ),
     "spectrum-extended-poly": (
         "spectrum", "--model", "extended", "--k", "3", "--poly", "0,0,0.001",
         "--phi", "-1", "--rho", "0.3", "--D", "32",

@@ -10,6 +10,18 @@ one), and the coupling-independent singlet levels.
 Branch convention: branch I always takes the + square root of the
 discriminant, i.e. the branch that at zero coupling continues the
 higher-energy diagonal entry of the block.
+
+Two evaluations of the levels, equal bit for bit: `closed_form_tracks`
+evaluates every level over a whole coupling grid in one array pass, and
+`doublet_block` + `doublet_eigenvalues` evaluate one block at one coupling.
+The array pass repeats the scalar path's IEEE operations in the same order
+and keeps its signed zeros, and tests compare the two through their bits.
+Every caller of the closed-form route reads its levels from
+`closed_form_tracks`: the rho sweep (`flow.sweep`) at its whole grid, and
+`closed_form_levels` at a single coupling for `qjc spectrum` (through
+`full_algebraic_spectrum`) and the pseudo-JCM `qjc polyrep-check`.  The
+scalar path stays as the tests' reference, and serves the sweep's bisection
+and coalescence probes, which each need one block at one coupling.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +63,9 @@ class DoubletBlock:
 
     def discriminant(self) -> float:
         """gap^2 + 4 phi coupling^2, negative when the pair is complex."""
-        try:
-            value = self.gap**2 + 4.0 * self.phi * self.coupling_squared
-        except OverflowError:  # float ** raises where * gives inf
-            value = math.inf
+        value = _gap_squared(self.gap) + 4.0 * self.phi * self.coupling_squared
         if not math.isfinite(value):  # rho^2 (n+1)...(n+k) overflows silently
-            raise NumericalError(
-                f"doublet discriminant at n = {self.n} overflows the float range: "
-                f"gap = {self.gap:.6g}, coupling^2 = {self.coupling_squared:.6g}"
-            )
+            raise _overflow(self.n, self.gap, self.coupling_squared)
         return value
 
 
@@ -98,22 +105,40 @@ def transfer_amplitude(n: int, k: int) -> float:
     return math.sqrt(_ladder_product(n, k))
 
 
+def _diagonal(params: ModelParams, n: int) -> tuple[float, float]:
+    """Diagonal entries of doublet n: |n, up> then |n+k, down>."""
+    hw, eps, k = params.hbar_omega, params.epsilon, params.k
+    return (
+        hw * n + poly_value(params, n) + 0.5 * eps,
+        hw * (n + k) + poly_value(params, n + k) - 0.5 * eps,
+    )
+
+
+def _gap_squared(gap: float) -> float:
+    try:
+        return gap**2
+    except OverflowError:  # float ** raises where * gives inf
+        return math.inf
+
+
+def _overflow(n: int, gap: float, coupling_squared: float) -> NumericalError:
+    return NumericalError(
+        f"doublet discriminant at n = {n} overflows the float range: "
+        f"gap = {gap:.6g}, coupling^2 = {coupling_squared:.6g}"
+    )
+
+
 def doublet_block(params: ModelParams, n: int) -> DoubletBlock:
     """Assemble the 2x2 block for the pair (|n, up>, |n+k, down>)."""
     if n < 0:
         raise ValidationError(f"doublet index must be >= 0, got {n}")
-    hw, eps, k = params.hbar_omega, params.epsilon, params.k
-    prod = _ladder_product(n, k)
+    prod = _ladder_product(n, params.k)
     amp = params.rho * math.sqrt(prod)
-    matrix = np.array(
-        [
-            [hw * n + poly_value(params, n) + 0.5 * eps, amp],
-            [params.phi * amp, hw * (n + k) + poly_value(params, n + k) - 0.5 * eps],
-        ]
-    )
+    upper, lower = _diagonal(params, n)
+    matrix = np.array([[upper, amp], [params.phi * amp, lower]])
     return DoubletBlock(
         n=n,
-        k=k,
+        k=params.k,
         phi=params.phi,
         matrix=matrix,
         coupling_squared=params.rho * params.rho * prod,
@@ -200,25 +225,80 @@ def normalize(vec: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
-def closed_form_levels(params: ModelParams, doublets: int) -> list[LabeledLevel]:
-    """The k spin-down singlets, then both branches of doublets 0..doublets-1.
-
-    Singlet j is (0, |j>) with E_j = j hw + P(j) - eps/2, exact for every
-    coupling strength because a^k annihilates |j> for j < k.
-    """
-    levels = [
-        LabeledLevel(
-            label=f"singlet:{j}",
-            energy=complex(params.hbar_omega * j + poly_value(params, j) - 0.5 * params.epsilon),
-            n=j,
-        )
-        for j in range(params.k)
-    ]
+def level_keys(k: int, doublets: int) -> list[tuple[str, int, str | None]]:
+    """(label, n, branch) of each closed-form row: the k spin-down singlets,
+    then branches I and II of doublets 0..doublets-1."""
+    keys = [(f"singlet:{j}", j, None) for j in range(k)]
     for n in range(doublets):
-        lam_1, lam_2 = doublet_eigenvalues(doublet_block(params, n))
-        levels.append(LabeledLevel(label=f"doublet:{n}:I", energy=lam_1, n=n, branch="I"))
-        levels.append(LabeledLevel(label=f"doublet:{n}:II", energy=lam_2, n=n, branch="II"))
-    return levels
+        keys += [(f"doublet:{n}:I", n, "I"), (f"doublet:{n}:II", n, "II")]
+    return keys
+
+
+def closed_form_tracks(params: ModelParams, doublets: int, rho) -> np.ndarray:
+    """Every closed-form level at every coupling in `rho`, in one array pass.
+
+    Returns a complex array of shape (k + 2 doublets, len(rho)) with rows in
+    `level_keys` order.  Singlet j is (0, |j>) with E_j = j hw + P(j) - eps/2,
+    exact for every coupling strength because a^k annihilates |j> for j < k.
+    Each doublet entry equals doublet_eigenvalues(doublet_block(...)) at
+    that rho bit for bit, signed zeros included: the gap, mean and gap^2 are
+    the same Python floats, rho^2 (n+1)...(n+k) and the discriminant the
+    same IEEE operations in the same order, and the root is placed, and
+    rounded, as cmath.sqrt places it.  A non-finite discriminant raises the
+    scalar path's NumericalError for the first coupling where one occurs,
+    naming the lowest such doublet there.
+    """
+    rho = np.asarray(rho, dtype=float)
+    k = params.k
+    tracks = np.empty((k + 2 * doublets, rho.size), dtype=complex)
+    for j in range(k):
+        tracks[j] = params.hbar_omega * j + poly_value(params, j) - 0.5 * params.epsilon
+    diagonals = [_diagonal(params, n) for n in range(doublets)]
+    gaps = [lower - upper for upper, lower in diagonals]
+    gap, gap_squared, mean, prod = (
+        np.array(column, dtype=float).reshape(-1, 1)
+        for column in (
+            gaps,
+            [_gap_squared(value) for value in gaps],
+            [0.5 * (upper + lower) for upper, lower in diagonals],
+            [_ladder_product(n, k) for n in range(doublets)],
+        )
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupling_squared = rho * rho * prod
+        disc = gap_squared + 4.0 * params.phi * coupling_squared
+    overflow = ~np.isfinite(disc)
+    broken = ~np.isfinite(rho) | overflow.any(axis=0)
+    if broken.any():
+        g = int(np.argmax(broken))
+        # a non-finite coupling fails ModelParams' check first, as per point
+        dataclasses.replace(params, rho=float(rho[g]))
+        n = int(np.argmax(overflow[:, g]))
+        raise _overflow(n, float(gap[n, 0]), float(coupling_squared[n, g]))
+    size = np.abs(disc)
+    eighth = size / 8.0
+    # cmath.sqrt's own scaling: 2 sqrt(|d|/8 + |d|/8) rounds differently from
+    # sqrt(|d|) where |d|/8 is subnormal, and equals it below the smallest normal
+    half = 0.5 * np.where(size < sys.float_info.min, np.sqrt(size), 2.0 * np.sqrt(eighth + eighth))
+    paired = disc < 0.0
+    shift = np.where(paired, 0.0, half)  # real part of root / 2
+    lift = np.where(paired, half, 0.0)  # imaginary part of root / 2
+    branch_1, branch_2 = tracks[k::2], tracks[k + 1 :: 2]
+    branch_1.real = mean + shift
+    branch_1.imag = lift
+    branch_2.real = mean - shift
+    branch_2.imag = 0.0 - lift  # +0.0 on a real pair, as cmath gives, not -0.0
+    return tracks
+
+
+def closed_form_levels(params: ModelParams, doublets: int) -> list[LabeledLevel]:
+    """The k spin-down singlets, then both branches of doublets 0..doublets-1,
+    read from `closed_form_tracks` at params.rho."""
+    energies = closed_form_tracks(params, doublets, [params.rho])[:, 0].tolist()
+    return [
+        LabeledLevel(label=label, energy=energy, n=n, branch=branch)
+        for (label, n, branch), energy in zip(level_keys(params.k, doublets), energies)
+    ]
 
 
 def full_algebraic_spectrum(

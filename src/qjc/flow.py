@@ -7,7 +7,10 @@ Two sweep routes with different labeling power:
   two-state ladder block), so trajectories never need matching: each label
   is an explicit function of rho, continuous through exceptional points
   because the square root of the discriminant is taken in the complex
-  plane.
+  plane.  The whole grid comes from one `closedform.closed_form_tracks`
+  call, equal bit for bit to evaluating `doublet_block` and
+  `doublet_eigenvalues` at every grid point; the bisection and coalescence
+  probes between grid points evaluate only the blocks they read.
 
 * `qes_theta_sweep` drives the dressed mixed-exchange model through theta.
   Its restriction eigenvalues come unlabeled out of the solver, so
@@ -16,7 +19,10 @@ Two sweep routes with different labeling power:
   `MAX_REFINEMENTS`) whenever two candidates are comparably close.
 
 Events -- real-level crossings, and branch coalescences for the
-sign-flipped coupling -- are localized by bisection to `PARAM_TOL`.
+sign-flipped coupling -- are localized by bisection to `PARAM_TOL`.  The
+grid steps where a pair of real rows crosses are found with array
+operations, and only those steps are visited, in the (row, row, step) order
+of a nested loop.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import eigvals_checked
-from .closedform import closed_form_levels, doublet_block, doublet_eigenvalues
+from .closedform import closed_form_tracks, doublet_block, doublet_eigenvalues, level_keys
 from .errors import NumericalError, TrackingAmbiguityError, ValidationError
 from .fock import TruncatedFockSpace
 from .models import ModelParams, build_extended
@@ -108,13 +114,12 @@ def sweep(spec: SweepSpec) -> SweepResult:
     if spec.parameter != "rho":
         raise ValidationError("closed-form sweeps drive rho; use qes_theta_sweep")
     grid = spec.grid()
-    columns = [closed_form_levels(spec.at(value), spec.doublets) for value in grid]
-    labels = tuple(level.label for level in columns[0])
-    tracks = np.array([[level.energy for level in column] for column in columns], dtype=complex).T
+    tracks = closed_form_tracks(spec.params, spec.doublets, grid)
+    labels = tuple(label for label, _, _ in level_keys(spec.params.k, spec.doublets))
 
     def energy(row, value):
-        # rows follow closed_form_levels: k constant singlets, then each
-        # doublet's branches I and II; only this row's block is built
+        # rows follow level_keys: k constant singlets, then each doublet's
+        # branches I and II; only this row's block is built
         if row < spec.params.k:
             return complex(tracks[row, 0])
         doublet, branch = divmod(row - spec.params.k, 2)
@@ -180,33 +185,35 @@ def _events(spec, grid, labels, tracks, locate, extra=()) -> tuple[FlowEvent, ..
     boundary degeneracies, not events.
     """
     events = []
-    real_row = _real_rows(tracks)
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            if not (real_row[i] and real_row[j]):
-                continue
-            diff = tracks[i].real - tracks[j].real
-            for g in range(len(grid) - 1):
-                if diff[g + 1] == 0.0:
-                    if g + 1 == len(grid) - 1:
-                        continue
-                    value, energy = float(grid[g + 1]), complex(tracks[i, g + 1])
-                    tolerance = 0.0
-                elif diff[g] * diff[g + 1] < 0.0:
-                    value, energy = locate(i, j, g)
-                    tolerance = PARAM_TOL
-                else:
-                    continue
-                events.append(
-                    FlowEvent(
-                        kind="crossing",
-                        parameter=spec.parameter,
-                        value=value,
-                        energy=energy,
-                        labels=(labels[i], labels[j]),
-                        tolerance=tolerance,
-                    )
+    real = tracks.real
+    rows = np.flatnonzero(_real_rows(tracks))
+    for index, i in enumerate(rows.tolist()):
+        # row i against every later real row j at once: diff[j, g] is
+        # tracks[i, g].real - tracks[j, g].real, and np.nonzero visits the
+        # hits in the (j, g) order of the nested loops it replaces
+        later = rows[index + 1 :]
+        diff = real[i] - real[later]
+        zero = diff[:, 1:] == 0.0
+        zero[:, -1] = False  # a zero at the last grid point is no event
+        hits = zero | (diff[:, :-1] * diff[:, 1:] < 0.0)
+        for row, g in zip(*(axis.tolist() for axis in np.nonzero(hits))):
+            j = int(later[row])
+            if zero[row, g]:
+                value, energy = float(grid[g + 1]), complex(tracks[i, g + 1])
+                tolerance = 0.0
+            else:
+                value, energy = locate(i, j, g)
+                tolerance = PARAM_TOL
+            events.append(
+                FlowEvent(
+                    kind="crossing",
+                    parameter=spec.parameter,
+                    value=value,
+                    energy=energy,
+                    labels=(labels[i], labels[j]),
+                    tolerance=tolerance,
                 )
+            )
     events.extend(extra)
     events.sort(key=lambda e: e.value)
     return tuple(events)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -27,14 +28,20 @@ SCHEMA_VERSION = 1
 def format_number(value) -> str:
     """Shortest round-tripping decimal form of a float (canonical)."""
     as_float = float(value)
-    if math.isnan(as_float) or math.isinf(as_float):
+    if not math.isfinite(as_float):
         raise ValidationError(f"cannot serialize non-finite value {value!r}")
     return repr(as_float)
 
 
+_CSV_STRUCTURE = re.compile(r"[,\n\r#]")
+
+
 def format_cell(value) -> str:
+    # floats first: they are nearly every cell of a table
+    if isinstance(value, float):
+        return format_number(value)
     if isinstance(value, str):
-        if any(ch in value for ch in ",\n\r#"):
+        if _CSV_STRUCTURE.search(value):
             raise ValidationError(f"cell {value!r} contains CSV structure characters")
         return value
     if isinstance(value, bool):
@@ -63,7 +70,7 @@ class Table:
 def write_csv(table: Table) -> str:
     lines = [",".join(table.columns)]
     for row in table.rows:
-        lines.append(",".join(format_cell(cell) for cell in row))
+        lines.append(",".join(map(format_cell, row)))
     for comment in table.comments:
         lines.append(f"# {comment}")
     return "\n".join(lines) + "\n"

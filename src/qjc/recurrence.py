@@ -614,11 +614,18 @@ def reconstruct_eigenvector(
             f"evaluates to {poly(energy):.3e}, so post-frontier coefficients "
             "stay nonzero"
         )
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        raise NumericalError("series collapsed to the zero vector")
-    residual = gate_residual(params, space, energy, psi)
-    rel = float(np.linalg.norm(residual) / norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as an error
+        norm = float(np.linalg.norm(psi))
+        if norm == 0.0:
+            raise NumericalError("series collapsed to the zero vector")
+        residual = gate_residual(params, space, energy, psi)
+        rel = float(np.linalg.norm(residual) / norm)
+    if not (math.isfinite(norm) and math.isfinite(rel)):
+        # an infinite norm makes rel 0 or nan, and psi / norm the zero vector
+        raise NumericalError(
+            "reconstruction gate cannot be checked outside the float range "
+            f"(1.8e308): ||psi|| = {norm:.3e}, relative residual {rel:.3e}"
+        )
     if rel > RECONSTRUCTION_TOL:
         worst = int(np.argmax(np.abs(residual)))
         photon = worst % space.cutoff

@@ -422,6 +422,18 @@ def test_float_range_overflow_in_recur_exits_3(capsys, rho):
 
 
 @pytest.mark.parametrize(
+    "big_n, rho", [("2", "1e-100"), ("1", "1e-100"), ("1", "1e-140")]
+)
+def test_reconstruction_norm_overflow_in_recur_exits_3(capsys, big_n, rho):
+    # the series vector's norm overflows: no roots with a 0.0 residual
+    code = main(["recur", "--model", "ht", "--N", big_n, "--rho", rho, "--theta", "1.2", "--phi", "-1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "reconstruction gate" in captured.err and "float range" in captured.err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("spectrum", "--model", "h2", "--rho", "1e300"),

@@ -1,7 +1,9 @@
 """Doublet/singlet formulas checked against direct 2x2 diagonalization."""
 
 import cmath
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from qjc._linalg import eig_checked
 from qjc.closedform import (
+    closed_form_tracks,
     doublet_block,
     doublet_coalescence_rho,
     doublet_eigenvalues,
@@ -18,9 +21,9 @@ from qjc.closedform import (
     normalize,
     transfer_amplitude,
 )
-from qjc.errors import ValidationError
+from qjc.errors import NumericalError, ValidationError
 from qjc.fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
-from qjc.models import ModelParams, build_extended
+from qjc.models import ModelParams, build_extended, poly_value
 
 
 def charpoly_eigenvalues(block):
@@ -242,3 +245,97 @@ def test_embedded_doublet_vector_is_full_space_eigenvector():
     full[basis_index(space, block.n, SPIN_UP)] = upper
     full[basis_index(space, block.n + block.k, SPIN_DOWN)] = lower
     assert_allclose(h @ full, lam_1.real * full, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# closed_form_tracks against the scalar block route, bit for bit
+
+
+def block_route_tracks(params, doublets, rho):
+    """The reference: singlets, then doublet_eigenvalues(doublet_block(...)) per point."""
+    singlets = [
+        complex(params.hbar_omega * j + poly_value(params, j) - 0.5 * params.epsilon)
+        for j in range(params.k)
+    ]
+    columns = []
+    for value in rho:
+        at = dataclasses.replace(params, rho=float(value))
+        column = list(singlets)
+        for n in range(doublets):
+            column.extend(doublet_eigenvalues(doublet_block(at, n)))
+        columns.append(column)
+    return np.array(columns, dtype=complex).reshape(len(rho), -1).T
+
+
+def assert_same_bits(actual, expected):
+    # int64 views tell -0.0 from +0.0, which == does not
+    assert actual.shape == expected.shape
+    bits = np.ascontiguousarray(actual).view(np.int64)
+    assert np.array_equal(bits, np.ascontiguousarray(expected).view(np.int64))
+
+
+@pytest.mark.parametrize("poly", [(), (0.0, 0.0, 0.05), (0.0, 0.0, 0.01, 0.0, -4e-4)])
+@pytest.mark.parametrize("phi", [1, -1])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_closed_form_tracks_equal_the_block_route_bit_for_bit(k, phi, poly):
+    params = ModelParams(epsilon=0.7, k=k, phi=phi, poly=poly)
+    doublets = 6
+    # each doublet's exceptional point and its float neighbours, where the
+    # discriminant passes zero, plus couplings just inside the float range
+    flipped = dataclasses.replace(params, phi=-1)
+    points = np.array([doublet_coalescence_rho(flipped, n) for n in range(doublets)])
+    edge = math.sqrt(sys.float_info.max) / (2.0 * transfer_amplitude(doublets - 1, k))
+    rho = np.concatenate(
+        [
+            np.linspace(0.0, 2.0, 41),
+            points,
+            np.nextafter(points, 0.0),
+            np.nextafter(points, np.inf),
+            edge * (1.0 - 1e-12 * np.arange(1, 4)),
+        ]
+    )
+    assert_same_bits(closed_form_tracks(params, doublets, rho), block_route_tracks(params, doublets, rho))
+
+
+@pytest.mark.parametrize("phi", [1, -1])
+def test_closed_form_tracks_round_a_tiny_root_as_cmath_does(phi):
+    # zero gap (eps = k hw), so the discriminant is 4 phi rho^2 (n+1)...(n+k);
+    # where |disc| / 8 is subnormal, cmath.sqrt rounds differently from sqrt
+    # (k = 1, as an even (n+1)...(n+k) keeps |disc| / 8 exact)
+    params = ModelParams(epsilon=1.0, k=1, phi=phi)
+    rho = np.geomspace(1e-155, 1e-153, 400)
+    discs = [
+        abs(doublet_block(dataclasses.replace(params, rho=float(r)), n).discriminant())
+        for r in rho
+        for n in range(3)
+    ]
+    assert any(cmath.sqrt(d).real != math.sqrt(d) for d in discs)
+    assert_same_bits(closed_form_tracks(params, 3, rho), block_route_tracks(params, 3, rho))
+
+
+def test_closed_form_tracks_with_no_doublets_are_the_singlets():
+    params = ModelParams(epsilon=0.7, k=3, poly=(0.0, 0.0, 0.05))
+    rho = np.linspace(0.0, 1.0, 5)
+    assert_same_bits(closed_form_tracks(params, 0, rho), block_route_tracks(params, 0, rho))
+
+
+@pytest.mark.parametrize(
+    "params, rho",
+    [
+        # coupling^2 overflows from doublet 3 on at the second coupling
+        (ModelParams(k=3, phi=1), [0.5, math.sqrt(sys.float_info.max / 360.0), 1e200]),
+        # rho^2 (n+1)...(n+k) overflows at the last point only
+        (ModelParams(k=2, phi=-1), [0.0, 1.0, 1e160]),
+        # gap^2 overflows at every coupling
+        (ModelParams(k=1, phi=1, hbar_omega=1e155), [0.0, 1.0]),
+        # a non-finite coupling fails ModelParams' check, as per point
+        (ModelParams(k=2, phi=1), [0.0, math.nan, 1e200]),
+    ],
+)
+def test_closed_form_tracks_raise_the_block_routes_error(params, rho):
+    with pytest.raises((NumericalError, ValidationError)) as scalar:
+        block_route_tracks(params, 5, rho)
+    with pytest.raises((NumericalError, ValidationError)) as vector:
+        closed_form_tracks(params, 5, rho)
+    assert type(vector.value) is type(scalar.value)
+    assert str(vector.value) == str(scalar.value)

@@ -15,6 +15,8 @@ from qjc.flow import (
     SweepSpec,
     _advance,
     _bisect,
+    _events,
+    _real_rows,
     locate_coalescence,
     numeric_deviation,
     qes_theta_sweep,
@@ -115,6 +117,67 @@ def test_bisection_probes_build_only_the_two_rows_blocks(monkeypatch):
     spec = SweepSpec(params=TWO_PHOTON, parameter="rho", start=0.0, stop=2.0, points=101, doublets=10)
     assert len(sweep(spec).events) == 100
     assert len(calls) <= 3000
+
+
+def _events_by_loop(spec, grid, labels, tracks, locate, extra=()):
+    """The reference for `_events`: every real pair, every grid step, one by one."""
+    events = []
+    real_row = _real_rows(tracks)
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            if not (real_row[i] and real_row[j]):
+                continue
+            diff = tracks[i].real - tracks[j].real
+            for g in range(len(grid) - 1):
+                if diff[g + 1] == 0.0:
+                    if g + 1 == len(grid) - 1:
+                        continue
+                    value, energy = float(grid[g + 1]), complex(tracks[i, g + 1])
+                    tolerance = 0.0
+                elif diff[g] * diff[g + 1] < 0.0:
+                    value, energy = locate(i, j, g)
+                    tolerance = PARAM_TOL
+                else:
+                    continue
+                events.append(
+                    FlowEvent(
+                        kind="crossing",
+                        parameter=spec.parameter,
+                        value=value,
+                        energy=energy,
+                        labels=(labels[i], labels[j]),
+                        tolerance=tolerance,
+                    )
+                )
+    events.extend(extra)
+    events.sort(key=lambda e: e.value)
+    return tuple(events)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # 100 crossings among ten doublets, the rho = 1 ones on the grid
+        SweepSpec(params=TWO_PHOTON, parameter="rho", start=0.0, stop=2.0, points=101, doublets=10),
+        # degeneracies on the last grid point, which are no events
+        SweepSpec(params=TWO_PHOTON, parameter="rho", start=0.0, stop=1.0, points=41, doublets=3),
+        # coalescences among the crossings, and rows that turn complex
+        SweepSpec(params=FLIPPED, parameter="rho", start=0.0, stop=2.0, points=81, doublets=4),
+        theta_spec(1.0, points=21),
+    ],
+)
+def test_events_match_the_per_point_loop(monkeypatch, spec):
+    compared = []
+
+    def both(*args):
+        events = _events(*args)
+        compared.append((events, _events_by_loop(*args)))
+        return events
+
+    monkeypatch.setattr(qjc.flow, "_events", both)
+    (sweep if spec.parameter == "rho" else qes_theta_sweep)(spec)
+    [(events, reference)] = compared
+    assert events and events == reference
 
 
 def test_bisection_cap_raises_naming_param_tol():

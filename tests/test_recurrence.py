@@ -434,6 +434,23 @@ def test_reconstruction_refuses_non_roots():
         reconstruct_eigenvector(params, 0.123456, SPACE)
 
 
+@pytest.mark.parametrize("big_n, rho", [(2, 1e-100), (1, 1e-100), (1, 1e-140)])
+def test_reconstruction_refuses_a_series_vector_whose_norm_overflows(big_n, rho):
+    # the weak-coupling series grows past 1.8e308: its norm is inf, so the
+    # relative residual is nan and psi / norm the zero vector
+    params = ModelParams(rho=rho, theta=1.2, n_qes=big_n + 2, phi=-1)
+    refused = 0
+    for root in critical_roots(params):
+        try:
+            psi = reconstruct_eigenvector(params, root, SPACE)
+        except NumericalError as err:
+            assert "reconstruction gate" in str(err) and "float range" in str(err)
+            refused += 1
+        else:
+            assert np.linalg.norm(psi) == pytest.approx(1.0)
+    assert refused > 0
+
+
 def test_reconstruction_in_decoupled_limits():
     for case in DECOUPLED:
         hw, eps, rho, theta, phi = case.values

@@ -11,17 +11,19 @@ Branch convention: branch I always takes the + square root of the
 discriminant, i.e. the branch that at zero coupling continues the
 higher-energy diagonal entry of the block.
 
-Two evaluations of the levels, equal bit for bit: `closed_form_tracks`
-evaluates every level over a whole coupling grid in one array pass, and
-`doublet_block` + `doublet_eigenvalues` evaluate one block at one coupling.
-The array pass repeats the scalar path's IEEE operations in the same order
-and keeps its signed zeros, and tests compare the two through their bits.
-Every caller of the closed-form route reads its levels from
-`closed_form_tracks`: the rho sweep (`flow.sweep`) at its whole grid, and
-`closed_form_levels` at a single coupling for `qjc spectrum` (through
+Two evaluations of the doublet levels agree bit for bit.
+`closed_form_tracks` evaluates every level over a coupling grid in one
+array pass; `doublet_block` + `doublet_eigenvalues` evaluate one block at one
+coupling.  The array pass takes the gap, the mean and gap^2 as the same
+Python floats, computes rho^2 (n+1)...(n+k) and the discriminant by the
+same IEEE operations in the same order, rounds and places the root as
+cmath.sqrt does, and keeps the signed zeros (branch I gets mean + 0.0,
+branch II mean - 0.0).  Tests compare the two through their bits.  Every
+closed-form caller reads `closed_form_tracks`: `flow.sweep` at its grid,
+and `closed_form_levels` at one coupling for `qjc spectrum` (through
 `full_algebraic_spectrum`) and the pseudo-JCM `qjc polyrep-check`.  The
-scalar path stays as the tests' reference, and serves the sweep's bisection
-and coalescence probes, which each need one block at one coupling.
+scalar path is the tests' reference and serves the sweep's bisection and
+coalescence probes, which each need one block at one coupling.
 """
 
 from __future__ import annotations
@@ -237,16 +239,12 @@ def level_keys(k: int, doublets: int) -> list[tuple[str, int, str | None]]:
 def closed_form_tracks(params: ModelParams, doublets: int, rho) -> np.ndarray:
     """Every closed-form level at every coupling in `rho`, in one array pass.
 
-    Returns a complex array of shape (k + 2 doublets, len(rho)) with rows in
+    Returns a complex array of shape (k + 2 doublets, len(rho)), rows in
     `level_keys` order.  Singlet j is (0, |j>) with E_j = j hw + P(j) - eps/2,
-    exact for every coupling strength because a^k annihilates |j> for j < k.
-    Each doublet entry equals doublet_eigenvalues(doublet_block(...)) at
-    that rho bit for bit, signed zeros included: the gap, mean and gap^2 are
-    the same Python floats, rho^2 (n+1)...(n+k) and the discriminant the
-    same IEEE operations in the same order, and the root is placed, and
-    rounded, as cmath.sqrt places it.  A non-finite discriminant raises the
-    scalar path's NumericalError for the first coupling where one occurs,
-    naming the lowest such doublet there.
+    exact for every coupling because a^k annihilates |j> for j < k.  Doublet
+    entries equal the scalar path's bit for bit (see the module docstring).
+    A non-finite discriminant raises the scalar path's NumericalError for
+    the first coupling where one occurs and the lowest such doublet there.
     """
     rho = np.asarray(rho, dtype=float)
     k = params.k

@@ -80,7 +80,7 @@ def eig_checked(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _components(matrix: np.ndarray) -> list[list[int]]:
+def connected_components(matrix: np.ndarray) -> list[list[int]]:
     """Connected components of the graph with an edge i - j where H[i, j] or H[j, i] != 0.
 
     No nonzero entry joins two components, so they split H block-diagonally.
@@ -124,7 +124,7 @@ def eigvals_checked(matrix: np.ndarray) -> np.ndarray:
     if not math.isfinite(norm):
         _gate(norm, math.inf)  # raises: no residual can be judged against it
     by_size: dict[int, list[list[int]]] = {}
-    for component in _components(matrix):
+    for component in connected_components(matrix):
         by_size.setdefault(len(component), []).append(component)
     values, worst = [], []
     for members in by_size.values():

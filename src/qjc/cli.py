@@ -355,25 +355,17 @@ def cmd_recur(merged: dict, args) -> int:
     table = Table(
         columns=("index", "re_energy", "im_energy", "reconstruction_residual", "distance_to_algebraic")
     )
-    roots = []
     for index, (root, residual) in enumerate(_reconstructions(params, space)):
-        distance = float(np.min(np.abs(algebraic - root)))
-        table.add(index, root.real, root.imag, residual, distance)
-        roots.append(
-            {
-                "re": root.real,
-                "im": root.imag,
-                "reconstruction_residual": residual,
-                "distance_to_algebraic": distance,
-            }
-        )
+        table.add(index, root.real, root.imag, residual, float(np.min(np.abs(algebraic - root))))
+    # the JSON roots are the table rows less the index, under their own keys
+    keys = ("re", "im", "reconstruction_residual", "distance_to_algebraic")
     table.comments.append(f"critical polynomial degree {int(poly.degree)}")
     document = {
         "command": "recur",
         "N": params.big_n,
         "degree": int(poly.degree),
         "coefficients": [float(c) for c in poly.float_coefficients()],
-        "roots": roots,
+        "roots": [dict(zip(keys, row[1:])) for row in table.rows],
     }
     return _write(merged, args, table, document)
 

@@ -16,19 +16,24 @@ n = n_qes = N + 2.
 Every exchange term moves |n, up> onto |n+j, down> with j <= k, so each
 builder states only its diagonal and one pair of bands per photon offset j;
 `_assemble` writes them into the dense matrix.
+
+`invariant_subspace` is the one place that knows which states span the
+dressed model's closed subspace: the QES route diagonalizes it and the
+recurrence route certifies its reconstructed vectors on it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from ._linalg import reached_rows
 from .errors import ValidationError
-from .fock import SpinFockOperator, TruncatedFockSpace
+from .fock import SPIN_DOWN, SPIN_UP, SpinFockOperator, TruncatedFockSpace, basis_index
 
 
 @dataclass(frozen=True)
@@ -274,3 +279,71 @@ def build_ht(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator
     a2 = _lowering_band(space.cutoff, 2)
     bands = {1: (c * dressed, c_hat * dressed), 2: (params.rho * a2, params.phi * params.rho * a2)}
     return _assemble(params, space, bands)
+
+
+@dataclass(frozen=True)
+class InvariantSubspace:
+    """Basis bookkeeping for one closed subspace.
+
+    upper_indices / lower_indices are positions in the full spin-major
+    basis; the subspace ordering is all upper states (photon ascending)
+    followed by all lower states.  `matrix` is the full matrix of the
+    generating model `params` on `space`, `defect` its certified leak
+    max |<out| H |in>|, and `rows` the rows of `matrix` that the subspace
+    reaches (`_linalg.reached_rows`), on which its eigenpairs are certified.
+    """
+
+    params: ModelParams
+    space: TruncatedFockSpace
+    upper_indices: tuple[int, ...]
+    lower_indices: tuple[int, ...]
+    defect: float
+    matrix: np.ndarray = field(compare=False, repr=False)
+    rows: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def big_n(self) -> int:
+        return self.params.big_n
+
+    @property
+    def n(self) -> int:
+        return self.big_n + 2
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.big_n + 4
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return self.upper_indices + self.lower_indices
+
+
+def _leak(columns: np.ndarray, indices: tuple[int, ...]) -> float:
+    """Largest |entry| of H[:, indices] (`columns`) off the rows `indices`."""
+    outside = np.ones(columns.shape[0], dtype=bool)
+    outside[list(indices)] = False
+    leak = columns[outside]
+    return float(np.max(np.abs(leak))) if leak.size else 0.0
+
+
+def invariance_defect(h_matrix: np.ndarray, indices: tuple[int, ...]) -> float:
+    """Largest matrix element leaking out of span{indices}."""
+    return _leak(h_matrix[:, list(indices)], indices)
+
+
+def invariant_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantSubspace:
+    """span{|0..N, up>, |0..N+2, down>} of `build_ht` on `space`, with its leak.
+
+    One build, and one read of the subspace's columns for both the leak and
+    the rows they reach.  The matrix and rows are read-only, so `rows` stays
+    the rows `matrix` reaches.  `build_ht` rejects a cutoff too small for N
+    and the guard band.
+    """
+    h = build_ht(params, space).matrix
+    upper = tuple(basis_index(space, j, SPIN_UP) for j in range(params.big_n + 1))
+    lower = tuple(basis_index(space, m, SPIN_DOWN) for m in range(params.big_n + 3))
+    columns = h[:, list(upper + lower)]
+    defect, rows = _leak(columns, upper + lower), reached_rows(columns, upper + lower)
+    for array in (h, rows):
+        array.setflags(write=False)
+    return InvariantSubspace(params, space, upper, lower, defect, h, rows)

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._linalg import eig_checked
 from .errors import ValidationError
-from .models import ModelParams
+from .models import ModelParams, invariance_defect
 
 MAX_CAP = 64
 
@@ -91,10 +91,8 @@ def _restrict(full: np.ndarray, work_deg: int, caps: tuple[int, int]) -> PolySpa
     d1, d2 = caps
     width = work_deg + 1
     inside = list(range(d1 + 1)) + [width + j for j in range(d2 + 1)]
-    outside = [i for i in range(2 * width) if i not in inside]
     block = full[np.ix_(inside, inside)]
-    leak = float(np.max(np.abs(full[np.ix_(outside, inside)]))) if outside else 0.0
-    return PolySpaceOperator(matrix=block, caps=caps, leak=leak)
+    return PolySpaceOperator(matrix=block, caps=caps, leak=invariance_defect(full, inside))
 
 
 def _validate_caps(caps: tuple[int, int]):

@@ -6,107 +6,35 @@ For n = n_qes = N + 2 the model from `build_ht` maps the span of
 
 into itself exactly: the dressed one-photon term carries a factor
 (n_hat - n) that vanishes on precisely the transition that would escape.
-This module builds that subspace, certifies the invariance on the full
-truncated matrix, and diagonalizes the restriction assembled directly from
-the ladder formulas (never by projecting the floating-point full matrix, so
-no truncation noise enters the algebraic spectrum).
+`models.invariant_subspace` builds that subspace and certifies the
+invariance on the full truncated matrix; this module diagonalizes the
+restriction assembled directly from the ladder formulas (never by projecting
+the floating-point full matrix, so no truncation noise enters the algebraic
+spectrum).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from ._linalg import eig_checked, reached_rows, residual_on_rows
+from ._linalg import connected_components, eig_checked, residual_on_rows
 from .errors import NumericalError, ValidationError
-from .fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
-from .models import ModelParams, build_ht
+from .fock import TruncatedFockSpace
+# invariance_defect is re-exported with the rest of the subspace API
+from .models import InvariantSubspace, ModelParams, invariance_defect, invariant_subspace
 
 DEGENERACY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class InvariantSubspace:
-    """Basis bookkeeping for one closed subspace.
-
-    upper_indices / lower_indices are positions in the full spin-major
-    basis; the subspace ordering is all upper states (photon ascending)
-    followed by all lower states.  `matrix` is the full matrix of the
-    generating model `params` on `space`, `defect` its certified leak
-    max |<out| H |in>|, and `rows` the rows of `matrix` that the subspace
-    reaches (`_linalg.reached_rows`), on which its eigenpairs are certified.
-    """
-
-    params: ModelParams
-    space: TruncatedFockSpace
-    upper_indices: tuple[int, ...]
-    lower_indices: tuple[int, ...]
-    defect: float
-    matrix: np.ndarray = field(compare=False, repr=False)
-    rows: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def big_n(self) -> int:
-        return self.params.big_n
-
-    @property
-    def n(self) -> int:
-        return self.big_n + 2
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.big_n + 4
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return self.upper_indices + self.lower_indices
-
-
-def _scan(h_matrix: np.ndarray, indices: tuple[int, ...]) -> tuple[float, np.ndarray]:
-    """The leak of span{indices} and the rows it reaches, from one read of H[:, indices]."""
-    inside = list(indices)
-    columns = h_matrix[:, inside]
-    outside = np.ones(h_matrix.shape[0], dtype=bool)
-    outside[inside] = False
-    leak = columns[outside]
-    defect = float(np.max(np.abs(leak))) if leak.size else 0.0
-    return defect, reached_rows(columns, indices)
-
-
-def invariance_defect(h_matrix: np.ndarray, indices: tuple[int, ...]) -> float:
-    """Largest matrix element leaking out of span{indices}."""
-    return _scan(h_matrix, indices)[0]
-
-
-def _subspace_indices(big_n: int, space: TruncatedFockSpace):
-    """Full-basis positions of |0..N, up> and of |0..N+2, down>."""
-    upper = tuple(basis_index(space, j, SPIN_UP) for j in range(big_n + 1))
-    lower = tuple(basis_index(space, m, SPIN_DOWN) for m in range(big_n + 3))
-    return upper, lower
-
-
 def build_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantSubspace:
-    """Construct span{|0..N, up>, |0..N+2, down>} and certify its closure.
-
-    `build_ht` rejects a cutoff too small for N and the guard band.
-    """
-    h = build_ht(params, space).matrix
-    upper, lower = _subspace_indices(params.big_n, space)
-    defect, rows = _scan(h, upper + lower)
-    for array in (h, rows):  # read-only, so `rows` stays the rows `h` reaches
-        array.setflags(write=False)
-    return InvariantSubspace(
-        params=params,
-        space=space,
-        upper_indices=upper,
-        lower_indices=lower,
-        defect=defect,
-        matrix=h,
-        rows=rows,
-    )
+    """Construct span{|0..N, up>, |0..N+2, down>} and certify its closure
+    (`models.invariant_subspace`).  Uncached, so a finished caller frees its
+    matrix."""
+    return invariant_subspace(params, space)
 
 
 def restriction_matrix(params: ModelParams) -> np.ndarray:
@@ -162,26 +90,6 @@ class AlgebraicEigenpair:
     cluster_basis: np.ndarray | None = None
 
 
-def _group_close_eigenvalues(w: np.ndarray, tol: float) -> list[list[int]]:
-    """Union eigenvalue indices into clusters of pairwise chains within tol."""
-    parent = list(range(len(w)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if abs(w[i] - w[j]) < tol:
-                parent[root(i)] = root(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(w)):
-        groups.setdefault(root(i), []).append(i)
-    return list(groups.values())
-
-
 def _cluster_is_defective(v: np.ndarray, cluster: list[int]) -> bool:
     """Rank test: near-parallel eigenvectors mean a nontrivial Jordan block."""
     sing = np.linalg.svd(v[:, cluster], compute_uv=False)
@@ -213,29 +121,22 @@ def _schur_cluster_basis(mat: np.ndarray, w: np.ndarray, cluster: list[int]) -> 
 def embed_subspace_vector(
     sub: InvariantSubspace, vec: np.ndarray, space: TruncatedFockSpace | None = None
 ) -> np.ndarray:
-    """Lift subspace coordinates into the full spin-major basis.
+    """Lift subspace coordinates into the full spin-major basis, of `space`
+    (built there) if given, else of the subspace's own.
 
     `vec` holds one coordinate vector, or one per column.
     """
-    space = space or sub.space
-    full = np.zeros((space.dim,) + vec.shape[1:], dtype=vec.dtype)
-    full[list(_indices_in(sub, space))] = vec
+    if space is not None and space != sub.space:
+        sub = invariant_subspace(sub.params, space)
+    full = np.zeros((sub.space.dim,) + vec.shape[1:], dtype=vec.dtype)
+    full[list(sub.indices)] = vec
     return full
 
 
-def _indices_in(sub: InvariantSubspace, space: TruncatedFockSpace) -> tuple[int, ...]:
-    """Full-basis positions of the subspace states on `space`."""
-    if space == sub.space:
-        return sub.indices
-    upper, lower = _subspace_indices(sub.big_n, space)
-    return upper + lower
-
-
-def _certification_matrix(
+def _check_certification(
     sub: InvariantSubspace, params: ModelParams, space: TruncatedFockSpace
-) -> np.ndarray:
-    """The full matrix that certifies `sub`, on a cutoff that holds its image;
-    the subspace's own matrix when `space` is the one it was built on."""
+) -> None:
+    """Refuse params other than the subspace's, and a cutoff that cannot hold its image."""
     if params != sub.params:
         raise ValidationError("certification params differ from the subspace's")
     if space.cutoff < 2 * (sub.big_n + 3):
@@ -243,7 +144,6 @@ def _certification_matrix(
             f"certification cutoff {space.cutoff} below twice the subspace "
             f"extent {sub.big_n + 3}"
         )
-    return sub.matrix if space == sub.space else build_ht(params, space).matrix
 
 
 def certify_in_full_space(
@@ -257,19 +157,20 @@ def certify_in_full_space(
 
     ||H v - E v|| / ||v|| for an eigenvalue E and its vector v, or
     ||H V - V E|| for a cluster basis V and its compressed matrix E = V* H V.
-    A plain pair is computed on the rows of H the subspace reaches, which
-    gives the dense residual bit for bit (`_linalg.residual_on_rows`); a
-    cluster basis takes the dense product.
+    On another `space` the subspace is built there.  A plain pair is
+    computed on the rows of H the subspace reaches, which gives the dense
+    residual bit for bit (`_linalg.residual_on_rows`); a cluster basis
+    takes the dense product.
     """
     space = space or sub.space
-    full = embed_subspace_vector(sub, vector, space)
-    matrix = _certification_matrix(sub, params, space)
+    _check_certification(sub, params, space)
+    if space != sub.space:
+        sub = invariant_subspace(params, space)
+    full = embed_subspace_vector(sub, vector)
     if np.ndim(energy) == 0:
-        indices = _indices_in(sub, space)
-        rows = sub.rows if space == sub.space else _scan(matrix, indices)[1]
-        residual = residual_on_rows(matrix, full, energy, indices, rows)
+        residual = residual_on_rows(sub.matrix, full, energy, sub.indices, sub.rows)
         return float(np.linalg.norm(residual) / np.linalg.norm(full))
-    return float(np.linalg.norm(matrix @ full - full @ energy))
+    return float(np.linalg.norm(sub.matrix @ full - full @ energy))
 
 
 def algebraic_spectrum(
@@ -286,12 +187,15 @@ def algebraic_spectrum(
     clustering scale.)  Every pair and cluster is certified by
     `certify_in_full_space` on the full matrix `build_subspace` built.
     """
-    _certification_matrix(sub, params, sub.space)  # refuse bad input before diagonalizing
+    _check_certification(sub, params, sub.space)  # refuse bad input before diagonalizing
     mat = restriction_matrix(params)
     w, v = eig_checked(mat)
     tol = DEGENERACY_TOL * max(1.0, float(np.linalg.norm(mat)))
     clusters: dict[int, tuple[np.ndarray, float]] = {}
-    for cluster in _group_close_eigenvalues(w, tol):
+    # clusters: chains of eigenvalues within tol, each in ascending index order;
+    # np.hypot rounds each |wi - wj| as scalar abs does, np.abs on the array may not
+    gaps = w[:, np.newaxis] - w
+    for cluster in map(sorted, connected_components(np.hypot(gaps.real, gaps.imag) < tol)):
         if len(cluster) > 1 and _cluster_is_defective(v, cluster):
             basis = _schur_cluster_basis(mat, w, cluster)
             small = basis.conj().T @ mat @ basis

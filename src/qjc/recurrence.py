@@ -33,13 +33,13 @@ decides whether a limit applies).
 Consecutive calls for one parameter set share their work: `run_to_critical`
 keeps the last exact series it built, keyed on the parameters (which hold
 phi, k and n_qes as int, so phi = 1.0 shares phi = 1's exact series), and
-the residual gate keeps the last full-space matrix (`gate_matrix`), and the
-rows of it that a reconstructed vector reaches, keyed on the parameters and
-the space.  So `critical_roots` and the reconstructions of all its roots
-build one series and one matrix.  Each cache holds one entry
-because the calls for one parameter set arrive back to back; more entries
-would only serve a return to an earlier parameter set, and would hold more
-memory for it.
+the residual gate keeps the last invariant subspace (`gate_subspace`: the
+full-space matrix and the rows of it that a reconstructed vector reaches),
+keyed on the parameters and the space.  So `critical_roots` and the
+reconstructions of all its roots build one series and one matrix.  Each
+cache holds one entry because the calls for one parameter set arrive back
+to back; more entries would only serve a return to an earlier parameter
+set, and would hold more memory for it.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import reached_rows, residual_on_rows
+from ._linalg import residual_on_rows
 from .errors import NumericalError, ValidationError
 from .fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
-from .models import ModelParams, build_ht
+from .models import InvariantSubspace, ModelParams, invariant_subspace
 
 ROOT_IMAG_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
@@ -487,7 +487,8 @@ def critical_roots(params: ModelParams) -> np.ndarray:
     if poly.degree == 0:
         return np.array([])
     try:
-        roots = np.roots(poly.float_coefficients()[::-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, as an error
+            roots = np.roots(poly.float_coefficients()[::-1])
     except np.linalg.LinAlgError:
         raise NumericalError(
             "companion matrix of the critical polynomial leaves the float range "
@@ -556,25 +557,14 @@ def _chain_vector(limit, energy: complex, space: TruncatedFockSpace) -> np.ndarr
 
 
 @functools.lru_cache(maxsize=1)
-def gate_matrix(params: ModelParams, space: TruncatedFockSpace) -> np.ndarray:
-    """The full-space `build_ht` matrix the residual gate reads.
+def gate_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantSubspace:
+    """The invariant subspace whose full matrix the residual gate reads.
 
-    Shared across calls, so read-only: no caller can alter what a later
-    gate reads.  `build_ht(params, space).matrix` is a fresh, writable copy.
+    Its span, up |0..n-2> and down |0..n>, is the support of every
+    reconstructed vector, and its read-only `rows` the rows that support
+    reaches; shared across calls, no caller can alter what a later gate reads.
     """
-    matrix = build_ht(params, space).matrix
-    matrix.setflags(write=False)
-    return matrix
-
-
-@functools.lru_cache(maxsize=1)
-def _gate_rows(params: ModelParams, space: TruncatedFockSpace):
-    """Support of every reconstructed vector, up |0..n-2> and down |0..n>,
-    and the rows of the gate matrix that it reaches."""
-    n = params.big_n + 2
-    support = [basis_index(space, j, SPIN_UP) for j in range(n - 1)]
-    support += [basis_index(space, m, SPIN_DOWN) for m in range(n + 1)]
-    return support, reached_rows(gate_matrix(params, space)[:, support], support)
+    return invariant_subspace(params, space)
 
 
 def gate_residual(
@@ -583,7 +573,8 @@ def gate_residual(
     """H v - E v on the gate matrix, computed on the rows a reconstructed
     vector reaches; equal to the dense product bit for bit
     (`_linalg.residual_on_rows`)."""
-    return residual_on_rows(gate_matrix(params, space), vector, energy, *_gate_rows(params, space))
+    sub = gate_subspace(params, space)
+    return residual_on_rows(sub.matrix, vector, energy, sub.indices, sub.rows)
 
 
 def reconstruct_eigenvector(

@@ -364,13 +364,15 @@ def test_recur_builds_the_series_once(capsys):
 def test_recur_builds_the_matrix_once(capsys, monkeypatch):
     builds = []
 
+    build_ht = qjc.models.build_ht
+
     def counted(*args):
         builds.append(args)
-        return qjc.models.build_ht(*args)
+        return build_ht(*args)
 
-    for module in (qjc.cli, qjc.qes, qjc.recurrence):
+    for module in (qjc.cli, qjc.models):
         monkeypatch.setattr(module, "build_ht", counted)
-    qjc.recurrence.gate_matrix.cache_clear()
+    qjc.recurrence.gate_subspace.cache_clear()
     code, _ = run(capsys, "recur", "--model", "ht", "--N", "2", "--rho", "0.7", "--theta", "1.2")
     assert code == 0
     assert len(builds) == 1
@@ -381,14 +383,16 @@ def test_spectrum_ht_builds_the_matrix_twice(capsys, monkeypatch):
     # for the recurrence gate's own cache
     builds = []
 
+    build_ht = qjc.models.build_ht
+
     def counted(*args):
         builds.append(args)
-        return qjc.models.build_ht(*args)
+        return build_ht(*args)
 
-    for module in (qjc.cli, qjc.qes, qjc.recurrence):
+    for module in (qjc.cli, qjc.models):
         monkeypatch.setattr(module, "build_ht", counted)
     monkeypatch.setitem(qjc.cli._BUILDERS, "ht", counted)
-    qjc.recurrence.gate_matrix.cache_clear()
+    qjc.recurrence.gate_subspace.cache_clear()
     code, _ = run(
         capsys, "spectrum", "--model", "ht", "--N", "3", "--rho", "0.7", "--theta", "1.2",
         "--phi", "-1",
@@ -412,6 +416,7 @@ def test_eigensolver_gate_refuses_an_inaccurate_eigenpair(capsys, monkeypatch):
     assert "eigensolver residual" in captured.err and "exceeds" in captured.err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("rho", ["1e300", "1e100"])
 def test_float_range_overflow_in_recur_exits_3(capsys, rho):
     # 1e300: an exact coefficient passes the float range; 1e100: the

@@ -15,7 +15,7 @@ from test_golden import pinned_env
 
 from qjc._linalg import (
     ROW_BLOCK,
-    _components,
+    connected_components as _components,
     eig_checked,
     eigvals_checked,
     reached_rows,
@@ -32,8 +32,8 @@ from qjc.models import (
     build_jcm,
     build_pseudo_jcm,
 )
-from qjc.qes import _subspace_indices, algebraic_spectrum, build_subspace, certify_in_full_space, embed_subspace_vector
-from qjc.recurrence import critical_roots, gate_matrix, gate_residual, reconstruct_eigenvector
+from qjc.qes import algebraic_spectrum, build_subspace, certify_in_full_space, embed_subspace_vector
+from qjc.recurrence import critical_roots, gate_residual, gate_subspace, reconstruct_eigenvector
 from qjc.symmetry import classify_eigenvalues
 
 
@@ -108,8 +108,7 @@ def test_qes_subspace_is_a_union_of_components(big_n, phi):
     space = TruncatedFockSpace(32, 8)
     for rho, theta in ((0.6, 1.3), (0.0, 0.9), (1.1, 0.0)):
         params = ModelParams(rho=rho, phi=phi, theta=theta, n_qes=big_n + 2)
-        upper, lower = _subspace_indices(big_n, space)
-        inside = set(upper + lower)
+        inside = set(build_subspace(params, space).indices)
         for component in _components(build_ht(params, space).matrix):
             assert inside.issuperset(component) or inside.isdisjoint(component)
 
@@ -239,7 +238,7 @@ def _ht_cases():
                 psi = reconstruct_eigenvector(params, root, space)
             except NumericalError:
                 continue
-            dense = gate_matrix(params, space) @ psi - root * psi
+            dense = gate_subspace(params, space).matrix @ psi - root * psi
             yield gate_residual(params, space, root, psi).tolist(), dense.tolist()
 
 

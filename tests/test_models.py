@@ -1,13 +1,16 @@
 """Hamiltonian assembly oracles: matrix elements checked by hand expansion."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose, assert_array_equal
 
+import qjc
 from qjc.errors import ValidationError
 from qjc.fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
 from qjc.models import (
@@ -286,3 +289,34 @@ def test_lowering_band_has_the_bits_of_matrix_power(cutoff):
     for k in range(1, 13):
         dense = np.diag(np.linalg.matrix_power(a, k), k=k)
         assert _lowering_band(cutoff, k).tobytes() == dense.tobytes(), k
+
+
+ROUTES = ("closedform", "qes", "recurrence", "polyrep")
+
+
+def _qjc_imports(source: str) -> set[str]:
+    """The `qjc` modules a module's source imports, however it spells them."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("qjc" if node.level else "", node.module)))
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("qjc."))
+    return found
+
+
+def test_import_parser_reads_every_spelling():
+    source = "from .qes import x\nfrom . import polyrep\nimport qjc.flow\nfrom qjc import cli\n"
+    assert _qjc_imports(source) == {"qes", "polyrep", "flow", "cli"}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_the_routes_do_not_import_each_other(route):
+    # the routes share the dressed model and its subspace through `models` only
+    imported = _qjc_imports((Path(qjc.__file__).parent / f"{route}.py").read_text())
+    assert "models" in imported
+    assert imported.isdisjoint(set(ROUTES) - {route}), imported

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qjc.qes
+import qjc.models
 from qjc.closedform import doublet_block, doublet_eigenvalues
 from qjc.errors import ValidationError
 from qjc.fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
@@ -262,7 +262,7 @@ def test_algebraic_spectrum_builds_the_full_matrix_once(monkeypatch, params):
         calls.append(args)
         return build_ht(*args)
 
-    monkeypatch.setattr(qjc.qes, "build_ht", counted)
+    monkeypatch.setattr(qjc.models, "build_ht", counted)
     pairs = algebraic_spectrum(sub, params)
     assert len(calls) == 0
     assert len(pairs) == sub.dim

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qjc.recurrence
+from qjc._linalg import spectrum_mismatch
 from qjc.closedform import doublet_block, doublet_eigenvalues
 from qjc.errors import NumericalError, ValidationError
 from qjc.fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
@@ -198,6 +199,21 @@ def test_roots_are_subset_of_algebraic_spectrum(phi, big_n):
                 assert np.min(np.abs(w - r)) < 1e-8
 
 
+@pytest.mark.parametrize("phi", [-1, 1])
+@pytest.mark.parametrize("big_n", range(5, 13))
+def test_roots_are_the_algebraic_spectrum_at_strong_coupling(phi, big_n):
+    # the weak-coupling cells stay out: there the companion seeds of a
+    # near-defective cluster can polish onto the wrong roots
+    for rho in (0.8, 1.2, 2.0):
+        for theta in (0.5, 1.2, 2.5):
+            params = ModelParams(rho=rho, theta=theta, n_qes=big_n + 2, phi=phi)
+            levels = algebraic_eigenvalues(params)
+            # the roots are the QES levels less the decoupled -eps/2 level
+            seeded = int(np.argmin(np.abs(levels + 0.5 * params.epsilon)))
+            mismatch = spectrum_mismatch(critical_roots(params), np.delete(levels, seeded))
+            assert mismatch <= 1e-9, (rho, theta, mismatch)
+
+
 def test_doubly_decoupled_limit_keeps_only_seeded_level():
     params = ModelParams(rho=0.0, theta=0.0, n_qes=5, phi=-1, hbar_omega=0.75)
     npt.assert_array_equal(truncation_spectrum(params), [0.25])
@@ -360,8 +376,7 @@ def test_reconstruction_builds_one_series_per_call(monkeypatch, big_n, phi):
 
 def _clear_caches():
     run_to_critical.cache_clear()
-    qjc.recurrence.gate_matrix.cache_clear()
-    qjc.recurrence._gate_rows.cache_clear()
+    qjc.recurrence.gate_subspace.cache_clear()
 
 
 @pytest.mark.parametrize("phi", [1, -1])
@@ -374,7 +389,7 @@ def test_all_roots_share_one_series_and_one_matrix(monkeypatch, big_n, phi):
         builds.append(args)
         return build_ht(*args)
 
-    monkeypatch.setattr(qjc.recurrence, "build_ht", counted)
+    monkeypatch.setattr(qjc.models, "build_ht", counted)
     _clear_caches()
     for root in critical_roots(params):
         try:
@@ -424,7 +439,7 @@ def test_reconstructed_vector_is_the_callers_own():
     assert psi.flags.writeable
     psi[:] = 7.0
     npt.assert_array_equal(reconstruct_eigenvector(params, root, SPACE), expected)
-    assert not qjc.recurrence.gate_matrix(params, SPACE).flags.writeable
+    assert not qjc.recurrence.gate_subspace(params, SPACE).matrix.flags.writeable
     assert build_ht(params, SPACE).matrix.flags.writeable
 
 

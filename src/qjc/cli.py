@@ -43,7 +43,7 @@ from .polyrep import (
     restriction_spectrum,
 )
 from .qes import algebraic_eigenvalues, algebraic_spectrum, build_subspace
-from .recurrence import critical_polynomial, critical_roots, gate_residual, reconstruct_eigenvector
+from .recurrence import _certified_reconstruction, critical_polynomial, critical_roots
 from .symmetry import REALNESS_TOL, STRUCTURE_TOL, symmetry_report
 
 SPECTRUM_COLUMNS = ("label", "n", "branch", "re_energy", "im_energy", "source", "residual")
@@ -246,11 +246,10 @@ def _reconstructions(params, space) -> list[tuple[complex, float]]:
     Each residual is ||H v - E v|| of the reconstructed eigenvector v on
     the full matrix, the one the reconstruction gate read.
     """
-    rows = []
-    for root in critical_roots(params):
-        vec = reconstruct_eigenvector(params, root, space)
-        rows.append((complex(root), float(np.linalg.norm(gate_residual(params, space, root, vec)))))
-    return rows
+    return [
+        (complex(root), _certified_reconstruction(params, root, space)[1])
+        for root in critical_roots(params)
+    ]
 
 
 # ---------------------------------------------------------------------------

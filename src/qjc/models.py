@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -128,6 +129,18 @@ class ModelParams:
             derived = -self.theta / (self.big_n + 2)
         c = self.c if self.c is not None else derived
         c_hat = self.c_hat if self.c_hat is not None else derived
+        return c, c_hat
+
+    def exact_qes_couplings(self) -> tuple[Fraction, Fraction]:
+        """(c, c_hat) as exact rationals.
+
+        The theta-derived default is built as -Fraction(theta)/n_qes rather
+        than by converting the float quotient, so exact routes match the
+        mathematical -theta/n_qes instead of its rounded double.
+        """
+        derived = -Fraction(self.theta) / (self.big_n + 2)
+        c = Fraction(self.c) if self.c is not None else derived
+        c_hat = Fraction(self.c_hat) if self.c_hat is not None else derived
         return c, c_hat
 
     def one_photon_couplings(self) -> tuple[float, float]:

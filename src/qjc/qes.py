@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -227,6 +228,66 @@ def algebraic_spectrum(
             AlgebraicEigenpair(energy=energy, vector=vec, residual=residual)
         )
     return pairs
+
+
+def path_order(n: int) -> list[int]:
+    """`restriction_matrix` indices for n = n_qes in path order.
+
+    The isolated lower |0> (level -eps/2) comes first, then the path lower
+    |1>, upper |0>, lower |2>, upper |1>, ..., upper |n-2>, lower |n>: upper
+    |j> couples only to lower |j+1> and |j+2>, so the restriction reordered
+    this way is tridiagonal, with a zero coupling after the first entry.
+    """
+    n_up = n - 1
+    order = [n_up]
+    for j in range(n_up):
+        order += [n_up + j + 1, j]
+    return order + [n_up + n]
+
+
+def _exact_jacobi_form(params: ModelParams):
+    """Diagonal of the restriction along `path_order` and, for each entry,
+    the product of its two couplings to the previous one (0 for the first),
+    as exact rationals: the square roots square away, leaving
+    phi rho^2 m (m-1) on the two-photon edges into lower |m> and
+    c c_hat m (m-n)^2 on the one-photon ones."""
+    n, phi = params.big_n + 2, params.phi
+    hw, eps, rho = (Fraction(v) for v in (params.hbar_omega, params.epsilon, params.rho))
+    c, c_hat = params.exact_qes_couplings()
+    diag, prods = [-eps / 2], [Fraction(0)]
+    for m in range(1, n):  # lower |m>, then upper |m-1>
+        diag += [hw * m - eps / 2, hw * (m - 1) + eps / 2]
+        prods += [phi * rho**2 * m * (m - 1), c * c_hat * m * (m - n) ** 2]
+    return diag + [hw * n - eps / 2], prods + [phi * rho**2 * n * (n - 1)]
+
+
+def count_below(params: ModelParams, x) -> int:
+    """Exact number of algebraic levels below x, with multiplicity.
+
+    Needs every coupling product of `_exact_jacobi_form` >= 0 (phi = +1 and
+    c c_hat >= 0, or rho = 0 for the two-photon ones).  Then the tridiagonal
+    restriction splits at its zero products into blocks similar, by positive
+    diagonals, to real symmetric ones, and by Sylvester's law of inertia the
+    count is the number of negative pivots of the LDL^T recurrence
+    d_i = (a_i - x) - p_(i-1) / d_(i-1) (Wilkinson 1965, ch. 5), all in
+    rationals (x is read exactly).  An exact zero pivot is taken as +0
+    (the Sturm rule): the next pivot is -inf and the one after a - x.
+    """
+    diag, prods = _exact_jacobi_form(params)
+    if min(prods) < 0:
+        raise ValidationError(
+            "count_below needs real coupling products: phi = +1 and c c_hat >= 0, "
+            "or rho = 0 with c c_hat >= 0"
+        )
+    x = Fraction(x)
+    count, pivot = 0, None  # None: before the first pivot, or after an infinite one
+    for a, p in zip(diag, prods):
+        if pivot == 0 and p:
+            count, pivot = count + 1, None
+            continue
+        pivot = a - x if pivot is None or not p else a - x - p / pivot
+        count += pivot < 0
+    return count
 
 
 def algebraic_eigenvalues(params: ModelParams) -> np.ndarray:

@@ -20,10 +20,15 @@ the recurrence closes over the rationals:
 
 so all polynomials here are exact and the critical polynomial's roots carry
 no recurrence noise.  Arithmetic is fraction-free: an `EnergyPolynomial`
-holds Python-int numerators over one common denominator, and the Newton
-polish evaluates by Horner in scaled integers at float (dyadic) iterates.
-The stored polynomials are the rescaled pt_j, qt_j; `p_value`/`q_value`
-restore the factorial scaling.
+holds Python-int numerators over one common denominator.  The stored
+polynomials are the rescaled pt_j, qt_j; `p_value`/`q_value` restore the
+factorial scaling.
+
+Root polish.  A Newton step takes C and C' from one exact Horner pass in
+scaled integers at the float (dyadic) iterate, real ones at a real point.
+Complex seeds come in exact conjugate pairs, and the polish commutes with
+conjugation, so one seed of a pair is polished and the other mirrored (a root
+that came out real is copied as it is: conj would make its +0.0 a -0.0).
 
 `run_to_critical` builds the series in one pass; it divides by rho and by
 c_hat (j+2-n), so the rho = 0 and c_hat = 0 limits, which decouple into 2x2
@@ -31,15 +36,13 @@ chains, are read from one chain table instead (`_chain_limit`, which also
 decides whether a limit applies).
 
 Consecutive calls for one parameter set share their work: `run_to_critical`
-keeps the last exact series it built, keyed on the parameters (which hold
-phi, k and n_qes as int, so phi = 1.0 shares phi = 1's exact series), and
-the residual gate keeps the last invariant subspace (`gate_subspace`: the
-full-space matrix and the rows of it that a reconstructed vector reaches),
-keyed on the parameters and the space.  So `critical_roots` and the
-reconstructions of all its roots build one series and one matrix.  Each
-cache holds one entry because the calls for one parameter set arrive back
-to back; more entries would only serve a return to an earlier parameter
-set, and would hold more memory for it.
+keeps the last exact series, keyed on the parameters (which hold phi, k and
+n_qes as int, so phi = 1.0 shares phi = 1's series), and the residual gate
+the last invariant subspace (`gate_subspace`: the full matrix and the rows a
+reconstructed vector reaches), keyed on the parameters and the space.  So
+`critical_roots` and the reconstructions of its roots build one series and
+one matrix.  The calls for one parameter set arrive back to back, so each
+cache holds one entry; more would only serve a return to an earlier set.
 """
 
 from __future__ import annotations
@@ -225,16 +228,8 @@ class EnergyPolynomial:
 
 
 def _rational_params(params: ModelParams):
-    """Exact rational images of the couplings.
-
-    The theta-derived couplings are built as -Fraction(theta)/n rather than
-    by converting the float quotient, so the recurrence matches the
-    mathematical -theta/n exactly instead of its rounded double.  Callers
-    reach `params.big_n` first, which refuses parameters without n_qes.
-    """
-    derived = -Fraction(params.theta) / params.n_qes
-    c = Fraction(params.c) if params.c is not None else derived
-    c_hat = Fraction(params.c_hat) if params.c_hat is not None else derived
+    """Exact rational hw, eps, rho, c, c_hat (`ModelParams.exact_qes_couplings`)."""
+    c, c_hat = params.exact_qes_couplings()
     return Fraction(params.hbar_omega), Fraction(params.epsilon), Fraction(params.rho), c, c_hat
 
 
@@ -395,41 +390,43 @@ def _dyadic(re: float, im: float):
     return a << (k - s.bit_length() + 1), b << (k - t.bit_length() + 1), k
 
 
-def _eval_exact_complex(poly: EnergyPolynomial, x_re: int, x_im: int, k: int):
-    """Exact Horner at the dyadic point (x_re + i x_im) / 2**k.
+def _horner_pair(poly: EnergyPolynomial, x_re: int, x_im: int, k: int):
+    """Integers (B_re, B_im, D_re, D_im) with poly = B / (den 2**(k deg)) and
+    poly' = D / (den 2**(k deg - k)) at the dyadic point X / 2**k, X = x_re +
+    i x_im: one homogeneous Horner pass, the j-th numerator c from the top
+    carrying 2**(k j) for the point's denominator, B <- B X + (c << k j) and
+    D <- D X + B, in real integers at a real point."""
+    b_re = b_im = d_re = d_im = shift = 0
+    if x_im == 0:
+        for c in reversed(poly.numerators):
+            d_re, b_re = d_re * x_re + b_re, b_re * x_re + (c << shift)
+            shift += k
+    else:
+        for c in reversed(poly.numerators):
+            d_re, d_im = d_re * x_re - d_im * x_im + b_re, d_re * x_im + d_im * x_re + b_im
+            b_re, b_im = b_re * x_re - b_im * x_im + (c << shift), b_re * x_im + b_im * x_re
+            shift += k
+    return b_re, b_im, d_re, d_im
 
-    Returns integers (f_re, f_im, den), den > 0, with poly = (f_re + i f_im)
-    / den there: the numerators are run through Horner homogeneously, the
-    j-th from the top carrying 2**(k j) in place of the point's denominator.
-    """
-    acc_re = acc_im = shift = 0
-    for c in reversed(poly.numerators):
-        acc_re, acc_im = acc_re * x_re - acc_im * x_im + (c << shift), acc_re * x_im + acc_im * x_re
-        shift += k
-    return acc_re, acc_im, poly.denominator << max(shift - k, 0)
 
-
-def _newton_step(poly: EnergyPolynomial, deriv: EnergyPolynomial, re: float, im: float):
-    """poly / deriv at the float point re + i im, each part the correctly
-    rounded float of the exact ratio (one int true division); None where
-    poly or deriv vanishes exactly."""
+def _newton_step(poly: EnergyPolynomial, re: float, im: float):
+    """poly / poly' at the float point re + i im, each part the correctly
+    rounded float of the exact ratio B conj(D) / (|D|**2 2**k) of one fused
+    pass (`_horner_pair`), by one int true division; B / (D 2**k) at a real
+    point.  None where poly or poly' vanishes exactly.  The step at conj(x)
+    is the exact conjugate (up to the sign of a zero part), which is why
+    `critical_roots` polishes one seed of each conjugate pair only."""
     x_re, x_im, k = _dyadic(re, im)
-    f_re, f_im, f_den = _eval_exact_complex(poly, x_re, x_im, k)
-    if f_re == 0 and f_im == 0:
+    b_re, b_im, d_re, d_im = _horner_pair(poly, x_re, x_im, k)
+    if b_re == b_im == 0 or d_re == d_im == 0:
         return None
-    d_re, d_im, d_den = _eval_exact_complex(deriv, x_re, x_im, k)
-    norm = d_re * d_re + d_im * d_im
-    if norm == 0:
-        return None
-    # (f_re + i f_im) conj(d) d_den / (|d|^2 f_den)
-    denom = norm * f_den
-    return complex(
-        (f_re * d_re + f_im * d_im) * d_den / denom,
-        (f_im * d_re - f_re * d_im) * d_den / denom,
-    )
+    if x_im == 0:
+        return complex(b_re / (d_re << k), 0.0)
+    denom = (d_re * d_re + d_im * d_im) << k
+    return complex((b_re * d_re + b_im * d_im) / denom, (b_im * d_re - b_re * d_im) / denom)
 
 
-def _newton_exact(poly: EnergyPolynomial, deriv: EnergyPolynomial, seed: complex):
+def _newton_exact(poly: EnergyPolynomial, seed: complex):
     """Polish one root by Newton iteration with exact polynomial evaluation.
 
     The iterate is re-rounded to a float (pair) each step, so it stays
@@ -450,7 +447,7 @@ def _newton_exact(poly: EnergyPolynomial, deriv: EnergyPolynomial, seed: complex
     # rho=0.05, theta=0.4 has four), and raising would drop the whole
     # spectrum instead of returning the best iterate.
     for _ in range(80):
-        step = _newton_step(poly, deriv, re, im)
+        step = _newton_step(poly, re, im)
         if step is None:
             break
         if prev_step not in (None, 0) and abs(step) > 0:
@@ -477,9 +474,10 @@ def _newton_exact(poly: EnergyPolynomial, deriv: EnergyPolynomial, seed: complex
 def critical_roots(params: ModelParams) -> np.ndarray:
     """All roots of the critical polynomial (complex), sorted by (Re, Im).
 
-    Companion-matrix eigenvalues seed the roots; each is then polished by
-    exact-arithmetic Newton so the returned values are accurate to the last
-    float digit and reconstruction residuals are not limited by root error.
+    Companion-matrix eigenvalues seed the roots; one seed of each conjugate
+    pair is polished by exact-arithmetic Newton and the other mirrored, so
+    the values are accurate to the last float digit and reconstruction
+    residuals are not limited by root error.
     """
     poly = critical_polynomial(params)
     if poly.is_zero:
@@ -494,12 +492,16 @@ def critical_roots(params: ModelParams) -> np.ndarray:
             "companion matrix of the critical polynomial leaves the float range "
             "(coefficient ratios beyond 1.8e308)"
         ) from None
-    deriv = poly.derivative()
-    polished = []
-    for r in roots:
-        x = _newton_exact(poly, deriv, complex(r))
-        if abs(x.imag) < ROOT_IMAG_TOL * max(1.0, abs(x)):
-            x = complex(x.real)
+    polished, by_seed = [], {}
+    for seed in map(complex, roots):
+        x = by_seed.get(seed.conjugate())
+        if x is None:
+            x = _newton_exact(poly, seed)
+            if abs(x.imag) < ROOT_IMAG_TOL * max(1.0, abs(x)):
+                x = complex(x.real)
+        elif x.imag != 0.0:
+            x = x.conjugate()
+        by_seed[seed] = x
         polished.append(x)
     out = np.array(polished)
     return out[np.lexsort((out.imag, out.real))]
@@ -518,15 +520,11 @@ def _residual_scale(poly: EnergyPolynomial, value: complex) -> float:
 # eigenvector reconstruction
 
 
-def _vector_dtype(energy: complex):
-    return complex if complex(energy).imag != 0.0 else float
-
-
 def _truncated_vector_generic(
     state: SeriesState, energy: complex, space: TruncatedFockSpace
 ) -> np.ndarray:
     n = state.n
-    psi = np.zeros(space.dim, dtype=_vector_dtype(energy))
+    psi = np.zeros(space.dim, dtype=type(energy))  # float at a real root
     for j in range(0, n - 1):
         psi[basis_index(space, j, SPIN_UP)] = state.p_value(j, energy)
     for j in range(-1, n - 1):
@@ -537,7 +535,7 @@ def _truncated_vector_generic(
 def _chain_vector(limit, energy: complex, space: TruncatedFockSpace) -> np.ndarray:
     """Eigenvector of the seeded level, or of the chain block nearest `energy`."""
     (level, photon), blocks = limit
-    psi = np.zeros(space.dim, dtype=_vector_dtype(energy))
+    psi = np.zeros(space.dim, dtype=type(energy))  # float at a real root
     if not blocks or abs(energy - level) < 1e-8:
         psi[basis_index(space, photon, SPIN_DOWN)] = 1.0
         return psi
@@ -588,42 +586,43 @@ def reconstruct_eigenvector(
     fails.  At generic couplings the critical polynomial comes from the
     same exact series the vector is read from.
     """
+    return _certified_reconstruction(params, energy, space)[0]
+
+
+def _certified_reconstruction(params: ModelParams, energy, space: TruncatedFockSpace):
+    """`reconstruct_eigenvector`'s unit vector v and the ||H v - E v|| its gate read."""
     energy = complex(energy)
-    if energy.imag == 0.0:
-        energy = energy.real
+    energy = energy.real if energy.imag == 0.0 else energy
     limit = _chain_limit(params, exact=False)
     if limit is None:
         state = run_to_critical(params)
-        poly = state.critical
-        psi = _truncated_vector_generic(state, energy, space)
+        poly, psi = state.critical, _truncated_vector_generic(state, energy, space)
     else:
         poly = critical_polynomial(params)
         psi = _chain_vector(limit, energy, space)
     if abs(poly(energy)) > 1e-8 * _residual_scale(poly, energy):
         raise ValidationError(
-            f"E = {energy} is not a truncation root: the critical polynomial "
-            f"evaluates to {poly(energy):.3e}, so post-frontier coefficients "
-            "stay nonzero"
+            f"E = {energy} is not a truncation root: the critical polynomial evaluates "
+            f"to {poly(energy):.3e}, so post-frontier coefficients stay nonzero"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, as an error
         norm = float(np.linalg.norm(psi))
         if norm == 0.0:
             raise NumericalError("series collapsed to the zero vector")
-        residual = gate_residual(params, space, energy, psi)
-        rel = float(np.linalg.norm(residual) / norm)
+        vector = psi / norm
+        residual = gate_residual(params, space, energy, vector)
+        rel = float(np.linalg.norm(residual))
     if not (math.isfinite(norm) and math.isfinite(rel)):
-        # an infinite norm makes rel 0 or nan, and psi / norm the zero vector
+        # an infinite norm makes psi / norm the zero vector (or nan), so rel 0 or nan
         raise NumericalError(
             "reconstruction gate cannot be checked outside the float range "
             f"(1.8e308): ||psi|| = {norm:.3e}, relative residual {rel:.3e}"
         )
     if rel > RECONSTRUCTION_TOL:
         worst = int(np.argmax(np.abs(residual)))
-        photon = worst % space.cutoff
         sector = "upper" if worst < space.cutoff else "lower"
         raise NumericalError(
             f"reconstruction residual {rel:.3e} exceeds {RECONSTRUCTION_TOL:.1e}; "
-            f"largest leak on the {sector} |{photon}> component"
+            f"largest leak on the {sector} |{worst % space.cutoff}> component"
         )
-    return psi / norm
-
+    return vector, rel

@@ -361,6 +361,22 @@ def test_recur_builds_the_series_once(capsys):
     assert qjc.recurrence.run_to_critical.cache_info().misses == 1
 
 
+def test_recur_computes_each_reconstruction_residual_once(capsys, monkeypatch):
+    # the printed residual is the one the gate read, not a second product
+    calls = []
+    residual_on_rows = qjc.recurrence.residual_on_rows
+
+    def counted(*args):
+        calls.append(args[2])
+        return residual_on_rows(*args)
+
+    monkeypatch.setattr(qjc.recurrence, "residual_on_rows", counted)
+    code, out = run(capsys, "recur", "--model", "ht", "--N", "3", "--rho", "0.7", "--theta", "1.2")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert len(rows) == 9 and len(calls) == 9
+
+
 def test_recur_builds_the_matrix_once(capsys, monkeypatch):
     builds = []
 

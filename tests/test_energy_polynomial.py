@@ -3,7 +3,9 @@
 The reference functions below are the former `Fraction` implementation of
 `EnergyPolynomial` arithmetic, complex Horner evaluation and the Newton
 step, kept here as the oracle: every kernel operation must agree with them
-exactly, down to the bits of every float it returns.
+exactly, down to the bits of every float it returns.  The kernel's Newton
+step takes the polynomial and its derivative from one fused pass; the
+oracle evaluates them separately.
 """
 
 import math
@@ -16,7 +18,7 @@ from qjc.errors import NumericalError
 from qjc.recurrence import (
     EnergyPolynomial,
     _dyadic,
-    _eval_exact_complex,
+    _horner_pair,
     _newton_exact,
     _newton_step,
 )
@@ -222,13 +224,18 @@ def test_float_horner_matches_reference(raw, x):
 @given(RAW, FLOATS, FLOATS)
 @settings(max_examples=200, deadline=None)
 def test_complex_evaluation_at_dyadic_points(raw, re, im):
+    # the fused pass gives poly = B / (den 2**(k deg)), poly' = D / (den 2**(k deg - k))
     poly, ref = build(raw)
     x_re, x_im, k = _dyadic(re, im)
     assert (Fraction(x_re, 2**k), Fraction(x_im, 2**k)) == (Fraction(re), Fraction(im))
-    f_re, f_im, den = _eval_exact_complex(poly, x_re, x_im, k)
-    assert den > 0
-    assert (Fraction(f_re, den), Fraction(f_im, den)) == ref_eval_complex(
-        ref, Fraction(re), Fraction(im)
+    b_re, b_im, d_re, d_im = _horner_pair(poly, x_re, x_im, k)
+    if x_im == 0:
+        assert b_im == d_im == 0
+    scale = Fraction(poly.denominator) * Fraction(2) ** (k * (len(ref) - 1))
+    point = Fraction(re), Fraction(im)
+    assert (b_re / scale, b_im / scale) == ref_eval_complex(ref, *point)
+    assert (d_re * 2**k / scale, d_im * 2**k / scale) == ref_eval_complex(
+        ref_derivative(ref), *point
     )
 
 
@@ -236,15 +243,59 @@ def test_complex_evaluation_at_dyadic_points(raw, re, im):
 @settings(max_examples=200, deadline=None)
 def test_newton_step_matches_reference(raw, re, im):
     poly, ref = build(raw)
-    got = outcome(_newton_step, poly, poly.derivative(), re, im)
+    got = outcome(_newton_step, poly, re, im)
     assert got == outcome(ref_newton_step, ref, ref_derivative(ref), re, im)
+
+
+@given(RAW, FLOATS)
+@settings(max_examples=200, deadline=None)
+def test_newton_step_at_real_points_matches_reference(raw, re):
+    # the real-integer pass, at +0.0 and -0.0 imaginary parts alike
+    poly, ref = build(raw)
+    expected = outcome(ref_newton_step, ref, ref_derivative(ref), re, 0.0)
+    assert outcome(_newton_step, poly, re, 0.0) == expected
+    assert outcome(_newton_step, poly, re, -0.0) == expected
+
+
+def test_newton_step_explicit_points():
+    # (E - 1)(E^2 + 1): a real root, a conjugate pair, real and complex iterates
+    cubic = EnergyPolynomial.from_coefficients([-1, 1, -1, 1])
+    ref = ref_trim([-1, 1, -1, 1])
+    for re, im in [(0.5, 0.0), (0.5, -0.0), (-0.0, 0.0), (2.0, 0.0), (0.25, 0.75), (0.25, -0.75),
+                   (1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1e-300, 0.0), (3.0, 1e-300)]:
+        expected = outcome(ref_newton_step, ref, ref_derivative(ref), re, im)
+        assert outcome(_newton_step, cubic, re, im) == expected
+    # exact roots stop the step; the real one by the real pass
+    assert _newton_step(cubic, 1.0, 0.0) is None and _newton_step(cubic, 0.0, -1.0) is None
+    assert repr(_newton_step(cubic, 2.0, 0.0)) == repr(complex(5 / 9, 0.0))
+    for poly in (EnergyPolynomial.zero(), EnergyPolynomial.constant(Fraction(-7, 3))):
+        for re, im in [(0.5, 0.0), (0.5, -0.0), (0.0, 0.0), (0.25, 0.75)]:
+            assert _newton_step(poly, re, im) is None
 
 
 def test_newton_polish_returns_positive_zero_like_fraction_iterates():
     # Fraction(-0.0) == 0, so the Fraction polish turned a -0.0 seed into 0.0
     energy = EnergyPolynomial.from_coefficients([0, 1])
-    root = _newton_exact(energy, energy.derivative(), complex(-0.0, -0.0))
+    root = _newton_exact(energy, complex(-0.0, -0.0))
     assert (math.copysign(1, root.real), math.copysign(1, root.imag)) == (1, 1)
+
+
+SMALL_POLYS = st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(lambda cs: cs[-1] != 0)
+SEED_PARTS = st.one_of(st.floats(-4, 4, allow_nan=False), st.sampled_from([0.0, -0.0]))
+
+
+@given(SMALL_POLYS, SEED_PARTS, SEED_PARTS)
+@settings(max_examples=150, deadline=None)
+def test_newton_polish_from_conjugate_seed_is_the_mirror_image(coeffs, re, im):
+    # the iterates from conj(seed) are the exact conjugates, extrapolated jumps
+    # included; a polish that ends real ends at +0.0 from either seed
+    poly = EnergyPolynomial.from_coefficients(coeffs)
+    seed = complex(re, im)
+    root = _newton_exact(poly, seed)
+    mirror = root if root.imag == 0.0 else root.conjugate()
+    assert repr(_newton_exact(poly, seed.conjugate())) == repr(mirror)
+    if root.imag == 0.0:
+        assert math.copysign(1, root.imag) == 1
 
 
 def test_zero_polynomial_edge_cases():
@@ -256,7 +307,8 @@ def test_zero_polynomial_edge_cases():
     assert zero.derivative() == zero and one.derivative() == zero
     assert (zero * one, zero + one, one - one) == (zero, one, zero)
     assert zero.divmod_exact(one) == (zero, zero)
-    assert _eval_exact_complex(zero, 3, 1, 2) == (0, 0, 1)
-    assert _newton_step(zero, zero, 0.5, 0.0) is None
-    assert _newton_step(one, zero, 0.5, 0.0) is None
+    assert _horner_pair(zero, 3, 1, 2) == _horner_pair(zero, 3, 0, 2) == (0, 0, 0, 0)
+    assert _horner_pair(one, 3, 1, 2) == (1, 0, 0, 0)
+    assert _newton_step(zero, 0.5, 0.0) is None
+    assert _newton_step(one, 0.5, 0.0) is None
 

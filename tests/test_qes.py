@@ -1,6 +1,7 @@
 """Invariant-subspace construction and algebraic spectra."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -18,8 +19,10 @@ from qjc.qes import (
     algebraic_spectrum,
     build_subspace,
     certify_in_full_space,
+    count_below,
     embed_subspace_vector,
     invariance_defect,
+    path_order,
     restriction_matrix,
 )
 
@@ -269,3 +272,72 @@ def test_algebraic_spectrum_builds_the_full_matrix_once(monkeypatch, params):
     if params.theta == 0.0:
         # rho = 1 / (2 sqrt 2), theta = 0 sits on a coalescence
         assert any(pair.defective for pair in pairs)
+
+
+# ---------------------------------------------------------------------------
+# path order and the exact level count
+
+
+@pytest.mark.parametrize("big_n", [0, 3, 10])
+@pytest.mark.parametrize("phi", [1, -1])
+def test_path_order_makes_the_restriction_tridiagonal(big_n, phi):
+    params = ModelParams(rho=0.7, theta=1.2, n_qes=big_n + 2, phi=phi)
+    order = path_order(big_n + 2)
+    assert sorted(order) == list(range(2 * big_n + 4))
+    mat = restriction_matrix(params)[np.ix_(order, order)]
+    rows, cols = np.nonzero(mat)
+    assert np.all(np.abs(rows - cols) <= 1)
+    # the isolated lower |0> at -eps/2, then a path linked both ways at every step
+    assert mat[0, 1] == mat[1, 0] == 0 and mat[0, 0] == -0.5 * params.epsilon
+    link = np.arange(1, len(order) - 1)
+    assert np.all(mat[link, link + 1] != 0) and np.all(mat[link + 1, link] != 0)
+
+
+def _real_family(seed):
+    """phi = +1 parameters with every coupling product >= 0: derived c = c_hat,
+    unequal c, c_hat of one sign, and the rho = 0 and c_hat = 0 splits."""
+    rng = np.random.default_rng(seed)
+    for big_n in (0, 1, 2, 5, 9, 16, 25, 40):
+        rho = float(rng.uniform(0.05, 2.0))
+        yield ModelParams(rho=rho, theta=float(rng.uniform(0.1, 3.0)), n_qes=big_n + 2)
+        c = float(rng.uniform(0.05, 1.0))
+        yield ModelParams(rho=rho, c=-c, c_hat=-c * float(rng.uniform(0.3, 3.0)), n_qes=big_n + 2)
+    yield ModelParams(rho=0.0, theta=1.1, n_qes=6, phi=-1)
+    yield ModelParams(rho=0.6, c=0.4, c_hat=0.0, n_qes=6)
+
+
+@pytest.mark.parametrize("params", list(_real_family(12)), ids=lambda p: f"N{p.big_n}")
+def test_count_below_matches_float_levels(params):
+    levels = algebraic_eigenvalues(params)
+    assert np.max(np.abs(levels.imag)) <= 1e-9 * max(1.0, np.max(np.abs(levels)))
+    levels = np.sort(levels.real)
+    assert count_below(params, levels[0] - 1.0) == 0
+    assert count_below(params, levels[-1] + 1.0) == len(levels)
+    gap = 1e-6 * max(1.0, np.max(np.abs(levels)))
+    checked = 0
+    for below, (lo, hi) in enumerate(zip(levels, levels[1:]), start=1):
+        if hi - lo > gap:
+            assert count_below(params, (lo + hi) / 2) == below
+            checked += 1
+    assert checked >= len(levels) // 2
+
+
+def test_count_below_at_a_leading_block_level():
+    # x on the first path diagonal (lower |1>, hw - eps/2) zeroes the first
+    # path pivot; the Sturm rule must still count the levels below x
+    params = ModelParams(rho=0.9, theta=1.3, n_qes=5)
+    x = Fraction(params.hbar_omega) - Fraction(params.epsilon) / 2
+    levels = algebraic_eigenvalues(params).real
+    assert np.min(np.abs(levels - float(x))) > 1e-6
+    assert count_below(params, x) == int(np.sum(levels < float(x)))
+    # and on the isolated level itself, which is not below itself
+    assert count_below(params, -params.epsilon / 2) == int(np.sum(levels < -params.epsilon / 2 - 1e-12))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ModelParams(rho=0.7, theta=1.2, n_qes=5, phi=-1), ModelParams(rho=0.7, c=0.3, c_hat=-0.2, n_qes=5)],
+)
+def test_count_below_refuses_negative_coupling_products(params):
+    with pytest.raises(ValidationError, match="coupling products"):
+        count_below(params, 0.0)

@@ -15,7 +15,7 @@ from qjc.closedform import doublet_block, doublet_eigenvalues
 from qjc.errors import NumericalError, ValidationError
 from qjc.fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
 from qjc.models import ModelParams, build_ht
-from qjc.qes import algebraic_eigenvalues
+from qjc.qes import algebraic_eigenvalues, count_below
 from qjc.recurrence import (
     ROOT_IMAG_TOL,
     EnergyPolynomial,
@@ -235,23 +235,86 @@ def test_multiple_root_is_polished_through_linear_convergence():
 def test_newton_cap_keeps_every_weak_coupling_root(monkeypatch):
     # Four roots of this cell use all 80 Newton iterations; the cap stays
     # silent so the spectrum keeps all 2n - 1 roots instead of raising.
+    # One of the four is the mirror of a capped conjugate partner, so three
+    # polishes hit the cap and four returned roots come from one.
     params = ModelParams(rho=0.05, theta=0.4, n_qes=12, phi=-1)
-    steps = []
+    polishes = []  # [seed, steps] per polish
 
     def counted(*args):
-        steps[-1] += 1
+        polishes[-1][1] += 1
         return newton_step(*args)
 
-    def polish(*args):
-        steps.append(0)
-        return newton_exact(*args)
+    def polish(poly, seed):
+        polishes.append([seed, 0])
+        return newton_exact(poly, seed)
 
     newton_step, newton_exact = qjc.recurrence._newton_step, qjc.recurrence._newton_exact
     monkeypatch.setattr(qjc.recurrence, "_newton_step", counted)
     monkeypatch.setattr(qjc.recurrence, "_newton_exact", polish)
     roots = critical_roots(params)
     assert len(roots) == 23 and np.all(np.isfinite(roots))
-    assert steps.count(80) == 4
+    capped = {seed for seed, steps in polishes if steps == 80}
+    seeds = map(complex, np.roots(critical_polynomial(params).float_coefficients()[::-1]))
+    assert sum(seed in capped or seed.conjugate() in capped for seed in seeds) == 4
+    assert len(capped) == 3
+
+
+@pytest.mark.parametrize("big_n", range(1, 13))
+def test_mirrored_conjugate_polish_equals_polishing_every_seed(big_n):
+    # critical_roots polishes one seed of each conjugate pair; polishing
+    # every np.roots seed on its own must give the same bytes
+    for phi in (1, -1):
+        for rho in (0.05, 0.3, 0.7, 1.5):
+            for theta in (0.4, 1.2, 2.0):
+                params = ModelParams(rho=rho, theta=theta, n_qes=big_n + 2, phi=phi)
+                poly = critical_polynomial(params)
+                polished = []
+                for seed in np.roots(poly.float_coefficients()[::-1]):
+                    x = qjc.recurrence._newton_exact(poly, complex(seed))
+                    if abs(x.imag) < ROOT_IMAG_TOL * max(1.0, abs(x)):
+                        x = complex(x.real)
+                    polished.append(x)
+                every = np.array(polished)
+                every = every[np.lexsort((every.imag, every.real))]
+                assert critical_roots(params).tobytes() == every.tobytes(), params
+
+
+def _roots_below_match_exact_count(params):
+    """At every midpoint of the sorted critical roots (and beyond both ends)
+    the roots below it number `count_below`'s levels less the -eps/2 one."""
+    found = critical_roots(params)
+    roots = np.sort(found.real)
+    points = [roots[0] - 1.0, *((roots[1:] + roots[:-1]) / 2), roots[-1] + 1.0]
+    for point in points:
+        seeded = -params.epsilon / 2 < point
+        assert int(np.sum(roots < point)) == count_below(params, point) - seeded, point
+    assert np.all(found.imag == 0.0), "the real family's roots must come out real"
+
+
+def _strong_real_family():
+    rng = np.random.default_rng(2024)
+    for big_n in range(1, 13):
+        for _ in range(2):
+            rho, theta = rng.uniform(0.8, 2.0), rng.uniform(0.1, 3.0)
+            yield ModelParams(rho=float(rho), theta=float(theta), n_qes=big_n + 2, phi=1)
+
+
+@pytest.mark.parametrize(
+    "params", list(_strong_real_family()), ids=lambda p: f"N{p.big_n}-rho{p.rho:.3f}"
+)
+def test_critical_roots_agree_with_exact_count_at_strong_coupling(params):
+    # phi = +1, c c_hat > 0: every level is real and simple, and count_below
+    # counts them exactly
+    _roots_below_match_exact_count(params)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: at N = 12, rho = 0.3 critical_roots misses levels and "
+    "returns non-roots",
+)
+def test_critical_roots_agree_with_exact_count_at_weak_coupling():
+    _roots_below_match_exact_count(ModelParams(rho=0.3, theta=1.2, n_qes=14, phi=1))
 
 
 def test_float_range_overflow_is_a_numerical_error():

@@ -264,11 +264,11 @@ def _exact_jacobi_form(params: ModelParams):
 def count_below(params: ModelParams, x) -> int:
     """Exact number of algebraic levels below x, with multiplicity.
 
-    Needs every coupling product of `_exact_jacobi_form` >= 0 (phi = +1 and
-    c c_hat >= 0, or rho = 0 for the two-photon ones).  Then the tridiagonal
-    restriction splits at its zero products into blocks similar, by positive
-    diagonals, to real symmetric ones, and by Sylvester's law of inertia the
-    count is the number of negative pivots of the LDL^T recurrence
+    Needs every coupling product of `_exact_jacobi_form` >= 0 (phi = +1 or
+    rho = 0, and c c_hat >= 0).  Then the tridiagonal restriction splits at
+    its zero products into blocks similar, by positive diagonals, to real
+    symmetric ones, and by Sylvester's law of inertia the count is the
+    number of negative pivots of the LDL^T recurrence
     d_i = (a_i - x) - p_(i-1) / d_(i-1) (Wilkinson 1965, ch. 5), all in
     rationals (x is read exactly).  An exact zero pivot is taken as +0
     (the Sturm rule): the next pivot is -inf and the one after a - x.
@@ -276,8 +276,8 @@ def count_below(params: ModelParams, x) -> int:
     diag, prods = _exact_jacobi_form(params)
     if min(prods) < 0:
         raise ValidationError(
-            "count_below needs real coupling products: phi = +1 and c c_hat >= 0, "
-            "or rho = 0 with c c_hat >= 0"
+            "count_below needs nonnegative coupling products: phi = +1 or rho = 0, "
+            "and c c_hat >= 0"
         )
     x = Fraction(x)
     count, pivot = 0, None  # None: before the first pivot, or after an infinite one

@@ -22,26 +22,9 @@ from .closedform import closed_form_levels, full_algebraic_spectrum
 from .errors import NumericalError, TrackingAmbiguityError, ValidationError
 from .flow import FlowEvent, SweepSpec, qes_theta_sweep, sweep
 from .fock import TruncatedFockSpace
-from .models import (
-    ModelParams,
-    build_extended,
-    build_h12,
-    build_ht,
-    build_jcm,
-    build_pseudo_jcm,
-)
-from .output import (
-    Table,
-    format_number,
-    svg_line_plot,
-    write_csv,
-    write_json,
-)
-from .polyrep import (
-    gauge_transform_ht,
-    gauge_transform_pseudo_jcm,
-    restriction_spectrum,
-)
+from .models import ModelParams, build_extended, build_h12, build_ht, build_jcm, build_pseudo_jcm
+from .output import Table, format_number, svg_line_plot, write_csv, write_json
+from .polyrep import gauge_transform_ht, gauge_transform_pseudo_jcm, restriction_spectrum
 from .qes import algebraic_eigenvalues, algebraic_spectrum, build_subspace
 from .recurrence import _certified_reconstruction, critical_polynomial, critical_roots
 from .symmetry import REALNESS_TOL, STRUCTURE_TOL, symmetry_report
@@ -379,12 +362,13 @@ def _event_comment(event: FlowEvent) -> str:
 
 def _sweep_table(grid, labels, tracks, events) -> Table:
     table = Table(columns=("param_value", "level_label", "re_energy", "im_energy"))
-    for g, value in enumerate(grid):
-        for row, label in enumerate(labels):
-            energy = tracks[row, g]
-            table.add(float(value), label, energy.real, energy.imag)
-    for event in events:
-        table.comments.append(_event_comment(event))
+    energies = tracks.T.ravel()  # in row order: grid point by grid point
+    re, im = energies.real, energies.imag
+    if np.isfinite(energies).all():  # else numpy scalars, which a non-finite cell's error names
+        re, im = re.tolist(), im.tolist()
+    values = np.repeat(np.asarray(grid, dtype=float), len(labels)).tolist()
+    table.rows = list(zip(values, labels * len(grid), re, im))
+    table.comments += map(_event_comment, events)
     return table
 
 

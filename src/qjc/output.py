@@ -68,12 +68,15 @@ class Table:
 
 
 def write_csv(table: Table) -> str:
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(map(format_cell, row)))
-    for comment in table.comments:
-        lines.append(f"# {comment}")
-    return "\n".join(lines) + "\n"
+    # `repr` alone formats a column of finite floats (a sum of finite floats can
+    # overflow, which only sends its column through `format_cell`); the maps run
+    # row by row, so an error names the first bad cell in row order
+    columns = [
+        map(repr if set(map(type, col)) == {float} and math.isfinite(sum(col)) else format_cell, col)
+        for col in zip(*table.rows)
+    ]
+    lines = [",".join(table.columns), *map(",".join, zip(*columns))]
+    return "\n".join(lines + [f"# {comment}" for comment in table.comments]) + "\n"
 
 
 def write_json(document: dict) -> str:

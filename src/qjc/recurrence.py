@@ -20,13 +20,15 @@ the recurrence closes over the rationals:
 
 so all polynomials here are exact and the critical polynomial's roots carry
 no recurrence noise.  Arithmetic is fraction-free: an `EnergyPolynomial`
-holds Python-int numerators over one common denominator.  The stored
+holds Python-int numerators over one common denominator, and each series
+step is one integer pass over them (`_series_step`).  The stored
 polynomials are the rescaled pt_j, qt_j; `p_value`/`q_value` restore the
 factorial scaling.
 
-Root polish.  A Newton step takes C and C' from one exact Horner pass in
-scaled integers at the float (dyadic) iterate, real ones at a real point.
-Complex seeds come in exact conjugate pairs, and the polish commutes with
+Root polish.  A Newton step takes C and C' in scaled integers at the float
+(dyadic) iterate: one Horner pass at a real point, one pass of remainders by
+the iterate's real quadratic at a nonreal one (`_horner_pair`).  Complex
+seeds come in exact conjugate pairs, and the polish commutes with
 conjugation, so one seed of a pair is polished and the other mirrored (a root
 that came out real is copied as it is: conj would make its +0.0 a -0.0).
 
@@ -195,23 +197,6 @@ class EnergyPolynomial:
             EnergyPolynomial._make(rem[: len(div) - 1], den),
         )
 
-    def derivative(self) -> "EnergyPolynomial":
-        return EnergyPolynomial._make(
-            [i * c for i, c in enumerate(self.numerators)][1:], self.denominator
-        )
-
-    def eval_exact(self, value) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        x = Fraction(value)
-        p, q = x.numerator, x.denominator
-        # homogeneous Horner: q**deg * poly(p/q) over the integers
-        acc, qpow = 0, 1
-        for c in reversed(self.numerators):
-            acc = acc * p + c * qpow
-            qpow *= q
-        return Fraction(acc, self.denominator * (qpow // q))
-
     def __call__(self, value):
         """Horner evaluation through floats (accepts complex)."""
         acc = 0.0
@@ -262,6 +247,22 @@ class SeriesState:
         return math.sqrt(math.factorial(j + 2)) * self.q_poly(j)(energy)
 
 
+def _series_step(x: EnergyPolynomial, a: Fraction, y: EnergyPolynomial, f: Fraction, v=1):
+    """((E + a) x - f y) / v in one integer pass, normalized once.  With x =
+    X / (g dx), y = Y / (g dy) and a = an / ad, f = fn / fd, v = vn / vd, it
+    is [(ad E + an) fd vd dy X - ad fn vd dx Y] / (ad fd vn g dx dy)."""
+    g = math.gcd(x.denominator, y.denominator)
+    dx, dy = x.denominator // g, y.denominator // g
+    mx, my = f.denominator * v.denominator * dy, a.denominator * f.numerator * v.denominator * dx
+    e0, e1, xs, ys = a.numerator * mx, a.denominator * mx, x.numerators, y.numerators
+    out = [0, *(e1 * c for c in xs)] + [0] * (len(ys) - len(xs) - 1)
+    for i, c in enumerate(xs):
+        out[i] += e0 * c
+    for i, c in enumerate(ys):
+        out[i] -= my * c
+    return EnergyPolynomial._make(out, a.denominator * f.denominator * v.numerator * g * dx * dy)
+
+
 @functools.lru_cache(maxsize=1)
 def run_to_critical(params: ModelParams) -> SeriesState:
     """Build the series from qt_{-2} = 0, qt_{-1} = 1 up to the critical
@@ -294,16 +295,12 @@ def run_to_critical(params: ModelParams) -> SeriesState:
         pt_j, qt_j = p[-1], q[-1]
         # lower |j+2>:  pt_{j+1} = [(E - hw (j+2) + eps/2) qt_j - phi rho pt_j]
         #                          / (c_hat (j + 2 - n))
-        # (the divisor goes into the short factors: one pass less over the long ones)
-        s = 1 / (c_hat * (j + 2 - n))
-        lead = EnergyPolynomial.linear((-hw * (j + 2) + eps / 2) * s, s)
-        p.append(lead * qt_j - pt_j.scale(phi_rho * s))
+        p.append(_series_step(qt_j, -hw * (j + 2) + eps / 2, pt_j, phi_rho, c_hat * (j + 2 - n)))
         # upper |j+1>:  qt_{j+1} = [(E - hw (j+1) - eps/2) pt_{j+1}
         #                           - c (j + 2 - n)(j + 2) qt_j] / (rho (j+2)(j+3))
-        s = 1 / (rho * (j + 2) * (j + 3))
-        lead = EnergyPolynomial.linear((-hw * (j + 1) - eps / 2) * s, s)
-        q.append(lead * p[-1] - qt_j.scale(c * (j + 2 - n) * (j + 2) * s))
-    critical = EnergyPolynomial.linear(-hw * n + eps / 2, 1) * q[-1] - p[-1].scale(phi_rho)
+        f, v = c * (j + 2 - n) * (j + 2), rho * (j + 2) * (j + 3)
+        q.append(_series_step(p[-1], -hw * (j + 1) - eps / 2, qt_j, f, v))
+    critical = _series_step(q[-1], -hw * n + eps / 2, p[-1], phi_rho)
     return SeriesState(n, tuple(p), tuple(q), critical)
 
 
@@ -393,20 +390,25 @@ def _dyadic(re: float, im: float):
 def _horner_pair(poly: EnergyPolynomial, x_re: int, x_im: int, k: int):
     """Integers (B_re, B_im, D_re, D_im) with poly = B / (den 2**(k deg)) and
     poly' = D / (den 2**(k deg - k)) at the dyadic point X / 2**k, X = x_re +
-    i x_im: one homogeneous Horner pass, the j-th numerator c from the top
-    carrying 2**(k j) for the point's denominator, B <- B X + (c << k j) and
-    D <- D X + B, in real integers at a real point."""
-    b_re = b_im = d_re = d_im = shift = 0
+    i x_im, the j-th numerator c from the top carrying 2**(k j).  Real X:
+    Horner, B <- B X + (c << k j) and D <- D X + B.  Nonreal X: the remainders
+    R <- (c << k j) + s R1 - t R2 by its real quadratic x**2 - s x + t
+    (Goertzel) and W <- R2 + s W1 - t W2 for the quotient, 4 products a
+    coefficient, not 8, give B = R0 - R1 conj(X), D = R1 + 2i x_im (W0 - W1 conj(X))."""
+    shift = 0
     if x_im == 0:
+        b = d = 0
         for c in reversed(poly.numerators):
-            d_re, b_re = d_re * x_re + b_re, b_re * x_re + (c << shift)
+            d, b = d * x_re + b, b * x_re + (c << shift)
             shift += k
-    else:
-        for c in reversed(poly.numerators):
-            d_re, d_im = d_re * x_re - d_im * x_im + b_re, d_re * x_im + d_im * x_re + b_im
-            b_re, b_im = b_re * x_re - b_im * x_im + (c << shift), b_re * x_im + b_im * x_re
-            shift += k
-    return b_re, b_im, d_re, d_im
+        return b, 0, d, 0
+    s, t = 2 * x_re, x_re * x_re + x_im * x_im
+    r1 = r2 = w1 = w2 = 0
+    for c in reversed(poly.numerators):
+        w1, w2 = r2 + s * w1 - t * w2, w1
+        r1, r2 = (c << shift) + s * r1 - t * r2, r1
+        shift += k
+    return r1 - r2 * x_re, r2 * x_im, r2 - 2 * x_im * x_im * w2, 2 * x_im * (w1 - w2 * x_re)
 
 
 def _newton_step(poly: EnergyPolynomial, re: float, im: float):

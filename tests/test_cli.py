@@ -14,7 +14,9 @@ import pytest
 import scipy.linalg
 
 import qjc.cli
+import qjc.errors
 import qjc.models
+import qjc.output
 import qjc.qes
 import qjc.recurrence
 from qjc.cli import main
@@ -352,6 +354,44 @@ def test_tracking_failure_emits_partial_csv_and_exit_3(capsys, monkeypatch):
     assert "# INCOMPLETE" in out
     _, rows = csv_rows(out)
     assert len(rows) == 4  # two grid points, two salvaged tracks
+
+
+def per_cell_sweep_csv(grid, labels, tracks):
+    """The sweep CSV cell by cell, as `_sweep_table` once built it, or its error."""
+    table = qjc.output.Table(columns=("param_value", "level_label", "re_energy", "im_energy"))
+    for g, value in enumerate(grid):
+        for row, label in enumerate(labels):
+            energy = tracks[row, g]
+            table.add(float(value), label, energy.real, energy.imag)
+    try:
+        return qjc.output.write_csv(table)
+    except qjc.errors.ValidationError as err:
+        return str(err)
+
+
+FINITE_TRACKS = np.array([[1 / 3 - 0.0j, -0.0 + 2.5j, 1e-300], [7.0, -1e300 - 1j, 0.1]])
+
+
+@pytest.mark.parametrize(
+    "grid, tracks",
+    [
+        (np.array([0.0, 0.5, 1.7]), FINITE_TRACKS),
+        ([0, 1, 2], FINITE_TRACKS.real),  # an int grid and real tracks
+        (np.array([0.0, 0.5, 1.7]), FINITE_TRACKS + np.array([[0, 0, 0], [0, complex(0, np.nan), 0]])),
+        (np.array([0.0, 0.5, 1.7]), FINITE_TRACKS + np.array([[0, 0, np.inf], [np.nan, 0, 0]])),
+        (np.array([0.0, np.inf, 1.7]), FINITE_TRACKS),
+        (np.array([]), np.zeros((0, 0))),
+    ],
+)
+def test_sweep_table_writes_the_per_cell_bytes(grid, tracks):
+    # same bytes, or the same error text naming the same (numpy) value
+    labels = tuple(f"track:{i}" for i in range(tracks.shape[0]))
+    table = qjc.cli._sweep_table(grid, labels, tracks, ())
+    try:
+        got = qjc.output.write_csv(table)
+    except qjc.errors.ValidationError as err:
+        got = str(err)
+    assert got == per_cell_sweep_csv(grid, labels, tracks)
 
 
 def test_recur_builds_the_series_once(capsys):

@@ -4,8 +4,9 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csv_reader import read_csv
@@ -72,6 +73,55 @@ def test_csv_round_trip_is_byte_identical():
     text = write_csv(make_table())
     again = write_csv(read_csv(text))
     assert again == text
+
+
+def row_by_row_csv(table):
+    """The former writer: every cell through `format_cell`, row by row."""
+    lines = [",".join(table.columns)]
+    lines += [",".join(map(format_cell, row)) for row in table.rows]
+    return "\n".join(lines + [f"# {comment}" for comment in table.comments]) + "\n"
+
+
+CELLS = st.one_of(
+    st.floats(),
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(-5, 5),
+    st.booleans(),
+    st.sampled_from(["singlet:0", "track:1", "a,b", ""]),
+    st.sampled_from([1e308, -1e308, 0.0, -0.0]),
+)
+
+
+def outcome(func, *args):
+    try:
+        return func(*args)
+    except ValidationError as err:
+        return f"ValidationError: {err}"
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=6)
+))
+@settings(max_examples=300, deadline=None)
+def test_column_passes_write_the_row_by_row_bytes(rows):
+    # same text, or the same error at the same (first, in row order) bad cell;
+    # an overflowing column sum (1e308 + 1e308) only means the per-cell path
+    table = Table(columns=tuple(f"c{i}" for i in range(len(rows[0]) if rows else 1)))
+    table.rows = [tuple(row) for row in rows]
+    table.comments.append("end")
+    assert outcome(write_csv, table) == outcome(row_by_row_csv, table)
+
+
+def test_column_passes_raise_at_the_first_bad_cell_in_row_order():
+    table = Table(columns=("a", "b"))
+    table.add(1.0, math.inf)
+    table.add(math.nan, 2.0)
+    with pytest.raises(ValidationError, match="non-finite value inf"):
+        write_csv(table)
+    table = Table(columns=("a", "b"))
+    table.add(1.0, np.float64("nan"))
+    with pytest.raises(ValidationError, match=r"non-finite value np\.float64\(nan\)"):
+        write_csv(table)
 
 
 def test_csv_wrong_row_width_rejected():

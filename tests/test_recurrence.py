@@ -68,8 +68,9 @@ def test_polynomial_arithmetic_exact():
 def test_polynomial_evaluation_matches_fraction_path():
     p = EnergyPolynomial.from_coefficients([Fraction(1, 7), -3, Fraction(5, 2)])
     x = Fraction(3, 4)
-    assert p.eval_exact(x) == Fraction(1, 7) - 3 * x + Fraction(5, 2) * x * x
-    npt.assert_allclose(p(0.75), float(p.eval_exact(x)), rtol=1e-15)
+    value = Fraction(1, 7) - 3 * x + Fraction(5, 2) * x * x
+    assert sum(c * x**i for i, c in enumerate(p.coefficients)) == value
+    npt.assert_allclose(p(0.75), float(value), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,47 @@ def test_series_derives_couplings_once(monkeypatch, big_n):
     run_to_critical.cache_clear()
     run_to_critical(ModelParams(rho=0.9, theta=1.2, n_qes=big_n + 2, phi=-1))
     assert len(calls) == 1
+
+
+def fraction_series(params):
+    """The former series build, one `Fraction`-scaled product and difference
+    per half-step, kept as the oracle of `run_to_critical`'s integer steps."""
+    n = params.big_n + 2
+    hw, eps, rho, c, c_hat = qjc.recurrence._rational_params(params)
+    phi_rho = params.phi * rho
+    p = [EnergyPolynomial.zero()]
+    q = [EnergyPolynomial.zero(), EnergyPolynomial.constant(1)]
+    for j in range(-1, n - 2):
+        pt_j, qt_j = p[-1], q[-1]
+        s = 1 / (c_hat * (j + 2 - n))
+        lead = EnergyPolynomial.linear((-hw * (j + 2) + eps / 2) * s, s)
+        p.append(lead * qt_j - pt_j.scale(phi_rho * s))
+        s = 1 / (rho * (j + 2) * (j + 3))
+        lead = EnergyPolynomial.linear((-hw * (j + 1) - eps / 2) * s, s)
+        q.append(lead * p[-1] - qt_j.scale(c * (j + 2 - n) * (j + 2) * s))
+    critical = EnergyPolynomial.linear(-hw * n + eps / 2, 1) * q[-1] - p[-1].scale(phi_rho)
+    return qjc.recurrence.SeriesState(n, tuple(p), tuple(q), critical)
+
+
+SERIES_GRID = [
+    dict(rho=rho, theta=theta) for rho in (1e-3, 0.05, 0.7, 2.0, 37.5) for theta in (0.4, 1.2, 3.0)
+] + [
+    # c != c_hat through explicit couplings, a zero c, and non-default hw and eps
+    dict(rho=0.7, c=0.3, c_hat=-1.9),
+    dict(rho=1.3, c=-2.5, c_hat=0.125),
+    dict(rho=0.4, c=0.0, c_hat=0.6),
+    dict(rho=0.9, theta=1.2, hbar_omega=0.37, epsilon=-2.25),
+    dict(rho=2.0, c=0.1, c_hat=0.7, hbar_omega=3.0, epsilon=0.0),
+]
+
+
+@pytest.mark.parametrize("big_n", range(17))
+def test_integer_series_steps_equal_the_fraction_steps(big_n):
+    # every stored pt_j, qt_j and the critical polynomial, field for field
+    for phi in (1, -1):
+        for kw in SERIES_GRID:
+            params = ModelParams(phi=phi, n_qes=big_n + 2, **kw)
+            assert run_to_critical.__wrapped__(params) == fraction_series(params), (phi, kw)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The reference functions below are the former `Fraction` implementation of
 `EnergyPolynomial` arithmetic, complex Horner evaluation and the Newton
 step, kept here as the oracle: every kernel operation must agree with them
 exactly, down to the bits of every float it returns.  The kernel's Newton
-step takes the polynomial and its derivative from one fused pass; the
-oracle evaluates them separately.
+step takes the polynomial and its derivative from one integer pass (Horner
+at a real point, the quadratic remainder at a nonreal one); the oracle
+evaluates them separately.
 """
 
 import math
@@ -74,13 +75,6 @@ def ref_divmod(a, b):
 
 def ref_derivative(a):
     return ref_trim([i * c for i, c in enumerate(a)][1:])
-
-
-def ref_eval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def ref_eval_complex(a, re, im):

@@ -131,8 +131,9 @@ class ModelParams:
         c_hat = self.c_hat if self.c_hat is not None else derived
         return c, c_hat
 
-    def exact_qes_couplings(self) -> tuple[Fraction, Fraction]:
-        """(c, c_hat) as exact rationals.
+    def exact_qes_params(self) -> tuple[Fraction, ...]:
+        """(hbar_omega, epsilon, rho, c, c_hat) as exact rationals, for every
+        exact route.
 
         The theta-derived default is built as -Fraction(theta)/n_qes rather
         than by converting the float quotient, so exact routes match the
@@ -141,7 +142,7 @@ class ModelParams:
         derived = -Fraction(self.theta) / (self.big_n + 2)
         c = Fraction(self.c) if self.c is not None else derived
         c_hat = Fraction(self.c_hat) if self.c_hat is not None else derived
-        return c, c_hat
+        return Fraction(self.hbar_omega), Fraction(self.epsilon), Fraction(self.rho), c, c_hat
 
     def one_photon_couplings(self) -> tuple[float, float]:
         """Effective (rho1, rho1_hat) for the non-solvable mixed model."""

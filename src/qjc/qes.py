@@ -252,8 +252,7 @@ def _exact_jacobi_form(params: ModelParams):
     phi rho^2 m (m-1) on the two-photon edges into lower |m> and
     c c_hat m (m-n)^2 on the one-photon ones."""
     n, phi = params.big_n + 2, params.phi
-    hw, eps, rho = (Fraction(v) for v in (params.hbar_omega, params.epsilon, params.rho))
-    c, c_hat = params.exact_qes_couplings()
+    hw, eps, rho, c, c_hat = params.exact_qes_params()
     diag, prods = [-eps / 2], [Fraction(0)]
     for m in range(1, n):  # lower |m>, then upper |m-1>
         diag += [hw * m - eps / 2, hw * (m - 1) + eps / 2]

@@ -35,7 +35,8 @@ that came out real is copied as it is: conj would make its +0.0 a -0.0).
 `run_to_critical` builds the series in one pass; it divides by rho and by
 c_hat (j+2-n), so the rho = 0 and c_hat = 0 limits, which decouple into 2x2
 chains, are read from one chain table instead (`_chain_limit`, which also
-decides whether a limit applies).
+decides whether a limit applies).  The product of the chain determinants,
+the critical polynomial there, is built by `_series_step` too.
 
 Consecutive calls for one parameter set share their work: `run_to_critical`
 keeps the last exact series, keyed on the parameters (which hold phi, k and
@@ -76,7 +77,8 @@ class EnergyPolynomial:
     Held fraction-free: integer `numerators` over one positive common
     `denominator`, with no factor shared by all of them and no trailing
     zero, so equal polynomials have equal fields.  Build through
-    `from_coefficients` (or the other constructors), which normalize.
+    `from_coefficients`, which normalizes; `_series_step` builds every exact
+    polynomial of the recurrence from `_ZERO` and `_ONE`.
     """
 
     numerators: tuple[int, ...]
@@ -103,19 +105,6 @@ class EnergyPolynomial:
         den = math.lcm(*(c.denominator for c in cs))
         return EnergyPolynomial._make([c.numerator * (den // c.denominator) for c in cs], den)
 
-    @staticmethod
-    def zero() -> "EnergyPolynomial":
-        return EnergyPolynomial(())
-
-    @staticmethod
-    def constant(value) -> "EnergyPolynomial":
-        return EnergyPolynomial.from_coefficients([value])
-
-    @staticmethod
-    def linear(a0, a1) -> "EnergyPolynomial":
-        """a0 + a1 E."""
-        return EnergyPolynomial.from_coefficients([a0, a1])
-
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.denominator) for c in self.numerators)
@@ -138,65 +127,6 @@ class EnergyPolynomial:
     def is_zero(self) -> bool:
         return not self.numerators
 
-    def _combine(self, other: "EnergyPolynomial", sign: int) -> "EnergyPolynomial":
-        """self + sign * other over the least common denominator."""
-        g = math.gcd(self.denominator, other.denominator)
-        fa, fb = other.denominator // g, sign * (self.denominator // g)
-        a, b = self.numerators, other.numerators
-        out = [c * fa for c in a] + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] += c * fb
-        return EnergyPolynomial._make(out, self.denominator * fa)
-
-    def __add__(self, other: "EnergyPolynomial") -> "EnergyPolynomial":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "EnergyPolynomial") -> "EnergyPolynomial":
-        return self._combine(other, -1)
-
-    def scale(self, factor) -> "EnergyPolynomial":
-        f = Fraction(factor)
-        return EnergyPolynomial._make(
-            [f.numerator * c for c in self.numerators], f.denominator * self.denominator
-        )
-
-    def __mul__(self, other: "EnergyPolynomial") -> "EnergyPolynomial":
-        if self.is_zero or other.is_zero:
-            return EnergyPolynomial.zero()
-        out = [0] * (len(self.numerators) + len(other.numerators) - 1)
-        for i, a in enumerate(self.numerators):
-            for j, b in enumerate(other.numerators):
-                out[i + j] += a * b
-        return EnergyPolynomial._make(out, self.denominator * other.denominator)
-
-    def divmod_exact(self, other: "EnergyPolynomial"):
-        """Exact polynomial division: self = quotient * other + remainder.
-
-        Integer pseudo-division: the dividend's numerators are multiplied
-        by lead**e up front (e quotient terms, lead the divisor's top
-        numerator), after which every quotient digit divides exactly.
-        """
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        div = other.numerators
-        e = len(self.numerators) - len(div) + 1
-        if e <= 0:
-            return EnergyPolynomial.zero(), self
-        lead = div[-1]
-        rem = [c * lead**e for c in self.numerators]
-        quot = [0] * e
-        for k in range(e - 1, -1, -1):
-            factor = rem[k + len(div) - 1] // lead
-            quot[k] = factor
-            for i, c in enumerate(div):
-                rem[k + i] -= factor * c
-        # self = rem_num / (lead**e den_a),  other = div / den_b
-        den = self.denominator * lead**e
-        return (
-            EnergyPolynomial._make([q * other.denominator for q in quot], den),
-            EnergyPolynomial._make(rem[: len(div) - 1], den),
-        )
-
     def __call__(self, value):
         """Horner evaluation through floats (accepts complex)."""
         acc = 0.0
@@ -208,14 +138,12 @@ class EnergyPolynomial:
         return np.array(self._floats)
 
 
+_ZERO = EnergyPolynomial(())
+_ONE = EnergyPolynomial((1,))
+
+
 # ---------------------------------------------------------------------------
 # recurrence state
-
-
-def _rational_params(params: ModelParams):
-    """Exact rational hw, eps, rho, c, c_hat (`ModelParams.exact_qes_couplings`)."""
-    c, c_hat = params.exact_qes_couplings()
-    return Fraction(params.hbar_omega), Fraction(params.epsilon), Fraction(params.rho), c, c_hat
 
 
 @dataclass(frozen=True)
@@ -282,15 +210,14 @@ def run_to_critical(params: ModelParams) -> SeriesState:
     returned state is shared by every caller with equal parameters.
     """
     n = params.big_n + 2
-    hw, eps, rho, c, c_hat = _rational_params(params)
+    hw, eps, rho, c, c_hat = params.exact_qes_params()
     if rho == 0 or c_hat == 0:
         raise ValidationError(
             "generic stepping needs rho != 0 and c_hat != 0; use "
             "critical_polynomial, which handles the decoupled limits"
         )
     phi_rho = params.phi * rho
-    p = [EnergyPolynomial.zero()]
-    q = [EnergyPolynomial.zero(), EnergyPolynomial.constant(1)]
+    p, q = [_ZERO], [_ZERO, _ONE]
     for j in range(-1, n - 2):
         pt_j, qt_j = p[-1], q[-1]
         # lower |j+2>:  pt_{j+1} = [(E - hw (j+2) + eps/2) qt_j - phi rho pt_j]
@@ -319,7 +246,8 @@ def _chain_limit(params: ModelParams, exact: bool):
     [[up diag, B], [C, down diag]] with B = b sqrt(m) and C = c sqrt(m).
     Both limits at once leave only the seeded level.  The values are exact
     rationals if `exact`, else floats of the same expressions on the float
-    couplings the matrix is built from.
+    couplings the matrix is built from; those refuse c != 0 with c_hat = 0,
+    with rho = 0 or without.
     """
     n, phi = params.big_n + 2, params.phi
     no_rho = params.rho == 0
@@ -327,10 +255,15 @@ def _chain_limit(params: ModelParams, exact: bool):
     if not (no_rho or no_c_hat):
         return None
     if exact:
-        hw, eps, rho, c, c_hat = _rational_params(params)
+        hw, eps, rho, c, c_hat = params.exact_qes_params()
     else:
         hw, eps, rho = params.hbar_omega, params.epsilon, params.rho
         c, c_hat = params.qes_couplings()
+    if no_c_hat and not exact and c != 0.0:
+        raise ValidationError(
+            "reconstruction with c_hat = 0 but c != 0 is not supported (the "
+            "chains couple triangularly); override both couplings or none"
+        )
     if no_rho and no_c_hat:
         return (hw - eps / 2, 1), []
     if no_rho:
@@ -340,11 +273,6 @@ def _chain_limit(params: ModelParams, exact: bool):
              c * c_hat * (j + 2 - n) ** 2 * (j + 2), c * (j + 2 - n), c_hat * (j + 2 - n), j + 2)
             for j in range(-1, n - 2)
         ]
-    if not exact and c != 0.0:
-        raise ValidationError(
-            "reconstruction with c_hat = 0 but c != 0 is not supported (the "
-            "chains couple triangularly); override both couplings or none"
-        )
     return (hw - eps / 2, 1), [
         (j, j + 2, hw * j + eps / 2, hw * (j + 2) - eps / 2,
          phi * rho**2 * (j + 1) * (j + 2), rho, phi * rho, (j + 1) * (j + 2))
@@ -372,11 +300,10 @@ def critical_polynomial(params: ModelParams) -> EnergyPolynomial:
     if limit is None:
         return run_to_critical(params).critical
     (level, _), blocks = limit
-    poly = EnergyPolynomial.linear(-level, 1)
+    poly = _series_step(_ONE, -level, _ZERO, 0)
     for _, _, up_diag, down_diag, bc, *_ in blocks:
-        poly = poly * EnergyPolynomial.from_coefficients(
-            [up_diag * down_diag - bc, -(up_diag + down_diag), 1]
-        )
+        # (E - down) [(E - up) poly] - B C poly
+        poly = _series_step(_series_step(poly, -up_diag, _ZERO, 0), -down_diag, poly, bc)
     return poly
 
 

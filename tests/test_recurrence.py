@@ -24,6 +24,7 @@ from qjc.recurrence import (
     reconstruct_eigenvector,
     run_to_critical,
 )
+from test_energy_polynomial import canonical_coefficients, ref_add, ref_divmod, ref_mul, ref_scale
 
 SPACE = TruncatedFockSpace(32, 8)
 
@@ -42,27 +43,9 @@ def test_polynomial_canonical_form_and_degree():
     p = EnergyPolynomial.from_coefficients([1, 2, 0, 0])
     assert p.coefficients == (Fraction(1), Fraction(2))
     assert p.degree == 1
-    assert EnergyPolynomial.zero().degree == -math.inf
-    assert EnergyPolynomial.zero().is_zero
-
-
-def test_polynomial_arithmetic_exact():
-    a = EnergyPolynomial.from_coefficients([Fraction(1, 3), 2, 1])
-    b = EnergyPolynomial.from_coefficients([-1, 1])
-    prod = a * b
-    # (1/3 + 2E + E^2)(E - 1) = -1/3 - 5/3 E + E^2 + E^3
-    assert prod.coefficients == (
-        Fraction(-1, 3),
-        Fraction(-5, 3),
-        Fraction(1),
-        Fraction(1),
-    )
-    quot, rem = prod.divmod_exact(b)
-    assert quot == a and rem.is_zero
-    quot, rem = a.divmod_exact(b)
-    recomposed = quot * b + rem
-    assert recomposed == a
-    assert rem.degree < b.degree
+    zero = EnergyPolynomial.from_coefficients([])
+    assert zero.degree == -math.inf
+    assert zero.is_zero
 
 
 def test_polynomial_evaluation_matches_fraction_path():
@@ -122,10 +105,12 @@ def test_critical_is_not_a_multiple_of_last_q():
     # measured: the division leaves a nonzero remainder, so the two are
     # related but not equal up to a polynomial factor
     state = run_to_critical(ModelParams(rho=0.8, theta=1.2, n_qes=5, phi=-1))
-    quot, rem = state.critical.divmod_exact(state.q_poly(state.n - 3))
-    assert quot.degree == 3
-    assert not rem.is_zero
-    assert quot * state.q_poly(state.n - 3) + rem == state.critical
+    critical = list(state.critical.coefficients)
+    last_q = list(state.q_poly(state.n - 3).coefficients)
+    quot, rem = ref_divmod(critical, last_q)
+    assert len(quot) - 1 == 3
+    assert rem
+    assert ref_add(ref_mul(quot, last_q), rem) == critical
 
 
 @pytest.mark.parametrize("big_n", [0, 3, 10])
@@ -134,10 +119,10 @@ def test_series_derives_couplings_once(monkeypatch, big_n):
 
     def counted(params):
         calls.append(params)
-        return rational_params(params)
+        return exact_params(params)
 
-    rational_params = qjc.recurrence._rational_params
-    monkeypatch.setattr(qjc.recurrence, "_rational_params", counted)
+    exact_params = ModelParams.exact_qes_params
+    monkeypatch.setattr(ModelParams, "exact_qes_params", counted)
     run_to_critical.cache_clear()
     run_to_critical(ModelParams(rho=0.9, theta=1.2, n_qes=big_n + 2, phi=-1))
     assert len(calls) == 1
@@ -145,22 +130,24 @@ def test_series_derives_couplings_once(monkeypatch, big_n):
 
 def fraction_series(params):
     """The former series build, one `Fraction`-scaled product and difference
-    per half-step, kept as the oracle of `run_to_critical`'s integer steps."""
+    per half-step, on the plain `Fraction` lists of the reference arithmetic
+    (`test_energy_polynomial`): the oracle of `run_to_critical`'s integer
+    steps, built without `EnergyPolynomial`.  Returns the lists p, q and the
+    critical polynomial."""
     n = params.big_n + 2
-    hw, eps, rho, c, c_hat = qjc.recurrence._rational_params(params)
+    hw, eps, rho, c, c_hat = params.exact_qes_params()
     phi_rho = params.phi * rho
-    p = [EnergyPolynomial.zero()]
-    q = [EnergyPolynomial.zero(), EnergyPolynomial.constant(1)]
+    p, q = [[]], [[], [Fraction(1)]]
     for j in range(-1, n - 2):
         pt_j, qt_j = p[-1], q[-1]
         s = 1 / (c_hat * (j + 2 - n))
-        lead = EnergyPolynomial.linear((-hw * (j + 2) + eps / 2) * s, s)
-        p.append(lead * qt_j - pt_j.scale(phi_rho * s))
+        lead = [(-hw * (j + 2) + eps / 2) * s, s]
+        p.append(ref_add(ref_mul(lead, qt_j), ref_scale(pt_j, -phi_rho * s)))
         s = 1 / (rho * (j + 2) * (j + 3))
-        lead = EnergyPolynomial.linear((-hw * (j + 1) - eps / 2) * s, s)
-        q.append(lead * p[-1] - qt_j.scale(c * (j + 2 - n) * (j + 2) * s))
-    critical = EnergyPolynomial.linear(-hw * n + eps / 2, 1) * q[-1] - p[-1].scale(phi_rho)
-    return qjc.recurrence.SeriesState(n, tuple(p), tuple(q), critical)
+        lead = [(-hw * (j + 1) - eps / 2) * s, s]
+        q.append(ref_add(ref_mul(lead, p[-1]), ref_scale(qt_j, -c * (j + 2 - n) * (j + 2) * s)))
+    critical = ref_add(ref_mul([-hw * n + eps / 2, 1], q[-1]), ref_scale(p[-1], -phi_rho))
+    return p, q, critical
 
 
 SERIES_GRID = [
@@ -177,11 +164,17 @@ SERIES_GRID = [
 
 @pytest.mark.parametrize("big_n", range(17))
 def test_integer_series_steps_equal_the_fraction_steps(big_n):
-    # every stored pt_j, qt_j and the critical polynomial, field for field
+    # every stored pt_j, qt_j and the critical polynomial, in canonical fields
     for phi in (1, -1):
         for kw in SERIES_GRID:
             params = ModelParams(phi=phi, n_qes=big_n + 2, **kw)
-            assert run_to_critical.__wrapped__(params) == fraction_series(params), (phi, kw)
+            state = run_to_critical.__wrapped__(params)
+            got = (
+                [canonical_coefficients(x) for x in state.p],
+                [canonical_coefficients(x) for x in state.q],
+                canonical_coefficients(state.critical),
+            )
+            assert got == fraction_series(params), (phi, kw)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +208,35 @@ def test_decoupled_limit_roots(hw, eps, rho, theta, phi):
         mean + sign * math.sqrt(half_gap**2 + bc) for mean, bc in chains for sign in (-1, 1)
     ]
     npt.assert_allclose(truncation_spectrum(params), sorted(expected), atol=1e-12)
+
+
+CHAIN_GRID = [
+    dict(rho=0.0, theta=1.2),
+    dict(rho=0.0, c=0.3, c_hat=-1.9),
+    dict(rho=0.7, theta=0.0),  # c_hat = -theta/n = 0
+    dict(rho=2.0, c=0.3, c_hat=0.0),
+    dict(rho=0.0, theta=0.0),  # both limits at once
+    dict(rho=0.0, c=0.0, c_hat=0.0),
+]
+
+
+@pytest.mark.parametrize("big_n", range(13))
+def test_decoupled_critical_polynomial_is_the_chain_product(big_n):
+    # (E - level) prod [(E - up)(E - down) - B C] over the chain table, by
+    # the reference product on Fraction lists, in canonical fields
+    n = big_n + 2
+    for phi in (1, -1):
+        for hw, eps in ((1.0, 1.0), (0.37, -2.25), (3.0, 0.0)):
+            for kw in CHAIN_GRID:
+                params = ModelParams(hbar_omega=hw, epsilon=eps, phi=phi, n_qes=n, **kw)
+                (level, _), blocks = qjc.recurrence._chain_limit(params, exact=True)
+                ref = [-level, Fraction(1)]
+                for _, _, up, down, bc, *_ in blocks:
+                    ref = ref_mul(ref, [up * down - bc, -(up + down), 1])
+                poly = critical_polynomial(params)
+                assert canonical_coefficients(poly) == ref, (phi, hw, eps, kw)
+                both = params.rho == 0 and params.qes_couplings()[1] == 0
+                assert poly.degree == (1 if both else 2 * n - 1)
 
 
 def test_vanishing_theta_reduces_to_two_photon_roots():
@@ -600,9 +622,11 @@ def test_seeded_level_reconstructs_onto_its_photon(theta, n_qes, root, photon):
     npt.assert_array_equal(psi, expected)
 
 
-def test_reconstruction_rejects_one_sided_override():
-    params = ModelParams(rho=0.5, theta=0.0, n_qes=3, phi=-1, c=0.3, c_hat=0.0)
-    root = truncation_spectrum(ModelParams(rho=0.5, theta=0.0, n_qes=3, phi=-1))[0]
+@pytest.mark.parametrize("rho", [0.5, 0.0])
+def test_reconstruction_rejects_one_sided_override(rho):
+    # at rho = 0 this is the doubly decoupled limit, refused by name as well
+    params = ModelParams(rho=rho, theta=0.0, n_qes=3, phi=-1, c=0.3, c_hat=0.0)
+    root = truncation_spectrum(ModelParams(rho=rho, theta=0.0, n_qes=3, phi=-1))[0]
     with pytest.raises(ValidationError, match="c_hat = 0"):
         reconstruct_eigenvector(params, root, SPACE)
 

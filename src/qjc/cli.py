@@ -265,8 +265,9 @@ def cmd_spectrum(merged: dict, args) -> int:
     order = np.lexsort((numeric.imag, numeric.real))
     # cast once: a real matrix times a complex column would recast it per column
     cast = h_matrix.astype(vectors.dtype, copy=False)
+    energies = numeric.tolist()  # Python floats, so write_csv takes whole columns by repr
     _add_route(table, "numeric", (
-        (f"numeric:{rank}", "", "", numeric[index], float(
+        (f"numeric:{rank}", "", "", energies[index], float(
             np.linalg.norm(cast @ vectors[:, index] - numeric[index] * vectors[:, index])
         ))
         for rank, index in enumerate(order)

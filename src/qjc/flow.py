@@ -16,7 +16,10 @@ Two sweep routes with different labeling power:
   Its restriction eigenvalues come unlabeled out of the solver, so
   trajectories are continued by greedy nearest-neighbor matching against a
   linear extrapolation of each track, with automatic step halving (up to
-  `MAX_REFINEMENTS`) whenever two candidates are comparably close.
+  `MAX_REFINEMENTS`) whenever two candidates are comparably close.  The
+  grid's restrictions are solved in one stacked call, each with the bits it
+  gets alone, and a grid point's gate error is raised only once the sweep
+  reaches it; halving midpoints and bisection probes are solved one by one.
 
 Events -- real-level crossings, and branch coalescences for the
 sign-flipped coupling -- are localized by bisection to `PARAM_TOL`.  The
@@ -33,12 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eigvals_checked
+from ._linalg import eig_gated, stream_eigvals
 from .closedform import closed_form_tracks, doublet_block, doublet_eigenvalues, level_keys
 from .errors import NumericalError, TrackingAmbiguityError, ValidationError
 from .fock import TruncatedFockSpace
 from .models import ModelParams, build_extended
-from .qes import algebraic_eigenvalues
+from .qes import algebraic_eigenvalues, restriction_matrix
 
 PARAM_TOL = 1e-8
 MAX_REFINEMENTS = 10
@@ -223,15 +226,12 @@ def numeric_deviation(spec: SweepSpec, space: TruncatedFockSpace) -> float:
     """Worst |closed-form - nearest full-matrix eigenvalue| over the sweep.
 
     The independent route: eigenvalues of the truncated matrix at every
-    grid point, solved on its connected blocks.
+    grid point, solved on their blocks in one call per block size.
     """
     result = sweep(spec)
-    worst = 0.0
-    for g, value in enumerate(result.grid):
-        numeric = eigvals_checked(build_extended(spec.at(value), space).matrix)
-        for row in result.tracks[:, g]:
-            worst = max(worst, float(np.min(np.abs(numeric - row))))
-    return worst
+    numeric = stream_eigvals(build_extended(spec.at(value), space).matrix for value in result.grid)
+    gaps = np.abs(numeric[:, np.newaxis, :] - result.tracks.T[:, :, np.newaxis])
+    return float(np.max(np.min(gaps, axis=2)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +256,8 @@ def _assign_tracks(predictions: np.ndarray, candidates: np.ndarray):
     unassigned = list(range(n))
     available = list(range(n))
     scale = max(1.0, float(np.max(np.abs(candidates))))
+    # Python complex - and abs round as the numpy scalars do, in less time
+    predictions, candidates = predictions.tolist(), candidates.tolist()
     while unassigned:
         best = None  # (distance, track, candidate, runner_up_distance, runner_up)
         for track in unassigned:
@@ -276,7 +278,7 @@ def _assign_tracks(predictions: np.ndarray, candidates: np.ndarray):
             if gap <= REAL_TOL * scale or twin <= REAL_TOL * scale:
                 pass  # degenerate candidates or degenerate predictions
             elif d1 > 0.35 * gap:
-                conj = abs(candidates[c1] - np.conj(candidates[c2]))
+                conj = abs(candidates[c1] - candidates[c2].conjugate())
                 if conj <= REAL_TOL * scale and abs(predictions[track].imag) <= REAL_TOL * scale:
                     # conjugate pair born from a real level: pick +imag first
                     c1 = c1 if candidates[c1].imag >= candidates[c2].imag else c2
@@ -320,9 +322,15 @@ def qes_theta_sweep(spec: SweepSpec) -> SweepResult:
     if spec.parameter != "theta":
         raise ValidationError("the dressed-model sweep drives theta")
     grid = spec.grid()
+    w, _, errors = eig_gated(restriction_matrix(spec.params, grid))
+    w = np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
+    on_grid = dict(zip(grid.tolist(), zip(w, errors)))
 
     def values_at(value: float) -> np.ndarray:
-        return algebraic_eigenvalues(spec.at(value))
+        values, error = on_grid.get(value, (None, None))  # None: a midpoint or a probe
+        if error is not None:
+            raise error
+        return algebraic_eigenvalues(spec.at(value)) if values is None else values
 
     columns = [values_at(grid[0])]
     t_prev2, v_prev2 = None, None

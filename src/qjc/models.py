@@ -123,10 +123,10 @@ class ModelParams:
             raise ValidationError("n_qes is not set on these parameters")
         return self.n_qes - 2
 
-    def qes_couplings(self) -> tuple[float, float]:
-        """Effective (c, c_hat), defaulting to -theta / n_qes."""
+    def qes_couplings(self, theta=None) -> tuple[float, float]:
+        """Effective (c, c_hat), defaulting to -theta / n_qes, elementwise for a `theta` array."""
         if self.c is None or self.c_hat is None:
-            derived = -self.theta / (self.big_n + 2)
+            derived = -(self.theta if theta is None else theta) / (self.big_n + 2)
         c = self.c if self.c is not None else derived
         c_hat = self.c_hat if self.c_hat is not None else derived
         return c, c_hat

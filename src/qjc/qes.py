@@ -38,7 +38,7 @@ def build_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantS
     return invariant_subspace(params, space)
 
 
-def restriction_matrix(params: ModelParams) -> np.ndarray:
+def restriction_matrix(params: ModelParams, theta=None) -> np.ndarray:
     """The 2n x 2n restriction, assembled from the exact ladder formulas.
 
     Ordering: upper |0..N, up> then lower |0..N+2, down>.  Entries:
@@ -49,14 +49,17 @@ def restriction_matrix(params: ModelParams) -> np.ndarray:
         <m-1, up| H | m, down>    = c (m - n) sqrt(m)
         <j+2, dn| H | j, up>      = phi rho sqrt((j+1)(j+2))
         <j+1, dn| H | j, up>      = c_hat (j + 1 - n) sqrt(j+1)
+
+    Given an array of `theta` values, the stack (..., 2n, 2n) of the
+    restrictions at each, entry for entry the bits of the single matrices.
     """
     big_n = params.big_n
     n = params.n_qes
     hw, eps = params.hbar_omega, params.epsilon
-    c, c_hat = params.qes_couplings()
+    c, c_hat = params.qes_couplings(theta)
     n_up = big_n + 1
     n_down = big_n + 3
-    mat = np.zeros((2 * n, 2 * n))
+    mat = np.zeros((2 * n, 2 * n) + np.shape(theta))  # a theta stack on trailing axes
     for j in range(n_up):
         mat[j, j] = hw * j + 0.5 * eps
     for m in range(n_down):
@@ -69,7 +72,7 @@ def restriction_matrix(params: ModelParams) -> np.ndarray:
     for j in range(n_up):
         mat[n_up + j + 2, j] = params.phi * params.rho * math.sqrt((j + 1) * (j + 2))
         mat[n_up + j + 1, j] = c_hat * (j + 1 - n) * math.sqrt(j + 1)
-    return mat
+    return mat if theta is None else np.ascontiguousarray(np.moveaxis(mat, (0, 1), (-2, -1)))
 
 
 @dataclass(frozen=True, eq=False)

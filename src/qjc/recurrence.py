@@ -342,17 +342,18 @@ def _newton_step(poly: EnergyPolynomial, re: float, im: float):
     """poly / poly' at the float point re + i im, each part the correctly
     rounded float of the exact ratio B conj(D) / (|D|**2 2**k) of one fused
     pass (`_horner_pair`), by one int true division; B / (D 2**k) at a real
-    point.  None where poly or poly' vanishes exactly.  The step at conj(x)
-    is the exact conjugate (up to the sign of a zero part), which is why
-    `critical_roots` polishes one seed of each conjugate pair only."""
+    point.  None where poly or poly' vanishes exactly.  Zero parts are +0.0,
+    underflows included, so the step at conj(x) is the exact conjugate up to
+    that +0.0: `critical_roots` polishes one seed of each conjugate pair only."""
     x_re, x_im, k = _dyadic(re, im)
     b_re, b_im, d_re, d_im = _horner_pair(poly, x_re, x_im, k)
     if b_re == b_im == 0 or d_re == d_im == 0:
         return None
     if x_im == 0:
-        return complex(b_re / (d_re << k), 0.0)
+        return complex(b_re / (d_re << k) + 0.0, 0.0)
     denom = (d_re * d_re + d_im * d_im) << k
-    return complex((b_re * d_re + b_im * d_im) / denom, (b_im * d_re - b_re * d_im) / denom)
+    re, im = (b_re * d_re + b_im * d_im) / denom, (b_im * d_re - b_re * d_im) / denom
+    return complex(re + 0.0, im + 0.0)
 
 
 def _newton_exact(poly: EnergyPolynomial, seed: complex):

@@ -15,6 +15,7 @@ import scipy.linalg
 
 import qjc.cli
 import qjc.errors
+import qjc.flow
 import qjc.models
 import qjc.output
 import qjc.qes
@@ -354,6 +355,62 @@ def test_tracking_failure_emits_partial_csv_and_exit_3(capsys, monkeypatch):
     assert "# INCOMPLETE" in out
     _, rows = csv_rows(out)
     assert len(rows) == 4  # two grid points, two salvaged tracks
+
+
+def _outcome(capsys, tmp_path, argv):
+    """Exit code, stdout, stderr and the files a command wrote."""
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+    for path in tmp_path.iterdir():
+        path.unlink()
+    return code, captured.out, captured.err, files
+
+
+THETA_AMBIGUOUS = (
+    "sweep", "--model", "ht", "--N", "1", "--phi=-1", "--rho", "0.253",
+    "--param", "theta", "--start", "0", "--stop", "3", "--points", "11",
+)
+THETA_OVERFLOW = (
+    "sweep", "--model", "ht", "--N", "2", "--phi=-1", "--rho", "0.5",
+    "--param", "theta", "--start", "0", "--stop", "1e300", "--points", "11",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figures", "--which", "1"),
+        ("figures", "--which", "2"),
+        ("figures", "--which", "3", "--output", "{tmp}/fig.csv"),
+        ("figures", "--which", "3", "--format", "svg", "--output", "{tmp}/fig.svg"),
+        THETA_AMBIGUOUS,
+        THETA_OVERFLOW,
+    ],
+)
+def test_sweeps_print_the_bytes_of_the_per_point_route(capsys, monkeypatch, tmp_path, argv):
+    stacked = _outcome(capsys, tmp_path, argv)
+    # an empty stacked pass: every theta grid point is solved alone, as it once was
+    monkeypatch.setattr(
+        qjc.flow, "eig_gated", lambda stack: (np.zeros((0, stack.shape[-1]), complex), None, [])
+    )
+    assert _outcome(capsys, tmp_path, argv) == stacked
+
+
+def test_theta_sweep_failures_keep_their_exit_code_and_message(capsys, tmp_path):
+    code, out, err, _ = _outcome(capsys, tmp_path, THETA_AMBIGUOUS)
+    assert code == 3
+    assert err == (
+        "error: level matching still ambiguous at step 1.3028320312500001..1.303125 "
+        "after 10 refinements\n"
+    )
+    assert len(out.splitlines()) == 32  # header, five grid points of six tracks, the marker
+    code, out, err, _ = _outcome(capsys, tmp_path, THETA_OVERFLOW)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: eigensolver residual gate cannot be checked outside the float range "
+        "(1.8e308): ||H||_F = inf, worst residual inf\n"
+    )
 
 
 def per_cell_sweep_csv(grid, labels, tracks):

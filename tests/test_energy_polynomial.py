@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qjc.recurrence
@@ -96,9 +96,11 @@ def ref_newton_step(a, da, re, im):
     denom = d_re * d_re + d_im * d_im
     if denom == 0:
         return None
+    # a quotient that underflows rounds to a zero of its sign; the step's
+    # zero parts are +0.0
     return complex(
-        float((f_re * d_re + f_im * d_im) / denom),
-        float((f_im * d_re - f_re * d_im) / denom),
+        float((f_re * d_re + f_im * d_im) / denom) + 0.0,
+        float((f_im * d_re - f_re * d_im) / denom) + 0.0,
     )
 
 
@@ -245,6 +247,8 @@ def test_quadratic_pass_edge_cases_match_reference():
 
 @given(st.lists(INTS, max_size=9).map(lambda nums: EnergyPolynomial._make(nums, 1)),
        FLOATS, FLOATS.filter(lambda im: im != 0))
+# the step's imaginary part underflows: its zero must be +0.0 at both points
+@example(EnergyPolynomial._make([2**1000, 1, 2**1000], 1), 0.0, 1.0)
 @settings(max_examples=200, deadline=None)
 def test_quadratic_pass_is_conjugate_symmetric(poly, re, im):
     # conj(X) gives conj(B) and conj(D); the step's zero parts stay +0.0

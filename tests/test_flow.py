@@ -1,12 +1,15 @@
 """Sweep trajectories, crossing localization, and coalescence events."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 import qjc.closedform
 import qjc.flow
-from qjc._linalg import spectrum_mismatch
+from qjc._linalg import eig_checked, eigvals_checked, spectrum_mismatch
 from qjc.closedform import doublet_block, doublet_coalescence_rho
 from qjc.errors import NumericalError, TrackingAmbiguityError, ValidationError
 from qjc.flow import (
@@ -23,8 +26,10 @@ from qjc.flow import (
     sweep,
 )
 from qjc.fock import TruncatedFockSpace
-from qjc.models import ModelParams
+from qjc.models import ModelParams, build_extended
+from qjc.qes import algebraic_eigenvalues, restriction_matrix
 
+REAL_EIG = scipy.linalg.eig
 TWO_PHOTON = ModelParams(epsilon=1.0, k=2, phi=1)
 FLIPPED = ModelParams(epsilon=1.0, k=2, phi=-1)
 
@@ -385,3 +390,152 @@ def test_event_fields():
     )
     assert event.kind == "crossing"
     assert event.labels == ("a", "b")
+
+
+# ---------------------------------------------------------------------------
+# the stacked grid passes against the per-point routes they replaced
+
+# explicit couplings: c only, c_hat only, both (theta then enters nowhere)
+OVERRIDES = ({}, {"c": 0.4}, {"c_hat": -0.3}, {"c": 0.4, "c_hat": 0.0})
+
+
+def _bits(values):
+    """The multiset of values by their exact bits (signed zeros included)."""
+    return sorted(repr(z) for z in np.asarray(values).tolist())
+
+
+@pytest.mark.parametrize("big_n", range(9))
+def test_theta_grid_is_solved_bit_for_bit_as_point_by_point(big_n):
+    for phi, rho, override in itertools.product((1, -1), (0.0, 0.3, 1.7), OVERRIDES):
+        params = ModelParams(rho=rho, phi=phi, n_qes=big_n + 2, **override)
+        spec = SweepSpec(params=params, parameter="theta", start=0.0, stop=3.0, points=11)
+        stack = restriction_matrix(params, spec.grid())
+        w, v = eig_checked(stack)
+        try:
+            tracks = qes_theta_sweep(spec).tracks
+        except TrackingAmbiguityError as exc:
+            tracks = exc.partial_tracks
+        for g, value in enumerate(spec.grid()):
+            single = restriction_matrix(spec.at(value))
+            assert stack[g].tobytes() == single.tobytes()
+            one_w, one_v = eig_checked(single)
+            assert (w[g].tobytes(), v[g].tobytes()) == (one_w.tobytes(), one_v.astype(v.dtype).tobytes())
+            if g < tracks.shape[1]:
+                # each sweep column is the per-point spectrum, reordered only
+                assert _bits(tracks[:, g]) == _bits(algebraic_eigenvalues(spec.at(value)))
+
+
+def test_only_midpoints_and_probes_solve_point_by_point(monkeypatch):
+    probes = []
+
+    def spy(params):
+        probes.append(params.theta)
+        return algebraic_eigenvalues(params)
+
+    monkeypatch.setattr(qjc.flow, "algebraic_eigenvalues", spy)
+    spec = theta_spec(0.25, points=11)  # one halved step, and crossings to bisect
+    result = qes_theta_sweep(spec)
+    assert probes and result.events
+    assert not set(probes) & set(spec.grid().tolist())
+
+
+def _per_point_deviation(spec, space):
+    """`numeric_deviation` as a loop over grid points, one block solve each."""
+    result = sweep(spec)
+    worst = 0.0
+    for g, value in enumerate(result.grid):
+        numeric = eigvals_checked(build_extended(spec.at(value), space).matrix)
+        for row in result.tracks[:, g]:
+            worst = max(worst, float(np.min(np.abs(numeric - row))))
+    return worst
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("phi", [1, -1])
+@pytest.mark.parametrize("stop", [0.45, 1.3, 2.0])
+def test_numeric_deviation_matches_the_per_point_loop(k, phi, stop):
+    # every grid starts at rho = 0, whose blocks are finer than the rest
+    spec = SweepSpec(
+        params=ModelParams(k=k, phi=phi), parameter="rho", start=0.0, stop=stop, points=21
+    )
+    space = TruncatedFockSpace(32, 8)
+    assert abs(numeric_deviation(spec, space) - _per_point_deviation(spec, space)) <= 1e-12
+
+
+def _first_error(func, *args):
+    try:
+        func(*args)
+    except NumericalError as exc:
+        return str(exc)
+    raise AssertionError("no gate failed")
+
+
+@pytest.mark.parametrize("failing", [1, 4, 10])
+def test_numeric_deviation_gate_names_the_failing_grid_point(monkeypatch, failing):
+    spec = SweepSpec(params=FLIPPED, parameter="rho", start=0.0, stop=1.5, points=11)
+    space = TruncatedFockSpace(32, 8)
+    matrices = [build_extended(spec.at(value), space).matrix for value in spec.grid()]
+    # entries that only the failing point's matrix holds mark its blocks
+    others = np.concatenate([m.ravel() for g, m in enumerate(matrices) if g != failing])
+    marks = np.setdiff1d(matrices[failing], np.append(others, 0.0))
+    real_eig = np.linalg.eig
+
+    def shifted(blocks):
+        w, v = real_eig(blocks)
+        hit = np.isin(blocks, marks).any(axis=(-2, -1))
+        return w + np.where(hit[..., np.newaxis], 1e-6, 0.0), v
+
+    monkeypatch.setattr(np.linalg, "eig", shifted)
+    expected = _first_error(_per_point_deviation, spec, space)
+    assert _first_error(numeric_deviation, spec, space) == expected
+    # the error names this point's own scale, max(1, ||H||_F)
+    assert f"{np.linalg.norm(matrices[failing]):.3e}" in expected
+
+
+def _fail_theta_point(monkeypatch, spec, failing):
+    """Fake scipy.linalg.eig so that the restriction at grid[failing] fails its gate."""
+    n_up = spec.params.big_n + 1
+    # <0, up|H|1, down> = c (1 - n): theta's own entry
+    mark = restriction_matrix(spec.at(spec.grid()[failing]))[0, n_up + 1]
+
+    def shifted(matrix):
+        w, v = REAL_EIG(matrix)
+        hit = matrix[..., 0, n_up + 1] == mark
+        return w + np.where(hit[..., np.newaxis], 1e-6, 0.0), v
+
+    monkeypatch.setattr(scipy.linalg, "eig", shifted)
+
+
+def _per_point_theta_error(spec):
+    for value in spec.grid():
+        algebraic_eigenvalues(spec.at(value))
+
+
+@pytest.mark.parametrize("failing", [0, 3, 10])
+def test_theta_gate_failure_raises_when_the_sweep_reaches_it(monkeypatch, failing):
+    spec = theta_spec(1.0, points=11)
+    steps = []
+    assign = qjc.flow._assign_tracks
+    monkeypatch.setattr(
+        qjc.flow, "_assign_tracks", lambda *args: steps.append(1) or assign(*args)
+    )
+    _fail_theta_point(monkeypatch, spec, failing)
+    expected = _first_error(_per_point_theta_error, spec)
+    assert _first_error(qes_theta_sweep, spec) == expected
+    assert len(steps) == max(failing - 1, 0)  # raised before matching grid[failing]
+
+
+def test_an_earlier_tracking_error_wins_over_a_later_gate_failure(monkeypatch):
+    # this sweep gives up matching between grid points 4 and 5 (see test_cli)
+    params = ModelParams(rho=0.253, phi=-1, n_qes=3)
+    spec = SweepSpec(params=params, parameter="theta", start=0.0, stop=3.0, points=11)
+    with pytest.raises(TrackingAmbiguityError) as plain:
+        qes_theta_sweep(spec)
+    _fail_theta_point(monkeypatch, spec, 8)
+    with pytest.raises(TrackingAmbiguityError) as faked:
+        qes_theta_sweep(spec)
+    assert str(faked.value) == str(plain.value)
+    npt.assert_array_equal(faked.value.partial_tracks, plain.value.partial_tracks)
+    # the step's own end point is read before any matching: its gate wins there
+    _fail_theta_point(monkeypatch, spec, 5)
+    assert _first_error(qes_theta_sweep, spec) == _first_error(_per_point_theta_error, spec)

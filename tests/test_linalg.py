@@ -3,12 +3,14 @@ solver, and residuals on reached rows against the dense product."""
 
 import itertools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from test_golden import pinned_env
@@ -17,6 +19,7 @@ from qjc._linalg import (
     ROW_BLOCK,
     connected_components as _components,
     eig_checked,
+    eig_gated,
     eigvals_checked,
     reached_rows,
     residual_on_rows,
@@ -168,6 +171,49 @@ def test_only_an_exactly_hermitian_stack_goes_to_eigh(monkeypatch, matrix, solve
 def test_block_gate_refuses_a_matrix_outside_the_float_range(entry):
     with pytest.raises(NumericalError, match="eigensolver residual gate.*float range"):
         eigvals_checked(np.diag([entry, 1.0]))
+
+
+def _extended_stack(rhos, phi=-1, d=16):
+    space = TruncatedFockSpace(d, 8)
+    return np.array([build_extended(ModelParams(rho=rho, phi=phi, k=2), space).matrix for rho in rhos])
+
+
+def test_a_stack_is_solved_as_each_matrix_alone():
+    stack = _extended_stack((0.3, 0.7, 1.1))
+    w, v = eig_checked(stack)
+    for g, matrix in enumerate(stack):
+        one_w, one_v = eig_checked(matrix)
+        assert (w[g].tobytes(), v[g].tobytes()) == (one_w.tobytes(), one_v.astype(v.dtype).tobytes())
+        # one pattern: the same blocks, so the same block eigenvalues
+        assert eigvals_checked(stack)[g].tobytes() == eigvals_checked(matrix).tobytes()
+    # rho = 0 splits its blocks further; the union's blocks give its spectrum too
+    with_zero = _extended_stack((0.0, 0.7))
+    assert spectrum_mismatch(eigvals_checked(with_zero)[0], eigvals_checked(with_zero[0])) <= 1e-12
+    assert eigvals_checked(with_zero.reshape(1, 2, 32, 32)).shape == (1, 2, 32)
+
+
+@pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
+def test_a_stack_gates_each_matrix_against_its_own_norm(monkeypatch, entry):
+    small = _extended_stack((0.3,))[0]
+    outside = np.diag(np.full(32, entry))
+    stack = np.array([1e8 * small, small, outside])
+    real_eig = scipy.linalg.eig
+    # shifted by 1e-6: below 1e-12 of the first norm, above 1e-12 of the second
+    monkeypatch.setattr(scipy.linalg, "eig", lambda a: (real_eig(a)[0] + 1e-6, real_eig(a)[1]))
+    w, _, errors = eig_gated(stack)
+    assert errors[0] is None
+    scale = f"1.0e-12 * {np.linalg.norm(small):.3e}"
+    assert scale in str(errors[1])
+    assert "float range" in str(errors[2])  # never solved: scipy refuses inf and nan
+    with pytest.raises(NumericalError, match=re.escape(scale)):
+        eig_checked(stack)
+    with pytest.raises(NumericalError, match="float range"):
+        eig_checked(stack[[0, 2]])
+    monkeypatch.setattr(np.linalg, "eig", lambda a, real=np.linalg.eig: (real(a)[0] + 1e-6, real(a)[1]))
+    with pytest.raises(NumericalError, match=re.escape(scale)):
+        eigvals_checked(stack)
+    with pytest.raises(NumericalError, match="float range"):
+        eigvals_checked(stack[[0, 2]])
 
 
 def test_one_component_is_a_stack_of_one():

@@ -8,7 +8,9 @@ raised so the caller can enlarge the cutoff instead of silently consuming noise.
 Both solvers take a matrix or a stack (..., n, n), solved in one call and
 gated matrix by matrix against its own ||H||_F.  `eig_checked` solves dense
 matrices with `scipy.linalg.eig`, the one solver of printed digits, which
-gives each matrix of a stack its bits alone.  `eigvals_checked` returns
+gives each matrix of a stack its bits alone, and one residual per pair, from
+H v_i column by column (the bits of H @ v[:, i]) that the gate and `qjc
+spectrum` both read.  `eigvals_checked` returns
 eigenvalues only, and solves the diagonal blocks that the connected
 components of the pattern `H != 0` (its edges taken both ways) give: a
 stack of blocks that is exactly hermitian with the symmetric eigensolver,
@@ -45,14 +47,20 @@ RESIDUAL_TOL = 1e-12
 ROW_BLOCK = 4
 
 
-def _frobenius_norm(matrix: np.ndarray) -> np.ndarray:
-    """||H||_F of each matrix of a stack (..., n, n), with the bits of np.linalg.norm(H)."""
-    flat = matrix.reshape(*matrix.shape[:-2], -1)
-    with np.errstate(over="ignore"):  # an overflow is reported by the gate, as an error
-        square = np.vecdot(flat.real, flat.real)
-        if np.iscomplexobj(flat):
-            square = square + np.vecdot(flat.imag, flat.imag)
-        return np.sqrt(square)
+def _norms(x: np.ndarray) -> np.ndarray:
+    """2-norm along the last axis, with the bits of np.linalg.norm of each row
+    (||H||_F of a flattened matrix).  Callers ignore overflow: the gate
+    reports an inf, as an error."""
+    square = np.vecdot(x.real, x.real)
+    if np.iscomplexobj(x):
+        square = square + np.vecdot(x.imag, x.imag)
+    return np.sqrt(square)
+
+
+def _residuals(products: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """||H v_i - w_i v_i|| of each eigenpair, shape (..., n), from
+    products[..., i, :] = H v_i: rows, so each norm reads contiguous memory."""
+    return _norms(products - w[..., np.newaxis] * v.swapaxes(-1, -2))
 
 
 def _gate_error(norm: float, worst: float) -> NumericalError:
@@ -69,39 +77,49 @@ def _gate_error(norm: float, worst: float) -> NumericalError:
     )
 
 
-def _gates(norms: np.ndarray, worst: np.ndarray) -> list[NumericalError | None]:
-    """Each matrix's gate error, None where it passes, decided in one array pass."""
-    passed = np.isfinite(norms) & (worst <= RESIDUAL_TOL * np.maximum(1.0, norms))
-    if np.count_nonzero(passed) == passed.size:
-        return [None] * passed.size
-    matrices = zip(*(np.ravel(a).tolist() for a in (norms, worst, passed)))
-    return [None if ok else _gate_error(norm, value) for norm, value, ok in matrices]
+def _gates(norms: list[float], worst: list[float]) -> list[NumericalError | None]:
+    """Each matrix's gate error, None where it passes, in Python floats."""
+    return [
+        None if math.isfinite(norm) and value <= RESIDUAL_TOL * max(1.0, norm)
+        else _gate_error(norm, value)
+        for norm, value in zip(norms, worst)
+    ]
 
 
-def eig_gated(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[NumericalError | None]]:
-    """`eig_checked`, with each matrix's gate error (or None) returned in C
-    order, not raised.  A matrix whose ||H||_F is not finite is replaced by
-    zeros, since scipy refuses a whole stack that holds an inf or nan."""
-    norms = _frobenius_norm(matrix)
-    if np.count_nonzero(np.isfinite(norms)) < np.size(norms):
-        matrix = np.where(np.isfinite(norms)[..., np.newaxis, np.newaxis], matrix, 0.0)
-    w, v = scipy.linalg.eig(matrix)
-    residuals = np.linalg.norm(matrix @ v - v * w[..., np.newaxis, :], axis=-2)
-    return w, v, _gates(norms, residuals.max(axis=-1, initial=0.0))
+def eig_gated(
+    matrix: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[NumericalError | None]]:
+    """`eig_checked`'s (w, v, residuals), with each matrix's gate error (or
+    None) returned in C order, not raised.  A matrix whose ||H||_F is not
+    finite is replaced by zeros, since scipy refuses a whole stack that holds
+    an inf or nan."""
+    with np.errstate(over="ignore"):  # an overflow is reported by the gate, as an error
+        norms = _norms(matrix.reshape(*matrix.shape[:-2], -1))
+        listed = norms.reshape(-1).tolist()
+        if not all(map(math.isfinite, listed)):
+            matrix = np.where(np.isfinite(norms)[..., np.newaxis, np.newaxis], matrix, 0.0)
+        w, v = scipy.linalg.eig(matrix)
+        # column by column in one stacked call: each H v_i has the bits of H @ v[:, i]
+        columns = v.swapaxes(-1, -2)[..., np.newaxis]
+        products = np.matmul(matrix.astype(v.dtype, copy=False)[..., np.newaxis, :, :], columns)
+        residuals = _residuals(products[..., 0], w, v)
+    worst = residuals.max(axis=-1, initial=0.0)  # a nan stays a nan
+    return w, v, residuals, _gates(listed, worst.reshape(-1).tolist())
 
 
-def eig_checked(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eig_checked(matrix: np.ndarray, return_residuals: bool = False) -> tuple[np.ndarray, ...]:
     """Eigenvalues and right eigenvectors with a backward-error gate.
 
-    Returns (w, v) with v[..., :, i] normalized.  Raises NumericalError when
-    any residual exceeds RESIDUAL_TOL * max(1, ||H||_F), or when ||H||_F or
-    a residual is not finite, since the gate cannot be applied then; the
-    first failing matrix of a stack names the error.
+    Returns (w, v) with v[..., :, i] normalized, and with return_residuals
+    also each pair's residual ||H v_i - w_i v_i||, shape (..., n).  Raises
+    NumericalError when any residual exceeds RESIDUAL_TOL * max(1, ||H||_F),
+    or when ||H||_F or a residual is not finite, since the gate cannot be
+    applied then; the first failing matrix of a stack names the error.
     """
-    w, v, errors = eig_gated(matrix)
+    w, v, residuals, errors = eig_gated(matrix)
     for error in filter(None, errors):
         raise error
-    return w, v
+    return (w, v, residuals) if return_residuals else (w, v)
 
 
 def connected_components(matrix: np.ndarray) -> list[list[int]]:
@@ -145,7 +163,8 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
     exactly hermitian) or `eig` call.  The first failing gate raises."""
     norms, entries = [], []
     for g, m in enumerate(matrices):
-        norms.append(_frobenius_norm(m))
+        with np.errstate(over="ignore"):
+            norms.append(_norms(m.ravel()))
         if math.isfinite(norms[-1]):  # an inf or nan reaches no solver: zeros stand in
             flat = m.ravel()
             hits = np.flatnonzero(flat != 0)  # np.nonzero(m) is several times slower
@@ -167,11 +186,12 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
         blocks[g[kept], block[rows[kept]], slot[rows[kept]], slot[cols[kept]]] = entry[kept]
         hermitian = np.array_equal(blocks, blocks.swapaxes(-1, -2).conj())
         w, v = (np.linalg.eigh if hermitian else np.linalg.eig)(blocks)
-        residuals = np.linalg.norm(blocks @ v - v * w[..., np.newaxis, :], axis=-2)
+        with np.errstate(over="ignore"):  # (H v)^T in one product: the gate reads no bits
+            residuals = _residuals(v.swapaxes(-1, -2) @ blocks.swapaxes(-1, -2), w, v)
         worst.append(residuals.reshape(len(norms), -1).max(axis=1))
         values.append(w.reshape(len(norms), -1))
     # np.maximum, unlike max, keeps a nan
-    for error in filter(None, _gates(np.array(norms), np.maximum.reduce(worst))):
+    for error in filter(None, _gates(norms, np.maximum.reduce(worst).tolist())):
         raise error
     return np.concatenate(values, axis=1).astype(complex, copy=False)
 

@@ -245,14 +245,15 @@ def cmd_spectrum(merged: dict, args) -> int:
     # for ht the dense route reads the full matrix the subspace was certified on
     sub = build_subspace(params, space) if model == "ht" else None
     h_matrix = sub.matrix if sub else _BUILDERS[model](params, space).matrix
-    numeric, vectors = eig_checked(h_matrix)
+    numeric, _, residuals = eig_checked(h_matrix, return_residuals=True)
     table = Table(columns=SPECTRUM_COLUMNS)
     if _MODELS[model].ladder:
         levels = full_algebraic_spectrum(params, space)
+        energies = np.array([level.energy for level in levels], dtype=complex)
+        nearest = np.abs(numeric - energies[:, np.newaxis]).min(axis=1).tolist()
         _add_route(table, "closed-form", (
-            (level.label, level.n, level.branch or "", level.energy,
-             float(np.min(np.abs(numeric - level.energy))))
-            for level in levels
+            (level.label, level.n, level.branch or "", level.energy, gap)
+            for level, gap in zip(levels, nearest)
         ))
     if model == "ht":
         _add_route(table, "qes", _qes_rows(algebraic_spectrum(sub, params), params.big_n))
@@ -263,15 +264,9 @@ def cmd_spectrum(merged: dict, args) -> int:
         ))
     # dense route rows for every model (the only route for h12)
     order = np.lexsort((numeric.imag, numeric.real))
-    # cast once: a real matrix times a complex column would recast it per column
-    cast = h_matrix.astype(vectors.dtype, copy=False)
-    energies = numeric.tolist()  # Python floats, so write_csv takes whole columns by repr
-    _add_route(table, "numeric", (
-        (f"numeric:{rank}", "", "", energies[index], float(
-            np.linalg.norm(cast @ vectors[:, index] - numeric[index] * vectors[:, index])
-        ))
-        for rank, index in enumerate(order)
-    ))
+    # Python numbers, so write_csv takes whole columns by repr
+    pairs = enumerate(zip(numeric[order].tolist(), residuals[order].tolist()))
+    _add_route(table, "numeric", ((f"numeric:{rank}", "", "", e, r) for rank, (e, r) in pairs))
     table.comments.append(f"model {model}, D {space.cutoff}, guard {space.guard}")
     document = {
         "command": "spectrum",

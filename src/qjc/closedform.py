@@ -63,11 +63,15 @@ class DoubletBlock:
         """Off-diagonal magnitude rho * sqrt((n+1)...(n+k))."""
         return float(self.matrix[0, 1])
 
-    def discriminant(self) -> float:
-        """gap^2 + 4 phi coupling^2, negative when the pair is complex."""
-        value = _gap_squared(self.gap) + 4.0 * self.phi * self.coupling_squared
+    def discriminant(self, rho: float | None = None) -> float:
+        """gap^2 + 4 phi coupling^2, negative when the pair is complex.  At a
+        coupling rho instead, given: the bits of the block built at rho."""
+        squared = self.coupling_squared
+        if rho is not None:
+            squared = rho * rho * _ladder_product(self.n, self.k)
+        value = _gap_squared(self.gap) + 4.0 * self.phi * squared
         if not math.isfinite(value):  # rho^2 (n+1)...(n+k) overflows silently
-            raise _overflow(self.n, self.gap, self.coupling_squared)
+            raise _overflow(self.n, self.gap, squared)
         return value
 
 

@@ -250,44 +250,39 @@ def _assign_tracks(predictions: np.ndarray, candidates: np.ndarray):
     first claiming track), and two tracks whose predictions coincide (a
     level pair emerging from a degeneracy: the swapped assignment would be
     an equivalent labeling, so the lower candidate index wins).
+
+    The distances are computed once, and each track's candidates ranked
+    once, nearest first and a tie to the lower index; each round reads the
+    first two of its ranking still free, the two a full sort would give.
     """
-    n = len(predictions)
-    assignment = np.full(n, -1, dtype=int)
-    unassigned = list(range(n))
-    available = list(range(n))
-    scale = max(1.0, float(np.max(np.abs(candidates))))
-    # Python complex - and abs round as the numpy scalars do, in less time
+    assignment = [-1] * len(predictions)
+    tol = REAL_TOL * max(1.0, float(np.abs(candidates).max()))
+    # one distance matrix, each row ranked once: the stable sort breaks a tie
+    # by candidate index; np.hypot rounds as Python's complex abs, np.abs may not
+    offsets = candidates[np.newaxis, :] - predictions[:, np.newaxis]
+    distances = np.hypot(offsets.real, offsets.imag)
+    ranked = dict(enumerate(np.argsort(distances, axis=1, kind="stable").tolist()))
+    distances = distances.tolist()
     predictions, candidates = predictions.tolist(), candidates.tolist()
-    while unassigned:
-        best = None  # (distance, track, candidate, runner_up_distance, runner_up)
-        for track in unassigned:
-            dists = sorted(
-                (abs(candidates[c] - predictions[track]), c) for c in available
-            )
-            d1, c1 = dists[0]
-            d2, c2 = dists[1] if len(dists) > 1 else (math.inf, -1)
-            if best is None or d1 < best[0]:
-                best = (d1, track, c1, d2, c2)
-        d1, track, c1, d2, c2 = best
-        if d2 < math.inf:
+    while ranked:  # unassigned track -> its free candidates, nearest first
+        track = min(ranked, key=lambda t: distances[t][ranked[t][0]])  # the first of equals
+        c1, c2 = (ranked.pop(track) + [-1])[:2]
+        if c2 >= 0 and distances[track][c2] < math.inf:
             gap = abs(candidates[c1] - candidates[c2])
-            twin = min(
-                (abs(predictions[other] - predictions[track]) for other in unassigned if other != track),
-                default=math.inf,
-            )
-            if gap <= REAL_TOL * scale or twin <= REAL_TOL * scale:
-                pass  # degenerate candidates or degenerate predictions
-            elif d1 > 0.35 * gap:
+            # too near both, unless the candidates or two predictions are degenerate
+            if distances[track][c1] > 0.35 * gap and not gap <= tol and not min(
+                (abs(predictions[other] - predictions[track]) for other in ranked), default=math.inf
+            ) <= tol:
                 conj = abs(candidates[c1] - candidates[c2].conjugate())
-                if conj <= REAL_TOL * scale and abs(predictions[track].imag) <= REAL_TOL * scale:
+                if conj <= tol and abs(predictions[track].imag) <= tol:
                     # conjugate pair born from a real level: pick +imag first
                     c1 = c1 if candidates[c1].imag >= candidates[c2].imag else c2
                 else:
                     return None
         assignment[track] = c1
-        unassigned.remove(track)
-        available.remove(c1)
-    return assignment
+        for row in ranked.values():
+            row.remove(c1)
+    return np.array(assignment)
 
 
 def _advance(values_at, t_prev2, v_prev2, t_prev, v_prev, t_next, depth: int):
@@ -322,7 +317,7 @@ def qes_theta_sweep(spec: SweepSpec) -> SweepResult:
     if spec.parameter != "theta":
         raise ValidationError("the dressed-model sweep drives theta")
     grid = spec.grid()
-    w, _, errors = eig_gated(restriction_matrix(spec.params, grid))
+    w, _, _, errors = eig_gated(restriction_matrix(spec.params, grid))
     w = np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
     on_grid = dict(zip(grid.tolist(), zip(w, errors)))
 
@@ -381,16 +376,10 @@ def _coalescence(
     Bisection on the exact block discriminant, which must go from positive
     at lo to negative at hi.
     """
-
-    def disc(value):
-        return doublet_block(
-            dataclasses.replace(params, rho=value), doublet
-        ).discriminant()
-
-    if not disc(lo) > 0.0 > disc(hi):
+    block = doublet_block(params, doublet)  # rho enters only the discriminant
+    if not block.discriminant(lo) > 0.0 > block.discriminant(hi):
         return None
-    root = _bisect(disc, lo, hi)
-    block = doublet_block(dataclasses.replace(params, rho=root), doublet)
+    root = _bisect(block.discriminant, lo, hi)
     mean = 0.5 * (block.matrix[0, 0] + block.matrix[1, 1])
     return FlowEvent(
         kind="coalescence",
@@ -408,6 +397,8 @@ def locate_coalescence(
     """Bisection on the exact block discriminant for one ladder doublet."""
     if params.phi != -1:
         raise ValidationError("only the sign-flipped coupling coalesces at real rho")
+    for bound in (lo, hi):  # ModelParams' own check of a coupling
+        dataclasses.replace(params, rho=bound)
     event = _coalescence(params, doublet, lo, hi)
     if event is None:
         raise ValidationError(

@@ -8,6 +8,8 @@ tests rather than promised.
 
 CSV dialect: '.' decimal point, ',' separator, one header row, and
 '#'-prefixed comment rows (used for sweep events and status trailers).
+`write_csv` formats each distinct value of a column once (a mostly distinct
+float column cell by cell); a column with a bad cell goes row by row instead.
 JSON documents always carry schema_version = 1.  SVG is produced by a tiny
 string emitter (axes, polylines, labels) on purpose: the plots are static
 artifacts and a plotting library would be a contract risk, not a saving.
@@ -67,14 +69,31 @@ class Table:
         self.rows.append(tuple(cells))
 
 
+def _format_column(column: tuple):
+    """The column's cells formatted, each distinct value once where that is exact:
+    in a column of one builtin type, equal cells are equal strings but for the
+    signed zeros (True == 1 == 1.0 share a dict key, so mixed columns do not)."""
+    kinds = set(map(type, column))
+    if len(kinds) == 1 and kinds <= {float, str, int, bool}:
+        distinct = set(column)
+        # `repr` alone formats finite floats (an overflowing sum only means `format_cell`)
+        finite = kinds == {float} and math.isfinite(sum(distinct))
+        if finite and 2 * len(distinct) > len(column):  # mostly distinct: a lookup costs more
+            return map(repr, column)
+        try:
+            formatted = dict(zip(distinct, map(repr if finite else format_cell, distinct)))
+        except ValidationError:
+            pass  # the row-order pass below raises it from the first bad cell
+        else:
+            if 0.0 in formatted and float in kinds:  # 0.0 == -0.0: zeros take their own repr
+                return [formatted[value] if value else repr(value) for value in column]
+            return map(formatted.__getitem__, column)
+    return map(format_cell, column)
+
+
 def write_csv(table: Table) -> str:
-    # `repr` alone formats a column of finite floats (a sum of finite floats can
-    # overflow, which only sends its column through `format_cell`); the maps run
-    # row by row, so an error names the first bad cell in row order
-    columns = [
-        map(repr if set(map(type, col)) == {float} and math.isfinite(sum(col)) else format_cell, col)
-        for col in zip(*table.rows)
-    ]
+    # a bad cell's column is a lazy map, run row by row: the error names the first in row order
+    columns = [_format_column(column) for column in zip(*table.rows)]
     lines = [",".join(table.columns), *map(",".join, zip(*columns))]
     return "\n".join(lines + [f"# {comment}" for comment in table.comments]) + "\n"
 

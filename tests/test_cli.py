@@ -392,7 +392,7 @@ def test_sweeps_print_the_bytes_of_the_per_point_route(capsys, monkeypatch, tmp_
     stacked = _outcome(capsys, tmp_path, argv)
     # an empty stacked pass: every theta grid point is solved alone, as it once was
     monkeypatch.setattr(
-        qjc.flow, "eig_gated", lambda stack: (np.zeros((0, stack.shape[-1]), complex), None, [])
+        qjc.flow, "eig_gated", lambda stack: (np.zeros((0, stack.shape[-1]), complex), None, None, [])
     )
     assert _outcome(capsys, tmp_path, argv) == stacked
 
@@ -567,6 +567,23 @@ def test_matrix_norm_overflow_exits_3_at_the_eigensolver_gate(capsys, argv):
     assert code == 3
     assert captured.out == ""
     assert "eigensolver residual gate" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--model", "h2", "--rho", "1e200"),
+        ("qes", "--model", "ht", "--N", "3", "--rho", "1e200"),
+    ],
+)
+def test_float_range_gate_keeps_its_exit_code_and_text(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        "error: eigensolver residual gate cannot be checked outside the float range "
+        "(1.8e308): ||H||_F = inf, worst residual inf\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -339,3 +339,28 @@ def test_closed_form_tracks_raise_the_block_routes_error(params, rho):
         closed_form_tracks(params, 5, rho)
     assert type(vector.value) is type(scalar.value)
     assert str(vector.value) == str(scalar.value)
+
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(epsilon=0.7, k=2, phi=-1),
+        ModelParams(epsilon=0.7, k=3, phi=1, poly=(0.0, 0.0, 0.05)),
+        ModelParams(epsilon=2.0, k=2, phi=-1),  # zero gap at n = 0: eps = k hw
+        ModelParams(k=1, phi=1, hbar_omega=1e155),  # gap^2 overflows
+    ],
+)
+def test_discriminant_at_a_coupling_is_the_new_blocks_bit_for_bit(params):
+    edge = math.sqrt(sys.float_info.max)
+    for n in range(5):
+        block = doublet_block(params, n)
+        for rho in [0.0, -0.0, 5e-324, 1e-160, 0.3, 1 / 3, 1.7, -2.5, edge / 8, edge, 1e200]:
+            outcomes = []
+            for probe in (lambda: block.discriminant(rho),
+                          lambda: doublet_block(dataclasses.replace(params, rho=rho), n).discriminant()):
+                try:
+                    outcomes.append(repr(probe()))
+                except NumericalError as err:
+                    outcomes.append(f"NumericalError: {err}")
+            assert outcomes[0] == outcomes[1], (n, rho)

@@ -1,11 +1,15 @@
 """Sweep trajectories, crossing localization, and coalescence events."""
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qjc.closedform
 import qjc.flow
@@ -14,9 +18,11 @@ from qjc.closedform import doublet_block, doublet_coalescence_rho
 from qjc.errors import NumericalError, TrackingAmbiguityError, ValidationError
 from qjc.flow import (
     PARAM_TOL,
+    REAL_TOL,
     FlowEvent,
     SweepSpec,
     _advance,
+    _assign_tracks,
     _bisect,
     _events,
     _real_rows,
@@ -253,6 +259,21 @@ def test_locate_coalescence_directly():
         locate_coalescence(FLIPPED, 0, 0.4, 0.5)
 
 
+def test_coalescence_probes_build_no_parameters_or_blocks(monkeypatch):
+    exact = doublet_coalescence_rho(FLIPPED, 1)
+    replaced, blocks = [], []
+    replace, block = dataclasses.replace, qjc.closedform.doublet_block
+    monkeypatch.setattr(dataclasses, "replace", lambda *a, **k: replaced.append(1) or replace(*a, **k))
+    monkeypatch.setattr(qjc.closedform, "doublet_block", lambda *a: blocks.append(1) or block(*a))
+    monkeypatch.setattr(qjc.flow, "doublet_block", lambda *a: blocks.append(1) or block(*a))
+    event = locate_coalescence(FLIPPED, 1, 0.0, 1.0)
+    assert abs(event.value - exact) <= 1e-8
+    assert (len(replaced), len(blocks)) == (2, 1)  # the checks of lo and hi; one block
+    for bounds in ((0.0, math.inf), (math.nan, 1.0)):  # ModelParams' own error, as before
+        with pytest.raises(ValidationError, match="rho must be finite"):
+            locate_coalescence(FLIPPED, 1, *bounds)
+
+
 def test_theta_sweep_rho_zero_linear_branches():
     """At rho=0, N=1 the trajectories are two constants and four lines."""
     result = qes_theta_sweep(theta_spec(0.0, points=16))
@@ -356,6 +377,102 @@ def test_conjugate_birth_is_assigned_without_raising():
     assert sorted(values, key=lambda z: z.imag) == [1.1 - 0.4j, 1.1 + 0.4j]
     repeat, _ = _advance(values_at, None, None, 0.0, predictions, 1.0, 0)
     npt.assert_array_equal(values, repeat)
+
+
+def _assign_by_sorting_every_round(predictions, candidates):
+    """`_assign_tracks` as it was: each round sorts every free candidate's
+    distance from every unassigned track, in Python complex arithmetic."""
+    n = len(predictions)
+    assignment = np.full(n, -1, dtype=int)
+    unassigned = list(range(n))
+    available = list(range(n))
+    scale = max(1.0, float(np.max(np.abs(candidates))))
+    predictions, candidates = predictions.tolist(), candidates.tolist()
+    while unassigned:
+        best = None
+        for track in unassigned:
+            dists = sorted((abs(candidates[c] - predictions[track]), c) for c in available)
+            d1, c1 = dists[0]
+            d2, c2 = dists[1] if len(dists) > 1 else (math.inf, -1)
+            if best is None or d1 < best[0]:
+                best = (d1, track, c1, d2, c2)
+        d1, track, c1, d2, c2 = best
+        if d2 < math.inf:
+            gap = abs(candidates[c1] - candidates[c2])
+            twin = min(
+                (abs(predictions[o] - predictions[track]) for o in unassigned if o != track),
+                default=math.inf,
+            )
+            if gap <= REAL_TOL * scale or twin <= REAL_TOL * scale:
+                pass
+            elif d1 > 0.35 * gap:
+                conj = abs(candidates[c1] - candidates[c2].conjugate())
+                if conj <= REAL_TOL * scale and abs(predictions[track].imag) <= REAL_TOL * scale:
+                    c1 = c1 if candidates[c1].imag >= candidates[c2].imag else c2
+                else:
+                    return None
+        assignment[track] = c1
+        unassigned.remove(track)
+        available.remove(c1)
+    return assignment
+
+
+def _same_assignment(predictions, candidates):
+    new = _assign_tracks(predictions, candidates)
+    old = _assign_by_sorting_every_round(predictions, candidates)
+    assert (new is None and old is None) or np.array_equal(new, old), (new, old)
+    return new
+
+
+# a few exact values, so that distances tie, candidates repeat, pairs are
+# conjugate and predictions coincide; and arbitrary ones
+POINTS = st.one_of(
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, 2 + 0j, 0.5 + 0.5j, 0.5 - 0.5j, 2j, -2j, 1 + 1e-11j]),
+    st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+    st.builds(complex, st.floats(-3, 3), st.just(0.0)),
+)
+
+
+@st.composite
+def tracking_steps(draw):
+    n = draw(st.integers(1, 10))
+    candidates = draw(st.lists(POINTS, min_size=n, max_size=n))
+    if draw(st.booleans()):  # conjugate pairs: each odd candidate mirrors the one before
+        candidates = [candidates[i - 1].conjugate() if i % 2 else c for i, c in enumerate(candidates)]
+    near = st.sampled_from(candidates)
+    predictions = draw(st.lists(
+        st.one_of(
+            POINTS,
+            near,  # on a candidate, and coincident when drawn twice
+            st.tuples(near, near).map(lambda pair: 0.5 * (pair[0] + pair[1])),  # a tie
+            st.tuples(near, st.floats(-0.2, 0.2)).map(lambda pair: pair[0] + pair[1]),
+        ),
+        min_size=n, max_size=n,
+    ))
+    return np.array(predictions, dtype=complex), np.array(candidates, dtype=complex)
+
+
+@given(tracking_steps())
+@example((  # np.abs gives ...683 for |c0 - p5|, where Python's abs and np.hypot give ...684
+    np.array([0, 0, 0, 0, 0, 0.9375 + 0.749995j]),
+    np.array([1.375 + 0.99999j, 0, 0, 0.5 + 0.5j, 0, 0.5 + 0.5j]),
+))
+@settings(max_examples=500, deadline=None)
+def test_ranking_once_assigns_as_sorting_every_round(step):
+    _same_assignment(*step)
+
+
+def test_ranking_once_assigns_as_sorting_every_round_on_theta_sweeps(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qjc.flow, "_assign_tracks", lambda *args: calls.append(args) or _same_assignment(*args))
+    gave_up = 0
+    for rho in (0.0, 0.253, 0.3, 1.0, 2.0):
+        for phi in (1, -1):
+            try:
+                qes_theta_sweep(theta_spec(rho, phi=phi))
+            except TrackingAmbiguityError:  # each step that gave up was compared too
+                gave_up += 1
+    assert len(calls) > 300 and gave_up > 0
 
 
 def test_track_lookup_by_label():

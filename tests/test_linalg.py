@@ -192,6 +192,45 @@ def test_a_stack_is_solved_as_each_matrix_alone():
     assert eigvals_checked(with_zero.reshape(1, 2, 32, 32)).shape == (1, 2, 32)
 
 
+def _column_residuals(matrix, w, v):
+    """Each pair's residual as `qjc spectrum` once printed it, column by column."""
+    cast = matrix.astype(v.dtype)
+    return np.array([np.linalg.norm(cast @ v[:, i] - w[i] * v[:, i]) for i in range(len(w))])
+
+
+def _residual_cases():
+    rng = np.random.default_rng(21)
+    yield "1x1", np.array([[0.75]])
+    yield "2x2-complex", np.array([[1.0, 2.0], [-2.0, 1.0]])
+    yield "2x2-complex-entries", np.array([[1.0, 2.0 + 1j], [0.5j, -1.0]])
+    yield "6x6-random", rng.normal(size=(6, 6))
+    for d, n in ((64, 128), (256, 512)):
+        space = TruncatedFockSpace(d, 8)
+        yield f"{n}-hermitian-h2", build_extended(ModelParams(rho=0.7, phi=1, k=2), space).matrix
+        yield f"{n}-complex-pseudo-jcm", build_pseudo_jcm(ModelParams(rho=1.3), space).matrix
+    yield "128-h12", build_h12(ModelParams(rho=0.4, phi=-1, theta=0.9), TruncatedFockSpace(64, 8)).matrix
+
+
+@pytest.mark.parametrize("name, matrix", list(_residual_cases()))
+def test_residuals_are_the_column_by_column_norms_bit_for_bit(name, matrix):
+    w, v, residuals = eig_checked(matrix, return_residuals=True)
+    assert residuals.shape == w.shape
+    assert residuals.tobytes() == _column_residuals(matrix, w, v).tobytes()
+    assert eig_checked(matrix)[0].tobytes() == w.tobytes()
+
+
+def test_a_stack_has_each_matrix_residuals_bit_for_bit():
+    stack = np.concatenate([_extended_stack((0.3, 0.7, 1.1)), _extended_stack((0.3, 1.4), phi=1)])
+    w, v, residuals = eig_checked(stack, return_residuals=True)
+    assert np.iscomplexobj(v) and np.any(w.imag != 0) and np.all(w[3:].imag == 0)
+    for g, matrix in enumerate(stack):
+        assert residuals[g].tobytes() == _column_residuals(matrix, w[g], v[g]).tobytes()
+        # alone, a real spectrum has real vectors, a product of other bits
+        one_w, one_v, one_residuals = eig_checked(matrix, return_residuals=True)
+        if np.iscomplexobj(one_v):
+            assert residuals[g].tobytes() == one_residuals.tobytes()
+
+
 @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
 def test_a_stack_gates_each_matrix_against_its_own_norm(monkeypatch, entry):
     small = _extended_stack((0.3,))[0]
@@ -200,7 +239,7 @@ def test_a_stack_gates_each_matrix_against_its_own_norm(monkeypatch, entry):
     real_eig = scipy.linalg.eig
     # shifted by 1e-6: below 1e-12 of the first norm, above 1e-12 of the second
     monkeypatch.setattr(scipy.linalg, "eig", lambda a: (real_eig(a)[0] + 1e-6, real_eig(a)[1]))
-    w, _, errors = eig_gated(stack)
+    w, _, _, errors = eig_gated(stack)
     assert errors[0] is None
     scale = f"1.0e-12 * {np.linalg.norm(small):.3e}"
     assert scale in str(errors[1])

@@ -112,6 +112,54 @@ def test_column_passes_write_the_row_by_row_bytes(rows):
     assert outcome(write_csv, table) == outcome(row_by_row_csv, table)
 
 
+def column_pass_csv(table):
+    """The writer before each distinct value was formatted once: `repr` over
+    a whole column of floats whose sum is finite, else `format_cell`."""
+    columns = [
+        map(repr if set(map(type, col)) == {float} and math.isfinite(sum(col)) else format_cell, col)
+        for col in zip(*table.rows)
+    ]
+    lines = [",".join(table.columns), *map(",".join, zip(*columns))]
+    return "\n".join(lines + [f"# {comment}" for comment in table.comments]) + "\n"
+
+
+# few values, so columns repeat them: signed zeros, the smallest subnormal,
+# a pair whose sum overflows, inf and nan, and every cell type, mixed
+REPEATED = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e308, 1.5, math.inf, -math.inf, math.nan,
+     True, False, 1, 0, "0", "track:0", "a,b", ""]
+)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(st.one_of(REPEATED, CELLS), min_size=width, max_size=width), max_size=24
+    )
+))
+@settings(max_examples=500, deadline=None)
+def test_distinct_values_write_the_column_pass_bytes(rows):
+    table = Table(columns=tuple(f"c{i}" for i in range(len(rows[0]) if rows else 1)))
+    table.rows = [tuple(row) for row in rows]
+    assert outcome(write_csv, table) == outcome(column_pass_csv, table)
+
+
+@pytest.mark.parametrize("column", [
+    [0.0, -0.0, 0.0, -0.0],
+    [-0.0, 1.5, 0.0, 1.5],
+    [5e-324, -5e-324, 5e-324],
+    [1e308, 1e308],
+    [1e308, 1e308, math.inf],
+    [1.0, math.nan, 1.0],
+    [True, 1, 1.0, False, 0, 0.0, -0.0],
+    ["a", "a", "b,c", "a"],
+    ["", "", "x"],
+])
+def test_distinct_values_keep_signs_types_and_errors(column):
+    table = Table(columns=("value", "row"))
+    table.rows = [(value, row) for row, value in enumerate(column)]
+    assert outcome(write_csv, table) == outcome(column_pass_csv, table)
+
+
 def test_column_passes_raise_at_the_first_bad_cell_in_row_order():
     table = Table(columns=("a", "b"))
     table.add(1.0, math.inf)

@@ -8,9 +8,9 @@ raised so the caller can enlarge the cutoff instead of silently consuming noise.
 Both solvers take a matrix or a stack (..., n, n), solved in one call and
 gated matrix by matrix against its own ||H||_F.  `eig_checked` solves dense
 matrices with `scipy.linalg.eig`, the one solver of printed digits, which
-gives each matrix of a stack its bits alone, and one residual per pair, from
-H v_i column by column (the bits of H @ v[:, i]) that the gate and `qjc
-spectrum` both read.  `eigvals_checked` returns
+gives each matrix of a stack its bits alone.  It computes one residual per
+pair, from H v_i column by column (the bits of H @ v[:, i]): the gate and
+`qjc spectrum` both read it.  `eigvals_checked` returns
 eigenvalues only, and solves the diagonal blocks that the connected
 components of the pattern `H != 0` (its edges taken both ways) give: a
 stack of blocks that is exactly hermitian with the symmetric eigensolver,
@@ -186,7 +186,7 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
         blocks[g[kept], block[rows[kept]], slot[rows[kept]], slot[cols[kept]]] = entry[kept]
         hermitian = np.array_equal(blocks, blocks.swapaxes(-1, -2).conj())
         w, v = (np.linalg.eigh if hermitian else np.linalg.eig)(blocks)
-        with np.errstate(over="ignore"):  # (H v)^T in one product: the gate reads no bits
+        with np.errstate(over="ignore"):  # (H v)^T in one gemm: no printed digit reads these
             residuals = _residuals(v.swapaxes(-1, -2) @ blocks.swapaxes(-1, -2), w, v)
         worst.append(residuals.reshape(len(norms), -1).max(axis=1))
         values.append(w.reshape(len(norms), -1))

@@ -5,7 +5,7 @@ eigenequation into a two-term block recurrence for polynomial pairs in E.
 At the invariant-subspace size n = n_qes it ends in a scalar consistency
 condition, the *critical polynomial*, whose roots are algebraic eigenvalues
 at which the series truncates onto the invariant subspace
-(`run_to_critical` spells out the steps).
+(`_steps` spells out the steps).
 
 Scaling.  The raw coefficients carry square roots of factorials.  With
 
@@ -19,11 +19,22 @@ the recurrence closes over the rationals:
                             + c_hat (j+2-n) pt_{j+1} = 0         (lower |j+2>)
 
 so all polynomials here are exact and the critical polynomial's roots carry
-no recurrence noise.  Arithmetic is fraction-free: an `EnergyPolynomial`
-holds Python-int numerators over one common denominator, and each series
-step is one integer pass over them (`_series_step`).  The stored
-polynomials are the rescaled pt_j, qt_j; `p_value`/`q_value` restore the
-factorial scaling.
+no recurrence noise.  In path order y_0 = qt_{-1} = 1, y_1 = pt_0, y_2 =
+qt_0, ..., y_m = C (m = 2n - 1) each half-step is y_{k+1} = ((E + a_k) y_k -
+f_k y_{k-1}) / v_k, with exact (a_k, f_k, v_k) from one table, `_steps`.
+Arithmetic is fraction-free: an `EnergyPolynomial` holds Python-int
+numerators over one common denominator, and each step is one integer pass
+over them (`_series_step`).  The stored polynomials are the rescaled pt_j,
+qt_j; `p_value`/`q_value` restore the factorial scaling.
+
+Root seeds.  C is, up to a constant, the table's monic continuant z_{k+1} =
+(E + a_k) z_k - f_k v_{k-1} z_{k-1}: the characteristic polynomial of the
+m x m tridiagonal with diagonal -a_k and off-diagonal pair +-sqrt|f_k v_{k-1}|
+(the comrade matrix), whose float eigenvalues seed the roots.  That
+tridiagonal is a diagonal similarity of the path-ordered QES restriction, so
+the seeds are only seeds: the exact polish on C carries the route.  Where
+rho = 0 or c_hat = 0 some v_k vanish, `run_to_critical` cannot divide, and C
+is the continuant itself: the 2x2 chain determinants of `_chain_limit`.
 
 Root polish.  A Newton step takes C and C' in scaled integers at the float
 (dyadic) iterate: one Horner pass at a real point, one pass of remainders by
@@ -31,12 +42,6 @@ the iterate's real quadratic at a nonreal one (`_horner_pair`).  Complex
 seeds come in exact conjugate pairs, and the polish commutes with
 conjugation, so one seed of a pair is polished and the other mirrored (a root
 that came out real is copied as it is: conj would make its +0.0 a -0.0).
-
-`run_to_critical` builds the series in one pass; it divides by rho and by
-c_hat (j+2-n), so the rho = 0 and c_hat = 0 limits, which decouple into 2x2
-chains, are read from one chain table instead (`_chain_limit`, which also
-decides whether a limit applies).  The product of the chain determinants,
-the critical polynomial there, is built by `_series_step` too.
 
 Consecutive calls for one parameter set share their work: `run_to_critical`
 keeps the last exact series, keyed on the parameters (which hold phi, k and
@@ -123,10 +128,6 @@ class EnergyPolynomial:
     def degree(self) -> float:
         return len(self.numerators) - 1 if self.numerators else -math.inf
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.numerators
-
     def __call__(self, value):
         """Horner evaluation through floats (accepts complex)."""
         acc = 0.0
@@ -152,13 +153,15 @@ class SeriesState:
 
     `p[j + 1]` holds pt_j for j = -1 .. n - 2 (pt_{-1} is identically zero)
     and `q[j + 2]` holds qt_j for j = -2 .. n - 2; `critical` is the
-    consistency polynomial of the singular step.
+    consistency polynomial of the singular step, and `steps` the table
+    (`_steps`) they were built from.
     """
 
     n: int
     p: tuple[EnergyPolynomial, ...]
     q: tuple[EnergyPolynomial, ...]
     critical: EnergyPolynomial
+    steps: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
     def p_poly(self, j: int) -> EnergyPolynomial:
         return self.p[j + 1]
@@ -191,75 +194,81 @@ def _series_step(x: EnergyPolynomial, a: Fraction, y: EnergyPolynomial, f: Fract
     return EnergyPolynomial._make(out, a.denominator * f.denominator * v.numerator * g * dx * dy)
 
 
+def _steps(params: ModelParams) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    """The exact (a_k, f_k, v_k), k = 0 .. 2n - 2, from one `exact_qes_params`
+    call: for each j = -1 .. n - 3 the lower |j+2> equation solved for
+    pt_{j+1}, then the upper |j+1> one for qt_{j+1}; last the lower |n> one,
+    which loses its pt_{n-1} term (v = 1), leaving the critical polynomial
+
+        C(E) = (E - hw n + eps/2) qt_{n-2}(E) - phi rho pt_{n-2}(E)."""
+    n = params.big_n + 2
+    hw, eps, rho, c, c_hat = params.exact_qes_params()
+    phi_rho = params.phi * rho
+    steps = []
+    for j in range(-1, n - 2):
+        # lower |j+2>:  pt_{j+1} = [(E - hw (j+2) + eps/2) qt_j - phi rho pt_j]
+        #                          / (c_hat (j + 2 - n))
+        steps.append((-hw * (j + 2) + eps / 2, phi_rho, c_hat * (j + 2 - n)))
+        # upper |j+1>:  qt_{j+1} = [(E - hw (j+1) - eps/2) pt_{j+1}
+        #                           - c (j + 2 - n)(j + 2) qt_j] / (rho (j+2)(j+3))
+        steps.append((-hw * (j + 1) - eps / 2, c * (j + 2 - n) * (j + 2), rho * (j + 2) * (j + 3)))
+    steps.append((-hw * n + eps / 2, phi_rho, Fraction(1)))
+    return tuple(steps)
+
+
 @functools.lru_cache(maxsize=1)
 def run_to_critical(params: ModelParams) -> SeriesState:
     """Build the series from qt_{-2} = 0, qt_{-1} = 1 up to the critical
-    polynomial (generic couplings only).
+    polynomial (generic couplings only), one `_steps` step at a time,
+    exactly over the rationals.
 
-    Each step j = -1 .. n - 3 solves the lower |j+2> equation for pt_{j+1},
-    then the upper |j+1> equation for qt_{j+1}, exactly over the rationals.
-    At j = n - 2 the lower |n> equation loses its pt_{n-1} term, leaving the
-    scalar consistency condition
-
-        C(E) = (E - hw n + eps/2) qt_{n-2}(E) - phi rho pt_{n-2}(E) = 0,
-
-    the critical polynomial.  p_{n-1} is a free choice; taking it zero
-    forces qt_{n-1} = 0 as well (the upper |n-1> equation has its qt_{n-2}
-    coupling annihilated by the same (j + 1 - n) factor), so at any root of
-    C every later coefficient vanishes and the series truncates.  The
-    returned state is shared by every caller with equal parameters.
+    p_{n-1} is a free choice; taking it zero forces qt_{n-1} = 0 as well
+    (the upper |n-1> equation has its qt_{n-2} coupling annihilated by the
+    same (j + 1 - n) factor), so at any root of C every later coefficient
+    vanishes and the series truncates.  The returned state is shared by
+    every caller with equal parameters.
     """
-    n = params.big_n + 2
-    hw, eps, rho, c, c_hat = params.exact_qes_params()
-    if rho == 0 or c_hat == 0:
+    steps = _steps(params)
+    if any(_decoupled(params)):
         raise ValidationError(
             "generic stepping needs rho != 0 and c_hat != 0; use "
             "critical_polynomial, which handles the decoupled limits"
         )
-    phi_rho = params.phi * rho
-    p, q = [_ZERO], [_ZERO, _ONE]
-    for j in range(-1, n - 2):
-        pt_j, qt_j = p[-1], q[-1]
-        # lower |j+2>:  pt_{j+1} = [(E - hw (j+2) + eps/2) qt_j - phi rho pt_j]
-        #                          / (c_hat (j + 2 - n))
-        p.append(_series_step(qt_j, -hw * (j + 2) + eps / 2, pt_j, phi_rho, c_hat * (j + 2 - n)))
-        # upper |j+1>:  qt_{j+1} = [(E - hw (j+1) - eps/2) pt_{j+1}
-        #                           - c (j + 2 - n)(j + 2) qt_j] / (rho (j+2)(j+3))
-        f, v = c * (j + 2 - n) * (j + 2), rho * (j + 2) * (j + 3)
-        q.append(_series_step(p[-1], -hw * (j + 1) - eps / 2, qt_j, f, v))
-    critical = _series_step(q[-1], -hw * n + eps / 2, p[-1], phi_rho)
-    return SeriesState(n, tuple(p), tuple(q), critical)
+    y = [_ZERO, _ONE]  # pt_{-1}, qt_{-1}
+    for a, f, v in steps:
+        y.append(_series_step(y[-1], a, y[-2], f, v))
+    return SeriesState(params.big_n + 2, tuple(y[0:-1:2]), (_ZERO, *y[1:-1:2]), y[-1], steps)
 
 
 # ---------------------------------------------------------------------------
 # critical polynomial, including decoupled limits
 
 
-def _chain_limit(params: ModelParams, exact: bool):
+def _decoupled(params: ModelParams) -> tuple[bool, bool]:
+    """Whether rho = 0 and whether c_hat = 0, read off the float parameters
+    exactly: Fraction(x) is zero just where x is, and the derived
+    c_hat = -theta/n just where theta is (its float can underflow to -0.0)."""
+    return params.rho == 0, params.theta == 0 if params.c_hat is None else params.c_hat == 0
+
+
+def _chain_limit(params: ModelParams):
     """Seeded level and 2x2 chain blocks of a decoupled limit, or None.
 
-    None means neither rho = 0 nor c_hat = 0 holds, read off the float
-    parameters exactly: Fraction(x) is zero just where x is, and the derived
-    c_hat = -theta/n just where theta is (its float can underflow to -0.0).
+    None means neither rho = 0 nor c_hat = 0 holds (`_decoupled`).
     Returns ((level, down photon), blocks), each block (up photon, down
     photon, up diag, down diag, B C, b, c, m) for the chain block
     [[up diag, B], [C, down diag]] with B = b sqrt(m) and C = c sqrt(m).
-    Both limits at once leave only the seeded level.  The values are exact
-    rationals if `exact`, else floats of the same expressions on the float
-    couplings the matrix is built from; those refuse c != 0 with c_hat = 0,
-    with rho = 0 or without.
+    Both limits at once leave only the seeded level.  The values are floats
+    on the float couplings the matrix is built from; c != 0 with c_hat = 0
+    is refused, with rho = 0 or without.
     """
     n, phi = params.big_n + 2, params.phi
-    no_rho = params.rho == 0
-    no_c_hat = params.theta == 0 if params.c_hat is None else params.c_hat == 0
+    no_rho, no_c_hat = _decoupled(params)
     if not (no_rho or no_c_hat):
         return None
-    if exact:
-        hw, eps, rho, c, c_hat = params.exact_qes_params()
-    else:
-        hw, eps, rho = params.hbar_omega, params.epsilon, params.rho
-        c, c_hat = params.qes_couplings()
-    if no_c_hat and not exact and c != 0.0:
+    hw, eps, rho = params.hbar_omega, params.epsilon, params.rho
+    c, c_hat = params.qes_couplings()
+    if no_c_hat and c != 0.0:
         raise ValidationError(
             "reconstruction with c_hat = 0 but c != 0 is not supported (the "
             "chains couple triangularly); override both couplings or none"
@@ -284,9 +293,8 @@ def critical_polynomial(params: ModelParams) -> EnergyPolynomial:
     """Scalar consistency polynomial whose roots truncate the series.
 
     Generic rho, c_hat: degree 2n - 1 from the block recurrence.  In the
-    decoupled limits the recurrence splits into the 2x2 chains of
-    `_chain_limit` and the consistency condition becomes the product of
-    their determinants,
+    decoupled limits it is the product of the 2x2 chain determinants of
+    `_chain_limit` and the seeded level,
 
         (E - level) prod_blocks [(E - up diag)(E - down diag) - B C],
 
@@ -296,15 +304,23 @@ def critical_polynomial(params: ModelParams) -> EnergyPolynomial:
     never a root: root sets are a subset of the algebraic spectrum, one
     level short.
     """
-    limit = _chain_limit(params, exact=True)
-    if limit is None:
-        return run_to_critical(params).critical
-    (level, _), blocks = limit
-    poly = _series_step(_ONE, -level, _ZERO, 0)
-    for _, _, up_diag, down_diag, bc, *_ in blocks:
-        # (E - down) [(E - up) poly] - B C poly
-        poly = _series_step(_series_step(poly, -up_diag, _ZERO, 0), -down_diag, poly, bc)
-    return poly
+    return _critical(params)[0]
+
+
+def _critical(params: ModelParams):
+    """The critical polynomial and the steps whose continuant it is."""
+    no_rho, no_c_hat = _decoupled(params)
+    if not (no_rho or no_c_hat):
+        state = run_to_critical(params)
+        return state.critical, state.steps
+    steps = _steps(params)
+    if no_rho and no_c_hat:
+        steps = steps[:1]  # the seeded level, E + a_0
+    z, coupling = [_ZERO, _ONE], 0
+    for a, f, v in steps:
+        z.append(_series_step(z[-1], a, z[-2], f * coupling))
+        coupling = v
+    return z[-1], steps
 
 
 def _dyadic(re: float, im: float):
@@ -362,68 +378,51 @@ def _newton_exact(poly: EnergyPolynomial, seed: complex):
     The iterate is re-rounded to a float (pair) each step, so it stays
     dyadic and the evaluation runs on integers while carrying no rounding
     noise -- float-Horner evaluation noise would otherwise floor the root
-    error near 1e-9 once coefficients reach ~1e4.  At an m-fold root plain
-    Newton only converges linearly with ratio (m-1)/m, so once the step
-    ratio settles the remaining geometric tail is summed in one extrapolated
-    jump.
+    error near 1e-9 once coefficients reach ~1e4.
     """
     # + 0.0 turns a -0.0 seed into 0.0, so a root at zero comes back as +0.0
     # (the pinned root bits); x - step is never -0.0 once x is not
     re, im = float(seed.real) + 0.0, float(seed.imag) + 0.0
-    prev_step = None
-    prev_ratio = None
-    # The cap ends the polish silently on purpose: at weak coupling some
-    # roots of a defective cluster use all 80 iterations (N=10, phi=-1,
-    # rho=0.05, theta=0.4 has four), and raising would drop the whole
-    # spectrum instead of returning the best iterate.
+    # The cap ends the polish silently on purpose: at a multiple root Newton
+    # converges only linearly, and raising would drop the whole spectrum
+    # instead of returning the best iterate.
     for _ in range(80):
         step = _newton_step(poly, re, im)
         if step is None:
             break
-        if prev_step not in (None, 0) and abs(step) > 0:
-            ratio = step / prev_step
-            if (
-                prev_ratio is not None
-                and 0.2 < abs(ratio) < 0.99
-                and abs(ratio - prev_ratio) < 0.02 * abs(ratio)
-            ):
-                step = step / (1 - ratio)
-                prev_step, prev_ratio = None, None
-            else:
-                prev_step, prev_ratio = step, ratio
-        else:
-            prev_step, prev_ratio = step, None
-        nxt_re = re - step.real
-        nxt_im = im - step.imag
+        nxt_re, nxt_im = re - step.real, im - step.imag
         if nxt_re == re and nxt_im == im:
             break
         re, im = nxt_re, nxt_im
     return complex(re, im)
 
 
+def _seeds(steps) -> np.ndarray:
+    """Float eigenvalues of the tridiagonal whose characteristic polynomial
+    is the monic continuant of `steps`: diagonal -a_k, off-diagonal pair
+    +-sqrt|f_k v_{k-1}| carrying the sign of f_k v_{k-1} below."""
+    try:
+        diag = [-float(a) for a, _, _ in steps]
+        couplings = np.array([float(f * v) for (_, f, _), (_, _, v) in zip(steps[1:], steps)])
+    except OverflowError:
+        raise NumericalError(
+            "a step coefficient of the recurrence lies beyond the float range (|x| > 1.8e308)"
+        ) from None
+    off = np.sqrt(np.abs(couplings))
+    return np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(np.copysign(off, couplings), -1))
+
+
 def critical_roots(params: ModelParams) -> np.ndarray:
     """All roots of the critical polynomial (complex), sorted by (Re, Im).
 
-    Companion-matrix eigenvalues seed the roots; one seed of each conjugate
-    pair is polished by exact-arithmetic Newton and the other mirrored, so
-    the values are accurate to the last float digit and reconstruction
-    residuals are not limited by root error.
+    The eigenvalues of the step table's tridiagonal seed the roots (`_seeds`);
+    one seed of each conjugate pair is polished by exact-arithmetic Newton
+    on C and the other mirrored, so the values are accurate to the last
+    float digit and reconstruction residuals are not limited by root error.
     """
-    poly = critical_polynomial(params)
-    if poly.is_zero:
-        raise NumericalError("zero critical polynomial: every E would truncate")
-    if poly.degree == 0:
-        return np.array([])
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below, as an error
-            roots = np.roots(poly.float_coefficients()[::-1])
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            "companion matrix of the critical polynomial leaves the float range "
-            "(coefficient ratios beyond 1.8e308)"
-        ) from None
+    poly, steps = _critical(params)
     polished, by_seed = [], {}
-    for seed in map(complex, roots):
+    for seed in map(complex, _seeds(steps)):
         x = by_seed.get(seed.conjugate())
         if x is None:
             x = _newton_exact(poly, seed)
@@ -523,7 +522,7 @@ def _certified_reconstruction(params: ModelParams, energy, space: TruncatedFockS
     """`reconstruct_eigenvector`'s unit vector v and the ||H v - E v|| its gate read."""
     energy = complex(energy)
     energy = energy.real if energy.imag == 0.0 else energy
-    limit = _chain_limit(params, exact=False)
+    limit = _chain_limit(params)
     if limit is None:
         state = run_to_critical(params)
         poly, psi = state.critical, _truncated_vector_generic(state, energy, space)

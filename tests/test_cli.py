@@ -532,8 +532,9 @@ def test_eigensolver_gate_refuses_an_inaccurate_eigenpair(capsys, monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("rho", ["1e300", "1e100"])
 def test_float_range_overflow_in_recur_exits_3(capsys, rho):
-    # 1e300: an exact coefficient passes the float range; 1e100: the
-    # coefficients fit but the companion matrix's ratios do not
+    # 1e300: the matrix norm passes the float range, at the eigensolver gate;
+    # 1e100: the roots come out, but the series vector's norm does not fit,
+    # at the reconstruction gate
     code = main(["recur", "--model", "ht", "--N", "2", "--rho", rho, "--theta", "1"])
     assert code == 3
     assert "float range" in capsys.readouterr().err

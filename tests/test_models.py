@@ -320,3 +320,30 @@ def test_the_routes_do_not_import_each_other(route):
     imported = _qjc_imports((Path(qjc.__file__).parent / f"{route}.py").read_text())
     assert "models" in imported
     assert imported.isdisjoint(set(ROUTES) - {route}), imported
+
+
+def _monomial_root_calls(source: str) -> list[int]:
+    """Lines that call numpy's `roots` (companion matrix of monomial
+    coefficients) or import it by name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "roots":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            if any(alias.name == "roots" for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_monomial_root_scan_reads_every_spelling():
+    source = "import numpy as np\nfrom numpy import roots\nnp.roots(c)\nnumpy.roots(c)\nx.critical_roots(p)\n"
+    assert _monomial_root_calls(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in Path(qjc.__file__).parent.glob("*.py")))
+def test_no_module_roots_a_monomial_basis(module):
+    # the recurrence seeds from its own tridiagonal; float monomial
+    # coefficients lose every root past a dozen levels
+    source = (Path(qjc.__file__).parent / f"{module}.py").read_text()
+    assert _monomial_root_calls(source) == []

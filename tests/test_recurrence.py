@@ -45,7 +45,7 @@ def test_polynomial_canonical_form_and_degree():
     assert p.degree == 1
     zero = EnergyPolynomial.from_coefficients([])
     assert zero.degree == -math.inf
-    assert zero.is_zero
+    assert zero.numerators == ()
 
 
 def test_polynomial_evaluation_matches_fraction_path():
@@ -220,6 +220,26 @@ CHAIN_GRID = [
 ]
 
 
+def exact_chain_table(params):
+    """The seeded level and the chain blocks (up diag, down diag, B C) of a
+    decoupled limit in exact rationals, written out block by block: the
+    oracle of `critical_polynomial`'s continuant over the step table."""
+    n, phi = params.big_n + 2, params.phi
+    hw, eps, rho, c, c_hat = params.exact_qes_params()
+    if rho == 0 and c_hat == 0:
+        return hw - eps / 2, []
+    if rho == 0:
+        # the decoupled top of the lower tower is the seeded level
+        return hw * n - eps / 2, [
+            (hw * (j + 1) + eps / 2, hw * (j + 2) - eps / 2, c * c_hat * (j + 2 - n) ** 2 * (j + 2))
+            for j in range(-1, n - 2)
+        ]
+    return hw - eps / 2, [
+        (hw * j + eps / 2, hw * (j + 2) - eps / 2, phi * rho**2 * (j + 1) * (j + 2))
+        for j in range(n - 1)
+    ]
+
+
 @pytest.mark.parametrize("big_n", range(13))
 def test_decoupled_critical_polynomial_is_the_chain_product(big_n):
     # (E - level) prod [(E - up)(E - down) - B C] over the chain table, by
@@ -229,9 +249,9 @@ def test_decoupled_critical_polynomial_is_the_chain_product(big_n):
         for hw, eps in ((1.0, 1.0), (0.37, -2.25), (3.0, 0.0)):
             for kw in CHAIN_GRID:
                 params = ModelParams(hbar_omega=hw, epsilon=eps, phi=phi, n_qes=n, **kw)
-                (level, _), blocks = qjc.recurrence._chain_limit(params, exact=True)
+                level, blocks = exact_chain_table(params)
                 ref = [-level, Fraction(1)]
-                for _, _, up, down, bc, *_ in blocks:
+                for up, down, bc in blocks:
                     ref = ref_mul(ref, [up * down - bc, -(up + down), 1])
                 poly = critical_polynomial(params)
                 assert canonical_coefficients(poly) == ref, (phi, hw, eps, kw)
@@ -263,19 +283,34 @@ def test_roots_are_subset_of_algebraic_spectrum(phi, big_n):
                 assert np.min(np.abs(w - r)) < 1e-8
 
 
+def qes_mismatch(params):
+    """Worst distance of `critical_roots` from the QES levels less the
+    decoupled -eps/2 one (inf on a count mismatch)."""
+    levels = algebraic_eigenvalues(params)
+    seeded = int(np.argmin(np.abs(levels + 0.5 * params.epsilon)))
+    return spectrum_mismatch(critical_roots(params), np.delete(levels, seeded))
+
+
 @pytest.mark.parametrize("phi", [-1, 1])
 @pytest.mark.parametrize("big_n", range(5, 13))
 def test_roots_are_the_algebraic_spectrum_at_strong_coupling(phi, big_n):
-    # the weak-coupling cells stay out: there the companion seeds of a
-    # near-defective cluster can polish onto the wrong roots
     for rho in (0.8, 1.2, 2.0):
         for theta in (0.5, 1.2, 2.5):
             params = ModelParams(rho=rho, theta=theta, n_qes=big_n + 2, phi=phi)
-            levels = algebraic_eigenvalues(params)
-            # the roots are the QES levels less the decoupled -eps/2 level
-            seeded = int(np.argmin(np.abs(levels + 0.5 * params.epsilon)))
-            mismatch = spectrum_mismatch(critical_roots(params), np.delete(levels, seeded))
+            mismatch = qes_mismatch(params)
             assert mismatch <= 1e-9, (rho, theta, mismatch)
+
+
+@pytest.mark.parametrize("phi", [-1, 1])
+@pytest.mark.parametrize("big_n", [*range(1, 21), 40])
+def test_roots_are_the_algebraic_spectrum_at_every_coupling(phi, big_n):
+    # np.roots seeds on the monomial coefficients went wrong at weak coupling
+    # and from N = 14 on; the tridiagonal seeds stay right on the whole grid
+    grid = [(rho, theta) for rho in (0.05, 0.3, 0.7, 1.5) for theta in (0.4, 1.2, 2.0)]
+    for rho, theta in grid if big_n <= 20 else [(0.7, 1.2)]:
+        params = ModelParams(rho=rho, theta=theta, n_qes=big_n + 2, phi=phi)
+        mismatch = qes_mismatch(params)
+        assert mismatch <= 1e-9, (rho, theta, mismatch)
 
 
 def test_doubly_decoupled_limit_keeps_only_seeded_level():
@@ -296,44 +331,31 @@ def test_multiple_root_is_polished_through_linear_convergence():
     npt.assert_allclose(cluster.imag, 0.0, atol=1e-10)
 
 
-def test_newton_cap_keeps_every_weak_coupling_root(monkeypatch):
-    # Four roots of this cell use all 80 Newton iterations; the cap stays
-    # silent so the spectrum keeps all 2n - 1 roots instead of raising.
-    # One of the four is the mirror of a capped conjugate partner, so three
-    # polishes hit the cap and four returned roots come from one.
+def test_newton_cap_keeps_every_weak_coupling_root():
+    # the weak cell: np.roots seeds of its near-defective clusters used all
+    # 80 Newton steps and polished onto non-roots; the tridiagonal seeds give
+    # all 2n - 1 roots, each a QES level
     params = ModelParams(rho=0.05, theta=0.4, n_qes=12, phi=-1)
-    polishes = []  # [seed, steps] per polish
-
-    def counted(*args):
-        polishes[-1][1] += 1
-        return newton_step(*args)
-
-    def polish(poly, seed):
-        polishes.append([seed, 0])
-        return newton_exact(poly, seed)
-
-    newton_step, newton_exact = qjc.recurrence._newton_step, qjc.recurrence._newton_exact
-    monkeypatch.setattr(qjc.recurrence, "_newton_step", counted)
-    monkeypatch.setattr(qjc.recurrence, "_newton_exact", polish)
-    roots = critical_roots(params)
-    assert len(roots) == 23 and np.all(np.isfinite(roots))
-    capped = {seed for seed, steps in polishes if steps == 80}
-    seeds = map(complex, np.roots(critical_polynomial(params).float_coefficients()[::-1]))
-    assert sum(seed in capped or seed.conjugate() in capped for seed in seeds) == 4
-    assert len(capped) == 3
+    assert len(critical_roots(params)) == 23
+    assert qes_mismatch(params) <= 1e-9
+    # the cap itself stays silent: from 3, Newton on (E - 1)**5 shrinks the
+    # error by 4/5 a step, and the polish returns its 80th iterate
+    quintic = EnergyPolynomial.from_coefficients([-1, 5, -10, 10, -5, 1])
+    root = qjc.recurrence._newton_exact(quintic, complex(3.0))
+    assert root.imag == 0.0 and root.real - 1 == pytest.approx(2 * 0.8**80, rel=1e-6)
 
 
 @pytest.mark.parametrize("big_n", range(1, 13))
 def test_mirrored_conjugate_polish_equals_polishing_every_seed(big_n):
     # critical_roots polishes one seed of each conjugate pair; polishing
-    # every np.roots seed on its own must give the same bytes
+    # every tridiagonal seed on its own must give the same bytes
     for phi in (1, -1):
         for rho in (0.05, 0.3, 0.7, 1.5):
             for theta in (0.4, 1.2, 2.0):
                 params = ModelParams(rho=rho, theta=theta, n_qes=big_n + 2, phi=phi)
-                poly = critical_polynomial(params)
+                poly, steps = qjc.recurrence._critical(params)
                 polished = []
-                for seed in np.roots(poly.float_coefficients()[::-1]):
+                for seed in qjc.recurrence._seeds(steps):
                     x = qjc.recurrence._newton_exact(poly, complex(seed))
                     if abs(x.imag) < ROOT_IMAG_TOL * max(1.0, abs(x)):
                         x = complex(x.real)
@@ -372,19 +394,25 @@ def test_critical_roots_agree_with_exact_count_at_strong_coupling(params):
     _roots_below_match_exact_count(params)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: at N = 12, rho = 0.3 critical_roots misses levels and "
-    "returns non-roots",
-)
 def test_critical_roots_agree_with_exact_count_at_weak_coupling():
     _roots_below_match_exact_count(ModelParams(rho=0.3, theta=1.2, n_qes=14, phi=1))
 
 
 def test_float_range_overflow_is_a_numerical_error():
-    # every step divides by rho, so at rho = 1e-80 exact coefficients pass 1e308
+    # every step divides by rho, so at rho = 1e-80 exact coefficients pass
+    # 1e308: their floats are refused by name, yet the roots, seeded from the
+    # step table and polished on the exact polynomial, are the QES levels
+    params = ModelParams(rho=1e-80, theta=1.0, n_qes=5, phi=1)
     with pytest.raises(NumericalError, match="float range"):
-        critical_roots(ModelParams(rho=1e-80, theta=1.0, n_qes=5, phi=1))
+        critical_polynomial(params).float_coefficients()
+    assert qes_mismatch(params) <= 1.8e-15
+
+
+@pytest.mark.parametrize("kw", [dict(rho=1e200, theta=1.0), dict(rho=1.0, theta=1.0, hbar_omega=1e308)])
+def test_step_coefficients_beyond_the_float_range_are_a_numerical_error(kw):
+    # rho**2 or hw (j + 2) leaves the float range in the seed tridiagonal
+    with pytest.raises(NumericalError, match="float range"):
+        critical_roots(ModelParams(n_qes=5, phi=1, **kw))
 
 
 def test_conjugate_root_pairs_for_flipped_sign():

@@ -24,8 +24,9 @@ qt_0, ..., y_m = C (m = 2n - 1) each half-step is y_{k+1} = ((E + a_k) y_k -
 f_k y_{k-1}) / v_k, with exact (a_k, f_k, v_k) from one table, `_steps`.
 Arithmetic is fraction-free: an `EnergyPolynomial` holds Python-int
 numerators over one common denominator, and each step is one integer pass
-over them (`_series_step`).  The stored polynomials are the rescaled pt_j,
-qt_j; `p_value`/`q_value` restore the factorial scaling.
+over them (`_series_step`).  The stored series is y_0 .. y_{m-1} in path
+order, the rescaled qt_j and pt_j; the reconstruction restores the factorial
+scaling as it places each y_k on its photon state (`_series_vector`).
 
 Root seeds.  C is, up to a constant, the table's monic continuant z_{k+1} =
 (E + a_k) z_k - f_k v_{k-1} z_{k-1}: the characteristic polynomial of the
@@ -33,8 +34,9 @@ m x m tridiagonal with diagonal -a_k and off-diagonal pair +-sqrt|f_k v_{k-1}|
 (the comrade matrix), whose float eigenvalues seed the roots.  That
 tridiagonal is a diagonal similarity of the path-ordered QES restriction, so
 the seeds are only seeds: the exact polish on C carries the route.  Where
-rho = 0 or c_hat = 0 some v_k vanish, `run_to_critical` cannot divide, and C
-is the continuant itself: the 2x2 chain determinants of `_chain_limit`.
+rho = 0 or c_hat = 0 some v_k vanish, the series cannot divide, and C is the
+continuant itself: the 2x2 chain determinants of `_chain_limit`, whose float
+blocks give the vectors.
 
 Root polish.  A Newton step takes C and C' in scaled integers at the float
 (dyadic) iterate: one Horner pass at a real point, one pass of remainders by
@@ -44,13 +46,14 @@ conjugation, so one seed of a pair is polished and the other mirrored (a root
 that came out real is copied as it is: conj would make its +0.0 a -0.0).
 
 Consecutive calls for one parameter set share their work: `run_to_critical`
-keeps the last exact series, keyed on the parameters (which hold phi, k and
-n_qes as int, so phi = 1.0 shares phi = 1's series), and the residual gate
-the last invariant subspace (`gate_subspace`: the full matrix and the rows a
-reconstructed vector reaches), keyed on the parameters and the space.  So
-`critical_roots` and the reconstructions of its roots build one series and
-one matrix.  The calls for one parameter set arrive back to back, so each
-cache holds one entry; more would only serve a return to an earlier set.
+keeps the last exact record, series or limit alike, keyed on the parameters
+(which hold phi, k and n_qes as int, so phi = 1.0 shares phi = 1's series),
+and the residual gate the last invariant subspace (`gate_subspace`: the
+full matrix and the rows a reconstructed vector reaches), keyed on the
+parameters and the space.  So `critical_roots` and the reconstructions of
+its roots build one record and one matrix.  The calls for one parameter set
+arrive back to back, so each cache holds one entry; more would only serve a
+return to an earlier set.
 """
 
 from __future__ import annotations
@@ -149,33 +152,19 @@ _ONE = EnergyPolynomial((1,))
 
 @dataclass(frozen=True)
 class SeriesState:
-    """The rescaled polynomial pairs up to the singular step.
+    """Everything exact the recurrence route reads for one parameter set.
 
-    `p[j + 1]` holds pt_j for j = -1 .. n - 2 (pt_{-1} is identically zero)
-    and `q[j + 2]` holds qt_j for j = -2 .. n - 2; `critical` is the
-    consistency polynomial of the singular step, and `steps` the table
-    (`_steps`) they were built from.
+    `steps` is the table (`_steps`) whose continuant `critical` (C) is;
+    `series` holds y_0 .. y_{m-1} in path order, y_{2i} = qt_{i-1} and
+    y_{2i+1} = pt_i, empty in a decoupled limit; `chains` is that limit's
+    float seeded level and chain blocks (`_chain_limit`), None at generic
+    couplings.
     """
 
-    n: int
-    p: tuple[EnergyPolynomial, ...]
-    q: tuple[EnergyPolynomial, ...]
-    critical: EnergyPolynomial
     steps: tuple[tuple[Fraction, Fraction, Fraction], ...]
-
-    def p_poly(self, j: int) -> EnergyPolynomial:
-        return self.p[j + 1]
-
-    def q_poly(self, j: int) -> EnergyPolynomial:
-        return self.q[j + 2]
-
-    def p_value(self, j: int, energy: float) -> float:
-        """Unrescaled coefficient p_j(E) = sqrt(j!) pt_j(E)."""
-        return math.sqrt(math.factorial(j)) * self.p_poly(j)(energy)
-
-    def q_value(self, j: int, energy: float) -> float:
-        """Unrescaled coefficient q_j(E) = sqrt((j+2)!) qt_j(E)."""
-        return math.sqrt(math.factorial(j + 2)) * self.q_poly(j)(energy)
+    critical: EnergyPolynomial
+    series: tuple[EnergyPolynomial, ...]
+    chains: tuple | None
 
 
 def _series_step(x: EnergyPolynomial, a: Fraction, y: EnergyPolynomial, f: Fraction, v=1):
@@ -218,26 +207,29 @@ def _steps(params: ModelParams) -> tuple[tuple[Fraction, Fraction, Fraction], ..
 
 @functools.lru_cache(maxsize=1)
 def run_to_critical(params: ModelParams) -> SeriesState:
-    """Build the series from qt_{-2} = 0, qt_{-1} = 1 up to the critical
-    polynomial (generic couplings only), one `_steps` step at a time,
-    exactly over the rationals.
+    """The one exact build of the recurrence route, for every coupling.
 
-    p_{n-1} is a free choice; taking it zero forces qt_{n-1} = 0 as well
-    (the upper |n-1> equation has its qt_{n-2} coupling annihilated by the
-    same (j + 1 - n) factor), so at any root of C every later coefficient
-    vanishes and the series truncates.  The returned state is shared by
-    every caller with equal parameters.
+    At generic couplings the series runs from pt_{-1} = 0, qt_{-1} = 1 up to
+    the critical polynomial, one `_steps` step at a time, exactly over the
+    rationals.  p_{n-1} is a free choice; taking it zero forces qt_{n-1} = 0
+    as well (the upper |n-1> equation has its qt_{n-2} coupling annihilated
+    by the same (j + 1 - n) factor), so at any root of C every later
+    coefficient vanishes and the series truncates.  Where rho = 0 or
+    c_hat = 0 C is the table's monic continuant instead, and the doubly
+    decoupled limit keeps only E + a_0, its seeded level.  The returned
+    record is shared by every caller with equal parameters.
     """
-    steps = _steps(params)
-    if any(_decoupled(params)):
-        raise ValidationError(
-            "generic stepping needs rho != 0 and c_hat != 0; use "
-            "critical_polynomial, which handles the decoupled limits"
-        )
-    y = [_ZERO, _ONE]  # pt_{-1}, qt_{-1}
+    steps, chains = _steps(params), _chain_limit(params)
+    if chains is not None and not chains[1]:
+        steps = steps[:1]  # both limits: the seeded level, E + a_0
+    y, v_prev = [_ZERO, _ONE], 0  # pt_{-1}, qt_{-1}
     for a, f, v in steps:
-        y.append(_series_step(y[-1], a, y[-2], f, v))
-    return SeriesState(params.big_n + 2, tuple(y[0:-1:2]), (_ZERO, *y[1:-1:2]), y[-1], steps)
+        if chains is None:
+            y.append(_series_step(y[-1], a, y[-2], f, v))
+        else:
+            y.append(_series_step(y[-1], a, y[-2], f * v_prev))
+        v_prev = v
+    return SeriesState(steps, y[-1], tuple(y[1:-1]) if chains is None else (), chains)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +251,9 @@ def _chain_limit(params: ModelParams):
     photon, up diag, down diag, B C, b, c, m) for the chain block
     [[up diag, B], [C, down diag]] with B = b sqrt(m) and C = c sqrt(m).
     Both limits at once leave only the seeded level.  The values are floats
-    on the float couplings the matrix is built from; c != 0 with c_hat = 0
-    is refused, with rho = 0 or without.
+    on the float couplings the matrix is built from.  With c_hat = 0 the
+    blocks leave c out, so they are eigenvectors only where c = 0 too; the
+    reconstruction refuses c != 0 there.
     """
     n, phi = params.big_n + 2, params.phi
     no_rho, no_c_hat = _decoupled(params)
@@ -268,11 +261,6 @@ def _chain_limit(params: ModelParams):
         return None
     hw, eps, rho = params.hbar_omega, params.epsilon, params.rho
     c, c_hat = params.qes_couplings()
-    if no_c_hat and c != 0.0:
-        raise ValidationError(
-            "reconstruction with c_hat = 0 but c != 0 is not supported (the "
-            "chains couple triangularly); override both couplings or none"
-        )
     if no_rho and no_c_hat:
         return (hw - eps / 2, 1), []
     if no_rho:
@@ -293,34 +281,19 @@ def critical_polynomial(params: ModelParams) -> EnergyPolynomial:
     """Scalar consistency polynomial whose roots truncate the series.
 
     Generic rho, c_hat: degree 2n - 1 from the block recurrence.  In the
-    decoupled limits it is the product of the 2x2 chain determinants of
-    `_chain_limit` and the seeded level,
+    decoupled limits it is the table's monic continuant, the product of the
+    2x2 chain determinants of `_chain_limit` and the seeded level,
 
         (E - level) prod_blocks [(E - up diag)(E - down diag) - B C],
 
     which keeps degree 2n - 1 except in the doubly decoupled limit, where
-    only the seeded level survives.  The series ansatz starts from the
+    only the seeded level survives.  Either way it is read off the one
+    cached record of `run_to_critical`.  The series ansatz starts from the
     |1, down> coefficient, so the decoupled |0, down> level at -eps/2 is
     never a root: root sets are a subset of the algebraic spectrum, one
     level short.
     """
-    return _critical(params)[0]
-
-
-def _critical(params: ModelParams):
-    """The critical polynomial and the steps whose continuant it is."""
-    no_rho, no_c_hat = _decoupled(params)
-    if not (no_rho or no_c_hat):
-        state = run_to_critical(params)
-        return state.critical, state.steps
-    steps = _steps(params)
-    if no_rho and no_c_hat:
-        steps = steps[:1]  # the seeded level, E + a_0
-    z, coupling = [_ZERO, _ONE], 0
-    for a, f, v in steps:
-        z.append(_series_step(z[-1], a, z[-2], f * coupling))
-        coupling = v
-    return z[-1], steps
+    return run_to_critical(params).critical
 
 
 def _dyadic(re: float, im: float):
@@ -420,9 +393,9 @@ def critical_roots(params: ModelParams) -> np.ndarray:
     on C and the other mirrored, so the values are accurate to the last
     float digit and reconstruction residuals are not limited by root error.
     """
-    poly, steps = _critical(params)
-    polished, by_seed = [], {}
-    for seed in map(complex, _seeds(steps)):
+    state = run_to_critical(params)
+    poly, polished, by_seed = state.critical, [], {}
+    for seed in map(complex, _seeds(state.steps)):
         x = by_seed.get(seed.conjugate())
         if x is None:
             x = _newton_exact(poly, seed)
@@ -449,15 +422,21 @@ def _residual_scale(poly: EnergyPolynomial, value: complex) -> float:
 # eigenvector reconstruction
 
 
-def _truncated_vector_generic(
-    state: SeriesState, energy: complex, space: TruncatedFockSpace
-) -> np.ndarray:
-    n = state.n
+def _series_vector(series, energy: complex, space: TruncatedFockSpace) -> np.ndarray:
+    """The path-ordered series at `energy` with its factorial scaling
+    restored: y_k times sqrt(photon!) on lower |k/2 + 1> (k even, q) or upper
+    |(k - 1)/2> (k odd, p)."""
     psi = np.zeros(space.dim, dtype=type(energy))  # float at a real root
-    for j in range(0, n - 1):
-        psi[basis_index(space, j, SPIN_UP)] = state.p_value(j, energy)
-    for j in range(-1, n - 1):
-        psi[basis_index(space, j + 2, SPIN_DOWN)] = state.q_value(j, energy)
+    for k, y in enumerate(series):
+        photon, spin = (k // 2 + 1, SPIN_DOWN) if k % 2 == 0 else (k // 2, SPIN_UP)
+        try:
+            scale = math.sqrt(math.factorial(photon))
+        except OverflowError:
+            raise NumericalError(
+                f"the series scaling sqrt({photon}!) cannot be formed: {photon}! lies "
+                "beyond the float range (|x| > 1.8e308)"
+            ) from None
+        psi[basis_index(space, photon, spin)] = scale * y(energy)
     return psi
 
 
@@ -512,8 +491,8 @@ def reconstruct_eigenvector(
     Returns the unit-normalized full-space vector (complex when the root
     is).  Refuses when `energy` is not a root (the series would not
     truncate) and reports the leaking frontier component when certification
-    fails.  At generic couplings the critical polynomial comes from the
-    same exact series the vector is read from.
+    fails.  The critical polynomial and the vector come from the same
+    cached record (`run_to_critical`).
     """
     return _certified_reconstruction(params, energy, space)[0]
 
@@ -522,13 +501,17 @@ def _certified_reconstruction(params: ModelParams, energy, space: TruncatedFockS
     """`reconstruct_eigenvector`'s unit vector v and the ||H v - E v|| its gate read."""
     energy = complex(energy)
     energy = energy.real if energy.imag == 0.0 else energy
-    limit = _chain_limit(params)
-    if limit is None:
-        state = run_to_critical(params)
-        poly, psi = state.critical, _truncated_vector_generic(state, energy, space)
+    state = run_to_critical(params)
+    if state.chains is None:
+        psi = _series_vector(state.series, energy, space)
+    elif _decoupled(params)[1] and params.qes_couplings()[0] != 0.0:
+        raise ValidationError(
+            "reconstruction with c_hat = 0 but c != 0 is not supported (the "
+            "chains couple triangularly); override both couplings or none"
+        )
     else:
-        poly = critical_polynomial(params)
-        psi = _chain_vector(limit, energy, space)
+        psi = _chain_vector(state.chains, energy, space)
+    poly = state.critical
     if abs(poly(energy)) > 1e-8 * _residual_scale(poly, energy):
         raise ValidationError(
             f"E = {energy} is not a truncation root: the critical polynomial evaluates "

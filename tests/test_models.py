@@ -347,3 +347,36 @@ def test_no_module_roots_a_monomial_basis(module):
     # coefficients lose every root past a dozen levels
     source = (Path(qjc.__file__).parent / f"{module}.py").read_text()
     assert _monomial_root_calls(source) == []
+
+
+def _series_step_callers(source: str) -> set[str]:
+    """Names of the functions (or `<module>`) that call `_series_step`,
+    by bare name or as an attribute."""
+
+    def calls(tree):
+        return any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_series_step"
+            for node in ast.walk(tree)
+        )
+
+    tree = ast.parse(source)
+    found = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and calls(node)}
+    top = [node for node in tree.body if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return found | ({"<module>"} if any(calls(node) for node in top) else set())
+
+
+def test_series_step_scan_reads_every_spelling():
+    source = "def a():\n    _series_step(x)\ndef b():\n    r._series_step(x)\ndef c():\n    step(x)\n_series_step(y)\n"
+    assert _series_step_callers(source) == {"a", "b", "<module>"}
+
+
+def test_one_exact_build_steps_the_series():
+    # every exact polynomial of the recurrence route, the decoupled limits'
+    # continuant included, comes from the one cached `run_to_critical`
+    callers = {
+        (path.stem, name)
+        for path in Path(qjc.__file__).parent.glob("*.py")
+        for name in _series_step_callers(path.read_text())
+    }
+    assert callers == {("recurrence", "run_to_critical")}

@@ -72,9 +72,11 @@ def test_first_step_matches_hand_expansion():
     #   => pt_0 = 3 (E - 1/2)
     # Upper |0> equation:  (1/2 - E) pt_0 + 2 rho qt_0 + c (1 - 3) qt_{-1} = 0
     #   => qt_0 = 3 (E - 1/2)^2 - 1/3
-    state = run_to_critical(hand_params())
-    assert state.p_poly(0).coefficients == (Fraction(-3, 2), Fraction(3))
-    assert state.q_poly(0).coefficients == (
+    # In path order y_0 = qt_{-1} = 1, y_1 = pt_0, y_2 = qt_0.
+    series = run_to_critical(hand_params()).series
+    assert series[0].coefficients == (Fraction(1),)
+    assert series[1].coefficients == (Fraction(-3, 2), Fraction(3))
+    assert series[2].coefficients == (
         Fraction(5, 12),
         Fraction(-3),
         Fraction(3),
@@ -83,13 +85,14 @@ def test_first_step_matches_hand_expansion():
 
 def test_degree_growth_is_measured():
     # measured degrees: deg pt_j = 2j + 1, deg qt_j = 2j + 2, strictly
-    # increasing up to the singular step
-    state = run_to_critical(ModelParams(rho=0.7, theta=1.1, n_qes=7, phi=-1))
+    # increasing up to the singular step; pt_j = y_{2j+1}, qt_j = y_{2j+2}
+    series = run_to_critical(ModelParams(rho=0.7, theta=1.1, n_qes=7, phi=-1)).series
+    assert len(series) == 2 * 7 - 1
     degrees = []
     for j in range(6):
-        assert state.p_poly(j).degree == 2 * j + 1
-        assert state.q_poly(j).degree == 2 * j + 2
-        degrees.append(state.q_poly(j).degree)
+        assert series[2 * j + 1].degree == 2 * j + 1
+        assert series[2 * j + 2].degree == 2 * j + 2
+        degrees.append(series[2 * j + 2].degree)
     assert degrees == sorted(degrees)
 
 
@@ -104,9 +107,10 @@ def test_critical_is_not_a_multiple_of_last_q():
     # the consistency polynomial has degree 2n-1 while qt_{n-3} has 2n-4;
     # measured: the division leaves a nonzero remainder, so the two are
     # related but not equal up to a polynomial factor
-    state = run_to_critical(ModelParams(rho=0.8, theta=1.2, n_qes=5, phi=-1))
+    n = 5
+    state = run_to_critical(ModelParams(rho=0.8, theta=1.2, n_qes=n, phi=-1))
     critical = list(state.critical.coefficients)
-    last_q = list(state.q_poly(state.n - 3).coefficients)
+    last_q = list(state.series[2 * (n - 3) + 2].coefficients)  # qt_{n-3}
     quot, rem = ref_divmod(critical, last_q)
     assert len(quot) - 1 == 3
     assert rem
@@ -132,8 +136,8 @@ def fraction_series(params):
     """The former series build, one `Fraction`-scaled product and difference
     per half-step, on the plain `Fraction` lists of the reference arithmetic
     (`test_energy_polynomial`): the oracle of `run_to_critical`'s integer
-    steps, built without `EnergyPolynomial`.  Returns the lists p, q and the
-    critical polynomial."""
+    steps, built without `EnergyPolynomial`.  Returns the lists p (pt_{-1}
+    .. pt_{n-2}), q (qt_{-2} .. qt_{n-2}) and the critical polynomial."""
     n = params.big_n + 2
     hw, eps, rho, c, c_hat = params.exact_qes_params()
     phi_rho = params.phi * rho
@@ -164,17 +168,19 @@ SERIES_GRID = [
 
 @pytest.mark.parametrize("big_n", range(17))
 def test_integer_series_steps_equal_the_fraction_steps(big_n):
-    # every stored pt_j, qt_j and the critical polynomial, in canonical fields
+    # every stored y_k and the critical polynomial, in canonical fields,
+    # against the fraction steps interleaved into path order: y_{2i} =
+    # qt_{i-1}, y_{2i+1} = pt_i
     for phi in (1, -1):
         for kw in SERIES_GRID:
             params = ModelParams(phi=phi, n_qes=big_n + 2, **kw)
             state = run_to_critical.__wrapped__(params)
-            got = (
-                [canonical_coefficients(x) for x in state.p],
-                [canonical_coefficients(x) for x in state.q],
-                canonical_coefficients(state.critical),
-            )
-            assert got == fraction_series(params), (phi, kw)
+            p, q, critical = fraction_series(params)
+            path = [None] * (2 * big_n + 3)
+            path[0::2], path[1::2] = q[1:], p[1:]
+            got = [canonical_coefficients(y) for y in state.series]
+            assert got == path, (phi, kw)
+            assert canonical_coefficients(state.critical) == critical, (phi, kw)
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +246,26 @@ def exact_chain_table(params):
     ]
 
 
+def chain_product(params):
+    """(E - level) prod [(E - up)(E - down) - B C] over `exact_chain_table`,
+    by the reference product on Fraction lists."""
+    level, blocks = exact_chain_table(params)
+    ref = [-level, Fraction(1)]
+    for up, down, bc in blocks:
+        ref = ref_mul(ref, [up * down - bc, -(up + down), 1])
+    return ref
+
+
 @pytest.mark.parametrize("big_n", range(13))
 def test_decoupled_critical_polynomial_is_the_chain_product(big_n):
-    # (E - level) prod [(E - up)(E - down) - B C] over the chain table, by
-    # the reference product on Fraction lists, in canonical fields
+    # the chain product, in canonical fields
     n = big_n + 2
     for phi in (1, -1):
         for hw, eps in ((1.0, 1.0), (0.37, -2.25), (3.0, 0.0)):
             for kw in CHAIN_GRID:
                 params = ModelParams(hbar_omega=hw, epsilon=eps, phi=phi, n_qes=n, **kw)
-                level, blocks = exact_chain_table(params)
-                ref = [-level, Fraction(1)]
-                for up, down, bc in blocks:
-                    ref = ref_mul(ref, [up * down - bc, -(up + down), 1])
                 poly = critical_polynomial(params)
-                assert canonical_coefficients(poly) == ref, (phi, hw, eps, kw)
+                assert canonical_coefficients(poly) == chain_product(params), (phi, hw, eps, kw)
                 both = params.rho == 0 and params.qes_couplings()[1] == 0
                 assert poly.degree == (1 if both else 2 * n - 1)
 
@@ -353,10 +364,10 @@ def test_mirrored_conjugate_polish_equals_polishing_every_seed(big_n):
         for rho in (0.05, 0.3, 0.7, 1.5):
             for theta in (0.4, 1.2, 2.0):
                 params = ModelParams(rho=rho, theta=theta, n_qes=big_n + 2, phi=phi)
-                poly, steps = qjc.recurrence._critical(params)
+                state = run_to_critical(params)
                 polished = []
-                for seed in qjc.recurrence._seeds(steps):
-                    x = qjc.recurrence._newton_exact(poly, complex(seed))
+                for seed in qjc.recurrence._seeds(state.steps):
+                    x = qjc.recurrence._newton_exact(state.critical, complex(seed))
                     if abs(x.imag) < ROOT_IMAG_TOL * max(1.0, abs(x)):
                         x = complex(x.real)
                     polished.append(x)
@@ -469,14 +480,14 @@ def test_reconstructed_vectors_live_on_the_gate_support(rho, theta, big_n, phi):
 
 def test_reconstruction_refuses_a_vector_off_the_gate_support(monkeypatch):
     params = ModelParams(rho=0.8, theta=1.2, n_qes=4, phi=-1)
-    leaky = qjc.recurrence._truncated_vector_generic
+    leaky = qjc.recurrence._series_vector
 
     def off_support(*args):
         psi = leaky(*args)
         psi[basis_index(SPACE, 20, SPIN_UP)] = 1e-300  # far below the 1e-9 gate
         return psi
 
-    monkeypatch.setattr(qjc.recurrence, "_truncated_vector_generic", off_support)
+    monkeypatch.setattr(qjc.recurrence, "_series_vector", off_support)
     with pytest.raises(NumericalError, match="outside the support"):
         reconstruct_eigenvector(params, critical_roots(params)[0], SPACE)
 
@@ -537,22 +548,34 @@ def _clear_caches():
 @pytest.mark.parametrize("phi", [1, -1])
 @pytest.mark.parametrize("big_n", range(1, 7))
 def test_all_roots_share_one_series_and_one_matrix(monkeypatch, big_n, phi):
-    params = ModelParams(rho=0.7, theta=1.2, n_qes=big_n + 2, phi=phi)
-    builds = []
+    # generic couplings and the rho = 0, c_hat = 0 and doubly decoupled
+    # limits alike: one exact build (one step table) serves the roots and
+    # every vector
+    builds, tables = [], []
+    steps = qjc.recurrence._steps
 
     def counted(*args):
         builds.append(args)
         return build_ht(*args)
 
+    def counted_steps(params):
+        tables.append(params)
+        return steps(params)
+
     monkeypatch.setattr(qjc.models, "build_ht", counted)
-    _clear_caches()
-    for root in critical_roots(params):
-        try:
-            reconstruct_eigenvector(params, root, SPACE)
-        except NumericalError:
-            pass  # a failed gate has read the matrix all the same
-    assert run_to_critical.cache_info().misses == 1
-    assert len(builds) == 1
+    monkeypatch.setattr(qjc.recurrence, "_steps", counted_steps)
+    for rho, theta in ((0.7, 1.2), (0.0, 1.5), (0.8, 0.0), (0.0, 0.0)):
+        params = ModelParams(rho=rho, theta=theta, n_qes=big_n + 2, phi=phi)
+        builds.clear()
+        tables.clear()
+        _clear_caches()
+        for root in critical_roots(params):
+            try:
+                reconstruct_eigenvector(params, root, SPACE)
+            except NumericalError:
+                pass  # a failed gate has read the matrix all the same
+        assert run_to_critical.cache_info().misses == 1, (rho, theta)
+        assert len(tables) == 1 and len(builds) == 1, (rho, theta)
 
 
 def test_interleaved_params_match_a_fresh_cache():
@@ -621,6 +644,22 @@ def test_reconstruction_refuses_a_series_vector_whose_norm_overflows(big_n, rho)
     assert refused > 0
 
 
+def test_series_scaling_beyond_the_float_range_is_a_numerical_error():
+    # sqrt(j!) keeps its float bits up to j = 170, where j! still fits; the
+    # path-order helper refuses 171! by name instead of an OverflowError
+    space = TruncatedFockSpace(200, 8)
+    one = EnergyPolynomial((1,))
+    psi = qjc.recurrence._series_vector((one,) * 340, 0.5, space)
+    for photon in range(171):
+        scale = math.sqrt(math.factorial(photon))
+        if photon <= 169:  # upper |j> holds y_{2j+1}, up to y_339 = pt_169
+            assert psi[basis_index(space, photon, SPIN_UP)] == scale
+        if photon >= 1:  # lower |j+2> holds y_{2j+2}, from y_0 = qt_{-1}
+            assert psi[basis_index(space, photon, SPIN_DOWN)] == scale
+    with pytest.raises(NumericalError, match=r"sqrt\(171!\).*float range"):
+        qjc.recurrence._series_vector((one,) * 341, 0.5, space)
+
+
 def test_reconstruction_in_decoupled_limits():
     for case in DECOUPLED:
         hw, eps, rho, theta, phi = case.values
@@ -670,12 +709,15 @@ def partial_residual_support(params, order, energy, space):
     the residual sits exactly on the two frontier states |J+1, up> and
     |J+3, down> -- the invariant that makes the recurrence a solution method.
     """
-    state = run_to_critical(params)
+    # p_j = sqrt(j!) pt_j with pt_j = y_{2j+1}, q_j = sqrt((j+2)!) qt_j with qt_j = y_{2j+2}
+    series = run_to_critical(params).series
     psi = np.zeros(space.dim)
     for j in range(0, order + 2):
-        psi[basis_index(space, j, SPIN_UP)] = state.p_value(j, energy)
+        psi[basis_index(space, j, SPIN_UP)] = math.sqrt(math.factorial(j)) * series[2 * j + 1](energy)
     for j in range(-1, order + 1):
-        psi[basis_index(space, j + 2, SPIN_DOWN)] = state.q_value(j, energy)
+        psi[basis_index(space, j + 2, SPIN_DOWN)] = (
+            math.sqrt(math.factorial(j + 2)) * series[2 * j + 2](energy)
+        )
     residual = build_ht(params, space).matrix @ psi - energy * psi
     return np.nonzero(np.abs(residual) > 1e-10 * max(1.0, np.max(np.abs(residual))))[0]
 
@@ -705,5 +747,10 @@ def test_series_requires_qes_model():
         run_to_critical(ModelParams(rho=0.5, phi=-1))
     with pytest.raises(ValidationError):
         critical_polynomial(ModelParams(rho=0.5, phi=-1))
-    with pytest.raises(ValidationError, match="decoupled limits"):
-        run_to_critical(ModelParams(rho=0.0, theta=1.0, n_qes=3, phi=-1))
+    # a decoupled limit is no refusal: its record holds the continuant
+    # (the chain product), the float chains, and no series
+    for kw in CHAIN_GRID:
+        params = ModelParams(n_qes=3, phi=-1, **kw)
+        state = run_to_critical(params)
+        assert canonical_coefficients(state.critical) == chain_product(params), kw
+        assert state.series == () and state.chains is not None, kw

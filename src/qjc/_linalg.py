@@ -160,7 +160,9 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
     in block order.  The union of their patterns splits them all into the
     same blocks; each matrix leaves only its norm and nonzero entries, put
     into one stack (G, blocks, s, s) per block size s for one `eigh` (stack
-    exactly hermitian) or `eig` call.  The first failing gate raises."""
+    exactly hermitian) or `eig` call.  The first failing gate raises.  It
+    streams so that a grid's dense matrices are never held at once: stacking
+    them gives the same bits but a sweep's peak memory about an eighth more."""
     norms, entries = [], []
     for g, m in enumerate(matrices):
         with np.errstate(over="ignore"):

@@ -22,7 +22,9 @@ from .closedform import closed_form_levels, full_algebraic_spectrum
 from .errors import NumericalError, TrackingAmbiguityError, ValidationError
 from .flow import FlowEvent, SweepSpec, qes_theta_sweep, sweep
 from .fock import TruncatedFockSpace
-from .models import ModelParams, build_extended, build_h12, build_ht, build_jcm, build_pseudo_jcm
+from .models import (
+    ModelParams, build_extended, build_h12, build_ht, build_jcm, build_pseudo_jcm, invariant_subspace,
+)
 from .output import Table, format_number, svg_line_plot, write_csv, write_json
 from .polyrep import gauge_transform_ht, gauge_transform_pseudo_jcm, restriction_spectrum
 from .qes import algebraic_eigenvalues, algebraic_spectrum, build_subspace
@@ -58,8 +60,11 @@ _BUILDERS = {name: model.build for name, model in _MODELS.items()}
 
 
 def _parse_poly(raw: str) -> tuple[float, ...]:
+    parts = raw.split(",")
+    if parts[-1].strip() == "":  # an empty value is P = 0; one trailing comma is allowed
+        parts.pop()
     try:
-        return tuple(float(part) for part in raw.split(",") if part.strip() != "")
+        return tuple(float(part) for part in parts)
     except ValueError:
         raise ValidationError(
             f"--poly expects comma-separated coefficients, got {raw!r}"
@@ -68,7 +73,8 @@ def _parse_poly(raw: str) -> tuple[float, ...]:
 
 # every value flag that a --config file may also set: dest -> (type, help);
 # argparse, the config reader and the per-model check all read this table;
-# phi parses as a plain int, and ModelParams is its one +1/-1 check
+# phi parses as a plain int, and ModelParams is its one +1/-1 check; poly stays
+# a string until `_request`, so a flag and a config file refuse a bad list alike
 _PARAMS = {
     "k": (int, "photon transfer order (extended)"),
     "phi": (int, "+1 or -1 coupling sign"),
@@ -81,7 +87,7 @@ _PARAMS = {
     "c_hat": (float, None),
     "rho1": (float, "bare one-photon strength (h12)"),
     "rho1_hat": (float, None),
-    "poly": (_parse_poly, "diagonal P coefficients, ascending"),
+    "poly": (str, "diagonal P coefficients, ascending"),
     "D": (int, "Fock cutoff (default 64)"),
     "guard": (int, "guard band (default 8)"),
 }
@@ -125,8 +131,6 @@ def _config_value(key: str, raw: str):
     cast = _PARAMS[key][0]
     try:
         return cast(raw)
-    except ValidationError:
-        raise
     except ValueError:
         raise ValidationError(
             f"config value for {key} must be {cast.__name__}, got {raw!r}"
@@ -181,6 +185,8 @@ def _request(
         for key in flags - {"N"}
         if merged[key] is not None
     }
+    if "poly" in kwargs:
+        kwargs["poly"] = _parse_poly(kwargs["poly"])
     if model == "ht":
         if merged["N"] is None:
             raise ValidationError("model 'ht' requires --N (invariant-subspace label)")
@@ -192,7 +198,10 @@ def _request(
 
 def _emit(text: str, output: str | None):
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --output {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -556,6 +565,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        invariant_subspace.cache_clear()  # a finished command frees the matrix its routes shared
 
 
 if __name__ == "__main__":

@@ -18,13 +18,15 @@ builder states only its diagonal and one pair of bands per photon offset j;
 `_assemble` writes them into the dense matrix.
 
 `invariant_subspace` is the one place that knows which states span the
-dressed model's closed subspace: the QES route diagonalizes it and the
-recurrence route certifies its reconstructed vectors on it.
+dressed model's closed subspace, and its one cache: the QES route
+diagonalizes it, the dense route reads its full matrix and the recurrence
+route certifies its reconstructed vectors on it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -345,13 +347,15 @@ def invariance_defect(h_matrix: np.ndarray, indices: tuple[int, ...]) -> float:
     return _leak(h_matrix[:, list(indices)], indices)
 
 
+@functools.lru_cache(maxsize=1)
 def invariant_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantSubspace:
     """span{|0..N, up>, |0..N+2, down>} of `build_ht` on `space`, with its leak.
 
     One build, and one read of the subspace's columns for both the leak and
     the rows they reach.  The matrix and rows are read-only, so `rows` stays
-    the rows `matrix` reaches.  `build_ht` rejects a cutoff too small for N
-    and the guard band.
+    the rows `matrix` reaches.  The last build is kept for the routes that
+    read one parameter set back to back (the CLI clears it after a command).
+    `build_ht` rejects a cutoff too small for N and the guard band.
     """
     h = build_ht(params, space).matrix
     upper = tuple(basis_index(space, j, SPIN_UP) for j in range(params.big_n + 1))

@@ -32,9 +32,7 @@ DEGENERACY_TOL = 1e-8
 
 
 def build_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantSubspace:
-    """Construct span{|0..N, up>, |0..N+2, down>} and certify its closure
-    (`models.invariant_subspace`).  Uncached, so a finished caller frees its
-    matrix."""
+    """span{|0..N, up>, |0..N+2, down>}, certified closed (`models.invariant_subspace`)."""
     return invariant_subspace(params, space)
 
 

@@ -47,13 +47,12 @@ that came out real is copied as it is: conj would make its +0.0 a -0.0).
 
 Consecutive calls for one parameter set share their work: `run_to_critical`
 keeps the last exact record, series or limit alike, keyed on the parameters
-(which hold phi, k and n_qes as int, so phi = 1.0 shares phi = 1's series),
-and the residual gate the last invariant subspace (`gate_subspace`: the
-full matrix and the rows a reconstructed vector reaches), keyed on the
-parameters and the space.  So `critical_roots` and the reconstructions of
-its roots build one record and one matrix.  The calls for one parameter set
-arrive back to back, so each cache holds one entry; more would only serve a
-return to an earlier set.
+(which hold phi, k and n_qes as int, so phi = 1.0 shares phi = 1's series).
+The residual gate reads the cached `models.invariant_subspace`.  So
+`critical_roots` and the reconstructions of its roots build one record and
+one matrix.  The calls for one parameter set arrive back to back, so the
+record cache holds one entry; more would only serve a return to an earlier
+set.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ import numpy as np
 from ._linalg import residual_on_rows
 from .errors import NumericalError, ValidationError
 from .fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
-from .models import InvariantSubspace, ModelParams, invariant_subspace
+from .models import ModelParams, invariant_subspace
 
 ROOT_IMAG_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
@@ -358,9 +357,13 @@ def _newton_exact(poly: EnergyPolynomial, seed: complex):
     re, im = float(seed.real) + 0.0, float(seed.imag) + 0.0
     # The cap ends the polish silently on purpose: at a multiple root Newton
     # converges only linearly, and raising would drop the whole spectrum
-    # instead of returning the best iterate.
+    # instead of returning the best iterate.  So does a step beyond the float
+    # range, where poly' all but vanishes (x**2 + 1 at x = 5e-324).
     for _ in range(80):
-        step = _newton_step(poly, re, im)
+        try:
+            step = _newton_step(poly, re, im)
+        except OverflowError:
+            break
         if step is None:
             break
         nxt_re, nxt_im = re - step.real, im - step.imag
@@ -462,27 +465,6 @@ def _chain_vector(limit, energy: complex, space: TruncatedFockSpace) -> np.ndarr
     return psi
 
 
-@functools.lru_cache(maxsize=1)
-def gate_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantSubspace:
-    """The invariant subspace whose full matrix the residual gate reads.
-
-    Its span, up |0..n-2> and down |0..n>, is the support of every
-    reconstructed vector, and its read-only `rows` the rows that support
-    reaches; shared across calls, no caller can alter what a later gate reads.
-    """
-    return invariant_subspace(params, space)
-
-
-def gate_residual(
-    params: ModelParams, space: TruncatedFockSpace, energy, vector: np.ndarray
-) -> np.ndarray:
-    """H v - E v on the gate matrix, computed on the rows a reconstructed
-    vector reaches; equal to the dense product bit for bit
-    (`_linalg.residual_on_rows`)."""
-    sub = gate_subspace(params, space)
-    return residual_on_rows(sub.matrix, vector, energy, sub.indices, sub.rows)
-
-
 def reconstruct_eigenvector(
     params: ModelParams, energy: complex, space: TruncatedFockSpace
 ) -> np.ndarray:
@@ -522,7 +504,8 @@ def _certified_reconstruction(params: ModelParams, energy, space: TruncatedFockS
         if norm == 0.0:
             raise NumericalError("series collapsed to the zero vector")
         vector = psi / norm
-        residual = gate_residual(params, space, energy, vector)
+        sub = invariant_subspace(params, space)
+        residual = residual_on_rows(sub.matrix, vector, energy, sub.indices, sub.rows)
         rel = float(np.linalg.norm(residual))
     if not (math.isfinite(norm) and math.isfinite(rel)):
         # an infinite norm makes psi / norm the zero vector (or nan), so rel 0 or nan

@@ -168,6 +168,10 @@ def test_spectrum_json_format(capsys):
         (("spectrum", "--model", "h2", "--config", str(NAN_CONFIG)), "rho must be finite"),
         (("spectrum", "--model", "extended", "--k", "3", "--poly", "0,0,nan"),
          "poly coefficients must be finite"),
+        # an empty --poly entry would shift every coefficient after it
+        (("spectrum", "--model", "extended", "--k", "2", "--poly", "0,,0.05,0.01",
+          "--rho", "0.5"), "--poly"),
+        (("spectrum", "--model", "extended", "--k", "2", "--poly", ",0,1"), "--poly"),
         # a model name only a config file can carry past argparse's choices
         (("spectrum", "--config", str(BOGUS_MODEL_CONFIG)), "unknown model 'bogus'"),
         (("polyrep-check", "--model", "pseudo-jcm", "--N", "0"), "--N must be >= 1"),
@@ -187,6 +191,37 @@ def test_invalid_input_exits_2(capsys, argv, fragment):
     err = capsys.readouterr().err
     assert code == 2
     assert fragment in err
+
+
+@pytest.mark.parametrize("value", ["0,,0.05,0.01", ",0,1"])
+def test_empty_poly_entry_in_a_config_exits_2(tmp_path, capsys, value):
+    config = tmp_path / "run.conf"
+    config.write_text(f"poly = {value}\n")
+    code = main(["spectrum", "--model", "extended", "--k", "2", "--config", str(config)])
+    assert code == 2
+    assert "--poly" in capsys.readouterr().err
+
+
+def test_empty_poly_and_one_trailing_comma_keep_their_meaning(capsys):
+    argv = ("spectrum", "--model", "extended", "--k", "2", "--rho", "0.5", "--D", "12",
+            "--guard", "4")
+    assert run(capsys, *argv, "--poly", "") == run(capsys, *argv)
+    assert run(capsys, *argv, "--poly", "0,0,0.05,") == run(capsys, *argv, "--poly", "0,0,0.05")
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (("spectrum", "--model", "jcm", "--rho", "0.3", "--output", "{tmp}"), "{tmp}"),
+        (("figures", "--which", "3", "--output", "{tmp}/nodir/f.csv"), "{tmp}/nodir/f_rho0.csv"),
+    ],
+)
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, argv, path):
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"cannot write --output {path.format(tmp=tmp_path)}:" in captured.err
 
 
 def test_unknown_flag_exits_2_via_argparse():
@@ -485,15 +520,15 @@ def test_recur_builds_the_matrix_once(capsys, monkeypatch):
 
     for module in (qjc.cli, qjc.models):
         monkeypatch.setattr(module, "build_ht", counted)
-    qjc.recurrence.gate_subspace.cache_clear()
+    qjc.models.invariant_subspace.cache_clear()
     code, _ = run(capsys, "recur", "--model", "ht", "--N", "2", "--rho", "0.7", "--theta", "1.2")
     assert code == 0
     assert len(builds) == 1
 
 
-def test_spectrum_ht_builds_the_matrix_twice(capsys, monkeypatch):
-    # once for the subspace, whose matrix the dense route reads, and once
-    # for the recurrence gate's own cache
+def test_spectrum_ht_builds_the_matrix_once(capsys, monkeypatch):
+    # the QES route, the dense route and the recurrence gate all read the
+    # one cached subspace
     builds = []
 
     build_ht = qjc.models.build_ht
@@ -505,13 +540,15 @@ def test_spectrum_ht_builds_the_matrix_twice(capsys, monkeypatch):
     for module in (qjc.cli, qjc.models):
         monkeypatch.setattr(module, "build_ht", counted)
     monkeypatch.setitem(qjc.cli._BUILDERS, "ht", counted)
-    qjc.recurrence.gate_subspace.cache_clear()
+    qjc.models.invariant_subspace.cache_clear()
     code, _ = run(
         capsys, "spectrum", "--model", "ht", "--N", "3", "--rho", "0.7", "--theta", "1.2",
         "--phi", "-1",
     )
     assert code == 0
-    assert len(builds) == 2
+    assert len(builds) == 1
+    # and a finished command frees it
+    assert qjc.models.invariant_subspace.cache_info().currsize == 0
 
 
 def test_eigensolver_gate_refuses_an_inaccurate_eigenpair(capsys, monkeypatch):

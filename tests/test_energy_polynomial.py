@@ -311,6 +311,8 @@ SEED_PARTS = st.one_of(st.floats(-4, 4, allow_nan=False), st.sampled_from([0.0, 
 
 
 @given(SMALL_POLYS, SEED_PARTS, SEED_PARTS)
+@example([1, 0, 1], 5e-324, 0.0)  # a Newton step beyond the float range stops the polish
+@example([1, 0, 1], 0.0, 5e-324)
 @settings(max_examples=150, deadline=None)
 def test_newton_polish_from_conjugate_seed_is_the_mirror_image(coeffs, re, im):
     # the iterates from conj(seed) are the exact conjugates; a polish that

@@ -34,9 +34,10 @@ from qjc.models import (
     build_ht,
     build_jcm,
     build_pseudo_jcm,
+    invariant_subspace,
 )
 from qjc.qes import algebraic_spectrum, build_subspace, certify_in_full_space, embed_subspace_vector
-from qjc.recurrence import critical_roots, gate_residual, gate_subspace, reconstruct_eigenvector
+from qjc.recurrence import critical_roots, reconstruct_eigenvector
 from qjc.symmetry import classify_eigenvalues
 
 
@@ -323,8 +324,10 @@ def _ht_cases():
                 psi = reconstruct_eigenvector(params, root, space)
             except NumericalError:
                 continue
-            dense = gate_subspace(params, space).matrix @ psi - root * psi
-            yield gate_residual(params, space, root, psi).tolist(), dense.tolist()
+            gate = invariant_subspace(params, space)
+            dense = gate.matrix @ psi - root * psi
+            got = residual_on_rows(gate.matrix, psi, root, gate.indices, gate.rows)
+            yield got.tolist(), dense.tolist()
 
 
 def bit_mismatches() -> list[str]:

@@ -542,7 +542,7 @@ def test_reconstruction_builds_one_series_per_call(monkeypatch, big_n, phi):
 
 def _clear_caches():
     run_to_critical.cache_clear()
-    qjc.recurrence.gate_subspace.cache_clear()
+    qjc.models.invariant_subspace.cache_clear()
 
 
 @pytest.mark.parametrize("phi", [1, -1])
@@ -617,7 +617,7 @@ def test_reconstructed_vector_is_the_callers_own():
     assert psi.flags.writeable
     psi[:] = 7.0
     npt.assert_array_equal(reconstruct_eigenvector(params, root, SPACE), expected)
-    assert not qjc.recurrence.gate_subspace(params, SPACE).matrix.flags.writeable
+    assert not qjc.models.invariant_subspace(params, SPACE).matrix.flags.writeable
     assert build_ht(params, SPACE).matrix.flags.writeable
 
 

@@ -9,16 +9,20 @@ Both solvers take a matrix or a stack (..., n, n), solved in one call and
 gated matrix by matrix against its own ||H||_F.  `eig_checked` solves dense
 matrices with `scipy.linalg.eig`, the one solver of printed digits, which
 gives each matrix of a stack its bits alone.  It computes one residual per
-pair, from H v_i column by column (the bits of H @ v[:, i]): the gate and
-`qjc spectrum` both read it.  `eigvals_checked` returns
-eigenvalues only, and solves the diagonal blocks that the connected
-components of the pattern `H != 0` (its edges taken both ways) give: a
-stack of blocks that is exactly hermitian with the symmetric eigensolver,
-any other with the general one.  On a hermitian block the gate also bounds
-each eigenvalue's forward error: a unit vector v with residual r puts an
-exact eigenvalue of H within r of w (Parlett, The Symmetric Eigenvalue
-Problem, 1980, Thm 4.5.1); on a far-from-normal block only the backward
-error.  Block and dense eigenvalues agree up to rounding, not bit for bit.
+pair, which the gate and `qjc spectrum` both read, from the products H v_i
+taken row block by row block: PRODUCT_ROWS rows of H, cast on their own,
+meet every v_i in one stacked call while they stay in cache, and their rows
+of H v_i - w_i v_i go into one preallocated array.  Each block starts at a
+multiple of ROW_BLOCK and none is a single row (numpy would take a dot, not
+a gemv), so by the row rule below every H v_i has the bits of H @ v[:, i].
+`eigvals_checked` returns eigenvalues only, and solves the diagonal blocks
+that the connected components of the pattern `H != 0` (its edges taken both
+ways) give: a stack of blocks that is exactly hermitian with the symmetric
+eigensolver, any other with the general one.  On a hermitian block the gate
+also bounds each eigenvalue's forward error: a unit vector v with residual
+r puts an exact eigenvalue of H within r of w (Parlett, The Symmetric
+Eigenvalue Problem, 1980, Thm 4.5.1); on a far-from-normal block only the
+backward error.  Block and dense eigenvalues agree up to rounding, not bit for bit.
 
 `residual_on_rows` computes the eigenpair residual H x - E x of a vector x
 that lives on a few basis states, on the rows that x can reach and nowhere
@@ -45,6 +49,7 @@ from .errors import NumericalError
 
 RESIDUAL_TOL = 1e-12
 ROW_BLOCK = 4
+PRODUCT_ROWS = 32 * ROW_BLOCK
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -55,12 +60,6 @@ def _norms(x: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(x):
         square = square + np.vecdot(x.imag, x.imag)
     return np.sqrt(square)
-
-
-def _residuals(products: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """||H v_i - w_i v_i|| of each eigenpair, shape (..., n), from
-    products[..., i, :] = H v_i: rows, so each norm reads contiguous memory."""
-    return _norms(products - w[..., np.newaxis] * v.swapaxes(-1, -2))
 
 
 def _gate_error(norm: float, worst: float) -> NumericalError:
@@ -99,10 +98,17 @@ def eig_gated(
         if not all(map(math.isfinite, listed)):
             matrix = np.where(np.isfinite(norms)[..., np.newaxis, np.newaxis], matrix, 0.0)
         w, v = scipy.linalg.eig(matrix)
-        # column by column in one stacked call: each H v_i has the bits of H @ v[:, i]
+        # row block by row block, each against every v_i in one stacked call
+        # while it stays in cache; a block starts at a multiple of ROW_BLOCK,
+        # so each row of H v_i has the bits of H @ v[:, i]
         columns = v.swapaxes(-1, -2)[..., np.newaxis]
-        products = np.matmul(matrix.astype(v.dtype, copy=False)[..., np.newaxis, :, :], columns)
-        residuals = _residuals(products[..., 0], w, v)
+        gaps = np.empty(w.shape + w.shape[-1:], np.result_type(w, v))
+        edges = [*range(0, max(w.shape[-1] - 1, 1), PRODUCT_ROWS), w.shape[-1]]
+        for part in map(slice, edges, edges[1:]):  # no block of one row: a dot, not a gemv
+            block = matrix[..., np.newaxis, part, :].astype(v.dtype, copy=False)
+            gap = np.multiply(w[..., np.newaxis], columns[..., part, 0], out=gaps[..., part])
+            np.subtract(np.matmul(block, columns)[..., 0], gap, out=gap)
+        residuals = _norms(gaps)
     worst = residuals.max(axis=-1, initial=0.0)  # a nan stays a nan
     return w, v, residuals, _gates(listed, worst.reshape(-1).tolist())
 
@@ -189,7 +195,8 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
         hermitian = np.array_equal(blocks, blocks.swapaxes(-1, -2).conj())
         w, v = (np.linalg.eigh if hermitian else np.linalg.eig)(blocks)
         with np.errstate(over="ignore"):  # (H v)^T in one gemm: no printed digit reads these
-            residuals = _residuals(v.swapaxes(-1, -2) @ blocks.swapaxes(-1, -2), w, v)
+            products = v.swapaxes(-1, -2) @ blocks.swapaxes(-1, -2)
+            residuals = _norms(products - w[..., np.newaxis] * v.swapaxes(-1, -2))
         worst.append(residuals.reshape(len(norms), -1).max(axis=1))
         values.append(w.reshape(len(norms), -1))
     # np.maximum, unlike max, keeps a nan

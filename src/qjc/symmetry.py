@@ -44,10 +44,6 @@ def parity_matrix(space: TruncatedFockSpace) -> np.ndarray:
     return np.diag(_parity_signs(space))
 
 
-def parity_sigma3_operator(space: TruncatedFockSpace) -> np.ndarray:
-    return np.diag(_sigma3_signs(space) * _parity_signs(space))
-
-
 def _guard_mask(space: TruncatedFockSpace) -> np.ndarray:
     keep = np.arange(space.cutoff) <= space.reliable_max
     return np.concatenate([keep, keep])

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy.sparse.csgraph import connected_components
 from test_golden import pinned_env
 
 from qjc._linalg import (
+    PRODUCT_ROWS,
     ROW_BLOCK,
     connected_components as _components,
     eig_checked,
@@ -210,6 +212,11 @@ def _residual_cases():
         yield f"{n}-hermitian-h2", build_extended(ModelParams(rho=0.7, phi=1, k=2), space).matrix
         yield f"{n}-complex-pseudo-jcm", build_pseudo_jcm(ModelParams(rho=1.3), space).matrix
     yield "128-h12", build_h12(ModelParams(rho=0.4, phi=-1, theta=0.9), TruncatedFockSpace(64, 8)).matrix
+    # above PRODUCT_ROWS and not a multiple of it: the last row block is short
+    for phi, spectrum in ((1, "real"), (-1, "complex")):
+        yield f"300-{spectrum}-h2", _extended_stack((0.7,), phi=phi, d=150)[0]
+    # one row past two blocks: that row is not a block of its own
+    yield f"{2 * PRODUCT_ROWS + 1}-random", rng.normal(size=(2 * PRODUCT_ROWS + 1,) * 2)
 
 
 @pytest.mark.parametrize("name, matrix", list(_residual_cases()))
@@ -230,6 +237,54 @@ def test_a_stack_has_each_matrix_residuals_bit_for_bit():
         one_w, one_v, one_residuals = eig_checked(matrix, return_residuals=True)
         if np.iscomplexobj(one_v):
             assert residuals[g].tobytes() == one_residuals.tobytes()
+
+
+def test_a_stack_above_the_block_size_has_each_matrix_residuals_bit_for_bit():
+    stack = np.concatenate([_extended_stack((0.7, 1.1), d=150), _extended_stack((0.7,), phi=1, d=150)])
+    assert stack.shape[-1] > PRODUCT_ROWS and stack.shape[-1] % PRODUCT_ROWS
+    w, v, residuals = eig_checked(stack, return_residuals=True)
+    assert np.any(w[0].imag != 0) and np.all(w[2].imag == 0)
+    for g, matrix in enumerate(stack):
+        assert residuals[g].tobytes() == _column_residuals(matrix, w[g], v[g]).tobytes()
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_a_stack_above_the_block_size_names_the_float_range(entry):
+    stack = np.concatenate([_extended_stack((0.7,), d=150), np.diag(np.full(300, entry))[np.newaxis]])
+    w, v, residuals, errors = eig_gated(stack)
+    assert errors[0] is None and "float range" in str(errors[1])
+    assert residuals[0].tobytes() == _column_residuals(stack[0], w[0], v[0]).tobytes()
+    with pytest.raises(NumericalError, match="eigensolver residual gate.*float range"):
+        eig_checked(stack)
+
+
+@pytest.mark.parametrize("builder, params", [
+    (build_extended, ModelParams(rho=0.7, phi=1, k=2)),  # real spectrum: real v
+    (build_pseudo_jcm, ModelParams(rho=1.3)),  # complex v: each block is cast
+])
+def test_the_residual_stage_holds_one_matrix_beyond_w_and_v(monkeypatch, builder, params):
+    """After scipy returns w and v, the residual stage allocates one n x n
+    array (the residual rows), a row block of H cast to v's dtype, that
+    block's products and numpy's ufunc buffers (one per operand): a copy of H
+    or any other whole-matrix temporary exceeds the bound."""
+    matrix = builder(params, TruncatedFockSpace(256, 8)).matrix
+    n = matrix.shape[0]
+    real_eig = scipy.linalg.eig
+
+    def eig_then_trace(a):
+        solved = real_eig(a)
+        tracemalloc.start()
+        return solved
+
+    monkeypatch.setattr(scipy.linalg, "eig", eig_then_trace)
+    try:
+        eig_gated(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    item = np.dtype(complex).itemsize
+    # 64 KiB for the Python objects the stage makes
+    assert peak <= item * (n * n + 2 * PRODUCT_ROWS * n + 3 * np.getbufsize()) + 2**16
 
 
 @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])

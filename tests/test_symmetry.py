@@ -16,12 +16,16 @@ from qjc.symmetry import (
     classify_spectrum,
     commutator_deviation,
     parity_matrix,
-    parity_sigma3_operator,
     sigma3_operator,
     symmetry_report,
 )
 
 SPACE = TruncatedFockSpace(cutoff=32, guard=8)
+
+
+def parity_sigma3_operator(space: TruncatedFockSpace) -> np.ndarray:
+    """The dense parity-sigma3 metric, a product of two diagonal +-1 operators."""
+    return sigma3_operator(space) @ parity_matrix(space)
 
 
 def test_sigma3_conjugation_maps_sign_flipped_models_to_adjoint():
@@ -240,7 +244,7 @@ def test_report_builds_no_dense_metric(monkeypatch):
     def refuse(space):
         raise AssertionError("dense metric built")
 
-    for name in ("sigma3_operator", "parity_matrix", "parity_sigma3_operator"):
+    for name in ("sigma3_operator", "parity_matrix"):
         monkeypatch.setattr(qjc.symmetry, name, refuse)
     monkeypatch.setattr(qjc.symmetry.np, "kron", refuse)
     assert symmetry_report(h) == expected

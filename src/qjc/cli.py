@@ -28,7 +28,7 @@ from .models import (
 from .output import Table, format_number, svg_line_plot, write_csv, write_json
 from .polyrep import gauge_transform_ht, gauge_transform_pseudo_jcm, restriction_spectrum
 from .qes import algebraic_eigenvalues, algebraic_spectrum, build_subspace
-from .recurrence import _certified_reconstruction, critical_polynomial, critical_roots
+from .recurrence import _certified_reconstruction, critical_polynomial, critical_roots, run_to_critical
 from .symmetry import REALNESS_TOL, STRUCTURE_TOL, symmetry_report
 
 SPECTRUM_COLUMNS = ("label", "n", "branch", "re_energy", "im_energy", "source", "residual")
@@ -212,9 +212,9 @@ def _complex_str(value: complex) -> str:
     return f"{format_number(value.real)}{sign}{format_number(abs(value.imag))}j"
 
 
-def _write(merged: dict, args, table: Table, document: dict) -> int:
-    """Emit `document` as JSON under --format json, else `table` as CSV."""
-    json_out = merged["format"] == "json"
+def _write(merged: dict, args, table: Table | None, document: dict) -> int:
+    """Emit `document` as JSON under --format json or with no `table`, else `table` as CSV."""
+    json_out = table is None or merged["format"] == "json"
     _emit(write_json(document) if json_out else write_csv(table), args.output)
     return 0
 
@@ -303,34 +303,27 @@ def cmd_check(merged: dict, args) -> int:
         "spectrum_class": report.spectrum_class,
         "tolerances": {"structure": STRUCTURE_TOL, "realness": REALNESS_TOL},
     }
-    _emit(write_json(document), args.output)
-    return 0
+    return _write(merged, args, None, document)
 
 
 def cmd_qes(merged: dict, args) -> int:
     """invariant-subspace certificate and algebraic spectrum"""
     _, params, space = _request(merged, ("ht",), "qes requires --model ht")
     sub = build_subspace(params, space)
-    pairs = algebraic_spectrum(sub, params)
+    table = Table(columns=SPECTRUM_COLUMNS)
+    _add_route(table, "qes", _qes_rows(algebraic_spectrum(sub, params), params.big_n))
+    table.comments.append(f"subspace dim {sub.dim}")
+    table.comments.append(f"invariance defect {format_number(sub.defect)}")
     document = {
         "command": "qes",
         "N": params.big_n,
         "subspace_dim": sub.dim,
         "invariance_defect": sub.defect,
         "eigenvalues": [
-            {
-                "re": pair.energy.real,
-                "im": pair.energy.imag,
-                "residual": pair.residual,
-                "defective": pair.defective,
-            }
-            for pair in pairs
+            {"re": re, "im": im, "residual": residual, "defective": branch == "defective"}
+            for _, _, branch, re, im, _, residual in table.rows
         ],
     }
-    table = Table(columns=SPECTRUM_COLUMNS)
-    _add_route(table, "qes", _qes_rows(pairs, params.big_n))
-    table.comments.append(f"subspace dim {sub.dim}")
-    table.comments.append(f"invariance defect {format_number(sub.defect)}")
     return _write(merged, args, table, document)
 
 
@@ -565,8 +558,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        invariant_subspace.cache_clear()  # a finished command frees the matrix its routes shared
+    finally:  # a finished command frees the matrix and the exact record its routes shared
+        invariant_subspace.cache_clear()
+        run_to_critical.cache_clear()
 
 
 if __name__ == "__main__":

@@ -94,7 +94,6 @@ class FlowEvent:
 
 @dataclass(frozen=True)
 class SweepResult:
-    spec: SweepSpec
     grid: np.ndarray
     labels: tuple[str, ...]
     tracks: np.ndarray  # shape (len(labels), len(grid))
@@ -114,10 +113,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
     follow the +/- square-root branches of their block and continue through
     a coalescence as complex-conjugate values.
     """
-    if spec.parameter != "rho":
-        raise ValidationError("closed-form sweeps drive rho; use qes_theta_sweep")
-    grid = spec.grid()
-    tracks = closed_form_tracks(spec.params, spec.doublets, grid)
+    grid, tracks = _closed_form_grid(spec)
     labels = tuple(label for label, _, _ in level_keys(spec.params.k, spec.doublets))
 
     def energy(row, value):
@@ -144,7 +140,15 @@ def sweep(spec: SweepSpec) -> SweepResult:
             if event is not None:
                 coalescences.append(event)
     events = _events(spec, grid, labels, tracks, locate, coalescences)
-    return SweepResult(spec=spec, grid=grid, labels=labels, tracks=tracks, events=events)
+    return SweepResult(grid=grid, labels=labels, tracks=tracks, events=events)
+
+
+def _closed_form_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The rho grid of `spec` and its closed-form tracks, in `level_keys` order."""
+    if spec.parameter != "rho":
+        raise ValidationError("closed-form sweeps drive rho; use qes_theta_sweep")
+    grid = spec.grid()
+    return grid, closed_form_tracks(spec.params, spec.doublets, grid)
 
 
 def _bisect(func, lo: float, hi: float) -> float:
@@ -228,9 +232,9 @@ def numeric_deviation(spec: SweepSpec, space: TruncatedFockSpace) -> float:
     The independent route: eigenvalues of the truncated matrix at every
     grid point, solved on their blocks in one call per block size.
     """
-    result = sweep(spec)
-    numeric = stream_eigvals(build_extended(spec.at(value), space).matrix for value in result.grid)
-    gaps = np.abs(numeric[:, np.newaxis, :] - result.tracks.T[:, :, np.newaxis])
+    grid, tracks = _closed_form_grid(spec)
+    numeric = stream_eigvals(build_extended(spec.at(value), space).matrix for value in grid)
+    gaps = np.abs(numeric[:, np.newaxis, :] - tracks.T[:, :, np.newaxis])
     return float(np.max(np.min(gaps, axis=2)))
 
 
@@ -365,7 +369,7 @@ def qes_theta_sweep(spec: SweepSpec) -> SweepResult:
         return root, nearest(root)[0]
 
     events = _events(spec, grid, labels, tracks, locate)
-    return SweepResult(spec=spec, grid=grid, labels=labels, tracks=tracks, events=events)
+    return SweepResult(grid=grid, labels=labels, tracks=tracks, events=events)
 
 
 def _coalescence(

@@ -155,15 +155,12 @@ class SeriesState:
 
     `steps` is the table (`_steps`) whose continuant `critical` (C) is;
     `series` holds y_0 .. y_{m-1} in path order, y_{2i} = qt_{i-1} and
-    y_{2i+1} = pt_i, empty in a decoupled limit; `chains` is that limit's
-    float seeded level and chain blocks (`_chain_limit`), None at generic
-    couplings.
+    y_{2i+1} = pt_i, empty in a decoupled limit (`_decoupled`).
     """
 
     steps: tuple[tuple[Fraction, Fraction, Fraction], ...]
     critical: EnergyPolynomial
     series: tuple[EnergyPolynomial, ...]
-    chains: tuple | None
 
 
 def _series_step(x: EnergyPolynomial, a: Fraction, y: EnergyPolynomial, f: Fraction, v=1):
@@ -218,17 +215,17 @@ def run_to_critical(params: ModelParams) -> SeriesState:
     decoupled limit keeps only E + a_0, its seeded level.  The returned
     record is shared by every caller with equal parameters.
     """
-    steps, chains = _steps(params), _chain_limit(params)
-    if chains is not None and not chains[1]:
+    steps, (no_rho, no_c_hat) = _steps(params), _decoupled(params)
+    if no_rho and no_c_hat:
         steps = steps[:1]  # both limits: the seeded level, E + a_0
     y, v_prev = [_ZERO, _ONE], 0  # pt_{-1}, qt_{-1}
     for a, f, v in steps:
-        if chains is None:
-            y.append(_series_step(y[-1], a, y[-2], f, v))
-        else:
+        if no_rho or no_c_hat:
             y.append(_series_step(y[-1], a, y[-2], f * v_prev))
+        else:
+            y.append(_series_step(y[-1], a, y[-2], f, v))
         v_prev = v
-    return SeriesState(steps, y[-1], tuple(y[1:-1]) if chains is None else (), chains)
+    return SeriesState(steps, y[-1], () if no_rho or no_c_hat else tuple(y[1:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +240,9 @@ def _decoupled(params: ModelParams) -> tuple[bool, bool]:
 
 
 def _chain_limit(params: ModelParams):
-    """Seeded level and 2x2 chain blocks of a decoupled limit, or None.
+    """Seeded level and 2x2 chain blocks of a decoupled limit, where rho = 0
+    or c_hat = 0 (`_decoupled`).
 
-    None means neither rho = 0 nor c_hat = 0 holds (`_decoupled`).
     Returns ((level, down photon), blocks), each block (up photon, down
     photon, up diag, down diag, B C, b, c, m) for the chain block
     [[up diag, B], [C, down diag]] with B = b sqrt(m) and C = c sqrt(m).
@@ -256,8 +253,6 @@ def _chain_limit(params: ModelParams):
     """
     n, phi = params.big_n + 2, params.phi
     no_rho, no_c_hat = _decoupled(params)
-    if not (no_rho or no_c_hat):
-        return None
     hw, eps, rho = params.hbar_omega, params.epsilon, params.rho
     c, c_hat = params.qes_couplings()
     if no_rho and no_c_hat:
@@ -483,16 +478,16 @@ def _certified_reconstruction(params: ModelParams, energy, space: TruncatedFockS
     """`reconstruct_eigenvector`'s unit vector v and the ||H v - E v|| its gate read."""
     energy = complex(energy)
     energy = energy.real if energy.imag == 0.0 else energy
-    state = run_to_critical(params)
-    if state.chains is None:
+    state, (no_rho, no_c_hat) = run_to_critical(params), _decoupled(params)
+    if not (no_rho or no_c_hat):
         psi = _series_vector(state.series, energy, space)
-    elif _decoupled(params)[1] and params.qes_couplings()[0] != 0.0:
+    elif no_c_hat and params.qes_couplings()[0] != 0.0:
         raise ValidationError(
             "reconstruction with c_hat = 0 but c != 0 is not supported (the "
             "chains couple triangularly); override both couplings or none"
         )
     else:
-        psi = _chain_vector(state.chains, energy, space)
+        psi = _chain_vector(_chain_limit(params), energy, space)
     poly = state.critical
     if abs(poly(energy)) > 1e-8 * _residual_scale(poly, energy):
         raise ValidationError(

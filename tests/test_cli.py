@@ -486,11 +486,30 @@ def test_sweep_table_writes_the_per_cell_bytes(grid, tracks):
     assert got == per_cell_sweep_csv(grid, labels, tracks)
 
 
-def test_recur_builds_the_series_once(capsys):
+def test_recur_builds_the_series_once(capsys, monkeypatch):
+    # one step table means one exact build (`main` clears the cache, and
+    # its miss count with it, as it returns)
+    tables = []
+    steps = qjc.recurrence._steps
+
+    def counted(params):
+        tables.append(params)
+        return steps(params)
+
+    monkeypatch.setattr(qjc.recurrence, "_steps", counted)
     qjc.recurrence.run_to_critical.cache_clear()
     code, _ = run(capsys, "recur", "--model", "ht", "--N", "3", "--rho", "0.7", "--theta", "1.2")
     assert code == 0
-    assert qjc.recurrence.run_to_critical.cache_info().misses == 1
+    assert len(tables) == 1
+
+
+@pytest.mark.parametrize("big_n, expected", [("3", 0), ("6", 3)])
+def test_a_finished_command_frees_the_subspace_and_the_exact_record(capsys, big_n, expected):
+    # N = 6 fails the reconstruction gate (exit 3) after both caches are filled
+    code, _ = run(capsys, "recur", "--model", "ht", "--N", big_n, "--rho", "0.7", "--theta", "1.2")
+    assert code == expected
+    assert qjc.models.invariant_subspace.cache_info().currsize == 0
+    assert qjc.recurrence.run_to_critical.cache_info().currsize == 0
 
 
 def test_recur_computes_each_reconstruction_residual_once(capsys, monkeypatch):

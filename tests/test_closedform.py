@@ -181,6 +181,14 @@ def test_decoupled_limit_vectors():
     assert_allclose(psi_2, [1.0, 0.0], atol=0.0)
 
 
+def test_trigonometric_mixing_angle_at_zero_gap_and_zero_coupling_is_zero():
+    # eps = k hw and rho = 0: a degenerate diagonal block, already diagonal
+    block = doublet_block(ModelParams(epsilon=2.0, rho=0.0, k=2, phi=-1), 0)
+    assert block.gap == 0.0 and block.coupling == 0.0
+    angle = mixing_angle(block)
+    assert angle.value == 0.0 and angle.trig
+
+
 def test_mixing_angle_validity_borders():
     beyond = ModelParams(epsilon=1.0, rho=2.0, k=2, phi=-1)
     with pytest.raises(ValidationError):

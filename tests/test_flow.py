@@ -219,6 +219,24 @@ def test_closed_form_tracks_match_full_matrix(phi):
     assert deviation < 1e-9
 
 
+def test_numeric_deviation_reads_the_grid_without_locating_events(monkeypatch):
+    # crossings and a coalescence lie on this grid, but the deviation reads
+    # only the closed-form tracks: no block is built to bisect for an event
+    def refused(*args):
+        raise AssertionError("an event was located")
+
+    monkeypatch.setattr(qjc.flow, "doublet_block", refused)
+    spec = SweepSpec(params=FLIPPED, parameter="rho", start=0.0, stop=0.6, points=7)
+    assert numeric_deviation(spec, TruncatedFockSpace(32, 8)) < 1e-9
+
+
+def test_closed_form_routes_refuse_a_theta_sweep():
+    spec = SweepSpec(params=FLIPPED, parameter="theta", start=0.0, stop=1.0, points=3)
+    for route in (sweep, lambda spec: numeric_deviation(spec, TruncatedFockSpace(32, 8))):
+        with pytest.raises(ValidationError, match="closed-form sweeps drive rho; use qes_theta_sweep"):
+            route(spec)
+
+
 def test_coalescence_events_for_flipped_sign():
     spec = SweepSpec(params=FLIPPED, parameter="rho", start=0.05, stop=0.5, points=46)
     result = sweep(spec)

@@ -311,6 +311,11 @@ def test_a_stack_gates_each_matrix_against_its_own_norm(monkeypatch, entry):
         eigvals_checked(stack[[0, 2]])
 
 
+def test_spectra_of_unequal_length_never_match():
+    assert spectrum_mismatch([1.0, 2.0], [1.0]) == float("inf")
+    assert spectrum_mismatch([], [0.0]) == float("inf")
+
+
 def test_one_component_is_a_stack_of_one():
     matrix = np.random.default_rng(3).normal(size=(12, 12))
     assert len(_components(matrix)) == 1

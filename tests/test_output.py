@@ -209,8 +209,19 @@ def test_svg_is_well_formed_xml_with_polylines():
     assert "doublet:0:I" in labels and "rho" in labels
 
 
+def test_svg_widens_a_degenerate_range():
+    # one x value and a constant series: the x scale widens to [x, x + 1],
+    # the y range pads by 0.05 on each side, so the point sits at mid height
+    text = svg_line_plot([0.5], [("flat", [2.0])], "t", "x", "y")
+    ns = {"s": "http://www.w3.org/2000/svg"}
+    (polyline,) = ET.fromstring(text).findall(".//s:polyline", ns)
+    assert polyline.get("points") == "56.00,240.00"
+
+
 def test_svg_rejects_empty_series():
     with pytest.raises(ValidationError):
         svg_line_plot([0.0, 1.0], [], "t", "x", "y")
     with pytest.raises(ValidationError):
         svg_line_plot([], [("a", [])], "t", "x", "y")
+    with pytest.raises(ValidationError, match="finite y value"):
+        svg_line_plot([0.0, 1.0], [("a", [math.nan, math.inf])], "t", "x", "y")

@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qjc.models
 from qjc.closedform import doublet_block, doublet_eigenvalues
-from qjc.errors import ValidationError
+from qjc.errors import NumericalError, ValidationError
 from qjc.fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
 from qjc.models import ModelParams, build_h12, build_ht
 from qjc.qes import (
@@ -195,6 +196,22 @@ def test_exceptional_point_cluster_is_flagged():
         assert pair.residual <= 1e-10
     basis = flagged[0].cluster_basis
     npt.assert_allclose(basis.T.conj() @ basis, np.eye(2), atol=1e-13)
+
+
+def test_schur_reordering_that_selects_a_wrong_count_is_refused(monkeypatch):
+    # the coalescence above, with a Schur form that claims one extra
+    # eigenvalue inside the cluster's disk
+    params = ModelParams(rho=1 / (2 * math.sqrt(2)), theta=0.0, n_qes=3, phi=-1)
+    sub = build_subspace(params, SPACE)
+    schur = scipy.linalg.schur
+
+    def miscounting(*args, **kwargs):
+        t, z, sdim = schur(*args, **kwargs)
+        return t, z, sdim + 1
+
+    monkeypatch.setattr(scipy.linalg, "schur", miscounting)
+    with pytest.raises(NumericalError, match="selected 3 eigenvalues for a cluster of 2"):
+        algebraic_spectrum(sub, params)
 
 
 def test_exact_double_eigenvalues_without_jordan_block_stay_unflagged():

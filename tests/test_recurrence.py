@@ -1,5 +1,6 @@
 """Series recurrence, critical polynomial, and eigenvector reconstruction."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -748,9 +749,27 @@ def test_series_requires_qes_model():
     with pytest.raises(ValidationError):
         critical_polynomial(ModelParams(rho=0.5, phi=-1))
     # a decoupled limit is no refusal: its record holds the continuant
-    # (the chain product), the float chains, and no series
+    # (the chain product) and no series, exact data only
     for kw in CHAIN_GRID:
         params = ModelParams(n_qes=3, phi=-1, **kw)
         state = run_to_critical(params)
         assert canonical_coefficients(state.critical) == chain_product(params), kw
-        assert state.series == () and state.chains is not None, kw
+        assert state.series == (), kw
+    assert [field.name for field in dataclasses.fields(state)] == ["steps", "critical", "series"]
+
+
+def test_chain_vector_falls_back_where_its_first_pair_vanishes():
+    # rho = 0 with c = 0: every block has B = 0, so at a root on its upper
+    # diagonal the pair (B, E - up) is (0, 0) and the vector is the
+    # normalized (E - down, C), C = c_hat (j + 2 - n) sqrt(j + 2)
+    hw, eps, theta, n = 1.3, 1.0, 1.5, 4
+    params = ModelParams(hbar_omega=hw, epsilon=eps, theta=theta, c=0.0, n_qes=n)
+    c_hat = -theta / n
+    for j, energy in ((-1, 0.5), (0, 1.8), (1, 3.1)):
+        assert energy == hw * (j + 1) + eps / 2 and energy in critical_roots(params)
+        pair = np.array([energy - (hw * (j + 2) - eps / 2), c_hat * (j + 2 - n) * math.sqrt(j + 2)])
+        expected = np.zeros(SPACE.dim)
+        expected[basis_index(SPACE, j + 1, SPIN_UP)] = pair[0]
+        expected[basis_index(SPACE, j + 2, SPIN_DOWN)] = pair[1]
+        got = reconstruct_eigenvector(params, energy, SPACE)
+        npt.assert_allclose(got, expected / np.linalg.norm(pair), rtol=0, atol=1e-15)

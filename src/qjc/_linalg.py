@@ -10,11 +10,13 @@ gated matrix by matrix against its own ||H||_F.  `eig_checked` solves dense
 matrices with `scipy.linalg.eig`, the one solver of printed digits, which
 gives each matrix of a stack its bits alone.  It computes one residual per
 pair, which the gate and `qjc spectrum` both read, from the products H v_i
-taken row block by row block: PRODUCT_ROWS rows of H, cast on their own,
-meet every v_i in one stacked call while they stay in cache, and their rows
-of H v_i - w_i v_i go into one preallocated array.  Each block starts at a
-multiple of ROW_BLOCK and none is a single row (numpy would take a dot, not
-a gemv), so by the row rule below every H v_i has the bits of H @ v[:, i].
+taken by chunks of PRODUCT_ROWS eigenvectors, so that one chunk of residual
+rows is held at a time (a solve peaks in xGEEV itself), and within a chunk
+row block by row block: PRODUCT_ROWS rows of H, cast on their own, meet
+every v_i of the chunk in one stacked call while they stay in cache.  Each
+block starts at a multiple of ROW_BLOCK and none is a single row (numpy would
+take a dot, not a gemv), so by the row rule below every H v_i has the bits
+of H @ v[:, i].
 `eigvals_checked` returns eigenvalues only, and solves the diagonal blocks
 that the connected components of the pattern `H != 0` (its edges taken both
 ways) give: a stack of blocks that is exactly hermitian with the symmetric
@@ -93,22 +95,27 @@ def eig_gated(
     finite is replaced by zeros, since scipy refuses a whole stack that holds
     an inf or nan."""
     with np.errstate(over="ignore"):  # an overflow is reported by the gate, as an error
-        norms = _norms(matrix.reshape(*matrix.shape[:-2], -1))
+        norms = _norms(matrix.reshape(*matrix.shape[:-2], matrix.shape[-1] ** 2))
         listed = norms.reshape(-1).tolist()
         if not all(map(math.isfinite, listed)):
             matrix = np.where(np.isfinite(norms)[..., np.newaxis, np.newaxis], matrix, 0.0)
-        w, v = scipy.linalg.eig(matrix)
-        # row block by row block, each against every v_i in one stacked call
-        # while it stays in cache; a block starts at a multiple of ROW_BLOCK,
-        # so each row of H v_i has the bits of H @ v[:, i]
+        # scipy refuses a stack of no matrices; numpy gives its empty w and v
+        w, v = (scipy.linalg.eig if matrix.size else np.linalg.eig)(matrix)
+        # by chunks of eigenvectors, one chunk's residual rows held at a time, and in
+        # each row block by row block against the chunk in one stacked call; a block
+        # starts at a multiple of ROW_BLOCK, so each row of H v_i has the bits of H @ v[:, i]
         columns = v.swapaxes(-1, -2)[..., np.newaxis]
-        gaps = np.empty(w.shape + w.shape[-1:], np.result_type(w, v))
         edges = [*range(0, max(w.shape[-1] - 1, 1), PRODUCT_ROWS), w.shape[-1]]
-        for part in map(slice, edges, edges[1:]):  # no block of one row: a dot, not a gemv
-            block = matrix[..., np.newaxis, part, :].astype(v.dtype, copy=False)
-            gap = np.multiply(w[..., np.newaxis], columns[..., part, 0], out=gaps[..., part])
-            np.subtract(np.matmul(block, columns)[..., 0], gap, out=gap)
-        residuals = _norms(gaps)
+        rows = np.empty(w.shape[:-1] + (max(np.diff(edges)), w.shape[-1]), np.result_type(w, v))
+        residuals = np.empty(w.shape)
+        for chunk in map(slice, edges, edges[1:]):
+            gaps = rows[..., :chunk.stop - chunk.start, :]  # one buffer for every chunk
+            for part in map(slice, edges, edges[1:]):  # no block of one row: a dot, not a gemv
+                block = matrix[..., np.newaxis, part, :].astype(v.dtype, copy=False)
+                gap = np.multiply(w[..., chunk, np.newaxis], columns[..., chunk, part, 0], out=gaps[..., part])
+                np.subtract(np.matmul(block, columns[..., chunk, :, :])[..., 0], gap, out=gap)
+                del block  # a cast block is freed before the next is cast
+            residuals[..., chunk] = _norms(gaps)
     worst = residuals.max(axis=-1, initial=0.0)  # a nan stays a nan
     return w, v, residuals, _gates(listed, worst.reshape(-1).tolist())
 
@@ -157,6 +164,8 @@ def connected_components(matrix: np.ndarray) -> list[list[int]]:
 
 def eigvals_checked(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues only, solved block by block, shape (..., n): `stream_eigvals`."""
+    if not matrix.size:  # no matrix, or n = 0: `stream_eigvals` reads n off a first matrix
+        return np.zeros(matrix.shape[:-1], complex)
     stack = matrix.reshape(-1, *matrix.shape[-2:])
     return stream_eigvals(stack).reshape(matrix.shape[:-1])
 
@@ -195,8 +204,11 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
         hermitian = np.array_equal(blocks, blocks.swapaxes(-1, -2).conj())
         w, v = (np.linalg.eigh if hermitian else np.linalg.eig)(blocks)
         with np.errstate(over="ignore"):  # (H v)^T in one gemm: no printed digit reads these
-            products = v.swapaxes(-1, -2) @ blocks.swapaxes(-1, -2)
-            residuals = _norms(products - w[..., np.newaxis] * v.swapaxes(-1, -2))
+            vt = v.swapaxes(-1, -2)  # (H v - w v)^T in place: w v^T into v, off the products
+            products = vt @ blocks.swapaxes(-1, -2)
+            del blocks
+            np.multiply(w[..., np.newaxis], vt, out=vt)
+            residuals = _norms(np.subtract(products, vt, out=products))
         worst.append(residuals.reshape(len(norms), -1).max(axis=1))
         values.append(w.reshape(len(norms), -1))
     # np.maximum, unlike max, keeps a nan

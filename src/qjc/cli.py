@@ -17,7 +17,7 @@ from typing import Callable, Collection, NamedTuple
 
 import numpy as np
 
-from ._linalg import eig_checked, spectrum_mismatch
+from ._linalg import PRODUCT_ROWS, eig_checked, spectrum_mismatch
 from .closedform import closed_form_levels, full_algebraic_spectrum
 from .errors import NumericalError, TrackingAmbiguityError, ValidationError
 from .flow import FlowEvent, SweepSpec, qes_theta_sweep, sweep
@@ -254,12 +254,14 @@ def cmd_spectrum(merged: dict, args) -> int:
     # for ht the dense route reads the full matrix the subspace was certified on
     sub = build_subspace(params, space) if model == "ht" else None
     h_matrix = sub.matrix if sub else _BUILDERS[model](params, space).matrix
-    numeric, _, residuals = eig_checked(h_matrix, return_residuals=True)
+    numeric, residuals = eig_checked(h_matrix, return_residuals=True)[::2]  # v is not held
     table = Table(columns=SPECTRUM_COLUMNS)
     if _MODELS[model].ladder:
         levels = full_algebraic_spectrum(params, space)
         energies = np.array([level.energy for level in levels], dtype=complex)
-        nearest = np.abs(numeric - energies[:, np.newaxis]).min(axis=1).tolist()
+        # the nearest eigenvalue, PRODUCT_ROWS levels at a time: no all-pairs distances
+        blocks = np.split(energies, range(PRODUCT_ROWS, len(energies), PRODUCT_ROWS))
+        nearest = [gap for part in blocks for gap in np.abs(numeric - part[:, np.newaxis]).min(axis=1).tolist()]
         _add_route(table, "closed-form", (
             (level.label, level.n, level.branch or "", level.energy, gap)
             for level, gap in zip(levels, nearest)

@@ -264,9 +264,9 @@ def _chain_limit(params: ModelParams):
              c * c_hat * (j + 2 - n) ** 2 * (j + 2), c * (j + 2 - n), c_hat * (j + 2 - n), j + 2)
             for j in range(-1, n - 2)
         ]
-    return (hw - eps / 2, 1), [
+    return (hw - eps / 2, 1), [  # rho * rho: past the float range an inf, where rho**2 raises
         (j, j + 2, hw * j + eps / 2, hw * (j + 2) - eps / 2,
-         phi * rho**2 * (j + 1) * (j + 2), rho, phi * rho, (j + 1) * (j + 2))
+         phi * (rho * rho) * (j + 1) * (j + 2), rho, phi * rho, (j + 1) * (j + 2))
         for j in range(n - 1)
     ]
 

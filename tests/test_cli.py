@@ -7,6 +7,7 @@ see it.
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import qjc.models
 import qjc.output
 import qjc.qes
 import qjc.recurrence
+from qjc._linalg import PRODUCT_ROWS
 from qjc.cli import main
 from qjc.errors import TrackingAmbiguityError
 from csv_reader import read_csv
@@ -116,6 +118,45 @@ def test_spectrum_json_format(capsys):
     document = json.loads(out)
     assert list(document)[0] == "schema_version"
     assert document["rows"][0]["label"] == "singlet:0"
+
+
+@pytest.mark.parametrize("model, flags", [("h2", ["--phi=1"]), ("pseudo-jcm", [])])  # real v, complex v
+def test_spectrum_holds_what_the_dense_solver_holds(monkeypatch, capsys, model, flags):
+    """From the built matrix on, `spectrum` peaks at scipy.linalg.eig's own
+    peak on it plus one PRODUCT_ROWS x n complex chunk, and holds O(n) when
+    it reads the closed-form levels: the full levels x eigenvalues distance
+    matrix exceeds the first bound, and v held past the residuals the second."""
+    build, levels = qjc.cli._BUILDERS[model], qjc.cli.full_algebraic_spectrum
+    built, held = [], []
+
+    def build_then_trace(params, space):
+        built.append(build(params, space))
+        tracemalloc.start()
+        return built[-1]
+
+    def levels_when_held(params, space):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return levels(params, space)
+
+    monkeypatch.setitem(qjc.cli._BUILDERS, model, build_then_trace)
+    monkeypatch.setattr(qjc.cli, "full_algebraic_spectrum", levels_when_held)
+    try:
+        code, _ = run(capsys, "spectrum", "--model", model, *flags, "--rho", "0.7", "--D", "256")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    matrix = built[0].matrix
+    tracemalloc.start()
+    try:
+        scipy.linalg.eig(matrix)
+        solver_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = matrix.shape[0]
+    # 64 KiB for the Python objects the command makes
+    assert peak <= solver_peak + np.dtype(complex).itemsize * PRODUCT_ROWS * n + 2**16
+    assert held[0] <= 2**16  # w and the residuals: 24 bytes a level
 
 
 # ---------------------------------------------------------------------------

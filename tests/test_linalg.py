@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from test_golden import pinned_env
@@ -26,6 +28,7 @@ from qjc._linalg import (
     reached_rows,
     residual_on_rows,
     spectrum_mismatch,
+    stream_eigvals,
 )
 from qjc.errors import NumericalError
 from qjc.fock import TruncatedFockSpace
@@ -219,6 +222,32 @@ def _residual_cases():
     yield f"{2 * PRODUCT_ROWS + 1}-random", rng.normal(size=(2 * PRODUCT_ROWS + 1,) * 2)
 
 
+# sizes on both sides of every chunk and row-block edge up to two chunks and a block
+_EDGE_SIZES = sorted({1, 2, 3} | {
+    edge + shift for edge in (ROW_BLOCK, PRODUCT_ROWS, 2 * PRODUCT_ROWS) for shift in (-1, 0, 1, 2, 3)
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(0, 3),
+    n=st.sampled_from(_EDGE_SIZES) | st.integers(1, 2 * PRODUCT_ROWS + 3),
+    kind=st.sampled_from(["symmetric", "real", "complex"]),  # real v, then complex v twice
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_residuals_are_the_column_norms_at_every_chunk_edge(count, n, kind, seed):
+    parts = np.random.default_rng(seed).normal(size=(2, count, n, n))
+    stack = {
+        "symmetric": parts[0] + parts[0].swapaxes(-1, -2),
+        "real": parts[0],
+        "complex": parts[0] + 1j * parts[1],
+    }[kind]
+    w, v, residuals, _ = eig_gated(stack)
+    assert residuals.shape == w.shape == (count, n)
+    for g, matrix in enumerate(stack):
+        assert residuals[g].tobytes() == _column_residuals(matrix, w[g], v[g]).tobytes()
+
+
 @pytest.mark.parametrize("name, matrix", list(_residual_cases()))
 def test_residuals_are_the_column_by_column_norms_bit_for_bit(name, matrix):
     w, v, residuals = eig_checked(matrix, return_residuals=True)
@@ -263,10 +292,11 @@ def test_a_stack_above_the_block_size_names_the_float_range(entry):
     (build_pseudo_jcm, ModelParams(rho=1.3)),  # complex v: each block is cast
 ])
 def test_the_residual_stage_holds_one_matrix_beyond_w_and_v(monkeypatch, builder, params):
-    """After scipy returns w and v, the residual stage allocates one n x n
-    array (the residual rows), a row block of H cast to v's dtype, that
-    block's products and numpy's ufunc buffers (one per operand): a copy of H
-    or any other whole-matrix temporary exceeds the bound."""
+    """After scipy returns w and v, the residual stage allocates one
+    PRODUCT_ROWS x n array (a chunk's residual rows), a row block of H cast
+    to v's dtype, that block's products with the chunk and numpy's ufunc
+    buffers (one per operand): the n x n residual rows, a copy of H or any
+    other whole-matrix temporary exceeds the bound."""
     matrix = builder(params, TruncatedFockSpace(256, 8)).matrix
     n = matrix.shape[0]
     real_eig = scipy.linalg.eig
@@ -284,7 +314,43 @@ def test_the_residual_stage_holds_one_matrix_beyond_w_and_v(monkeypatch, builder
         tracemalloc.stop()
     item = np.dtype(complex).itemsize
     # 64 KiB for the Python objects the stage makes
-    assert peak <= item * (n * n + 2 * PRODUCT_ROWS * n + 3 * np.getbufsize()) + 2**16
+    assert peak <= item * (PRODUCT_ROWS * n + 2 * PRODUCT_ROWS * n + 3 * np.getbufsize()) + 2**16
+
+
+@pytest.mark.parametrize("solver", ["eig", "eigh"])  # complex v, real v
+def test_the_block_residual_stage_holds_blocks_v_and_products(monkeypatch, solver):
+    """Once a block stack is solved, its residuals make one new array, the
+    products (H v)^T: w v^T goes into v's own buffer and comes off the
+    products in place.  A temporary w v^T or products - w v^T exceeds the bound."""
+    # one block of 160, of v's dtype: matmul would cast a real block to complex v's
+    dense = np.random.default_rng(3).normal(size=(2, 160, 160))
+    matrix = dense[0] + dense[0].T if solver == "eigh" else dense[0] + 1j * dense[1]
+    real, held = getattr(np.linalg, solver), []
+
+    def solve_then_reset(a):
+        solved = real(a)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return solved
+
+    monkeypatch.setattr(np.linalg, solver, solve_then_reset)
+    tracemalloc.start()
+    try:
+        stream_eigvals([matrix])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    products = np.result_type(*real(matrix)).itemsize * matrix.size
+    # 64 KiB for the Python objects and the per-row norms the stage makes
+    assert peak <= held[0] + products + 2**16
+
+
+def test_an_empty_stack_gives_empty_results_of_the_documented_shapes():
+    empty = np.zeros((0, 4, 4))
+    w, v, residuals = eig_checked(empty, return_residuals=True)
+    assert (w.shape, v.shape, residuals.shape) == ((0, 4), (0, 4, 4), (0, 4))
+    assert eigvals_checked(empty).shape == (0, 4)
+    assert eigvals_checked(np.zeros((2, 0, 0))).shape == (2, 0)
 
 
 @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])

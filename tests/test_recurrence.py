@@ -427,6 +427,15 @@ def test_step_coefficients_beyond_the_float_range_are_a_numerical_error(kw):
         critical_roots(ModelParams(n_qes=5, phi=1, **kw))
 
 
+@pytest.mark.parametrize("rho", [1e160, 1e200, 1e300])
+def test_a_chain_limit_beyond_the_float_range_is_a_numerical_error(rho):
+    # at c_hat = 0 the chain blocks rank on B C = phi rho^2 (j + 1)(j + 2):
+    # an inf there, not an OverflowError, and the exact record refuses by name
+    params = ModelParams(rho=rho, theta=0.0, n_qes=4)
+    with pytest.raises(NumericalError, match="float range"):
+        reconstruct_eigenvector(params, 0.5, TruncatedFockSpace(16, 4))
+
+
 def test_conjugate_root_pairs_for_flipped_sign():
     params = ModelParams(rho=1.0, theta=0.5, n_qes=3, phi=-1)
     roots = critical_roots(params)

@@ -4,6 +4,7 @@ The heavy lifting is LAPACK via scipy and numpy; this module only adds the
 quality gate every caller relies on: each returned eigenpair must satisfy
 ||H v - w v|| <= RESIDUAL_TOL * max(1, ||H||), otherwise a NumericalError is
 raised so the caller can enlarge the cutoff instead of silently consuming noise.
+In a stack the first failing matrix, in C order, raises.
 
 Both solvers take a matrix or a stack (..., n, n), solved in one call and
 gated matrix by matrix against its own ||H||_F.  `eig_checked` solves dense
@@ -64,36 +65,34 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(square)
 
 
-def _gate_error(norm: float, worst: float) -> NumericalError:
-    """The error of a failed gate, for a matrix's norm and worst residual."""
-    if not math.isfinite(norm):  # the matrix was not solved
-        worst = math.inf
-    if not math.isfinite(worst):
-        return NumericalError(
-            "eigensolver residual gate cannot be checked outside the float range "
-            f"(1.8e308): ||H||_F = {norm:.3e}, worst residual {worst:.3e}"
-        )
-    return NumericalError(
-        f"eigensolver residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} * {max(1.0, norm):.3e}"
-    )
+def _gate(norms: list[float], worst: list[float]) -> None:
+    """Raise the first failing matrix's error, in C order, for each matrix's
+    ||H||_F and worst residual, in Python floats."""
+    for norm, value in zip(norms, worst):
+        if not math.isfinite(norm):  # the matrix was not solved
+            value = math.inf
+        if not math.isfinite(value):
+            raise NumericalError(
+                "eigensolver residual gate cannot be checked outside the float range "
+                f"(1.8e308): ||H||_F = {norm:.3e}, worst residual {value:.3e}"
+            )
+        if value > RESIDUAL_TOL * max(1.0, norm):
+            raise NumericalError(
+                f"eigensolver residual {value:.3e} exceeds {RESIDUAL_TOL:.1e} * {max(1.0, norm):.3e}"
+            )
 
 
-def _gates(norms: list[float], worst: list[float]) -> list[NumericalError | None]:
-    """Each matrix's gate error, None where it passes, in Python floats."""
-    return [
-        None if math.isfinite(norm) and value <= RESIDUAL_TOL * max(1.0, norm)
-        else _gate_error(norm, value)
-        for norm, value in zip(norms, worst)
-    ]
+def eig_checked(matrix: np.ndarray, return_residuals: bool = False) -> tuple[np.ndarray, ...]:
+    """Eigenvalues and right eigenvectors with a backward-error gate.
 
-
-def eig_gated(
-    matrix: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[NumericalError | None]]:
-    """`eig_checked`'s (w, v, residuals), with each matrix's gate error (or
-    None) returned in C order, not raised.  A matrix whose ||H||_F is not
-    finite is replaced by zeros, since scipy refuses a whole stack that holds
-    an inf or nan."""
+    Returns (w, v) with v[..., :, i] normalized, and with return_residuals
+    also each pair's residual ||H v_i - w_i v_i||, shape (..., n).  Raises
+    NumericalError when any residual exceeds RESIDUAL_TOL * max(1, ||H||_F),
+    or when ||H||_F or a residual is not finite, since the gate cannot be
+    applied then; the first failing matrix of a stack names the error.  A
+    matrix whose ||H||_F is not finite is solved as zeros, since scipy
+    refuses a whole stack that holds an inf or nan.
+    """
     with np.errstate(over="ignore"):  # an overflow is reported by the gate, as an error
         norms = _norms(matrix.reshape(*matrix.shape[:-2], matrix.shape[-1] ** 2))
         listed = norms.reshape(-1).tolist()
@@ -117,21 +116,7 @@ def eig_gated(
                 del block  # a cast block is freed before the next is cast
             residuals[..., chunk] = _norms(gaps)
     worst = residuals.max(axis=-1, initial=0.0)  # a nan stays a nan
-    return w, v, residuals, _gates(listed, worst.reshape(-1).tolist())
-
-
-def eig_checked(matrix: np.ndarray, return_residuals: bool = False) -> tuple[np.ndarray, ...]:
-    """Eigenvalues and right eigenvectors with a backward-error gate.
-
-    Returns (w, v) with v[..., :, i] normalized, and with return_residuals
-    also each pair's residual ||H v_i - w_i v_i||, shape (..., n).  Raises
-    NumericalError when any residual exceeds RESIDUAL_TOL * max(1, ||H||_F),
-    or when ||H||_F or a residual is not finite, since the gate cannot be
-    applied then; the first failing matrix of a stack names the error.
-    """
-    w, v, residuals, errors = eig_gated(matrix)
-    for error in filter(None, errors):
-        raise error
+    _gate(listed, worst.reshape(-1).tolist())
     return (w, v, residuals) if return_residuals else (w, v)
 
 
@@ -212,8 +197,7 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
         worst.append(residuals.reshape(len(norms), -1).max(axis=1))
         values.append(w.reshape(len(norms), -1))
     # np.maximum, unlike max, keeps a nan
-    for error in filter(None, _gates(norms, np.maximum.reduce(worst).tolist())):
-        raise error
+    _gate(norms, np.maximum.reduce(worst).tolist())
     return np.concatenate(values, axis=1).astype(complex, copy=False)
 
 

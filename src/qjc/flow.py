@@ -18,8 +18,9 @@ Two sweep routes with different labeling power:
   linear extrapolation of each track, with automatic step halving (up to
   `MAX_REFINEMENTS`) whenever two candidates are comparably close.  The
   grid's restrictions are solved in one stacked call, each with the bits it
-  gets alone, and a grid point's gate error is raised only once the sweep
-  reaches it; halving midpoints and bisection probes are solved one by one.
+  gets alone; halving midpoints and bisection probes are solved one by one,
+  and so is every grid point when the stack fails its gate, so that the
+  failing point raises only once the sweep reaches it.
 
 Events -- real-level crossings, and branch coalescences for the
 sign-flipped coupling -- are localized by bisection to `PARAM_TOL`.  The
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eig_gated, stream_eigvals
+from ._linalg import eig_checked, stream_eigvals
 from .closedform import closed_form_tracks, doublet_block, doublet_eigenvalues, level_keys
 from .errors import NumericalError, TrackingAmbiguityError, ValidationError
 from .fock import TruncatedFockSpace
@@ -321,14 +322,16 @@ def qes_theta_sweep(spec: SweepSpec) -> SweepResult:
     if spec.parameter != "theta":
         raise ValidationError("the dressed-model sweep drives theta")
     grid = spec.grid()
-    w, _, _, errors = eig_gated(restriction_matrix(spec.params, grid))
-    w = np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
-    on_grid = dict(zip(grid.tolist(), zip(w, errors)))
+    try:
+        w, _ = eig_checked(restriction_matrix(spec.params, grid))
+    except NumericalError:  # each point alone: the failing one raises once reached
+        on_grid = {}
+    else:
+        w = np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
+        on_grid = dict(zip(grid.tolist(), w))
 
     def values_at(value: float) -> np.ndarray:
-        values, error = on_grid.get(value, (None, None))  # None: a midpoint or a probe
-        if error is not None:
-            raise error
+        values = on_grid.get(value)  # None: a midpoint, a probe or a failed stack
         return algebraic_eigenvalues(spec.at(value)) if values is None else values
 
     columns = [values_at(grid[0])]

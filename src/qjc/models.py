@@ -162,10 +162,11 @@ def _poly_degree(coeffs: tuple[float, ...]) -> int:
 
 
 def poly_value(params: ModelParams, n: float) -> float:
-    """Scalar P(n)."""
+    """Scalar P(n); an overflow gives inf, which the gate of each route reports."""
     if not params.poly:
         return 0.0
-    return float(npoly.polyval(n, params.poly))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(npoly.polyval(n, params.poly))
 
 
 def _check_guard(space: TruncatedFockSpace, transfer: int, model: str) -> None:
@@ -210,20 +211,23 @@ def _assemble(
 ) -> SpinFockOperator:
     """H with diagonal hw*n + P(n) +- eps/2 on |n, up/down> and the given bands.
 
-    `bands` maps a photon offset j to the pair (<n, up|H|n+j, down>,
-    <n+j, down|H|n, up>) over n = 0 .. D-1-j; every other entry is zero.
+    `bands` maps a photon offset j to (band, upper, lower): <n, up|H|n+j, down>
+    is upper * band[n] and <n+j, down|H|n, up> is lower * band[n], over
+    n = 0 .. D-1-j; every other entry is zero.  An overflow gives an inf
+    entry, which the eigensolver's gate reports as an error.
     """
     d = space.cutoff
     n = np.arange(d, dtype=float)
-    photon = params.hbar_omega * n
-    if poly:
-        photon = photon + npoly.polyval(n, poly)
-    half = 0.5 * params.epsilon
     h = np.zeros((space.dim, space.dim))
-    np.fill_diagonal(h, np.concatenate([photon + half, photon - half]))
-    for j, (upper, lower) in bands.items():
-        np.fill_diagonal(h[:d, d + j :], upper)
-        np.fill_diagonal(h[d + j :, :d], lower)
+    with np.errstate(over="ignore", invalid="ignore"):
+        photon = params.hbar_omega * n
+        if poly:
+            photon = photon + npoly.polyval(n, poly)
+        half = 0.5 * params.epsilon
+        np.fill_diagonal(h, np.concatenate([photon + half, photon - half]))
+        for j, (band, upper, lower) in bands.items():
+            np.fill_diagonal(h[:d, d + j :], upper * band)
+            np.fill_diagonal(h[d + j :, :d], lower * band)
     return SpinFockOperator(h, space)
 
 
@@ -235,7 +239,7 @@ def build_extended(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOp
     """
     _check_guard(space, params.k, "extended model")
     a_k = _lowering_band(space.cutoff, params.k)
-    bands = {params.k: (params.rho * a_k, params.phi * params.rho * a_k)}
+    bands = {params.k: (a_k, params.rho, params.phi * params.rho)}
     return _assemble(params, space, bands, poly=params.poly)
 
 
@@ -267,7 +271,7 @@ def build_h12(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperato
     rho1, rho1_hat = params.one_photon_couplings()
     a = _lowering_band(space.cutoff, 1)
     a2 = _lowering_band(space.cutoff, 2)
-    bands = {1: (rho1 * a, rho1_hat * a), 2: (params.rho * a2, params.phi * params.rho * a2)}
+    bands = {1: (a, rho1, rho1_hat), 2: (a2, params.rho, params.phi * params.rho)}
     return _assemble(params, space, bands)
 
 
@@ -293,7 +297,7 @@ def build_ht(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator
     # <m|a (n_hat - n)|m+1> = <m+1|(n_hat - n) adag|m> = sqrt(m+1) (m+1 - n)
     dressed = _lowering_band(space.cutoff, 1) * (np.arange(1.0, space.cutoff) - params.n_qes)
     a2 = _lowering_band(space.cutoff, 2)
-    bands = {1: (c * dressed, c_hat * dressed), 2: (params.rho * a2, params.phi * params.rho * a2)}
+    bands = {1: (dressed, c, c_hat), 2: (a2, params.rho, params.phi * params.rho)}
     return _assemble(params, space, bands)
 
 
@@ -301,18 +305,17 @@ def build_ht(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator
 class InvariantSubspace:
     """Basis bookkeeping for one closed subspace.
 
-    upper_indices / lower_indices are positions in the full spin-major
-    basis; the subspace ordering is all upper states (photon ascending)
-    followed by all lower states.  `matrix` is the full matrix of the
-    generating model `params` on `space`, `defect` its certified leak
-    max |<out| H |in>|, and `rows` the rows of `matrix` that the subspace
-    reaches (`_linalg.reached_rows`), on which its eigenpairs are certified.
+    `indices` are positions in the full spin-major basis, all upper states
+    (photon ascending) followed by all lower states.  `matrix` is the full
+    matrix of the generating model `params` on `space`, `defect` its
+    certified leak max |<out| H |in>|, and `rows` the rows of `matrix` that
+    the subspace reaches (`_linalg.reached_rows`), on which its eigenpairs
+    are certified.
     """
 
     params: ModelParams
     space: TruncatedFockSpace
-    upper_indices: tuple[int, ...]
-    lower_indices: tuple[int, ...]
+    indices: tuple[int, ...]
     defect: float
     matrix: np.ndarray = field(compare=False, repr=False)
     rows: np.ndarray = field(compare=False, repr=False)
@@ -322,16 +325,8 @@ class InvariantSubspace:
         return self.params.big_n
 
     @property
-    def n(self) -> int:
-        return self.big_n + 2
-
-    @property
     def dim(self) -> int:
         return 2 * self.big_n + 4
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return self.upper_indices + self.lower_indices
 
 
 def _leak(columns: np.ndarray, indices: tuple[int, ...]) -> float:
@@ -358,10 +353,12 @@ def invariant_subspace(params: ModelParams, space: TruncatedFockSpace) -> Invari
     `build_ht` rejects a cutoff too small for N and the guard band.
     """
     h = build_ht(params, space).matrix
-    upper = tuple(basis_index(space, j, SPIN_UP) for j in range(params.big_n + 1))
-    lower = tuple(basis_index(space, m, SPIN_DOWN) for m in range(params.big_n + 3))
-    columns = h[:, list(upper + lower)]
-    defect, rows = _leak(columns, upper + lower), reached_rows(columns, upper + lower)
+    indices = tuple(
+        [basis_index(space, j, SPIN_UP) for j in range(params.big_n + 1)]
+        + [basis_index(space, m, SPIN_DOWN) for m in range(params.big_n + 3)]
+    )
+    columns = h[:, list(indices)]
+    defect, rows = _leak(columns, indices), reached_rows(columns, indices)
     for array in (h, rows):
         array.setflags(write=False)
-    return InvariantSubspace(params, space, upper, lower, defect, h, rows)
+    return InvariantSubspace(params, space, indices, defect, h, rows)

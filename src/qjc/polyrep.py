@@ -52,7 +52,8 @@ def multiply_x_matrix(work_deg: int) -> np.ndarray:
 
 
 def _mode_operators(work_deg: int):
-    """Gauge-transformed (a, a^dag, a^dag a) on the working space.
+    """Integer coefficient matrices (d, d - 2x, a^dag a) on the working space;
+    the gauge-transformed a and a^dag are (-i/sqrt(2)) times the first two.
 
     The number operator is assembled as x d/dx - (1/2) d^2/dx^2 from the
     integer coefficient matrices rather than as the product a^dag @ a: the
@@ -62,10 +63,7 @@ def _mode_operators(work_deg: int):
     """
     d = derivative_matrix(work_deg)
     x = multiply_x_matrix(work_deg)
-    a = (-1j / np.sqrt(2.0)) * d
-    a_dag = (-1j / np.sqrt(2.0)) * (d - 2.0 * x)
-    number = x @ d - 0.5 * (d @ d)
-    return a, a_dag, number
+    return d, d - 2.0 * x, x @ d - 0.5 * (d @ d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +93,21 @@ def _restrict(full: np.ndarray, work_deg: int, caps: tuple[int, int]) -> PolySpa
     return PolySpaceOperator(matrix=block, caps=caps, leak=invariance_defect(full, inside))
 
 
+def _doublet_operator(
+    params: ModelParams, number: np.ndarray, b: np.ndarray, c: np.ndarray, caps: tuple[int, int]
+) -> PolySpaceOperator:
+    """[[hw N + eps/2, b], [c, hw N - eps/2]] restricted to `caps`."""
+    photon, half = params.hbar_omega * number, 0.5 * params.epsilon * np.eye(len(number))
+    return _restrict(np.block([[photon + half, b], [c, photon - half]]), len(number) - 1, caps)
+
+
 def _validate_caps(caps: tuple[int, int]):
     d1, d2 = caps
     if not (0 <= d1 <= MAX_CAP and 0 <= d2 <= MAX_CAP):
         raise ValidationError(f"caps {caps} outside [0, {MAX_CAP}]")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches a gate, which names it
 def gauge_transform_pseudo_jcm(
     params: ModelParams, n: int, caps: tuple[int, int] | None = None
 ) -> PolySpaceOperator:
@@ -116,21 +123,12 @@ def gauge_transform_pseudo_jcm(
         raise ValidationError("n must be >= 1")
     caps = caps or (n - 1, n)
     _validate_caps(caps)
-    work_deg = max(caps) + 2
-    a, a_dag, number = _mode_operators(work_deg)
-    eye = np.eye(work_deg + 1)
-    eps, rho = params.epsilon, params.rho
-    upper = params.hbar_omega * number + 0.5 * eps * eye
-    lower = params.hbar_omega * number - 0.5 * eps * eye
-    full = np.block(
-        [
-            [upper, rho * a],
-            [-rho * a_dag, lower],
-        ]
-    )
-    return _restrict(full, work_deg, caps)
+    d, raise_2x, number = _mode_operators(max(caps) + 2)
+    rho, scale = params.rho, -1j / np.sqrt(2.0)
+    return _doublet_operator(params, number, rho * (scale * d), -rho * (scale * raise_2x), caps)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches a gate, which names it
 def gauge_transform_ht(
     params: ModelParams, caps: tuple[int, int] | None = None
 ) -> PolySpaceOperator:
@@ -143,31 +141,20 @@ def gauge_transform_ht(
     n = params.big_n + 2
     caps = caps or (n - 2, n)
     _validate_caps(caps)
-    work_deg = max(caps) + 3
-    _, _, number = _mode_operators(work_deg)
-    d = derivative_matrix(work_deg)
-    raise_2x = d - 2.0 * multiply_x_matrix(work_deg)
-    eye = np.eye(work_deg + 1)
-    eps, rho = params.epsilon, params.rho
-    c, c_hat = params.qes_couplings()
-    shifted = number - n * eye
-    upper = params.hbar_omega * number + 0.5 * eps * eye
-    lower = params.hbar_omega * number - 0.5 * eps * eye
+    d, raise_2x, number = _mode_operators(max(caps) + 3)
+    rho, (c, c_hat) = params.rho, params.qes_couplings()
+    shifted = number - n * np.eye(len(number))
     # a^2 = -(1/2) d^2 and a (n_hat - n) = (-i/sqrt 2) d (n_hat - n): keep
     # the integer matrix products and apply the scalar phases afterwards,
     # so the degree-n kernel of the dressing survives in floating point
     scale = -1j / np.sqrt(2.0)
-    full = np.block(
-        [
-            [upper, -0.5 * rho * (d @ d) + (c * scale) * (d @ shifted)],
-            [
-                -0.5 * params.phi * rho * (raise_2x @ raise_2x)
-                + (c_hat * scale) * (shifted @ raise_2x),
-                lower,
-            ],
-        ]
+    return _doublet_operator(
+        params,
+        number,
+        -0.5 * rho * (d @ d) + (c * scale) * (d @ shifted),
+        -0.5 * params.phi * rho * (raise_2x @ raise_2x) + (c_hat * scale) * (shifted @ raise_2x),
+        caps,
     )
-    return _restrict(full, work_deg, caps)
 
 
 def restriction_spectrum(op: PolySpaceOperator) -> np.ndarray:

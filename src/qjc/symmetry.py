@@ -161,19 +161,22 @@ def symmetry_report(h: SpinFockOperator) -> SymmetryReport:
     """
     sigma3, parity = _sigma3_signs(h.space), _parity_signs(h.space)
     parity_sigma3 = sigma3 * parity
-    herm_ok, herm_dev = check_hermitian(h)
-    pt_ok, pt_dev = check_pt(h)
-    pseudo = {
-        "sigma3": check_pseudo_hermitian(h, sigma3),
-        "parity": check_pseudo_hermitian(h, parity, guard_banded=True),
-        "parity_sigma3": check_pseudo_hermitian(h, parity_sigma3),
-    }
+    # an inf entry gives an inf or nan deviation; the spectrum's gate reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_ok, herm_dev = check_hermitian(h)
+        pt_ok, pt_dev = check_pt(h)
+        pseudo = {
+            "sigma3": check_pseudo_hermitian(h, sigma3),
+            "parity": check_pseudo_hermitian(h, parity, guard_banded=True),
+            "parity_sigma3": check_pseudo_hermitian(h, parity_sigma3),
+        }
+        commutant = commutator_deviation(h, parity_sigma3)
     return SymmetryReport(
         hermitian=herm_ok,
         hermitian_deviation=herm_dev,
         pt_symmetric=pt_ok,
         pt_deviation=pt_dev,
         pseudo_hermitian=pseudo,
-        parity_sigma3_commutant=commutator_deviation(h, parity_sigma3),
+        parity_sigma3_commutant=commutant,
         spectrum_class=classify_spectrum(h),
     )

@@ -23,7 +23,7 @@ import qjc.qes
 import qjc.recurrence
 from qjc._linalg import PRODUCT_ROWS
 from qjc.cli import main
-from qjc.errors import TrackingAmbiguityError
+from qjc.errors import NumericalError, TrackingAmbiguityError
 from csv_reader import read_csv
 
 XML_CONFIG = Path(__file__).parent / "golden" / "format-xml.conf"
@@ -466,10 +466,11 @@ THETA_OVERFLOW = (
 )
 def test_sweeps_print_the_bytes_of_the_per_point_route(capsys, monkeypatch, tmp_path, argv):
     stacked = _outcome(capsys, tmp_path, argv)
-    # an empty stacked pass: every theta grid point is solved alone, as it once was
-    monkeypatch.setattr(
-        qjc.flow, "eig_gated", lambda stack: (np.zeros((0, stack.shape[-1]), complex), None, None, [])
-    )
+    # a failed stacked pass: every theta grid point is solved alone, as it once was
+    def failed(stack):
+        raise NumericalError("the stacked gate failed")
+
+    monkeypatch.setattr(qjc.flow, "eig_checked", failed)
     assert _outcome(capsys, tmp_path, argv) == stacked
 
 
@@ -682,6 +683,27 @@ def test_float_range_gate_keeps_its_exit_code_and_text(capsys, argv):
         "error: eigensolver residual gate cannot be checked outside the float range "
         "(1.8e308): ||H||_F = inf, worst residual inf\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--model", "jcm", "--rho", "1e308"),
+        ("check", "--model", "h2", "--rho", "1e306", "--D", "512"),
+        ("spectrum", "--model", "extended", "--k", "2", "--poly", "0,0,1e308"),
+        ("sweep", "--model", "extended", "--k", "2", "--poly", "0,0,1e308", "--param", "rho",
+         "--start", "0", "--stop", "1", "--points", "3"),
+        ("polyrep-check", "--model", "pseudo-jcm", "--rho", "1e308"),
+        ("polyrep-check", "--model", "ht", "--N", "2", "--theta", "1e308"),
+    ],
+)
+def test_an_overflow_in_the_model_prints_only_its_error(capsys, argv):
+    # the bands, P(n), the polynomial-space blocks and the symmetry deviations
+    # overflow silently: the gate that fails reports it, on the one line
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 @pytest.mark.parametrize(

@@ -50,7 +50,8 @@ def test_mode_commutator_is_one_below_truncation():
     from qjc.polyrep import _mode_operators
 
     w = 9
-    a, a_dag, number = _mode_operators(w)
+    d, raise_2x, number = _mode_operators(w)
+    a, a_dag = (-1j / np.sqrt(2.0)) * d, (-1j / np.sqrt(2.0)) * raise_2x
     comm = a @ a_dag - a_dag @ a
     npt.assert_allclose(comm[:, :w], np.eye(w + 1)[:, :w], atol=1e-14)
     # the number operator is triangular with the oscillator ladder on its

@@ -34,11 +34,8 @@ def test_subspace_dimensions_and_indices():
     params = ModelParams(rho=0.3, theta=0.7, n_qes=4, phi=-1)
     sub = build_subspace(params, SPACE)
     assert sub.big_n == 2
-    assert sub.n == 4
     assert sub.dim == 8
     # upper |0..2, up> sit at 0..2, lower |0..4, down> at D..D+4
-    assert sub.upper_indices == (0, 1, 2)
-    assert sub.lower_indices == (32, 33, 34, 35, 36)
     assert sub.indices == (0, 1, 2, 32, 33, 34, 35, 36)
     assert len(sub.indices) == sub.dim
 
@@ -230,6 +227,25 @@ def test_embedding_slots():
     assert full[0] == 1.0 and full[1] == 2.0  # |0, up>, |1, up>
     assert full[32] == 3.0 and full[35] == 6.0  # |0, down>, |3, down>
     assert np.count_nonzero(full) == 6
+
+
+@pytest.mark.parametrize("phi", [-1, 1])
+def test_embedding_into_another_space_builds_the_subspace_there(phi):
+    params = ModelParams(rho=0.8, theta=1.2, n_qes=4, phi=phi)
+    sub = build_subspace(params, SPACE)
+    pairs = algebraic_spectrum(sub, params)
+    space = TruncatedFockSpace(64, 8)
+    indices = list(build_subspace(params, space).indices)
+    assert indices != list(sub.indices)  # the lower states move with D
+    h = build_ht(params, space).matrix
+    for pair in pairs:
+        assert not pair.defective
+        full = embed_subspace_vector(sub, pair.vector, space)
+        assert full.shape == (space.dim,)
+        assert np.array_equal(full[indices], pair.vector)
+        assert np.count_nonzero(full) == np.count_nonzero(pair.vector)
+        dense = np.linalg.norm(h @ full - pair.energy * full) / np.linalg.norm(full)
+        assert certify_in_full_space(pair.energy, pair.vector, sub, params, space) == dense
 
 
 def test_subspace_matrix_and_its_rows_are_read_only():

@@ -48,7 +48,7 @@ from collections.abc import Iterable
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 
 RESIDUAL_TOL = 1e-12
 ROW_BLOCK = 4
@@ -162,15 +162,24 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
     into one stack (G, blocks, s, s) per block size s for one `eigh` (stack
     exactly hermitian) or `eig` call.  The first failing gate raises.  It
     streams so that a grid's dense matrices are never held at once: stacking
-    them gives the same bits but a sweep's peak memory about an eighth more."""
-    norms, entries = [], []
+    them gives the same bits but a sweep's peak memory about an eighth more.
+    No matrices give (0, 0); a matrix not square or not the first's shape is refused."""
+    norms, entries, shape = [], [], None
     for g, m in enumerate(matrices):
+        shape = shape or m.shape
+        if m.shape != shape or len(shape) != 2 or shape[0] != shape[1]:
+            raise ValidationError(
+                f"stream_eigvals takes square matrices of one shape: "
+                f"matrix {g} is {m.shape}, the first {shape}"
+            )
         with np.errstate(over="ignore"):
             norms.append(_norms(m.ravel()))
         if math.isfinite(norms[-1]):  # an inf or nan reaches no solver: zeros stand in
             flat = m.ravel()
             hits = np.flatnonzero(flat != 0)  # np.nonzero(m) is several times slower
             entries.append((g * flat.size + hits, flat[hits]))
+    if shape is None:
+        return np.zeros((0, 0), complex)
     at, entry = (np.concatenate(part) for part in zip(*entries or [[np.zeros(0, int)] * 2]))
     g, rows, cols = np.unravel_index(at, (len(norms),) + m.shape)
     pattern = np.zeros(m.shape, dtype=bool)

@@ -20,7 +20,7 @@ import numpy as np
 from ._linalg import PRODUCT_ROWS, eig_checked, spectrum_mismatch
 from .closedform import closed_form_levels, full_algebraic_spectrum
 from .errors import NumericalError, TrackingAmbiguityError, ValidationError
-from .flow import FlowEvent, SweepSpec, qes_theta_sweep, sweep
+from .flow import FlowEvent, SweepResult, SweepSpec, qes_theta_sweep, sweep
 from .fock import TruncatedFockSpace
 from .models import (
     ModelParams, build_extended, build_h12, build_ht, build_jcm, build_pseudo_jcm, invariant_subspace,
@@ -190,6 +190,8 @@ def _request(
     if model == "ht":
         if merged["N"] is None:
             raise ValidationError("model 'ht' requires --N (invariant-subspace label)")
+        if merged["N"] < 0:
+            raise ValidationError(f"--N must be >= 0 for model 'ht', got {merged['N']}")
         kwargs["n_qes"] = merged["N"] + 2
     params = ModelParams(**kwargs, **fixed)
     space = TruncatedFockSpace(merged["D"], merged["guard"]) if fock else None
@@ -360,15 +362,15 @@ def _event_comment(event: FlowEvent) -> str:
     )
 
 
-def _sweep_table(grid, labels, tracks, events) -> Table:
+def _sweep_table(result: SweepResult) -> Table:
     table = Table(columns=("param_value", "level_label", "re_energy", "im_energy"))
-    energies = tracks.T.ravel()  # in row order: grid point by grid point
+    energies = result.tracks.T.ravel()  # in row order: grid point by grid point
     re, im = energies.real, energies.imag
     if np.isfinite(energies).all():  # else numpy scalars, which a non-finite cell's error names
         re, im = re.tolist(), im.tolist()
-    values = np.repeat(np.asarray(grid, dtype=float), len(labels)).tolist()
-    table.rows = list(zip(values, labels * len(grid), re, im))
-    table.comments += map(_event_comment, events)
+    values = np.repeat(np.asarray(result.grid, dtype=float), len(result.labels)).tolist()
+    table.rows = list(zip(values, result.labels * len(result.grid), re, im))
+    table.comments += map(_event_comment, result.events)
     return table
 
 
@@ -386,10 +388,7 @@ def _run_sweep(spec: SweepSpec, merged: dict, output: str | None, title: str) ->
     try:
         result = runner(spec)
     except TrackingAmbiguityError as exc:
-        grid = getattr(exc, "partial_grid", np.array([]))
-        tracks = getattr(exc, "partial_tracks", np.zeros((0, 0)))
-        labels = tuple(f"track:{i}" for i in range(tracks.shape[0]))
-        table = _sweep_table(grid, labels, tracks, ())
+        table = _sweep_table(exc.partial)
         table.comments.append(f"INCOMPLETE {exc}")
         _emit(write_csv(table), output)
         print(f"error: {exc}", file=sys.stderr)
@@ -397,8 +396,7 @@ def _run_sweep(spec: SweepSpec, merged: dict, output: str | None, title: str) ->
     if merged["format"] == "svg":
         _emit(_sweep_svg(result, title, spec.parameter), output)
         return 0
-    table = _sweep_table(result.grid, result.labels, result.tracks, result.events)
-    _emit(write_csv(table), output)
+    _emit(write_csv(_sweep_table(result)), output)
     return 0
 
 

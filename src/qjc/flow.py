@@ -23,10 +23,11 @@ Two sweep routes with different labeling power:
   failing point raises only once the sweep reaches it.
 
 Events -- real-level crossings, and branch coalescences for the
-sign-flipped coupling -- are localized by bisection to `PARAM_TOL`.  The
-grid steps where a pair of real rows crosses are found with array
-operations, and only those steps are visited, in the (row, row, step) order
-of a nested loop.
+sign-flipped coupling -- are localized by bisection to `PARAM_TOL`.
+`_events` locates the crossings of both sweeps: it finds with array
+operations the grid steps where two real rows' difference changes sign,
+visits only those, in the (row, row, step) order of a nested loop, and
+bisects each on the two levels that the sweep's `pair` gives at a probe.
 """
 
 from __future__ import annotations
@@ -75,7 +76,13 @@ class SweepSpec:
             raise ValidationError("doublets must be >= 0")
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
+        with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows is refused
+            grid = np.linspace(self.start, self.stop, self.points)
+            if not np.all(np.diff(grid) > 0.0):  # as are repeated points
+                raise ValidationError(
+                    f"the {self.points} grid points on [{self.start}, {self.stop}] repeat or overflow"
+                )
+        return grid
 
     def at(self, value: float) -> ModelParams:
         return dataclasses.replace(self.params, **{self.parameter: float(value)})
@@ -115,23 +122,18 @@ def sweep(spec: SweepSpec) -> SweepResult:
     a coalescence as complex-conjugate values.
     """
     grid, tracks = _closed_form_grid(spec)
-    labels = tuple(label for label, _, _ in level_keys(spec.params.k, spec.doublets))
+    k = spec.params.k
+    labels = tuple(label for label, _, _ in level_keys(k, spec.doublets))
 
-    def energy(row, value):
+    def pair(i, j, g, value):
         # rows follow level_keys: k constant singlets, then each doublet's
-        # branches I and II; only this row's block is built
-        if row < spec.params.k:
-            return complex(tracks[row, 0])
-        doublet, branch = divmod(row - spec.params.k, 2)
-        return doublet_eigenvalues(doublet_block(spec.at(value), doublet))[branch]
-
-    def locate(i, j, g):
-        # localized on the exact closed-form difference
-        def gap(value):
-            return energy(i, value).real - energy(j, value).real
-
-        root = _bisect(gap, grid[g], grid[g + 1])
-        return root, energy(i, root)
+        # branches I and II; only the rows read have their blocks built
+        params = spec.at(value)
+        return (
+            complex(tracks[row, 0]) if row < k
+            else doublet_eigenvalues(doublet_block(params, (row - k) // 2))[(row - k) % 2]
+            for row in (i, j)
+        )
 
     # coalescences: discriminant zero of each tracked block (phi = -1 only)
     coalescences = []
@@ -140,7 +142,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
             event = _coalescence(spec.params, t, spec.start, spec.stop)
             if event is not None:
                 coalescences.append(event)
-    events = _events(spec, grid, labels, tracks, locate, coalescences)
+    events = _events(spec, grid, labels, tracks, pair, coalescences)
     return SweepResult(grid=grid, labels=labels, tracks=tracks, events=events)
 
 
@@ -153,14 +155,12 @@ def _closed_form_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bisect(func, lo: float, hi: float) -> float:
-    """A sign change of `func` in [lo, hi], narrowed to PARAM_TOL.
+    """A sign change of `func` in [lo, hi], from func(lo) != 0, narrowed to PARAM_TOL.
 
     Raises NumericalError when 200 halvings do not get there, as happens
     where floats lie farther apart than PARAM_TOL (|lo| above about 6.7e7).
     """
     f_lo = func(lo)
-    if f_lo == 0.0:
-        return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= PARAM_TOL:
@@ -183,14 +183,17 @@ def _real_rows(tracks: np.ndarray) -> np.ndarray:
     return np.all(np.abs(tracks.imag) <= REAL_TOL * scale, axis=1)
 
 
-def _events(spec, grid, labels, tracks, locate, extra=()) -> tuple[FlowEvent, ...]:
+def _events(spec, grid, labels, tracks, pair, extra=()) -> tuple[FlowEvent, ...]:
     """Crossings of every pair of real rows plus `extra`, sorted by value.
 
-    A sign change of the difference between grid points g and g + 1 is
-    handed to `locate(i, j, g)`, which returns (value, energy).  A
-    difference that is exactly zero on an interior grid point (the rho = 1
-    degeneracies land there) is already localized; endpoint zeros are
-    boundary degeneracies, not events.
+    `pair(i, j, g, value)` yields rows i and j at a value between grid
+    points g and g + 1, lazily.  A strict sign change of the difference of
+    two rows over that step is bisected on Re of pair's difference, and the
+    event's energy is row i at the root, read alone.  Signs are compared,
+    not multiplied, so that no product over- or underflows.  A difference
+    that is exactly zero on an interior grid point (the rho = 1 degeneracies
+    land there) is already localized; endpoint zeros are boundary
+    degeneracies, not events.
     """
     events = []
     real = tracks.real
@@ -203,15 +206,16 @@ def _events(spec, grid, labels, tracks, locate, extra=()) -> tuple[FlowEvent, ..
         diff = real[i] - real[later]
         zero = diff[:, 1:] == 0.0
         zero[:, -1] = False  # a zero at the last grid point is no event
-        hits = zero | (diff[:, :-1] * diff[:, 1:] < 0.0)
+        sign = np.sign(diff)
+        hits = zero | (sign[:, :-1] * sign[:, 1:] < 0.0)
         for row, g in zip(*(axis.tolist() for axis in np.nonzero(hits))):
             j = int(later[row])
             if zero[row, g]:
                 value, energy = float(grid[g + 1]), complex(tracks[i, g + 1])
                 tolerance = 0.0
             else:
-                value, energy = locate(i, j, g)
-                tolerance = PARAM_TOL
+                value = _bisect(lambda x: np.subtract(*pair(i, j, g, x)).real, grid[g], grid[g + 1])
+                energy, tolerance = next(pair(i, j, g, value)), PARAM_TOL
             events.append(
                 FlowEvent(
                     kind="crossing",
@@ -294,19 +298,18 @@ def _advance(values_at, t_prev2, v_prev2, t_prev, v_prev, t_next, depth: int):
     """One tracked step t_prev -> t_next, halving on ambiguity."""
     if v_prev2 is None:
         predictions = v_prev
-    else:
-        slope = (v_prev - v_prev2) / (t_prev - t_prev2)
-        predictions = v_prev + slope * (t_next - t_prev)
+    else:  # the ratio of the steps, not a slope, which overflows on tiny steps
+        predictions = v_prev + (v_prev - v_prev2) * ((t_next - t_prev) / (t_prev - t_prev2))
     candidates = values_at(t_next)
     assignment = _assign_tracks(predictions, candidates)
     if assignment is not None:
         return candidates[assignment], (t_prev, v_prev)
-    if depth >= MAX_REFINEMENTS:
+    t_mid = 0.5 * (t_prev + t_next)
+    if depth >= MAX_REFINEMENTS or not t_prev < t_mid < t_next:  # no float to halve at
         raise TrackingAmbiguityError(
             f"level matching still ambiguous at step {t_prev}..{t_next} "
-            f"after {MAX_REFINEMENTS} refinements"
+            f"after {depth} refinements"
         )
-    t_mid = 0.5 * (t_prev + t_next)
     v_mid, history = _advance(values_at, t_prev2, v_prev2, t_prev, v_prev, t_mid, depth + 1)
     return _advance(values_at, history[0], history[1], t_mid, v_mid, t_next, depth + 1)
 
@@ -335,6 +338,7 @@ def qes_theta_sweep(spec: SweepSpec) -> SweepResult:
         return algebraic_eigenvalues(spec.at(value)) if values is None else values
 
     columns = [values_at(grid[0])]
+    labels = tuple(f"track:{i}" for i in range(len(columns[0])))
     t_prev2, v_prev2 = None, None
     t_prev, v_prev = grid[0], columns[0]
     for t_next in grid[1:]:
@@ -344,34 +348,22 @@ def qes_theta_sweep(spec: SweepSpec) -> SweepResult:
             )
         except TrackingAmbiguityError as exc:
             # let callers salvage the trajectory prefix (partial CSV output)
-            exc.partial_grid = grid[: len(columns)]
-            exc.partial_tracks = np.array(columns, dtype=complex).T
+            tracks = np.array(columns, dtype=complex).T
+            exc.partial = SweepResult(grid=grid[: len(columns)], labels=labels, tracks=tracks, events=())
             raise
         columns.append(v_next)
         t_prev, v_prev = t_next, v_next
     tracks = np.array(columns, dtype=complex).T
-    labels = tuple(f"track:{i}" for i in range(tracks.shape[0]))
 
-    def locate(i, j, g):
-        def nearest(value):
-            # interpolate both endpoint tracks to the probe point, then read
-            # off the nearest actual eigenvalues
-            w = values_at(value)
-            frac = (value - grid[g]) / (grid[g + 1] - grid[g])
-            out = []
-            for row in (i, j):
-                guess = (1 - frac) * tracks[row, g] + frac * tracks[row, g + 1]
-                out.append(w[np.argmin(np.abs(w - guess))])
-            return out
+    def pair(i, j, g, value):
+        # interpolate both rows' tracks to the probe, then read off the
+        # nearest actual eigenvalues
+        w = values_at(value)
+        frac = (value - grid[g]) / (grid[g + 1] - grid[g])
+        guesses = ((1 - frac) * tracks[row, g] + frac * tracks[row, g + 1] for row in (i, j))
+        return (w[np.argmin(np.abs(w - guess))] for guess in guesses)
 
-        def gap(value):
-            e_i, e_j = nearest(value)
-            return e_i.real - e_j.real
-
-        root = _bisect(gap, grid[g], grid[g + 1])
-        return root, nearest(root)[0]
-
-    events = _events(spec, grid, labels, tracks, locate)
+    events = _events(spec, grid, labels, tracks, pair)
     return SweepResult(grid=grid, labels=labels, tracks=tracks, events=events)
 
 

@@ -135,7 +135,8 @@ class _Scale:
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
 
     def __call__(self, value: float) -> float:
-        frac = (value - self.lo) / (self.hi - self.lo)
+        # a span that lo + 1.0 cannot widen, at |lo| above 2**53, maps to the middle
+        frac = (value - self.lo) / (self.hi - self.lo) if self.hi > self.lo else 0.5
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
 

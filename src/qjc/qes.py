@@ -106,9 +106,12 @@ def _schur_cluster_basis(mat: np.ndarray, w: np.ndarray, cluster: list[int]) -> 
     """
     center = np.mean(w[cluster])
     radius = 2.0 * max(abs(w[i] - center) for i in cluster) + 10 * DEGENERACY_TOL
-    _, z, sdim = scipy.linalg.schur(
-        mat.astype(complex), output="complex", sort=lambda x: abs(x - center) <= radius
-    )
+    try:
+        _, z, sdim = scipy.linalg.schur(
+            mat.astype(complex), output="complex", sort=lambda x: abs(x - center) <= radius
+        )
+    except np.linalg.LinAlgError as exc:  # LAPACK could not reorder the Schur form
+        raise NumericalError(f"Schur reordering of a cluster of {len(cluster)} failed: {exc}") from exc
     if sdim != len(cluster):
         raise NumericalError(
             f"Schur reordering selected {sdim} eigenvalues for a cluster of "

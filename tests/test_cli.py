@@ -24,6 +24,7 @@ import qjc.recurrence
 from qjc._linalg import PRODUCT_ROWS
 from qjc.cli import main
 from qjc.errors import NumericalError, TrackingAmbiguityError
+from qjc.flow import SweepResult
 from csv_reader import read_csv
 
 XML_CONFIG = Path(__file__).parent / "golden" / "format-xml.conf"
@@ -225,6 +226,12 @@ def test_spectrum_holds_what_the_dense_solver_holds(monkeypatch, capsys, model, 
         (("spectrum", "--model", "extended", "--k", "2", "--poly", "0,,0.05,0.01",
           "--rho", "0.5"), "--poly"),
         (("spectrum", "--model", "extended", "--k", "2", "--poly", ",0,1"), "--poly"),
+        # a negative subspace label, refused by its flag, not as n_qes = N + 2
+        (("spectrum", "--model", "ht", "--N", "-1"), "--N must be >= 0"),
+        (("qes", "--model", "ht", "--N", "-2"), "--N must be >= 0"),
+        (("sweep", "--model", "ht", "--N", "-1", "--param", "theta", "--start", "0",
+          "--stop", "1", "--points", "5"), "--N must be >= 0"),
+        (("polyrep-check", "--model", "ht", "--N", "-1"), "--N must be >= 0"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, fragment):
@@ -417,8 +424,8 @@ def test_real_tracking_failure_salvages_the_tracked_prefix(capsys):
 def test_tracking_failure_emits_partial_csv_and_exit_3(capsys, monkeypatch):
     def explode(spec):
         exc = TrackingAmbiguityError("could not disambiguate tracks")
-        exc.partial_grid = np.array([0.0, 0.25])
-        exc.partial_tracks = np.array([[1.0, 1.1], [2.0, 1.9]], dtype=complex)
+        tracks = np.array([[1.0, 1.1], [2.0, 1.9]], dtype=complex)
+        exc.partial = SweepResult(np.array([0.0, 0.25]), ("track:0", "track:1"), tracks, ())
         raise exc
 
     monkeypatch.setattr("qjc.cli.qes_theta_sweep", explode)
@@ -520,7 +527,7 @@ FINITE_TRACKS = np.array([[1 / 3 - 0.0j, -0.0 + 2.5j, 1e-300], [7.0, -1e300 - 1j
 def test_sweep_table_writes_the_per_cell_bytes(grid, tracks):
     # same bytes, or the same error text naming the same (numpy) value
     labels = tuple(f"track:{i}" for i in range(tracks.shape[0]))
-    table = qjc.cli._sweep_table(grid, labels, tracks, ())
+    table = qjc.cli._sweep_table(SweepResult(grid, labels, tracks, ()))
     try:
         got = qjc.output.write_csv(table)
     except qjc.errors.ValidationError as err:

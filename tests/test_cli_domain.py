@@ -1,0 +1,190 @@
+"""The exit-code contract over the whole input domain.
+
+Every `qjc` run either exits 0 with nothing on stderr, or exits 2 (invalid
+input) or 3 (numerical failure) with exactly one stderr line that starts
+`error:`.  Warnings are errors under pytest, so an overflow that numpy only
+warns about fails here too.  The commands below once escaped the contract;
+the seeded draw then walks every command, model and flag, float-range edges
+and SVG output included.
+"""
+
+import random
+
+import pytest
+
+from qjc.cli import _COMMANDS, _CONFIG_KEYS, _MODELS, _PARAMS, main
+from csv_reader import read_csv
+
+OVERFLOW_SWEEP = (
+    "sweep", "--model", "pseudo-jcm", "--rho", "1e80", "--eps", "0.7", "--hw", "1e154",
+    "--param", "rho", "--start=-1", "--stop", "2", "--points", "21",
+)
+UNDERFLOW_SWEEP = (
+    "sweep", "--model", "h2", "--eps", "1e-160", "--hw", "1e-160",
+    "--param", "rho", "--start", "0", "--stop", "2e-160", "--points", "201",
+)
+ESCAPES = [  # (argv, exit code, what stderr names)
+    (OVERFLOW_SWEEP, 0, ""),
+    (UNDERFLOW_SWEEP, 0, ""),
+    # a flat plot whose y range lo + 1.0 cannot widen
+    (("sweep", "--model", "pseudo-jcm", "--eps", "1e200", "--param", "rho", "--start=-1",
+      "--stop", "1", "--points", "21", "--doublets", "0", "--format", "svg"), 0, ""),
+    # LAPACK cannot reorder the Schur form of a defective cluster
+    (("qes", "--model", "ht", "--phi=-1", "--rho", "3e-162", "--theta", "2", "--c", "1e80",
+      "--c-hat", "1e-160", "--N", "1", "--eps", "0.7", "--D", "64"), 3, "Schur reordering"),
+    (("spectrum", "--model", "ht", "--rho", "1.178679644097219", "--c-hat", "1e80",
+      "--N", "5", "--eps", "1e-300", "--hw", "1e-300"), 3, "Schur reordering"),
+    (("spectrum", "--model", "ht", "--N=-1"), 2, "--N must be >= 0"),
+    # a theta grid of repeated floats: the tracker divided by a zero step
+    (("sweep", "--model", "ht", "--N", "2", "--param", "theta", "--start", "0",
+      "--stop", "5e-324", "--points", "11"), 2, "repeat or overflow"),
+]
+
+
+def _outcome(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _keeps_the_contract(code, err) -> bool:
+    if code == 0:
+        return err == ""
+    lines = err.splitlines()
+    return code in (2, 3) and len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv, expected, named", ESCAPES)
+def test_inputs_that_once_escaped_exit_by_their_codes(capsys, argv, expected, named):
+    code, _, err = _outcome(capsys, argv)
+    assert code == expected
+    assert _keeps_the_contract(code, err), err
+    assert named in err
+
+
+def _crossings(out):
+    """(value, labels) of each crossing comment of a sweep's CSV."""
+    events = []
+    for comment in read_csv(out).comments:
+        _, kind, value, _, labels = comment.split(",")
+        if kind == "crossing":
+            events.append((float(value), labels))
+    return events
+
+
+def test_a_rescaled_sweep_finds_the_crossings_of_figure_one(capsys):
+    # figure 1 with every energy and coupling scaled by 1e-160: the level
+    # differences underflow when multiplied, but their signs do not
+    code, out, _ = _outcome(capsys, ("sweep", "--model", "h2", "--param", "rho",
+                                     "--start", "0", "--stop", "2", "--points", "201"))
+    assert code == 0
+    plain = _crossings(out)
+    code, out, _ = _outcome(capsys, UNDERFLOW_SWEEP)
+    assert code == 0
+    scaled = _crossings(out)
+    assert len(plain) == 4
+    for value, labels in plain:  # within one grid step, 1e-162
+        assert any(
+            other == labels and abs(found - 1e-160 * value) <= 1e-162 for found, other in scaled
+        ), (value, labels)
+
+
+EDGES = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e154, -1e154, 1e300, -1e300)
+LADDERS = tuple(name for name, model in _MODELS.items() if model.ladder)
+# the models each command (a sweep by its parameter) takes
+FITTING = {
+    "spectrum": tuple(_MODELS),
+    "check": tuple(_MODELS),
+    "qes": ("ht",),
+    "recur": ("ht",),
+    "rho": LADDERS,
+    "theta": ("ht",),
+    "polyrep-check": ("pseudo-jcm", "ht"),
+}
+INTS = {
+    "k": (-1, 0, 1, 2, 3),
+    "phi": (1, -1, 1, -1, 1, -1, 0, 2),
+    "N": (-1, 0, 1, 1, 2, 2, 3, 5, 7),
+    "D": (-1, 0, 8, 16, 16, 24, 24, 32),
+    "guard": (-1, 0, 3, 4, 8, 8),
+}
+POLY = ("0", "0,0.05", "0.1,-0.02,0.003", "1e300,1e300", "0,", ",", "5e-324,-1e154", "0,,1")
+
+
+def _float(rng: random.Random) -> float:
+    pick = rng.random()
+    if pick < 0.15:
+        return rng.choice(EDGES)
+    if pick < 0.85:
+        return round(rng.uniform(-3.0, 3.0), rng.choice((0, 1, 3, 17)))
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0)
+
+
+def _value(rng: random.Random, key: str) -> str:
+    if key in INTS:
+        return str(rng.choice(INTS[key]))
+    if key == "poly":
+        return rng.choice(POLY)
+    return repr(_float(rng))
+
+
+def draw_argv(rng: random.Random, tmp) -> list[str]:
+    """One command line that argparse accepts, mostly a model the command
+    takes with that model's flags; values as --flag=value, so that a
+    negative number is never read as a flag."""
+    command = rng.choice(tuple(_COMMANDS))
+    argv = [command]
+    if command == "sweep":
+        param = rng.choice(("rho", "theta"))
+        bounds = [_float(rng), _float(rng)]
+        if rng.random() < 0.85:
+            bounds.sort()
+        argv += [
+            f"--param={param}",
+            f"--start={bounds[0]!r}",
+            f"--stop={bounds[1]!r}",
+            f"--points={rng.choice((-1, 0, 1, 2, 3, 5, 11, 11, 21, 21))}",
+        ]
+        if rng.random() < 0.5:
+            argv.append(f"--doublets={rng.choice((-1, 0, 1, 2, 4))}")
+    if command == "figures":
+        argv.append(f"--which={rng.choices((1, 2, 3), (10, 10, 1))[0]}")
+        flags = {"D", "guard"}
+    else:
+        fitting = FITTING[param if command == "sweep" else command]
+        model = rng.choice(fitting if rng.random() < 0.9 else tuple(_MODELS))
+        if rng.random() < 0.98:
+            argv.append(f"--model={model}")
+        flags = _MODELS[model].flags | {"D", "guard"}
+    for key in _PARAMS:
+        if rng.random() < (0.01 if key not in flags else 0.9 if key == "N" else 0.5):
+            argv.append(f"--{key.replace('_', '-')}={_value(rng, key)}")
+    if rng.random() < 0.4:
+        formats = _COMMANDS[command][1] if rng.random() < 0.8 else ("csv", "json", "svg")
+        argv.append(f"--format={rng.choice(formats)}")
+    if rng.random() < (0.8 if "--which=3" in argv else 0.2):
+        argv.append(f"--output={tmp}/out.{rng.choice(('csv', 'svg'))}")
+    if rng.random() < 0.05:
+        config = tmp / "run.conf"
+        key = rng.choice(_CONFIG_KEYS)
+        other = rng.choice(tuple(_MODELS) if key == "model" else ("csv", "json", "svg"))
+        config.write_text(f"{key} = {_value(rng, key) if key in _PARAMS else other}\n")
+        argv.append(f"--config={config}")
+    return argv
+
+
+def test_every_drawn_command_exits_by_a_documented_code(capsys, tmp_path):
+    # 2,000 fixed draws, about 3 s on a 2-vCPU host
+    rng = random.Random(23)
+    broken = []
+    for _ in range(2000):
+        argv = draw_argv(rng, tmp_path)
+        try:
+            code, _, err = _outcome(capsys, argv)
+        except (Exception, SystemExit) as exc:  # an escape is what this test reports
+            broken.append((argv, repr(exc)))
+            capsys.readouterr()
+            continue
+        if not _keeps_the_contract(code, err):
+            broken.append((argv, code, err))
+    assert not broken, broken[:5]

@@ -130,8 +130,9 @@ def test_bisection_probes_build_only_the_two_rows_blocks(monkeypatch):
     assert len(calls) <= 3000
 
 
-def _events_by_loop(spec, grid, labels, tracks, locate, extra=()):
-    """The reference for `_events`: every real pair, every grid step, one by one."""
+def _events_by_loop(spec, grid, labels, tracks, pair, extra=()):
+    """The reference for `_events`: every real pair, every grid step, one by
+    one, each sign change bisected on the real parts of the two rows."""
     events = []
     real_row = _real_rows(tracks)
     for i in range(len(labels)):
@@ -145,8 +146,14 @@ def _events_by_loop(spec, grid, labels, tracks, locate, extra=()):
                         continue
                     value, energy = float(grid[g + 1]), complex(tracks[i, g + 1])
                     tolerance = 0.0
-                elif diff[g] * diff[g + 1] < 0.0:
-                    value, energy = locate(i, j, g)
+                elif np.sign(diff[g]) * np.sign(diff[g + 1]) < 0.0:
+
+                    def gap(value):
+                        e_i, e_j = pair(i, j, g, value)
+                        return e_i.real - e_j.real
+
+                    value = _bisect(gap, grid[g], grid[g + 1])
+                    energy = next(iter(pair(i, j, g, value)))
                     tolerance = PARAM_TOL
                 else:
                     continue
@@ -384,6 +391,37 @@ def test_unresolvable_ambiguity_raises_after_refinement():
         _advance(values_at, None, None, 0.0, np.array([0.0 + 0j, 10.0 + 0j]), 1.0, 0)
 
 
+def test_a_step_of_one_float_is_not_halved():
+    # no float lies between t and its successor: the tracker gives up at once
+    def values_at(_):
+        return np.array([4.0 + 0j, 6.0 + 0j])
+
+    with pytest.raises(TrackingAmbiguityError, match="after 0 refinements"):
+        _advance(values_at, None, None, 1.0, np.array([0.0 + 0j, 10.0 + 0j]), np.nextafter(1.0, 2.0), 0)
+
+
+def test_prediction_over_subnormal_steps_does_not_overflow():
+    # (1e-3 - 0) / 5e-324 overflows; the ratio of two equal steps is 1
+    def values_at(_):
+        return np.array([2e-3 + 0j, 1.0 + 0j])
+
+    tiny = 5e-324
+    values, _ = _advance(
+        values_at, 0.0, np.array([0.0 + 0j, 1.0 + 0j]), tiny, np.array([1e-3 + 0j, 1.0 + 0j]), 2 * tiny, 0
+    )
+    npt.assert_array_equal(values, [2e-3, 1.0])
+
+
+@pytest.mark.parametrize(
+    "start, stop, points",
+    [(0.0, 5e-324, 11), (1e16, 1e16 + 4.0, 11), (-1.7e308, 1.7e308, 3)],
+)
+def test_a_grid_of_repeated_or_overflowing_points_is_refused(start, stop, points):
+    spec = SweepSpec(params=TWO_PHOTON, parameter="rho", start=start, stop=stop, points=points)
+    with pytest.raises(ValidationError, match="repeat or overflow"):
+        spec.grid()
+
+
 def test_conjugate_birth_is_assigned_without_raising():
     # two real levels collapsing onto a conjugate pair: equidistant forever,
     # so halving cannot help; the tracker must settle it by convention
@@ -549,7 +587,7 @@ def test_theta_grid_is_solved_bit_for_bit_as_point_by_point(big_n):
         try:
             tracks = qes_theta_sweep(spec).tracks
         except TrackingAmbiguityError as exc:
-            tracks = exc.partial_tracks
+            tracks = exc.partial.tracks
         for g, value in enumerate(spec.grid()):
             single = restriction_matrix(spec.at(value))
             assert stack[g].tobytes() == single.tobytes()
@@ -670,7 +708,7 @@ def test_an_earlier_tracking_error_wins_over_a_later_gate_failure(monkeypatch):
     with pytest.raises(TrackingAmbiguityError) as faked:
         qes_theta_sweep(spec)
     assert str(faked.value) == str(plain.value)
-    npt.assert_array_equal(faked.value.partial_tracks, plain.value.partial_tracks)
+    npt.assert_array_equal(faked.value.partial.tracks, plain.value.partial.tracks)
     # the step's own end point is read before any matching: its gate wins there
     _fail_theta_point(monkeypatch, spec, 5)
     assert _first_error(qes_theta_sweep, spec) == _first_error(_per_point_theta_error, spec)

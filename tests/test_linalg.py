@@ -29,7 +29,7 @@ from qjc._linalg import (
     spectrum_mismatch,
     stream_eigvals,
 )
-from qjc.errors import NumericalError
+from qjc.errors import NumericalError, ValidationError
 from qjc.fock import TruncatedFockSpace
 from qjc.models import (
     ModelParams,
@@ -511,3 +511,23 @@ def test_a_vector_off_its_support_is_refused():
     vector[3], vector[100] = 0.0, 1.0
     with pytest.raises(NumericalError, match="outside the support"):
         residual_on_rows(matrix, vector, 1.0, support, rows)
+
+
+@pytest.mark.parametrize(
+    "matrices, shapes",
+    [
+        ([np.eye(3), np.eye(4)], ("(4, 4)", "(3, 3)")),  # once read off the last: rows [0, 0, 1, 0]
+        ([np.eye(2), np.eye(2), np.ones((2, 3))], ("(2, 3)", "(2, 2)")),
+        ([np.ones((2, 3))], ("(2, 3)",)),
+        ([np.ones(4)], ("(4,)",)),
+    ],
+)
+def test_stream_eigvals_refuses_matrices_that_are_not_one_square_shape(matrices, shapes):
+    with pytest.raises(ValidationError, match="square matrices of one shape") as refused:
+        stream_eigvals(iter(matrices))
+    assert all(shape in str(refused.value) for shape in shapes)
+
+
+def test_stream_eigvals_of_no_matrices_is_empty():
+    values = stream_eigvals(iter(()))
+    assert values.shape == (0, 0) and values.dtype == complex

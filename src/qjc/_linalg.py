@@ -20,8 +20,21 @@ take a dot, not a gemv), so by the row rule below every H v_i has the bits
 of H @ v[:, i].
 `eigvals_checked` returns eigenvalues only, and solves the diagonal blocks
 that the connected components of the pattern `H != 0` (its edges taken both
-ways) give: a stack of blocks that is exactly hermitian with the symmetric
-eigensolver, any other with the general one.  On a hermitian block the gate
+ways) give.  A block that is a path (no state joined to more than two
+others, one join fewer than states) of at least PATH_MIN states, and exactly
+hermitian in every matrix, is the tridiagonal it is in path order: its
+diagonal and off-diagonal are read off the nonzero entries, no s x s block
+is built, and `eigh_tridiagonal`'s MRRR driver stemr solves it (Dhillon &
+Parlett, Linear Algebra Appl. 387, 1 (2004)); each residual is taken from
+the path's own entries, two neighbours per row, O(s^2) per path.  Every
+other block goes, stacked with the blocks of its size, to the symmetric
+eigensolver when the stack is exactly hermitian and to the general one
+otherwise.  PATH_MIN is where the two routes cost the same, measured on one
+h12 matrix (a path and two singletons) with BLAS on one thread on a 2-vCPU
+x86-64 host: stacked against tridiagonal, 0.56 against 0.66 ms at s = 48,
+0.82 against 0.85 ms at 64, 1.0 against 0.96 ms at 72, 2.4 against 2.0 ms
+at 128 and 119 against 53 ms at 766.  The gate is the same on both routes,
+against the whole matrix's ||H||_F.  On a hermitian block the gate
 also bounds each eigenvalue's forward error: a unit vector v with residual
 r puts an exact eigenvalue of H within r of w (Parlett, The Symmetric
 Eigenvalue Problem, 1980, Thm 4.5.1); on a far-from-normal block only the
@@ -47,12 +60,14 @@ from collections.abc import Iterable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError, ValidationError
 
 RESIDUAL_TOL = 1e-12
 ROW_BLOCK = 4
 PRODUCT_ROWS = 32 * ROW_BLOCK
+PATH_MIN = 64
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -120,17 +135,18 @@ def eig_checked(matrix: np.ndarray, return_residuals: bool = False) -> tuple[np.
     return (w, v, residuals) if return_residuals else (w, v)
 
 
-def connected_components(matrix: np.ndarray) -> list[list[int]]:
-    """Connected components of the graph with an edge i - j where H[i, j] or H[j, i] != 0.
-
-    No nonzero entry joins two components, so they split H block-diagonally.
-    """
-    n = matrix.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(matrix), n)  # np.nonzero's order, faster
+def _adjacency(rows, cols, n: int) -> tuple[list[int], list[int]]:
+    """Neighbour lists of n nodes with an edge i - j for each (i, j) in (rows,
+    cols), taken both ways: node v's neighbours are targets[starts[v]:starts[v + 1]]."""
     heads = np.concatenate([rows, cols])
     order = np.argsort(heads, kind="stable")
     starts = np.searchsorted(heads[order], np.arange(n + 1)).tolist()
-    targets = np.concatenate([cols, rows])[order].tolist()
+    return starts, np.concatenate([cols, rows])[order].tolist()
+
+
+def _components(starts: list[int], targets: list[int]) -> list[list[int]]:
+    """Connected components of `_adjacency`'s lists, each breadth first from its smallest node."""
+    n = len(starts) - 1
     seen = [False] * n
     components: list[list[int]] = []
     for root in range(n):
@@ -147,6 +163,52 @@ def connected_components(matrix: np.ndarray) -> list[list[int]]:
     return components
 
 
+def connected_components(matrix: np.ndarray) -> list[list[int]]:
+    """Connected components of the graph with an edge i - j where H[i, j] or H[j, i] != 0.
+
+    No nonzero entry joins two components, so they split H block-diagonally.
+    """
+    n = matrix.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(matrix), n)  # np.nonzero's order, faster
+    return _components(*_adjacency(rows, cols, n))
+
+
+def _path(component: list[int], starts: list[int], targets: list[int]) -> list[int] | None:
+    """The component's nodes in order along it if it is a path (every node
+    has at most two neighbours, and there is one edge fewer than nodes), else None."""
+    neighbours = {v: set(targets[starts[v]:starts[v + 1]]) - {v} for v in component}
+    degrees = [len(ws) for ws in neighbours.values()]
+    if max(degrees) > 2 or sum(degrees) != 2 * (len(component) - 1):
+        return None
+    order = [next(v for v in component if len(neighbours[v]) < 2)]  # an end
+    for _ in component[1:]:
+        (step,) = neighbours[order[-1]].difference(order[-2:-1])
+        order.append(step)
+    return order
+
+
+def _path_eigvals(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, float]:
+    """Eigenvalues of an exactly hermitian path, given in path order by its
+    diagonal, the entries below it (H[p_k+1, p_k]) and those above it, and
+    the worst residual of their eigenpairs, taken from those entries."""
+    off, phase = lower[:-1], 1.0
+    if np.iscomplexobj(off):  # x_k = phase_k y_k: y solves the path with off-diagonal |lower|
+        off = np.abs(off)
+        unit = np.divide(lower[:-1], off, out=np.ones_like(lower[:-1]), where=off > 0)
+        phase = np.cumprod(np.concatenate([[1.0], unit]))
+    w, y = eigh_tridiagonal(diag.real, off, lapack_driver="stemr")
+    residuals = np.empty(w.shape)
+    for start in range(0, len(w), PRODUCT_ROWS):  # by chunks: no second s x s array
+        chunk = slice(start, start + PRODUCT_ROWS)
+        x = y.T[chunk] * phase
+        gap = diag - w[chunk, np.newaxis]
+        gap *= x
+        gap[:, 1:] += x[:, :-1] * lower[:-1]
+        gap[:, :-1] += x[:, 1:] * upper[:-1]
+        residuals[chunk] = _norms(gap)
+    return w, residuals.max()
+
+
 def eigvals_checked(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues only, solved block by block, shape (..., n): `stream_eigvals`."""
     if not matrix.size:  # no matrix, or n = 0: `stream_eigvals` reads n off a first matrix
@@ -160,10 +222,12 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
     in block order.  The union of their patterns splits them all into the
     same blocks; each matrix leaves only its norm and nonzero entries, put
     into one stack (G, blocks, s, s) per block size s for one `eigh` (stack
-    exactly hermitian) or `eig` call.  The first failing gate raises.  It
-    streams so that a grid's dense matrices are never held at once: stacking
-    them gives the same bits but a sweep's peak memory about an eighth more.
-    No matrices give (0, 0); a matrix not square or not the first's shape is refused."""
+    exactly hermitian) or `eig` call, or, on a hermitian path of at least
+    PATH_MIN states, into its tridiagonal, solved matrix by matrix.  The
+    first failing gate raises.  It streams so that a grid's dense matrices
+    are never held at once: stacking them gives the same bits but a sweep's
+    peak memory about an eighth more.  No matrices give (0, 0) and G empty
+    matrices (G, 0); a matrix not square or not the first's shape is refused."""
     norms, entries, shape = [], [], None
     for g, m in enumerate(matrices):
         shape = shape or m.shape
@@ -178,19 +242,45 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
             flat = m.ravel()
             hits = np.flatnonzero(flat != 0)  # np.nonzero(m) is several times slower
             entries.append((g * flat.size + hits, flat[hits]))
-    if shape is None:
-        return np.zeros((0, 0), complex)
+    if not shape or not shape[0]:  # no matrices, or n = 0: no block to solve
+        return np.zeros((len(norms), 0), complex)
     at, entry = (np.concatenate(part) for part in zip(*entries or [[np.zeros(0, int)] * 2]))
     g, rows, cols = np.unravel_index(at, (len(norms),) + m.shape)
-    pattern = np.zeros(m.shape, dtype=bool)
-    pattern[rows, cols] = True
-    by_size: dict[int, list[list[int]]] = {}
-    for component in connected_components(pattern):
-        by_size.setdefault(len(component), []).append(component)
+    n = m.shape[0]
+    # the union of the patterns, each entry once, in np.nonzero's order
+    starts, targets = _adjacency(*np.divmod(np.unique(rows * n + cols), n), n)
+    paths, by_size = [], {}
+    for component in _components(starts, targets):
+        order = _path(component, starts, targets) if len(component) >= PATH_MIN else None
+        if order:
+            paths.append((component, order))
+        else:
+            by_size.setdefault(len(component), []).append(component)
     values, worst = [], []
+    if paths:  # in path order, each path's diagonal and the entries below and above it
+        ordered = np.concatenate([order for _, order in paths])
+        along = np.full(n, -1)
+        along[ordered] = np.arange(len(ordered))
+        i, j = along[rows], along[cols]
+        bands = np.zeros((3, len(norms), len(ordered)), np.result_type(entry, float))
+        for band, hit in zip(bands, (i == j, i == j + 1, j == i + 1)):
+            hit &= i >= 0
+            band[g[hit], np.minimum(i, j)[hit]] = entry[hit]
+        # exactly hermitian, by the stacked route's rule: no tolerance
+        exact = np.all((bands[0] == bands[0].conj()) & (bands[1] == bands[2].conj()), axis=0)
+        end = 0
+        for component, order in paths:
+            span, end = slice(end, end + len(order)), end + len(order)
+            if not exact[span].all():  # not hermitian in every matrix: the stacked route
+                by_size.setdefault(len(component), []).append(component)
+                continue
+            with np.errstate(over="ignore"):
+                solved = [_path_eigvals(*band[:, span]) for band in bands.transpose(1, 0, 2)]
+            values.append(np.array([w for w, _ in solved]))
+            worst.append(np.array([value for _, value in solved]))
     for members in by_size.values():
         idx = np.array(members)
-        block, slot = np.full(m.shape[0], -1), np.zeros(m.shape[0], dtype=int)
+        block, slot = np.full(n, -1), np.zeros(n, dtype=int)
         block[idx], slot[idx] = np.arange(len(idx))[:, np.newaxis], np.arange(idx.shape[1])
         kept = block[rows] >= 0  # an entry's row and column share a block
         blocks = np.zeros((len(norms),) + idx.shape + idx.shape[1:], dtype=m.dtype)

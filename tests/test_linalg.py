@@ -18,7 +18,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from test_golden import pinned_env
 
+import qjc._linalg
 from qjc._linalg import (
+    PATH_MIN,
     PRODUCT_ROWS,
     ROW_BLOCK,
     connected_components as _components,
@@ -30,7 +32,7 @@ from qjc._linalg import (
     stream_eigvals,
 )
 from qjc.errors import NumericalError, ValidationError
-from qjc.fock import TruncatedFockSpace
+from qjc.fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
 from qjc.models import (
     ModelParams,
     build_extended,
@@ -170,6 +172,142 @@ def test_only_an_exactly_hermitian_stack_goes_to_eigh(monkeypatch, matrix, solve
     values = eigvals_checked(matrix)
     assert calls == [solver]
     assert spectrum_mismatch(values, eig_checked(matrix)[0]) <= 1e-12
+
+
+def _is_path(matrix, component):
+    """Whether the component's pattern, edges taken both ways, is a path."""
+    block = matrix[np.ix_(component, component)] != 0
+    joined = (block | block.T) & ~np.eye(len(component), dtype=bool)
+    degrees = joined.sum(axis=1)
+    return degrees.max() <= 2 and degrees.sum() == 2 * (len(component) - 1)
+
+
+@pytest.mark.parametrize("phi", [1, -1])
+def test_every_builder_gives_a_direct_sum_of_paths(phi):
+    space = TruncatedFockSpace(64, 8)
+    matrices = [build_extended(ModelParams(rho=0.7, phi=phi, k=k), space).matrix for k in (1, 2, 3, 4)]
+    matrices += [build_jcm(ModelParams(rho=0.7), space).matrix, build_pseudo_jcm(ModelParams(rho=0.7), space).matrix]
+    matrices.append(build_h12(ModelParams(rho=0.7, phi=phi, theta=1.2), space).matrix)
+    for matrix in matrices:
+        assert all(_is_path(matrix, component) for component in _components(matrix))
+    # h12: one path of 2D - 2 states, and two states alone
+    assert sorted(map(len, _components(matrices[-1]))) == [1, 1, 126]
+    for big_n in (0, 2, 5):
+        params = ModelParams(rho=0.7, phi=phi, theta=1.2, n_qes=big_n + 2)
+        matrix = build_ht(params, space).matrix
+        components = sorted(_components(matrix), key=len)
+        assert all(_is_path(matrix, component) for component in components)
+        # |0, down>, |D - 1, up>, the QES path and the tail
+        assert sorted(c[0] for c in components[:2]) == [basis_index(space, 63, SPIN_UP), basis_index(space, 0, SPIN_DOWN)]
+        assert [len(c) for c in components[2:]] == sorted([2 * big_n + 3, 128 - 2 * big_n - 5])
+        # the QES subspace is |0, down> and the QES path: a direct summand
+        qes = next(c for c in components[2:] if len(c) == 2 * big_n + 3)
+        inside = set(build_subspace(params, space).indices)
+        assert inside == {basis_index(space, 0, SPIN_DOWN), *qes}
+
+
+def _h12_path(d=64, phi=1):
+    return build_h12(ModelParams(rho=0.7, phi=phi, theta=1.2), TruncatedFockSpace(d, 8)).matrix
+
+
+def _ht_tail(d=64):
+    # phi = +1 and c = c_hat: real symmetric, the tail a path of 2D - 9 states
+    return build_ht(ModelParams(rho=0.7, phi=1, theta=1.2, n_qes=4), TruncatedFockSpace(d, 8)).matrix
+
+
+def test_a_wrong_path_eigenpair_fails_the_gate(monkeypatch):
+    real_solver = qjc._linalg.eigh_tridiagonal
+
+    def shifted(d, e, **options):
+        w, v = real_solver(d, e, **options)
+        return w + 1e-6, v
+
+    monkeypatch.setattr(qjc._linalg, "eigh_tridiagonal", shifted)
+    with pytest.raises(NumericalError, match="eigensolver residual .* exceeds"):
+        eigvals_checked(_h12_path())
+
+
+def _path_matrix(s, seed, hermitian=True, complex_entries=False, one_ulp_off=False):
+    """A random path of s states, its states in random order."""
+    rng = np.random.default_rng(seed)
+    below = rng.normal(size=s - 1) + (1j * rng.normal(size=s - 1) if complex_entries else 0)
+    above = below.conj() if hermitian else rng.normal(size=s - 1)
+    if one_ulp_off:  # conj() of a real array is the array itself
+        above = above.copy()
+        above[s // 2] = np.nextafter(above[s // 2], np.inf)
+    path = np.diag(rng.normal(size=s)) + np.diag(below, -1) + np.diag(above, 1)
+    order = rng.permutation(s)
+    return path[np.ix_(order, order)]
+
+
+@pytest.mark.parametrize(
+    "matrix, solvers",
+    [
+        (_path_matrix(PATH_MIN, 1), ["eigh_tridiagonal"]),
+        (_path_matrix(PATH_MIN + 9, 2, complex_entries=True), ["eigh_tridiagonal"]),
+        (_h12_path(), ["eigh_tridiagonal", "eigh"]),  # the two states alone are a stack of 1 x 1
+        (_path_matrix(PATH_MIN, 3, hermitian=False), ["eig"]),
+        (_path_matrix(PATH_MIN, 4, one_ulp_off=True), ["eig"]),
+        (_path_matrix(PATH_MIN - 1, 5), ["eigh"]),
+        (_symmetric(12, 5), ["eigh"]),  # dense: not a path
+        (np.random.default_rng(3).normal(size=(12, 12)), ["eig"]),
+    ],
+    ids=["at-the-constant", "complex", "h12", "not-hermitian", "one-ulp-off", "below", "dense-12", "general-12"],
+)
+def test_only_a_long_hermitian_path_takes_the_tridiagonal_route(monkeypatch, matrix, solvers):
+    calls = []
+    for owner, name in ((np.linalg, "eig"), (np.linalg, "eigh"), (qjc._linalg, "eigh_tridiagonal")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+    values = eigvals_checked(matrix)
+    assert calls == solvers
+    assert spectrum_mismatch(values, eig_checked(matrix)[0]) <= 1e-12 * np.linalg.norm(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [_h12_path(64), _h12_path(384), _ht_tail(64), _ht_tail(256)],
+    ids=["h12-D64", "h12-D384", "ht-tail-D64", "ht-tail-D256"],
+)
+def test_path_eigenvalues_match_the_dense_ones(monkeypatch, matrix):
+    real, sizes = qjc._linalg.eigh_tridiagonal, []
+    monkeypatch.setattr(qjc._linalg, "eigh_tridiagonal", lambda d, e, **k: sizes.append(len(d)) or real(d, e, **k))
+    values = eigvals_checked(matrix)
+    assert sizes and max(sizes) >= matrix.shape[0] - 9
+    assert spectrum_mismatch(values, eig_checked(matrix)[0]) <= 1e-12 * np.linalg.norm(matrix)
+
+
+def test_the_path_route_makes_no_s_by_s_array_but_the_eigenvectors(monkeypatch):
+    """Before the solve no s x s block is built; the solve adds its s x s
+    eigenvectors and O(s) workspace; the residuals then hold one chunk of
+    PRODUCT_ROWS eigenvectors, its residual rows and one product of them.
+    A dense block, a second s x s array or a whole-path residual exceeds a bound."""
+    matrix = _h12_path(384)
+    s = matrix.shape[0] - 2
+    real, stages = qjc._linalg.eigh_tridiagonal, []
+
+    def solve_between_resets(d, e, **options):
+        stages.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        solved = real(d, e, **options)
+        stages.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return solved
+
+    monkeypatch.setattr(qjc._linalg, "eigh_tridiagonal", solve_between_resets)
+    tracemalloc.start()
+    try:
+        stream_eigvals([matrix])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (_, read), (solved, solve), square = stages[0], stages[1], 8 * s * s
+    # reading the matrix: its n x n pattern as booleans, the entries and the paths
+    assert read <= matrix.size + 2**20 < square
+    # the eigenvectors and stemr's workspace: 18 s doubles and 10 s integers
+    assert solve - stages[0][0] <= square + 8 * 32 * s + 2**16
+    # a chunk, its residual rows, one product and numpy's ufunc buffers (one per operand)
+    assert peak <= solved + 8 * (3 * PRODUCT_ROWS * s + 3 * np.getbufsize()) + 2**16 < solved + square
 
 
 @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
@@ -531,3 +669,9 @@ def test_stream_eigvals_refuses_matrices_that_are_not_one_square_shape(matrices,
 def test_stream_eigvals_of_no_matrices_is_empty():
     values = stream_eigvals(iter(()))
     assert values.shape == (0, 0) and values.dtype == complex
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_stream_eigvals_of_empty_matrices_is_empty(count):
+    values = stream_eigvals([np.zeros((0, 0))] * count)
+    assert values.shape == (count, 0) and values.dtype == complex

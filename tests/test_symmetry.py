@@ -6,8 +6,8 @@ import pytest
 import qjc.symmetry
 from qjc._linalg import eig_checked
 from qjc.errors import NumericalError, UnpairableSpectrumError, ValidationError
-from qjc.fock import TruncatedFockSpace
-from qjc.models import ModelParams, build_extended, build_jcm, build_pseudo_jcm
+from qjc.fock import SpinFockOperator, TruncatedFockSpace
+from qjc.models import ModelParams, build_extended, build_h12, build_ht, build_jcm, build_pseudo_jcm
 from qjc.symmetry import (
     check_hermitian,
     check_pseudo_hermitian,
@@ -222,6 +222,31 @@ def test_metric_operators_must_be_diagonal_signs(check):
         check(h, np.ones(SPACE.dim - 1))
 
 
+def _same(got: float, dense: float) -> bool:
+    return got == dense or (np.isnan(got) and np.isnan(dense))
+
+
+def _assert_dense_conjugation(h):
+    """Each deviation, read from the nonzero entries, against the dense n x n form."""
+    space = h.space
+    keep = np.tile(np.arange(space.cutoff) <= space.reliable_max, 2)
+    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0 in a dense product
+        herm = h.matrix - h.matrix.conj().T
+        assert _same(check_hermitian(h)[1], float(np.max(np.abs(herm))))
+        for eta in (sigma3_operator(space), parity_matrix(space), parity_sigma3_operator(space)):
+            signs = np.diag(eta)  # the products by eta are sign flips, as in eta @ H @ eta^-1
+            dense = signs[:, None] * h.matrix * signs[None, :] - h.matrix.conj().T
+            commutator = h.matrix * signs[None, :] - signs[:, None] * h.matrix
+            for form in (eta, signs):
+                assert _same(check_pseudo_hermitian(h, form)[1], float(np.max(np.abs(dense))))
+                banded = float(np.max(np.abs(dense[np.ix_(keep, keep)])))
+                assert _same(check_pseudo_hermitian(h, form, guard_banded=True)[1], banded)
+                assert _same(commutator_deviation(h, form), float(np.max(np.abs(commutator))))
+        parity = np.diag(parity_matrix(space))
+        pt = parity[:, None] * h.matrix.conj() * parity[None, :] - h.matrix
+        assert _same(check_pt(h)[1], float(np.max(np.abs(pt))))
+
+
 @pytest.mark.parametrize("phi", [1, -1])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sign_masks_match_dense_conjugation(k, phi):
@@ -235,6 +260,34 @@ def test_sign_masks_match_dense_conjugation(k, phi):
     parity = parity_matrix(SPACE)
     pt = parity @ h.matrix.conj() @ parity - h.matrix
     assert check_pt(h)[1] == float(np.max(np.abs(pt)))
+    _assert_dense_conjugation(h)
+
+
+def _path_models():
+    for phi in (1, -1):
+        for theta in (0.7, 1.3):
+            yield f"h12-{phi}-{theta}", build_h12(ModelParams(rho=0.9, phi=phi, theta=theta), SPACE)
+            yield f"ht-{phi}-{theta}", build_ht(ModelParams(rho=0.9, phi=phi, theta=theta, n_qes=4), SPACE)
+    # one-sided bands: the pattern of H is not that of its transpose
+    yield "ht-one-sided", build_ht(ModelParams(rho=0.9, phi=-1, theta=0.7, c_hat=0.0, n_qes=4), SPACE)
+    large = TruncatedFockSpace(256, 8)
+    yield "h12-D256", build_h12(ModelParams(rho=0.9, phi=-1, theta=0.7), large)
+    yield "h2-D256", build_extended(ModelParams(rho=0.9, phi=-1, k=2), large)
+    yield "pseudo-jcm-complex", SpinFockOperator(build_pseudo_jcm(ModelParams(rho=0.9), SPACE).matrix * (1 + 0.5j), SPACE)
+
+
+@pytest.mark.parametrize("name, h", list(_path_models()))
+def test_sign_masks_match_dense_conjugation_on_path_models(name, h):
+    _assert_dense_conjugation(h)
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_entry_gives_the_dense_deviations(entry):
+    matrix = build_h12(ModelParams(rho=0.9, phi=-1, theta=0.7), SPACE).matrix.copy()
+    matrix[3, 40] = entry  # an entry whose transpose is 0
+    _assert_dense_conjugation(SpinFockOperator(matrix, SPACE))
+    matrix[40, 3] = entry
+    _assert_dense_conjugation(SpinFockOperator(matrix, SPACE))
 
 
 def test_report_builds_no_dense_metric(monkeypatch):

@@ -30,11 +30,16 @@ the path's own entries, two neighbours per row, O(s^2) per path.  Every
 other block goes, stacked with the blocks of its size, to the symmetric
 eigensolver when the stack is exactly hermitian and to the general one
 otherwise.  PATH_MIN is where the two routes cost the same, measured on one
-h12 matrix (a path and two singletons) with BLAS on one thread on a 2-vCPU
-x86-64 host: stacked against tridiagonal, 0.56 against 0.66 ms at s = 48,
-0.82 against 0.85 ms at 64, 1.0 against 0.96 ms at 72, 2.4 against 2.0 ms
-at 128 and 119 against 53 ms at 766.  The gate is the same on both routes,
-against the whole matrix's ||H||_F.  On a hermitian block the gate
+h12 matrix (a path and two singletons, rho = 0.7, theta = 1.2) with BLAS on
+one thread on a 2-vCPU x86-64 host: stacked against tridiagonal, 0.56
+against 0.66 ms at s = 48, 0.82 against 0.85 ms at 64, 1.0 against 0.96 ms
+at 72, 2.4 against 2.0 ms at 128 and 119 against 53 ms at 766.  At weak
+coupling (rho = 0.12, theta = 0.027) the levels cluster and stemr slows:
+1.6 against 2.0 ms at 128, 27 against 29 ms at 510, 115 against 77 ms at
+766.  The tridiagonal route holds less memory at every s, since the
+stacked one holds the block, its eigenvectors, LAPACK's 2 s^2 workspace
+and the products.  The gate is the same on both routes, against the whole
+matrix's ||H||_F.  On a hermitian block the gate
 also bounds each eigenvalue's forward error: a unit vector v with residual
 r puts an exact eigenvalue of H within r of w (Parlett, The Symmetric
 Eigenvalue Problem, 1980, Thm 4.5.1); on a far-from-normal block only the
@@ -246,7 +251,7 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
         return np.zeros((len(norms), 0), complex)
     at, entry = (np.concatenate(part) for part in zip(*entries or [[np.zeros(0, int)] * 2]))
     g, rows, cols = np.unravel_index(at, (len(norms),) + m.shape)
-    n = m.shape[0]
+    n, dtype = m.shape[0], np.result_type(entry, float)  # every matrix's entries fit
     # the union of the patterns, each entry once, in np.nonzero's order
     starts, targets = _adjacency(*np.divmod(np.unique(rows * n + cols), n), n)
     paths, by_size = [], {}
@@ -262,7 +267,7 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
         along = np.full(n, -1)
         along[ordered] = np.arange(len(ordered))
         i, j = along[rows], along[cols]
-        bands = np.zeros((3, len(norms), len(ordered)), np.result_type(entry, float))
+        bands = np.zeros((3, len(norms), len(ordered)), dtype)
         for band, hit in zip(bands, (i == j, i == j + 1, j == i + 1)):
             hit &= i >= 0
             band[g[hit], np.minimum(i, j)[hit]] = entry[hit]
@@ -283,7 +288,7 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
         block, slot = np.full(n, -1), np.zeros(n, dtype=int)
         block[idx], slot[idx] = np.arange(len(idx))[:, np.newaxis], np.arange(idx.shape[1])
         kept = block[rows] >= 0  # an entry's row and column share a block
-        blocks = np.zeros((len(norms),) + idx.shape + idx.shape[1:], dtype=m.dtype)
+        blocks = np.zeros((len(norms),) + idx.shape + idx.shape[1:], dtype)
         blocks[g[kept], block[rows[kept]], slot[rows[kept]], slot[cols[kept]]] = entry[kept]
         hermitian = np.array_equal(blocks, blocks.swapaxes(-1, -2).conj())
         w, v = (np.linalg.eigh if hermitian else np.linalg.eig)(blocks)

@@ -3,10 +3,10 @@
 Every check measures an entrywise deviation and reports it alongside the
 boolean verdict, so truncation effects stay visible.  Each deviation is
 read from the nonzero entries of H: it has the bits of its dense n x n
-form, and no n x n array but the pattern's boolean mask is made.  For the photon-parity
-conjugation the deviation is measured on the guard-banded submatrix: parity
-itself is diagonal and exact, but the identities it certifies are only
-claimed below the guard band.
+form, and no n x n array but the pattern's boolean mask is made.  For the
+photon-parity conjugation the deviation is measured on the guard-banded
+submatrix: parity itself is diagonal and exact, but the identities it
+certifies are only claimed below the guard band.
 
 PT here means: photon-parity conjugation combined with complex conjugation
 of the matrix in the convention where the oscillator eigenfunctions are

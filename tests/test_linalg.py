@@ -671,6 +671,14 @@ def test_stream_eigvals_of_no_matrices_is_empty():
     assert values.shape == (0, 0) and values.dtype == complex
 
 
+def test_stream_eigvals_keeps_a_complex_matrix_read_before_a_real_one():
+    # the blocks once took the last matrix's dtype: the first one's imaginary parts were dropped
+    first, last = np.array([[1.0, 2j], [0.5j, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    values = stream_eigvals([first, last])
+    assert spectrum_mismatch(values[0], np.linalg.eigvals(first)) <= 1e-15
+    assert spectrum_mismatch(values[1], [-1.0, 1.0]) <= 1e-15
+
+
 @pytest.mark.parametrize("count", [1, 3])
 def test_stream_eigvals_of_empty_matrices_is_empty(count):
     values = stream_eigvals([np.zeros((0, 0))] * count)

@@ -276,8 +276,8 @@ def _path_models():
     yield "pseudo-jcm-complex", SpinFockOperator(build_pseudo_jcm(ModelParams(rho=0.9), SPACE).matrix * (1 + 0.5j), SPACE)
 
 
-@pytest.mark.parametrize("name, h", list(_path_models()))
-def test_sign_masks_match_dense_conjugation_on_path_models(name, h):
+@pytest.mark.parametrize("h", [pytest.param(h, id=name) for name, h in _path_models()])
+def test_sign_masks_match_dense_conjugation_on_path_models(h):
     _assert_dense_conjugation(h)
 
 

@@ -18,32 +18,31 @@ every v_i of the chunk in one stacked call while they stay in cache.  Each
 block starts at a multiple of ROW_BLOCK and none is a single row (numpy would
 take a dot, not a gemv), so by the row rule below every H v_i has the bits
 of H @ v[:, i].
-`eigvals_checked` returns eigenvalues only, and solves the diagonal blocks
-that the connected components of the pattern `H != 0` (its edges taken both
-ways) give.  A block that is a path (no state joined to more than two
-others, one join fewer than states) of at least PATH_MIN states, and exactly
-hermitian in every matrix, is the tridiagonal it is in path order: its
-diagonal and off-diagonal are read off the nonzero entries, no s x s block
-is built, and `eigh_tridiagonal`'s MRRR driver stemr solves it (Dhillon &
-Parlett, Linear Algebra Appl. 387, 1 (2004)); each residual is taken from
-the path's own entries, two neighbours per row, O(s^2) per path.  Every
-other block goes, stacked with the blocks of its size, to the symmetric
+`eigvals_checked` returns eigenvalues only, settling in one loop each block
+that a connected component of the pattern `H != 0` (its edges taken both ways)
+gives.  A path (no state joined to more than two others, one join fewer than
+states) of at least PATH_MIN states is scattered, in path order, into its
+diagonal and the entries below and above it.  Exactly hermitian in every
+matrix, it is solved there, with no s x s block built, by `eigh_tridiagonal`'s
+MRRR driver stemr (Dhillon & Parlett, Linear Algebra Appl. 387, 1 (2004)),
+each residual taken from the path's own entries, two neighbours per row,
+O(s^2) per path.  Every other block, and after them a path not hermitian in
+every matrix, goes, stacked with the blocks of its size, to the symmetric
 eigensolver when the stack is exactly hermitian and to the general one
 otherwise.  PATH_MIN is where the two routes cost the same, measured on one
 h12 matrix (a path and two singletons, rho = 0.7, theta = 1.2) with BLAS on
-one thread on a 2-vCPU x86-64 host: stacked against tridiagonal, 0.56
-against 0.66 ms at s = 48, 0.82 against 0.85 ms at 64, 1.0 against 0.96 ms
-at 72, 2.4 against 2.0 ms at 128 and 119 against 53 ms at 766.  At weak
-coupling (rho = 0.12, theta = 0.027) the levels cluster and stemr slows:
-1.6 against 2.0 ms at 128, 27 against 29 ms at 510, 115 against 77 ms at
-766.  The tridiagonal route holds less memory at every s, since the
-stacked one holds the block, its eigenvectors, LAPACK's 2 s^2 workspace
-and the products.  The gate is the same on both routes, against the whole
-matrix's ||H||_F.  On a hermitian block the gate
-also bounds each eigenvalue's forward error: a unit vector v with residual
-r puts an exact eigenvalue of H within r of w (Parlett, The Symmetric
-Eigenvalue Problem, 1980, Thm 4.5.1); on a far-from-normal block only the
-backward error.  Block and dense eigenvalues agree up to rounding, not bit for bit.
+one thread on a 2-vCPU x86-64 host: stacked against tridiagonal, 0.56 against
+0.66 ms at s = 48, 0.82 against 0.85 ms at 64, 1.0 against 0.96 ms at 72, 2.4
+against 2.0 ms at 128 and 119 against 53 ms at 766.  At weak coupling (rho =
+0.12, theta = 0.027) the levels cluster and stemr slows: 1.6 against 2.0 ms at
+128, 27 against 29 ms at 510, 115 against 77 ms at 766.  The tridiagonal route
+holds less memory at every s, since the stacked one holds the block, its
+eigenvectors, LAPACK's 2 s^2 workspace and the products.  The gate is the same
+on both routes, against the whole matrix's ||H||_F.  On a hermitian block it
+also bounds each eigenvalue's forward error: a unit vector v with residual r
+puts an exact eigenvalue of H within r of w (Parlett, The Symmetric Eigenvalue
+Problem, 1980, Thm 4.5.1); on a far-from-normal block only the backward error.
+Block and dense eigenvalues agree up to rounding, not bit for bit.
 
 `residual_on_rows` computes the eigenpair residual H x - E x of a vector x
 that lives on a few basis states, on the rows that x can reach and nowhere
@@ -225,14 +224,15 @@ def eigvals_checked(matrix: np.ndarray) -> np.ndarray:
 def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
     """Eigenvalues of G same-size matrices, read one at a time, as rows (G, n)
     in block order.  The union of their patterns splits them all into the
-    same blocks; each matrix leaves only its norm and nonzero entries, put
-    into one stack (G, blocks, s, s) per block size s for one `eigh` (stack
-    exactly hermitian) or `eig` call, or, on a hermitian path of at least
-    PATH_MIN states, into its tridiagonal, solved matrix by matrix.  The
-    first failing gate raises.  It streams so that a grid's dense matrices
-    are never held at once: stacking them gives the same bits but a sweep's
-    peak memory about an eighth more.  No matrices give (0, 0) and G empty
-    matrices (G, 0); a matrix not square or not the first's shape is refused."""
+    same blocks; each matrix leaves only its norm and nonzero entries.  One
+    loop solves each hermitian path where it finds it, and puts every other
+    block into the stack (G, blocks, s, s) of its size s, a path that is not
+    hermitian after the rest, for one `eigh` (stack exactly hermitian) or
+    `eig` call per size after the loop.  The first failing gate raises.  It
+    streams so that a grid's dense matrices are never held at once: stacking
+    them gives the same bits but a sweep's peak memory about an eighth more.
+    No matrices give (0, 0) and G empty matrices (G, 0); a matrix not square
+    or not the first's shape is refused."""
     norms, entries, shape = [], [], None
     for g, m in enumerate(matrices):
         shape = shape or m.shape
@@ -254,35 +254,28 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
     n, dtype = m.shape[0], np.result_type(entry, float)  # every matrix's entries fit
     # the union of the patterns, each entry once, in np.nonzero's order
     starts, targets = _adjacency(*np.divmod(np.unique(rows * n + cols), n), n)
-    paths, by_size = [], {}
+    by_size, later, values, worst = {}, [], [], []
     for component in _components(starts, targets):
         order = _path(component, starts, targets) if len(component) >= PATH_MIN else None
-        if order:
-            paths.append((component, order))
-        else:
+        if not order:
             by_size.setdefault(len(component), []).append(component)
-    values, worst = [], []
-    if paths:  # in path order, each path's diagonal and the entries below and above it
-        ordered = np.concatenate([order for _, order in paths])
-        along = np.full(n, -1)
-        along[ordered] = np.arange(len(ordered))
+            continue
+        along = np.full(n, -1)  # each state's place on the path, -1 off it
+        along[order] = np.arange(len(order))
         i, j = along[rows], along[cols]
-        bands = np.zeros((3, len(norms), len(ordered)), dtype)
-        for band, hit in zip(bands, (i == j, i == j + 1, j == i + 1)):
-            hit &= i >= 0
-            band[g[hit], np.minimum(i, j)[hit]] = entry[hit]
+        on = i >= 0
+        bands = np.zeros((3, len(norms), len(order)), dtype)  # diagonal, below, above: (i - j) % 3
+        bands[(i - j)[on] % 3, g[on], np.minimum(i, j)[on]] = entry[on]
         # exactly hermitian, by the stacked route's rule: no tolerance
-        exact = np.all((bands[0] == bands[0].conj()) & (bands[1] == bands[2].conj()), axis=0)
-        end = 0
-        for component, order in paths:
-            span, end = slice(end, end + len(order)), end + len(order)
-            if not exact[span].all():  # not hermitian in every matrix: the stacked route
-                by_size.setdefault(len(component), []).append(component)
-                continue
-            with np.errstate(over="ignore"):
-                solved = [_path_eigvals(*band[:, span]) for band in bands.transpose(1, 0, 2)]
-            values.append(np.array([w for w, _ in solved]))
-            worst.append(np.array([value for _, value in solved]))
+        if not np.all((bands[0] == bands[0].conj()) & (bands[1] == bands[2].conj())):
+            later.append(component)  # the stacked route, after its size's other blocks
+            continue
+        with np.errstate(over="ignore"):
+            solved = [_path_eigvals(*band) for band in bands.transpose(1, 0, 2)]
+        values.append(np.array([w for w, _ in solved]))
+        worst.append(np.array([value for _, value in solved]))
+    for component in later:
+        by_size.setdefault(len(component), []).append(component)
     for members in by_size.values():
         idx = np.array(members)
         block, slot = np.full(n, -1), np.zeros(n, dtype=int)

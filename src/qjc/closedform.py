@@ -248,7 +248,8 @@ def closed_form_tracks(params: ModelParams, doublets: int, rho) -> np.ndarray:
     exact for every coupling because a^k annihilates |j> for j < k.  Doublet
     entries equal the scalar path's bit for bit (see the module docstring).
     A non-finite discriminant raises the scalar path's NumericalError for
-    the first coupling where one occurs and the lowest such doublet there.
+    the first coupling where one occurs and the lowest such doublet there,
+    and so, by its label, does a level out of range with a finite one.
     """
     rho = np.asarray(rho, dtype=float)
     k = params.k
@@ -290,6 +291,13 @@ def closed_form_tracks(params: ModelParams, doublets: int, rho) -> np.ndarray:
     branch_1.imag = lift
     branch_2.real = mean - shift
     branch_2.imag = 0.0 - lift  # +0.0 on a real pair, as cmath gives, not -0.0
+    bad = np.argwhere(~np.isfinite(tracks.T))
+    if bad.size:
+        g, row = bad[0].tolist()
+        raise NumericalError(
+            f"closed-form level {level_keys(k, doublets)[row][0]} overflows the float range "
+            f"at rho = {float(rho[g])!r}"
+        )
     return tracks
 
 

@@ -702,6 +702,16 @@ def test_float_range_gate_keeps_its_exit_code_and_text(capsys, argv):
          "--start", "0", "--stop", "1", "--points", "3"),
         ("polyrep-check", "--model", "pseudo-jcm", "--rho", "1e308"),
         ("polyrep-check", "--model", "ht", "--N", "2", "--theta", "1e308"),
+        # a closed-form level leaves the float range with a finite discriminant:
+        # the singlet 2 hw - eps/2, then a doublet's mean
+        ("sweep", "--model", "extended", "--k", "3", "--hw", "1e308", "--doublets", "0",
+         "--param", "rho", "--start", "0", "--stop", "1", "--points", "3"),
+        ("sweep", "--model", "extended", "--k", "3", "--hw", "1e308", "--doublets", "0",
+         "--param", "rho", "--start", "0", "--stop", "1", "--points", "3", "--format", "svg"),
+        ("sweep", "--model", "extended", "--k", "1", "--poly", "9e307,0,1", "--doublets", "1",
+         "--param", "rho", "--start", "0", "--stop", "1", "--points", "3"),
+        ("sweep", "--model", "extended", "--k", "1", "--poly", "9e307,0,1", "--doublets", "1",
+         "--param", "rho", "--start", "0", "--stop", "1", "--points", "3", "--format", "svg"),
     ],
 )
 def test_an_overflow_in_the_model_prints_only_its_error(capsys, argv):

@@ -227,8 +227,8 @@ def test_a_wrong_path_eigenpair_fails_the_gate(monkeypatch):
         eigvals_checked(_h12_path())
 
 
-def _path_matrix(s, seed, hermitian=True, complex_entries=False, one_ulp_off=False):
-    """A random path of s states, its states in random order."""
+def _path_matrix(s, seed, hermitian=True, complex_entries=False, one_ulp_off=False, closed=False):
+    """A random path of s states, its states in random order; closed, a cycle."""
     rng = np.random.default_rng(seed)
     below = rng.normal(size=s - 1) + (1j * rng.normal(size=s - 1) if complex_entries else 0)
     above = below.conj() if hermitian else rng.normal(size=s - 1)
@@ -236,6 +236,8 @@ def _path_matrix(s, seed, hermitian=True, complex_entries=False, one_ulp_off=Fal
         above = above.copy()
         above[s // 2] = np.nextafter(above[s // 2], np.inf)
     path = np.diag(rng.normal(size=s)) + np.diag(below, -1) + np.diag(above, 1)
+    if closed:  # one more edge, from the last state back to the first
+        path[0, -1] = path[-1, 0] = rng.normal()
     order = rng.permutation(s)
     return path[np.ix_(order, order)]
 
@@ -249,10 +251,16 @@ def _path_matrix(s, seed, hermitian=True, complex_entries=False, one_ulp_off=Fal
         (_path_matrix(PATH_MIN, 3, hermitian=False), ["eig"]),
         (_path_matrix(PATH_MIN, 4, one_ulp_off=True), ["eig"]),
         (_path_matrix(PATH_MIN - 1, 5), ["eigh"]),
+        (_path_matrix(PATH_MIN, 6, closed=True), ["eigh"]),  # as many edges as states: not a path
+        # hermitian at phi = +1 only: the stacked route, after the singletons' stack
+        (np.array([_h12_path(64, phi=1), _h12_path(64, phi=-1)]), ["eigh", "eig"]),
         (_symmetric(12, 5), ["eigh"]),  # dense: not a path
         (np.random.default_rng(3).normal(size=(12, 12)), ["eig"]),
     ],
-    ids=["at-the-constant", "complex", "h12", "not-hermitian", "one-ulp-off", "below", "dense-12", "general-12"],
+    ids=[
+        "at-the-constant", "complex", "h12", "not-hermitian", "one-ulp-off", "below", "cycle",
+        "h12-both-phi", "dense-12", "general-12",
+    ],
 )
 def test_only_a_long_hermitian_path_takes_the_tridiagonal_route(monkeypatch, matrix, solvers):
     calls = []
@@ -321,8 +329,14 @@ def _extended_stack(rhos, phi=-1, d=16):
     return np.array([build_extended(ModelParams(rho=rho, phi=phi, k=2), space).matrix for rho in rhos])
 
 
-def test_a_stack_is_solved_as_each_matrix_alone():
-    stack = _extended_stack((0.3, 0.7, 1.1))
+def _h12_stack(rhos, d=40):  # phi = +1: each matrix a hermitian path of 78 states and two singletons
+    space = TruncatedFockSpace(d, 8)
+    return np.array([build_h12(ModelParams(rho=rho, phi=1, theta=1.2), space).matrix for rho in rhos])
+
+
+@pytest.mark.parametrize("stacked", [_extended_stack, _h12_stack], ids=["extended", "h12-path"])
+def test_a_stack_is_solved_as_each_matrix_alone(stacked):
+    stack = stacked((0.3, 0.7, 1.1))
     w, v = eig_checked(stack)
     for g, matrix in enumerate(stack):
         one_w, one_v = eig_checked(matrix)
@@ -330,9 +344,9 @@ def test_a_stack_is_solved_as_each_matrix_alone():
         # one pattern: the same blocks, so the same block eigenvalues
         assert eigvals_checked(stack)[g].tobytes() == eigvals_checked(matrix).tobytes()
     # rho = 0 splits its blocks further; the union's blocks give its spectrum too
-    with_zero = _extended_stack((0.0, 0.7))
+    with_zero = stacked((0.0, 0.7))
     assert spectrum_mismatch(eigvals_checked(with_zero)[0], eigvals_checked(with_zero[0])) <= 1e-12
-    assert eigvals_checked(with_zero.reshape(1, 2, 32, 32)).shape == (1, 2, 32)
+    assert eigvals_checked(with_zero[np.newaxis]).shape == (1,) + with_zero.shape[:-1]
 
 
 def _column_residuals(matrix, w, v):

@@ -14,13 +14,16 @@ higher-energy diagonal entry of the block.
 Two evaluations of the doublet levels agree bit for bit.
 `closed_form_tracks` evaluates every level over a coupling grid in one
 array pass; `doublet_block` + `doublet_eigenvalues` evaluate one block at one
-coupling.  The array pass takes the gap, the mean and gap^2 as the same
-Python floats, computes rho^2 (n+1)...(n+k) and the discriminant by the
-same IEEE operations in the same order, rounds and places the root as
-cmath.sqrt does, and keeps the signed zeros (branch I gets mean + 0.0,
-branch II mean - 0.0).  Tests compare the two through their bits.  Every
-closed-form caller reads `closed_form_tracks`: `flow.sweep` at its grid,
-and `closed_form_levels` at one coupling for `qjc spectrum` (through
+coupling.  Both take the gap and the mean as the same Python floats, scale
+gap and rho by 2^e (e >= 0 brings the larger into [0.5, 1)), compute
+gap * gap, rho * rho * (n+1)...(n+k), the discriminant and half its real
+square root by the same IEEE operations in the same order, scale that back
+by 2^-e and place the same signed zeros (branch I gets mean + 0.0, branch
+II mean - 0.0).  IEEE *, + and sqrt commute with the scaling, so it changes
+no bit where nothing is subnormal and keeps the digits subnormal squares
+lose.  Tests compare the two through their bits.  Every closed-form caller
+reads `closed_form_tracks`: `flow.sweep` at its grid, and
+`closed_form_levels` at one coupling for `qjc spectrum` (through
 `full_algebraic_spectrum`) and the pseudo-JCM `qjc polyrep-check`.  The
 scalar path is the tests' reference and serves the sweep's bisection and
 coalescence probes, which each need one block at one coupling.
@@ -28,10 +31,8 @@ coalescence probes, which each need one block at one coupling.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +50,7 @@ class DoubletBlock:
     k: int
     phi: int
     matrix: np.ndarray
-    # coupling^2 computed as rho^2 * (n+1)...(n+k) without the sqrt
-    # round-trip, so integer discriminants stay integers
-    coupling_squared: float
+    rho: float
 
     @property
     def gap(self) -> float:
@@ -63,16 +62,28 @@ class DoubletBlock:
         """Off-diagonal magnitude rho * sqrt((n+1)...(n+k))."""
         return float(self.matrix[0, 1])
 
+    @property
+    def coupling_squared(self) -> float:
+        """rho^2 (n+1)...(n+k) without the sqrt round-trip, so integer
+        discriminants stay integers."""
+        return self.rho * self.rho * _ladder_product(self.n, self.k)
+
     def discriminant(self, rho: float | None = None) -> float:
         """gap^2 + 4 phi coupling^2, negative when the pair is complex.  At a
         coupling rho instead, given: the bits of the block built at rho."""
-        squared = self.coupling_squared
-        if rho is not None:
-            squared = rho * rho * _ladder_product(self.n, self.k)
-        value = _gap_squared(self.gap) + 4.0 * self.phi * squared
-        if not math.isfinite(value):  # rho^2 (n+1)...(n+k) overflows silently
+        value, e = self._scaled_discriminant(self.rho if rho is None else rho)
+        return math.ldexp(value, -2 * e)
+
+    def _scaled_discriminant(self, rho: float) -> tuple[float, int]:
+        """(discriminant times 4^e, e), gap and rho prescaled by 2^e."""
+        gap = self.gap
+        e = max(0, -math.frexp(max(abs(gap), abs(rho)))[1])
+        gap, rho = math.ldexp(gap, e), math.ldexp(rho, e)
+        squared = rho * rho * _ladder_product(self.n, self.k)
+        value = gap * gap + 4.0 * self.phi * squared
+        if not math.isfinite(value):  # a square overflows to inf silently
             raise _overflow(self.n, self.gap, squared)
-        return value
+        return value, e
 
 
 @dataclass(frozen=True)
@@ -120,13 +131,6 @@ def _diagonal(params: ModelParams, n: int) -> tuple[float, float]:
     )
 
 
-def _gap_squared(gap: float) -> float:
-    try:
-        return gap**2
-    except OverflowError:  # float ** raises where * gives inf
-        return math.inf
-
-
 def _overflow(n: int, gap: float, coupling_squared: float) -> NumericalError:
     return NumericalError(
         f"doublet discriminant at n = {n} overflows the float range: "
@@ -147,7 +151,7 @@ def doublet_block(params: ModelParams, n: int) -> DoubletBlock:
         k=params.k,
         phi=params.phi,
         matrix=matrix,
-        coupling_squared=params.rho * params.rho * prod,
+        rho=params.rho,
     )
 
 
@@ -159,13 +163,11 @@ def doublet_eigenvalues(block: DoubletBlock) -> tuple[complex, complex]:
     at strong rho, in which case the pair is complex conjugate.
     """
     mean = 0.5 * (block.matrix[0, 0] + block.matrix[1, 1])
-    disc = block.discriminant()
-    root = cmath.sqrt(disc)
-    lam_1 = mean + 0.5 * root
-    lam_2 = mean - 0.5 * root
+    disc, e = block._scaled_discriminant(block.rho)
+    half = math.ldexp(0.5 * math.sqrt(abs(disc)), -e)
     if disc >= 0.0:
-        return complex(lam_1.real), complex(lam_2.real)
-    return lam_1, lam_2
+        return complex(mean + half), complex(mean - half)
+    return complex(mean + 0.0, half), complex(mean - 0.0, -half)
 
 
 def mixing_angle(block: DoubletBlock) -> MixingAngle:
@@ -257,19 +259,19 @@ def closed_form_tracks(params: ModelParams, doublets: int, rho) -> np.ndarray:
     for j in range(k):
         tracks[j] = params.hbar_omega * j + poly_value(params, j) - 0.5 * params.epsilon
     diagonals = [_diagonal(params, n) for n in range(doublets)]
-    gaps = [lower - upper for upper, lower in diagonals]
-    gap, gap_squared, mean, prod = (
+    gap, mean, prod = (
         np.array(column, dtype=float).reshape(-1, 1)
         for column in (
-            gaps,
-            [_gap_squared(value) for value in gaps],
+            [lower - upper for upper, lower in diagonals],
             [0.5 * (upper + lower) for upper, lower in diagonals],
             [_ladder_product(n, k) for n in range(doublets)],
         )
     )
+    e = np.maximum(0, -np.frexp(np.maximum(np.abs(gap), np.abs(rho)))[1])  # the prescale
     with np.errstate(over="ignore", invalid="ignore"):
-        coupling_squared = rho * rho * prod
-        disc = gap_squared + 4.0 * params.phi * coupling_squared
+        scaled_gap, scaled_rho = np.ldexp(gap, e), np.ldexp(rho, e)
+        coupling_squared = scaled_rho * scaled_rho * prod
+        disc = scaled_gap * scaled_gap + 4.0 * params.phi * coupling_squared
     overflow = ~np.isfinite(disc)
     broken = ~np.isfinite(rho) | overflow.any(axis=0)
     if broken.any():
@@ -278,11 +280,7 @@ def closed_form_tracks(params: ModelParams, doublets: int, rho) -> np.ndarray:
         dataclasses.replace(params, rho=float(rho[g]))
         n = int(np.argmax(overflow[:, g]))
         raise _overflow(n, float(gap[n, 0]), float(coupling_squared[n, g]))
-    size = np.abs(disc)
-    eighth = size / 8.0
-    # cmath.sqrt's own scaling: 2 sqrt(|d|/8 + |d|/8) rounds differently from
-    # sqrt(|d|) where |d|/8 is subnormal, and equals it below the smallest normal
-    half = 0.5 * np.where(size < sys.float_info.min, np.sqrt(size), 2.0 * np.sqrt(eighth + eighth))
+    half = np.ldexp(0.5 * np.sqrt(np.abs(disc)), -e)
     paired = disc < 0.0
     shift = np.where(paired, 0.0, half)  # real part of root / 2
     lift = np.where(paired, half, 0.0)  # imaginary part of root / 2
@@ -290,7 +288,7 @@ def closed_form_tracks(params: ModelParams, doublets: int, rho) -> np.ndarray:
     branch_1.real = mean + shift
     branch_1.imag = lift
     branch_2.real = mean - shift
-    branch_2.imag = 0.0 - lift  # +0.0 on a real pair, as cmath gives, not -0.0
+    branch_2.imag = 0.0 - lift  # +0.0 on a real pair, as complex(x) gives, not -0.0
     bad = np.argwhere(~np.isfinite(tracks.T))
     if bad.size:
         g, row = bad[0].tolist()

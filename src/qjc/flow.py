@@ -135,13 +135,10 @@ def sweep(spec: SweepSpec) -> SweepResult:
             for row in (i, j)
         )
 
-    # coalescences: discriminant zero of each tracked block (phi = -1 only)
-    coalescences = []
-    if spec.params.phi == -1:
-        for t in range(spec.doublets):
-            event = _coalescence(spec.params, t, spec.start, spec.stop)
-            if event is not None:
-                coalescences.append(event)
+    # coalescences: the discriminant zeros of each tracked block
+    coalescences = [
+        event for t in range(spec.doublets) for event in _coalescences(spec.params, t, spec.start, spec.stop)
+    ]
     events = _events(spec, grid, labels, tracks, pair, coalescences)
     return SweepResult(grid=grid, labels=labels, tracks=tracks, events=events)
 
@@ -367,27 +364,31 @@ def qes_theta_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(grid=grid, labels=labels, tracks=tracks, events=events)
 
 
-def _coalescence(
-    params: ModelParams, doublet: int, lo: float, hi: float
-) -> FlowEvent | None:
-    """Coalescence event of one ladder doublet on [lo, hi], or None.
+def _coalescences(params: ModelParams, doublet: int, lo: float, hi: float) -> list[FlowEvent]:
+    """Every coalescence of one ladder doublet on [lo, hi], rho > 0 first.
 
-    Bisection on the exact block discriminant, which must go from positive
-    at lo to negative at hi.
+    The discriminant reads rho only as rho * rho, so its zeros are +-r bit
+    for bit.  r is bisected on [lo, hi] if the discriminant is positive at
+    lo, else on [max(lo, 0), hi]; -r is r found so on [-hi, -lo], negated.
     """
     block = doublet_block(params, doublet)  # rho enters only the discriminant
-    if not block.discriminant(lo) > 0.0 > block.discriminant(hi):
-        return None
-    root = _bisect(block.discriminant, lo, hi)
     mean = 0.5 * (block.matrix[0, 0] + block.matrix[1, 1])
-    return FlowEvent(
-        kind="coalescence",
-        parameter="rho",
-        value=root,
-        energy=complex(mean),
-        labels=(f"doublet:{doublet}:I", f"doublet:{doublet}:II"),
-        tolerance=PARAM_TOL,
-    )
+    events = []
+    for sign, a, b in ((1.0, lo, hi), (-1.0, -hi, -lo)):
+        if not block.discriminant(a) > 0.0:
+            a = max(a, 0.0)
+        if a < b and block.discriminant(a) > 0.0 > block.discriminant(b):
+            events.append(
+                FlowEvent(
+                    kind="coalescence",
+                    parameter="rho",
+                    value=sign * _bisect(block.discriminant, a, b),
+                    energy=complex(mean),
+                    labels=(f"doublet:{doublet}:I", f"doublet:{doublet}:II"),
+                    tolerance=PARAM_TOL,
+                )
+            )
+    return events
 
 
 def locate_coalescence(
@@ -398,10 +399,7 @@ def locate_coalescence(
         raise ValidationError("only the sign-flipped coupling coalesces at real rho")
     for bound in (lo, hi):  # ModelParams' own check of a coupling
         dataclasses.replace(params, rho=bound)
-    event = _coalescence(params, doublet, lo, hi)
-    if event is None:
-        raise ValidationError(
-            f"discriminant of doublet {doublet} does not change sign on "
-            f"[{lo}, {hi}]"
-        )
-    return event
+    events = _coalescences(params, doublet, lo, hi)
+    if not events:
+        raise ValidationError(f"discriminant of doublet {doublet} does not change sign on [{lo}, {hi}]")
+    return events[0]

@@ -10,6 +10,7 @@ and SVG output included.
 
 import random
 
+import numpy as np
 import pytest
 
 from qjc.cli import _COMMANDS, _CONFIG_KEYS, _MODELS, _PARAMS, main
@@ -87,6 +88,23 @@ def test_a_rescaled_sweep_finds_the_crossings_of_figure_one(capsys):
         assert any(
             other == labels and abs(found - 1e-160 * value) <= 1e-162 for found, other in scaled
         ), (value, labels)
+
+
+def test_a_rescaled_sweep_prints_only_the_crossings_of_figure_one(capsys):
+    # the closed form prescales its subnormal squares, so no rounding splits
+    # the rho = 0 degeneracies and the rho = 1 crossings land on grid point 100
+    code, out, _ = _outcome(capsys, ("sweep", "--model", "h2", "--param", "rho",
+                                     "--start", "0", "--stop", "2", "--points", "201"))
+    assert code == 0
+    plain = _crossings(out)
+    code, out, _ = _outcome(capsys, UNDERFLOW_SWEEP)
+    assert code == 0
+    grid = np.linspace(0.0, 2e-160, 201)
+    assert _crossings(out) == [
+        (0.5 * (grid[57] + grid[58]), plain[0][1]),  # PARAM_TOL spans the step
+        *((grid[100], labels) for _, labels in plain[1:]),
+    ]
+    assert [value for value, _ in plain] == [0.5773502683639525, 1.0, 1.0, 1.0]
 
 
 EDGES = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e154, -1e154, 1e300, -1e300)

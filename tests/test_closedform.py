@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import decimal
 import math
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qjc.closedform
 from qjc._linalg import eig_checked
 from qjc.closedform import (
     closed_form_tracks,
@@ -307,9 +309,10 @@ def test_closed_form_tracks_equal_the_block_route_bit_for_bit(k, phi, poly):
 
 @pytest.mark.parametrize("phi", [1, -1])
 def test_closed_form_tracks_round_a_tiny_root_as_cmath_does(phi):
-    # zero gap (eps = k hw), so the discriminant is 4 phi rho^2 (n+1)...(n+k);
-    # where |disc| / 8 is subnormal, cmath.sqrt rounds differently from sqrt
-    # (k = 1, as an even (n+1)...(n+k) keeps |disc| / 8 exact)
+    # zero gap (eps = k hw), so the discriminant is 4 phi rho^2 (n+1)...(n+k),
+    # in the band where cmath.sqrt rounds differently from sqrt (k = 1, as an
+    # even (n+1)...(n+k) keeps |disc| / 8 exact); both paths take the same
+    # prescaled real root there, whatever cmath does
     params = ModelParams(epsilon=1.0, k=1, phi=phi)
     rho = np.geomspace(1e-155, 1e-153, 400)
     discs = [
@@ -319,6 +322,56 @@ def test_closed_form_tracks_round_a_tiny_root_as_cmath_does(phi):
     ]
     assert any(cmath.sqrt(d).real != math.sqrt(d) for d in discs)
     assert_same_bits(closed_form_tracks(params, 3, rho), block_route_tracks(params, 3, rho))
+
+
+def test_the_closed_form_squares_in_ieee_arithmetic():
+    # gap = 2.7266, where libm's pow rounds gap**2 one ulp off gap * gap
+    params = ModelParams(epsilon=0.0545, hbar_omega=2.7811, k=1, rho=0.3)
+    block = doublet_block(params, 0)
+    g = block.gap
+    assert block.discriminant() == g * g + 4.0 * block.coupling_squared
+    assert_same_bits(closed_form_tracks(params, 3, [0.3]), block_route_tracks(params, 3, [0.3]))
+
+
+TINY = 1e-160  # every energy and coupling of figure 1 scaled by this
+
+
+def decimal_doublets(params, doublets, rho):
+    """Doublet rows (levels / TINY) at 60 digits from the same float diagonals."""
+    with decimal.localcontext() as context:
+        context.prec = 60
+        rows = []
+        for n in range(doublets):
+            upper, lower = (decimal.Decimal(value) for value in qjc.closedform._diagonal(params, n))
+            mean, gap = (upper + lower) / 2, lower - upper
+            prod = decimal.Decimal(qjc.closedform._ladder_product(n, params.k))
+            roots = [
+                (gap * gap + 4 * params.phi * decimal.Decimal(float(r)) ** 2 * prod).sqrt() / 2
+                for r in rho
+            ]
+            rows += [[(mean + root) / decimal.Decimal(TINY) for root in roots],
+                     [(mean - root) / decimal.Decimal(TINY) for root in roots]]
+        return np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 2.0])  # 2.0: zero gap at n = 0
+def test_a_tiny_scale_keeps_the_digits_of_the_unit_scale(epsilon):
+    # gap^2 and rho^2 (n+1)(n+2) are subnormal here: squared unscaled, they
+    # lost up to 4 digits of each level
+    params = ModelParams(epsilon=epsilon * TINY, hbar_omega=TINY, k=2)
+    rho = np.linspace(0.0, 2.0 * TINY, 201)
+    tracks = closed_form_tracks(params, 4, rho)
+    assert np.all(tracks[2:].imag == 0.0)
+    error = np.abs(tracks[2:].real / TINY - decimal_doublets(params, 4, rho))
+    assert error.max() <= 1e-14
+
+
+@pytest.mark.parametrize("phi", [1, -1])
+@pytest.mark.parametrize("epsilon", [1.0, 2.0, 0.7])
+def test_a_tiny_scale_is_the_block_route_bit_for_bit(phi, epsilon):
+    params = ModelParams(epsilon=epsilon * TINY, hbar_omega=TINY, k=2, phi=phi)
+    rho = np.concatenate([np.linspace(-2.0 * TINY, 2.0 * TINY, 81), [5e-324, 1e-300, 1e-200, 1e-150]])
+    assert_same_bits(closed_form_tracks(params, 4, rho), block_route_tracks(params, 4, rho))
 
 
 def test_closed_form_tracks_with_no_doublets_are_the_singlets():

@@ -284,6 +284,44 @@ def test_locate_coalescence_directly():
         locate_coalescence(FLIPPED, 0, 0.4, 0.5)
 
 
+def _coalescence_values(start, stop):
+    spec = SweepSpec(params=FLIPPED, parameter="rho", start=start, stop=stop, points=11)
+    return [(e.value, e.labels) for e in sweep(spec).events if e.kind == "coalescence"]
+
+
+DOUBLET_0, DOUBLET_1 = ("doublet:0:I", "doublet:0:II"), ("doublet:1:I", "doublet:1:II")
+FROM_ZERO = [(0.20412414893507957, DOUBLET_1), (0.3535533882677555, DOUBLET_0)]
+
+
+@pytest.mark.parametrize(
+    "start, stop, expected",
+    [
+        (0.0, 2.0, FROM_ZERO),
+        # a start inside (-r, r) keeps its own bisection interval
+        (-0.1, 2.0, [(0.20412414167076348, DOUBLET_1), (0.35355338994413615, DOUBLET_0)]),
+        (-2.0, 2.0, [(-value, labels) for value, labels in FROM_ZERO[::-1]] + FROM_ZERO),
+        (-2.0, 0.0, [(-value, labels) for value, labels in FROM_ZERO[::-1]]),
+        (-0.3, 0.3, [(-0.2041241481900215, DOUBLET_1), (0.2041241481900215, DOUBLET_1)]),
+        (-2.0, -0.1, [(-0.3535533925518393, DOUBLET_0), (-0.2041241442784667, DOUBLET_1)]),
+        (-2.0, -0.5, []),  # below both -r, and no rho > 0 in range
+    ],
+)
+def test_a_sweep_finds_the_coalescences_on_both_signs_of_rho(start, stop, expected):
+    found = _coalescence_values(start, stop)
+    assert found == expected
+    # the discriminant reads rho only as rho * rho: each negative event is
+    # a positive one of the mirrored sweep, negated bit for bit
+    negated = [(-value, labels) for value, labels in found[::-1] if value < 0.0]
+    if negated:
+        assert negated == [event for event in _coalescence_values(-stop, -start) if event[0] > 0.0]
+    positive = [event for event in found if event[0] > 0.0]
+    # locate_coalescence returns the rho > 0 event where both lie in range
+    if found:
+        assert locate_coalescence(FLIPPED, 1, start, stop).value == next(
+            value for value, labels in (positive or found) if labels == DOUBLET_1
+        )
+
+
 def test_coalescence_probes_build_no_parameters_or_blocks(monkeypatch):
     exact = doublet_coalescence_rho(FLIPPED, 1)
     replaced, blocks = [], []

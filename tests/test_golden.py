@@ -98,6 +98,10 @@ CASES = {
     "check-h12-hermitian": (
         "check", "--model", "h12", "--phi", "1", "--rho", "0.5", "--theta", "0.3", "--D", "128",
     ),
+    # weak coupling: the long hermitian path's levels cluster (smallest gap 3e-4)
+    "check-h12-weak-d384": (
+        "check", "--model", "h12", "--phi", "1", "--rho", "0.1213", "--theta", "0.0271", "--D", "384",
+    ),
     "check-ht-hermitian": (
         "check", "--model", "ht", "--phi", "1", "--N", "4", "--rho", "0.5", "--theta", "1.2", "--D", "128",
     ),

@@ -24,20 +24,23 @@ gives.  A path (no state joined to more than two others, one join fewer than
 states) of at least PATH_MIN states is scattered, in path order, into its
 diagonal and the entries below and above it.  Exactly hermitian in every
 matrix, it is solved there, with no s x s block built, by `eigh_tridiagonal`'s
-MRRR driver stemr (Dhillon & Parlett, Linear Algebra Appl. 387, 1 (2004)),
-each residual taken from the path's own entries, two neighbours per row,
-O(s^2) per path.  Every other block, and after them a path not hermitian in
-every matrix, goes, stacked with the blocks of its size, to the symmetric
+divide-and-conquer driver stevd (Cuppen, Numer. Math. 36, 177 (1981), made
+stable by Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)), each
+residual taken from the path's own entries, two neighbours per row, O(s^2)
+per path.  Every other block, and after them a path not hermitian in every
+matrix, goes, stacked with the blocks of its size, to the symmetric
 eigensolver when the stack is exactly hermitian and to the general one
 otherwise.  PATH_MIN is where the two routes cost the same, measured on one
 h12 matrix (a path and two singletons, rho = 0.7, theta = 1.2) with BLAS on
-one thread on a 2-vCPU x86-64 host: stacked against tridiagonal, 0.56 against
-0.66 ms at s = 48, 0.82 against 0.85 ms at 64, 1.0 against 0.96 ms at 72, 2.4
-against 2.0 ms at 128 and 119 against 53 ms at 766.  At weak coupling (rho =
-0.12, theta = 0.027) the levels cluster and stemr slows: 1.6 against 2.0 ms at
-128, 27 against 29 ms at 510, 115 against 77 ms at 766.  The tridiagonal route
-holds less memory at every s, since the stacked one holds the block, its
-eigenvectors, LAPACK's 2 s^2 workspace and the products.  The gate is the same
+one thread on a 2-vCPU x86-64 host: stacked against tridiagonal, 0.36 against
+0.39 ms at s = 48, 0.53 against 0.51 ms at 64, 0.63 against 0.58 ms at 72,
+1.6 against 1.2 ms at 128 and 84 against 17 ms at 766.  At weak coupling
+(rho = 0.12, theta = 0.027), where the levels cluster:
+0.34 against 0.35 ms at 48, 0.47 against 0.46 ms at 64, 1.4 against 0.85 ms
+at 128 and 82 against 11 ms at 766.  The tridiagonal route holds less memory
+at every s: its eigenvectors and stevd's s^2 workspace, two s x s arrays,
+against the stacked route's block, eigenvectors, LAPACK's 2 s^2 workspace
+and products.  The gate is the same
 on both routes, against the whole matrix's ||H||_F.  On a hermitian block it
 also bounds each eigenvalue's forward error: a unit vector v with residual r
 puts an exact eigenvalue of H within r of w (Parlett, The Symmetric Eigenvalue
@@ -200,7 +203,7 @@ def _path_eigvals(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tup
         off = np.abs(off)
         unit = np.divide(lower[:-1], off, out=np.ones_like(lower[:-1]), where=off > 0)
         phase = np.cumprod(np.concatenate([[1.0], unit]))
-    w, y = eigh_tridiagonal(diag.real, off, lapack_driver="stemr")
+    w, y = eigh_tridiagonal(diag.real, off, lapack_driver="stevd")
     residuals = np.empty(w.shape)
     for start in range(0, len(w), PRODUCT_ROWS):  # by chunks: no second s x s array
         chunk = slice(start, start + PRODUCT_ROWS)
@@ -344,15 +347,21 @@ def spectrum_mismatch(got, expected) -> float:
     error that is not there.  Greedy pairing is immune to that as long as
     the cross-route error is far below the level spacing, which is exactly
     the regime every caller asserts.  Returns inf on a length mismatch.
+
+    All distances come from one np.hypot, which rounds as complex abs.  Each
+    step's argmin over its row, taken columns set to inf, is the first
+    nearest untaken value (or nan); where it can be a taken column, every
+    untaken distance is inf, and so is the result whichever is taken.
     """
     left = np.asarray(got, dtype=complex).ravel()
-    remaining = [complex(v) for v in np.asarray(expected, dtype=complex).ravel()]
-    if left.size != len(remaining):
+    right = np.asarray(expected, dtype=complex).ravel()
+    if left.size != right.size:
         return float("inf")
+    gaps = left[:, np.newaxis] - right
+    distances = np.hypot(gaps.real, gaps.imag)
     worst = 0.0
-    for value in left:
-        distances = [abs(value - other) for other in remaining]
-        best = int(np.argmin(distances))
-        worst = max(worst, distances[best])
-        remaining.pop(best)
+    for row in distances:
+        best = int(row.argmin())
+        worst = max(worst, row[best])
+        distances[:, best] = np.inf
     return worst

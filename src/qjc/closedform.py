@@ -71,11 +71,12 @@ class DoubletBlock:
     def discriminant(self, rho: float | None = None) -> float:
         """gap^2 + 4 phi coupling^2, negative when the pair is complex.  At a
         coupling rho instead, given: the bits of the block built at rho."""
-        value, e = self._scaled_discriminant(self.rho if rho is None else rho)
+        value, e = self.scaled_discriminant(self.rho if rho is None else rho)
         return math.ldexp(value, -2 * e)
 
-    def _scaled_discriminant(self, rho: float) -> tuple[float, int]:
-        """(discriminant times 4^e, e), gap and rho prescaled by 2^e."""
+    def scaled_discriminant(self, rho: float) -> tuple[float, int]:
+        """(discriminant times 4^e, e), gap and rho prescaled by 2^e: the
+        discriminant's sign, which no underflow loses."""
         gap = self.gap
         e = max(0, -math.frexp(max(abs(gap), abs(rho)))[1])
         gap, rho = math.ldexp(gap, e), math.ldexp(rho, e)
@@ -163,7 +164,7 @@ def doublet_eigenvalues(block: DoubletBlock) -> tuple[complex, complex]:
     at strong rho, in which case the pair is complex conjugate.
     """
     mean = 0.5 * (block.matrix[0, 0] + block.matrix[1, 1])
-    disc, e = block._scaled_discriminant(block.rho)
+    disc, e = block.scaled_discriminant(block.rho)
     half = math.ldexp(0.5 * math.sqrt(abs(disc)), -e)
     if disc >= 0.0:
         return complex(mean + half), complex(mean - half)

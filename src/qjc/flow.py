@@ -23,7 +23,10 @@ Two sweep routes with different labeling power:
   failing point raises only once the sweep reaches it.
 
 Events -- real-level crossings, and branch coalescences for the
-sign-flipped coupling -- are localized by bisection to `PARAM_TOL`.
+sign-flipped coupling -- are localized by bisection to `PARAM_TOL`.  A rho
+sweep whose energies are all below 1 (|eps|, |hw| and the ends of its range:
+`_energy_scale`) measures its realness floor and its coalescences' width in
+that scale; at unit scale both are the absolute ones.
 `_events` locates the crossings of both sweeps: it finds with array
 operations the grid steps where two real rows' difference changes sign,
 visits only those, in the (row, row, step) order of a nested loop, and
@@ -151,16 +154,23 @@ def _closed_form_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     return grid, closed_form_tracks(spec.params, spec.doublets, grid)
 
 
-def _bisect(func, lo: float, hi: float) -> float:
-    """A sign change of `func` in [lo, hi], from func(lo) != 0, narrowed to PARAM_TOL.
+def _energy_scale(params: ModelParams, lo: float, hi: float) -> float:
+    """The energy unit of a rho sweep on [lo, hi]: the largest of |eps|, |hw|,
+    |lo| and |hi|, capped at 1, so that only a sweep below unit scale has one."""
+    return min(1.0, max(abs(params.epsilon), abs(params.hbar_omega), abs(lo), abs(hi)))
+
+
+def _bisect(func, lo: float, hi: float, width: float = PARAM_TOL) -> float:
+    """A sign change of `func` in [lo, hi], from func(lo) != 0, narrowed to `width`.
 
     Raises NumericalError when 200 halvings do not get there, as happens
-    where floats lie farther apart than PARAM_TOL (|lo| above about 6.7e7).
+    where floats lie farther apart than `width` (|lo| above about 6.7e7 for
+    PARAM_TOL).
     """
     f_lo = func(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= PARAM_TOL:
+        if hi - lo <= width:
             return mid
         f_mid = func(mid)
         if f_mid == 0.0:
@@ -171,13 +181,13 @@ def _bisect(func, lo: float, hi: float) -> float:
             hi = mid
     raise NumericalError(
         f"bisection stalled at [{lo!r}, {hi!r}] after 200 halvings: width "
-        f"{hi - lo:.3e} stays above PARAM_TOL = {PARAM_TOL:.0e}"
+        f"{hi - lo:.3e} stays above {width:.0e}, PARAM_TOL in the sweep's energy scale"
     )
 
 
-def _real_rows(tracks: np.ndarray) -> np.ndarray:
-    scale = np.maximum(1.0, np.abs(tracks))
-    return np.all(np.abs(tracks.imag) <= REAL_TOL * scale, axis=1)
+def _real_rows(tracks: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Rows whose every |Im| is at most REAL_TOL * max(scale, |E|)."""
+    return np.all(np.abs(tracks.imag) <= REAL_TOL * np.maximum(scale, np.abs(tracks)), axis=1)
 
 
 def _events(spec, grid, labels, tracks, pair, extra=()) -> tuple[FlowEvent, ...]:
@@ -190,11 +200,13 @@ def _events(spec, grid, labels, tracks, pair, extra=()) -> tuple[FlowEvent, ...]
     not multiplied, so that no product over- or underflows.  A difference
     that is exactly zero on an interior grid point (the rho = 1 degeneracies
     land there) is already localized; endpoint zeros are boundary
-    degeneracies, not events.
+    degeneracies, not events.  A rho sweep's rows are real in its
+    `_energy_scale`; a theta sweep's at unit scale.
     """
     events = []
     real = tracks.real
-    rows = np.flatnonzero(_real_rows(tracks))
+    scale = _energy_scale(spec.params, spec.start, spec.stop) if spec.parameter == "rho" else 1.0
+    rows = np.flatnonzero(_real_rows(tracks, scale))
     for index, i in enumerate(rows.tolist()):
         # row i against every later real row j at once: diff[j, g] is
         # tracks[i, g].real - tracks[j, g].real, and np.nonzero visits the
@@ -370,22 +382,29 @@ def _coalescences(params: ModelParams, doublet: int, lo: float, hi: float) -> li
     The discriminant reads rho only as rho * rho, so its zeros are +-r bit
     for bit.  r is bisected on [lo, hi] if the discriminant is positive at
     lo, else on [max(lo, 0), hi]; -r is r found so on [-hi, -lo], negated.
+    Each is narrowed to PARAM_TOL in the sweep's `_energy_scale`, on the
+    prescaled discriminant: the same signs, kept where the square underflows.
     """
     block = doublet_block(params, doublet)  # rho enters only the discriminant
     mean = 0.5 * (block.matrix[0, 0] + block.matrix[1, 1])
+    width = PARAM_TOL * _energy_scale(params, lo, hi)
+
+    def discriminant(rho):
+        return block.scaled_discriminant(rho)[0]
+
     events = []
     for sign, a, b in ((1.0, lo, hi), (-1.0, -hi, -lo)):
-        if not block.discriminant(a) > 0.0:
+        if not discriminant(a) > 0.0:
             a = max(a, 0.0)
-        if a < b and block.discriminant(a) > 0.0 > block.discriminant(b):
+        if a < b and discriminant(a) > 0.0 > discriminant(b):
             events.append(
                 FlowEvent(
                     kind="coalescence",
                     parameter="rho",
-                    value=sign * _bisect(block.discriminant, a, b),
+                    value=sign * _bisect(discriminant, a, b, width),
                     energy=complex(mean),
                     labels=(f"doublet:{doublet}:I", f"doublet:{doublet}:II"),
-                    tolerance=PARAM_TOL,
+                    tolerance=width,
                 )
             )
     return events

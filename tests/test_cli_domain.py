@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qjc.cli import _COMMANDS, _CONFIG_KEYS, _MODELS, _PARAMS, main
+from qjc.flow import PARAM_TOL
 from csv_reader import read_csv
 
 OVERFLOW_SWEEP = (
@@ -105,6 +106,31 @@ def test_a_rescaled_sweep_prints_only_the_crossings_of_figure_one(capsys):
         *((grid[100], labels) for _, labels in plain[1:]),
     ]
     assert [value for value, _ in plain] == [0.5773502683639525, 1.0, 1.0, 1.0]
+
+
+def _events_of(out, kind):
+    """(value, labels) of each event comment of one kind in a sweep's CSV."""
+    return [(value, labels) for _, k, value, _, labels in
+            (comment.split(",") for comment in read_csv(out).comments) if k == kind]
+
+
+def test_a_rescaled_sign_flipped_sweep_finds_the_coalescences_of_the_unit_sweep(capsys):
+    # past each coalescence a complex pair's |Im| is about 1e-161, and an
+    # absolute realness floor of 1e-10 took such pairs for real, crossing
+    # rows; the floor and the coalescences' width scale with the sweep
+    flipped = ("--model", "h2", "--phi=-1", "--param", "rho", "--start", "0", "--points", "201")
+    code, out, _ = _outcome(capsys, ("sweep", *flipped, "--stop", "2"))
+    assert code == 0
+    plain = _events_of(out, "coalescence")
+    code, out, _ = _outcome(capsys, ("sweep", *flipped, "--stop", "2e-160", "--eps", "1e-160", "--hw", "1e-160"))
+    assert code == 0
+    assert _events_of(out, "crossing") == []
+    scaled = _events_of(out, "coalescence")
+    assert [labels for _, labels in scaled] == [labels for _, labels in plain] != []
+    # the unit value within PARAM_TOL of the root, the rescaled one within
+    # PARAM_TOL times the scale 2e-160
+    for (found, _), (value, _) in zip(scaled, plain):
+        assert abs(float(found) - 1e-160 * float(value)) <= 1e-160 * PARAM_TOL + 2e-160 * PARAM_TOL
 
 
 EDGES = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e154, -1e154, 1e300, -1e300)

@@ -206,8 +206,8 @@ def test_every_builder_gives_a_direct_sum_of_paths(phi):
         assert inside == {basis_index(space, 0, SPIN_DOWN), *qes}
 
 
-def _h12_path(d=64, phi=1):
-    return build_h12(ModelParams(rho=0.7, phi=phi, theta=1.2), TruncatedFockSpace(d, 8)).matrix
+def _h12_path(d=64, phi=1, rho=0.7, theta=1.2):
+    return build_h12(ModelParams(rho=rho, phi=phi, theta=theta), TruncatedFockSpace(d, 8)).matrix
 
 
 def _ht_tail(d=64):
@@ -274,8 +274,9 @@ def test_only_a_long_hermitian_path_takes_the_tridiagonal_route(monkeypatch, mat
 
 @pytest.mark.parametrize(
     "matrix",
-    [_h12_path(64), _h12_path(384), _ht_tail(64), _ht_tail(256)],
-    ids=["h12-D64", "h12-D384", "ht-tail-D64", "ht-tail-D256"],
+    # weak coupling: the levels of the 766-state path cluster, 3e-4 apart at the closest
+    [_h12_path(64), _h12_path(384), _h12_path(384, rho=0.1213, theta=0.0271), _ht_tail(64), _ht_tail(256)],
+    ids=["h12-D64", "h12-D384", "h12-weak-D384", "ht-tail-D64", "ht-tail-D256"],
 )
 def test_path_eigenvalues_match_the_dense_ones(monkeypatch, matrix):
     real, sizes = qjc._linalg.eigh_tridiagonal, []
@@ -287,9 +288,10 @@ def test_path_eigenvalues_match_the_dense_ones(monkeypatch, matrix):
 
 def test_the_path_route_makes_no_s_by_s_array_but_the_eigenvectors(monkeypatch):
     """Before the solve no s x s block is built; the solve adds its s x s
-    eigenvectors and O(s) workspace; the residuals then hold one chunk of
-    PRODUCT_ROWS eigenvectors, its residual rows and one product of them.
-    A dense block, a second s x s array or a whole-path residual exceeds a bound."""
+    eigenvectors and stevd's workspace, one s x s array more; the residuals
+    then hold one chunk of PRODUCT_ROWS eigenvectors, its residual rows and
+    one product of them.  A dense block, a third s x s array or a whole-path
+    residual exceeds a bound."""
     matrix = _h12_path(384)
     s = matrix.shape[0] - 2
     real, stages = qjc._linalg.eigh_tridiagonal, []
@@ -312,10 +314,31 @@ def test_the_path_route_makes_no_s_by_s_array_but_the_eigenvectors(monkeypatch):
     (_, read), (solved, solve), square = stages[0], stages[1], 8 * s * s
     # reading the matrix: its n x n pattern as booleans, the entries and the paths
     assert read <= matrix.size + 2**20 < square
-    # the eigenvectors and stemr's workspace: 18 s doubles and 10 s integers
-    assert solve - stages[0][0] <= square + 8 * 32 * s + 2**16
+    # the eigenvectors and stevd's workspace: 1 + 4 s + s^2 doubles and 3 + 5 s (32-bit) integers
+    assert solve - stages[0][0] <= square + 8 * (1 + 4 * s + s * s) + 4 * (3 + 5 * s) + 2**16
     # a chunk, its residual rows, one product and numpy's ufunc buffers (one per operand)
     assert peak <= solved + 8 * (3 * PRODUCT_ROWS * s + 3 * np.getbufsize()) + 2**16 < solved + square
+
+
+def test_the_path_route_holds_less_than_the_stacked_route(monkeypatch):
+    """On one path the tridiagonal route's peak, eigenvectors and stevd's
+    workspace, stays below the stacked route's: the block, its eigenvectors,
+    LAPACK's workspace and the products.  PATH_MIN above the path's size
+    sends the same path to the stacked route."""
+    matrix = _h12_path(384)
+    real, calls, peaks = qjc._linalg.eigh_tridiagonal, [], []
+    monkeypatch.setattr(qjc._linalg, "eigh_tridiagonal", lambda d, e, **k: calls.append(len(d)) or real(d, e, **k))
+    for path_min in (PATH_MIN, matrix.shape[0]):
+        monkeypatch.setattr(qjc._linalg, "PATH_MIN", path_min)
+        tracemalloc.start()
+        try:
+            stream_eigvals([matrix])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert calls == [matrix.shape[0] - 2]  # the path route once, then the stacked one
+    path, stacked = peaks
+    assert path < stacked
 
 
 @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
@@ -527,6 +550,46 @@ def test_a_stack_gates_each_matrix_against_its_own_norm(monkeypatch, entry):
 def test_spectra_of_unequal_length_never_match():
     assert spectrum_mismatch([1.0, 2.0], [1.0]) == float("inf")
     assert spectrum_mismatch([], [0.0]) == float("inf")
+
+
+def _mismatch_by_loop(got, expected):
+    """The reference for `spectrum_mismatch`: one abs per remaining value, one pop per step."""
+    left = np.asarray(got, dtype=complex).ravel()
+    remaining = [complex(v) for v in np.asarray(expected, dtype=complex).ravel()]
+    if left.size != len(remaining):
+        return float("inf")
+    worst = 0.0
+    for value in left:
+        distances = [abs(value - other) for other in remaining]
+        best = int(np.argmin(distances))
+        worst = max(worst, distances[best])
+        remaining.pop(best)
+    return worst
+
+
+def _spectrum_pair(seed):
+    """Two spectra of one random length: conjugate pairs, repeated values
+    (exact ties), shared values, and now and then an inf or a nan."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 13))
+    draws = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], size=(2, n, 2))  # coarse: distances tie
+    got, expected = draws[..., 0] + 1j * draws[..., 1]
+    got[::3] = got[::3].conj()  # conjugate pairs
+    expected[: n // 2] = got[rng.permutation(n)[: n // 2]].conj()
+    if seed % 3 == 0:
+        expected = expected + rng.normal(size=n) * 1e-13  # near, not equal
+    if seed % 5 == 0 and n:
+        value = rng.choice([np.inf, -np.inf, np.nan])
+        (got if seed % 2 else expected)[rng.integers(n)] = complex(value, value if seed % 4 else 0.0)
+    return got, expected
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_spectrum_mismatch_is_the_loop_bit_for_bit(seed):
+    got, expected = _spectrum_pair(seed)
+    with np.errstate(invalid="ignore"):  # inf - inf in the reference's differences
+        found, reference = spectrum_mismatch(got, expected), _mismatch_by_loop(got, expected)
+    assert float(found).hex() == float(reference).hex(), (got, expected)
 
 
 def test_one_component_is_a_stack_of_one():

@@ -35,16 +35,16 @@ h12 matrix (a path and two singletons, rho = 0.7, theta = 1.2) with BLAS on
 one thread on a 2-vCPU x86-64 host: stacked against tridiagonal, 0.36 against
 0.39 ms at s = 48, 0.53 against 0.51 ms at 64, 0.63 against 0.58 ms at 72,
 1.6 against 1.2 ms at 128 and 84 against 17 ms at 766.  At weak coupling
-(rho = 0.12, theta = 0.027), where the levels cluster:
-0.34 against 0.35 ms at 48, 0.47 against 0.46 ms at 64, 1.4 against 0.85 ms
-at 128 and 82 against 11 ms at 766.  The tridiagonal route holds less memory
-at every s: its eigenvectors and stevd's s^2 workspace, two s x s arrays,
-against the stacked route's block, eigenvectors, LAPACK's 2 s^2 workspace
-and products.  The gate is the same
-on both routes, against the whole matrix's ||H||_F.  On a hermitian block it
-also bounds each eigenvalue's forward error: a unit vector v with residual r
-puts an exact eigenvalue of H within r of w (Parlett, The Symmetric Eigenvalue
-Problem, 1980, Thm 4.5.1); on a far-from-normal block only the backward error.
+(rho = 0.12, theta = 0.027), where the levels cluster: 0.34 against 0.35 ms
+at 48, 0.47 against 0.46 ms at 64, 1.4 against 0.85 ms at 128 and 82 against
+11 ms at 766.  The tridiagonal route holds less memory at every s: its
+eigenvectors and stevd's s^2 workspace, two s x s arrays, against the stacked
+route's block, eigenvectors, LAPACK's 2 s^2 workspace and products.  The gate
+is the same on both routes, against the whole matrix's ||H||_F.  On a
+hermitian block it also bounds each eigenvalue's forward error: a unit vector
+v with residual r puts an exact eigenvalue of H within r of w (Parlett, The
+Symmetric Eigenvalue Problem, 1980, Thm 4.5.1); on a far-from-normal block
+only the backward error.
 Block and dense eigenvalues agree up to rounding, not bit for bit.
 
 `residual_on_rows` computes the eigenpair residual H x - E x of a vector x
@@ -205,7 +205,7 @@ def _path_eigvals(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tup
         phase = np.cumprod(np.concatenate([[1.0], unit]))
     w, y = eigh_tridiagonal(diag.real, off, lapack_driver="stevd")
     residuals = np.empty(w.shape)
-    for start in range(0, len(w), PRODUCT_ROWS):  # by chunks: no second s x s array
+    for start in range(0, len(w), PRODUCT_ROWS):  # by chunks: no s x s residual array
         chunk = slice(start, start + PRODUCT_ROWS)
         x = y.T[chunk] * phase
         gap = diag - w[chunk, np.newaxis]

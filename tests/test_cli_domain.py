@@ -64,14 +64,18 @@ def test_inputs_that_once_escaped_exit_by_their_codes(capsys, argv, expected, na
     assert named in err
 
 
-def _crossings(out):
-    """(value, labels) of each crossing comment of a sweep's CSV."""
+def _events_of(out, kind):
+    """(value, labels) of each event comment of one kind in a sweep's CSV."""
     events = []
     for comment in read_csv(out).comments:
-        _, kind, value, _, labels = comment.split(",")
-        if kind == "crossing":
+        _, found, value, _, labels = comment.split(",")
+        if found == kind:
             events.append((float(value), labels))
     return events
+
+
+def _crossings(out):
+    return _events_of(out, "crossing")
 
 
 def test_a_rescaled_sweep_finds_the_crossings_of_figure_one(capsys):
@@ -108,12 +112,6 @@ def test_a_rescaled_sweep_prints_only_the_crossings_of_figure_one(capsys):
     assert [value for value, _ in plain] == [0.5773502683639525, 1.0, 1.0, 1.0]
 
 
-def _events_of(out, kind):
-    """(value, labels) of each event comment of one kind in a sweep's CSV."""
-    return [(value, labels) for _, k, value, _, labels in
-            (comment.split(",") for comment in read_csv(out).comments) if k == kind]
-
-
 def test_a_rescaled_sign_flipped_sweep_finds_the_coalescences_of_the_unit_sweep(capsys):
     # past each coalescence a complex pair's |Im| is about 1e-161, and an
     # absolute realness floor of 1e-10 took such pairs for real, crossing
@@ -124,13 +122,13 @@ def test_a_rescaled_sign_flipped_sweep_finds_the_coalescences_of_the_unit_sweep(
     plain = _events_of(out, "coalescence")
     code, out, _ = _outcome(capsys, ("sweep", *flipped, "--stop", "2e-160", "--eps", "1e-160", "--hw", "1e-160"))
     assert code == 0
-    assert _events_of(out, "crossing") == []
+    assert _crossings(out) == []
     scaled = _events_of(out, "coalescence")
     assert [labels for _, labels in scaled] == [labels for _, labels in plain] != []
     # the unit value within PARAM_TOL of the root, the rescaled one within
     # PARAM_TOL times the scale 2e-160
     for (found, _), (value, _) in zip(scaled, plain):
-        assert abs(float(found) - 1e-160 * float(value)) <= 1e-160 * PARAM_TOL + 2e-160 * PARAM_TOL
+        assert abs(found - 1e-160 * value) <= 1e-160 * PARAM_TOL + 2e-160 * PARAM_TOL
 
 
 EDGES = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e154, -1e154, 1e300, -1e300)

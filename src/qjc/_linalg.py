@@ -22,29 +22,29 @@ of H @ v[:, i].
 that a connected component of the pattern `H != 0` (its edges taken both ways)
 gives.  A path (no state joined to more than two others, one join fewer than
 states) of at least PATH_MIN states is scattered, in path order, into its
-diagonal and the entries below and above it.  Exactly hermitian in every
-matrix, it is solved there, with no s x s block built, by `eigh_tridiagonal`'s
-divide-and-conquer driver stevd (Cuppen, Numer. Math. 36, 177 (1981), made
-stable by Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)), each
-residual taken from the path's own entries, two neighbours per row, O(s^2)
-per path.  Every other block, and after them a path not hermitian in every
-matrix, goes, stacked with the blocks of its size, to the symmetric
-eigensolver when the stack is exactly hermitian and to the general one
-otherwise.  PATH_MIN is where the two routes cost the same, measured on one
-h12 matrix (a path and two singletons, rho = 0.7, theta = 1.2) with BLAS on
-one thread on a 2-vCPU x86-64 host: stacked against tridiagonal, 0.36 against
-0.39 ms at s = 48, 0.53 against 0.51 ms at 64, 0.63 against 0.58 ms at 72,
-1.6 against 1.2 ms at 128 and 84 against 17 ms at 766.  At weak coupling
-(rho = 0.12, theta = 0.027), where the levels cluster: 0.34 against 0.35 ms
-at 48, 0.47 against 0.46 ms at 64, 1.4 against 0.85 ms at 128 and 82 against
-11 ms at 766.  The tridiagonal route holds less memory at every s: its
-eigenvectors and stevd's s^2 workspace, two s x s arrays, against the stacked
-route's block, eigenvectors, LAPACK's 2 s^2 workspace and products.  The gate
-is the same on both routes, against the whole matrix's ||H||_F.  On a
-hermitian block it also bounds each eigenvalue's forward error: a unit vector
-v with residual r puts an exact eigenvalue of H within r of w (Parlett, The
-Symmetric Eigenvalue Problem, 1980, Thm 4.5.1); on a far-from-normal block
-only the backward error.
+diagonal and the entries below and above it.  A real, exactly symmetric path
+in every matrix, as every model builds, is solved there, with no s x s block
+built, by `eigh_tridiagonal`'s divide-and-conquer driver stevd (Cuppen,
+Numer. Math. 36, 177 (1981), made stable by Gu & Eisenstat, SIAM J. Matrix
+Anal. Appl. 16, 172 (1995)), each residual taken from the path's own entries,
+two neighbours per row, O(s^2) per path.  Every other block, and after them a
+complex path or one not symmetric in every matrix, goes, stacked with the
+blocks of its size, to the symmetric eigensolver when the stack is exactly
+hermitian and to the general one otherwise.  PATH_MIN is where the two routes
+cost the same, measured on one h12 matrix (a path and two singletons, rho =
+0.7, theta = 1.2) with BLAS on one thread on a 2-vCPU x86-64 host: stacked
+against tridiagonal, 0.36 against 0.39 ms at s = 48, 0.53 against 0.51 ms at
+64, 0.63 against 0.58 ms at 72, 1.6 against 1.2 ms at 128 and 84 against 17 ms
+at 766.  At weak coupling (rho = 0.12, theta = 0.027), where the levels
+cluster: 0.34 against 0.35 ms at 48, 0.47 against 0.46 ms at 64, 1.4 against
+0.85 ms at 128 and 82 against 11 ms at 766.  The tridiagonal route holds less
+memory at every s: its eigenvectors and stevd's s^2 workspace, two s x s
+arrays, against the stacked route's block, eigenvectors, LAPACK's 2 s^2
+workspace and products.  The gate is the same on both routes, against the
+whole matrix's ||H||_F.  On a hermitian block it also bounds each eigenvalue's
+forward error: a unit vector v with residual r puts an exact eigenvalue of H
+within r of w (Parlett, The Symmetric Eigenvalue Problem, 1980, Thm 4.5.1); on
+a far-from-normal block only the backward error.
 Block and dense eigenvalues agree up to rounding, not bit for bit.
 
 `residual_on_rows` computes the eigenpair residual H x - E x of a vector x
@@ -120,8 +120,18 @@ def eig_checked(matrix: np.ndarray, return_residuals: bool = False) -> tuple[np.
         listed = norms.reshape(-1).tolist()
         if not all(map(math.isfinite, listed)):
             matrix = np.where(np.isfinite(norms)[..., np.newaxis, np.newaxis], matrix, 0.0)
-        # scipy refuses a stack of no matrices; numpy gives its empty w and v
-        w, v = (scipy.linalg.eig if matrix.size else np.linalg.eig)(matrix)
+        # xGEEV in some LAPACK builds (OpenBLAS 0.3.30's) returns the eigenvalues of its
+        # own rescaled copy of a matrix far from unit scale: one with ||H||_F outside
+        # [2^-200, 2^200] is solved times the power of two, at most 2^1000, that brings
+        # its largest |entry| into [0.5, 1) (a tiny ||H||_F underflows); w is scaled back
+        far = np.isfinite(norms) & ~((2.0**-200 <= norms) & (norms <= 2.0**200))
+        if matrix.size and far.any():
+            exponent = np.zeros(norms.shape, int)
+            exponent[far] = np.frexp(np.abs(matrix[far]).max(axis=(-2, -1)))[1].clip(-1000)
+            w, v = scipy.linalg.eig(matrix * np.exp2(-exponent)[..., np.newaxis, np.newaxis])
+            w *= np.exp2(exponent)[..., np.newaxis]
+        else:  # scipy refuses a stack of no matrices; numpy gives its empty w and v
+            w, v = (scipy.linalg.eig if matrix.size else np.linalg.eig)(matrix)
         # by chunks of eigenvectors, one chunk's residual rows held at a time, and in
         # each row block by row block against the chunk in one stacked call; a block
         # starts at a multiple of ROW_BLOCK, so each row of H v_i has the bits of H @ v[:, i]
@@ -194,24 +204,19 @@ def _path(component: list[int], starts: list[int], targets: list[int]) -> list[i
     return order
 
 
-def _path_eigvals(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, float]:
-    """Eigenvalues of an exactly hermitian path, given in path order by its
-    diagonal, the entries below it (H[p_k+1, p_k]) and those above it, and
+def _path_eigvals(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, float]:
+    """Eigenvalues of a real, exactly symmetric path, given in path order by
+    its diagonal and its off-diagonal (H[p_k+1, p_k] = H[p_k, p_k+1]), and
     the worst residual of their eigenpairs, taken from those entries."""
-    off, phase = lower[:-1], 1.0
-    if np.iscomplexobj(off):  # x_k = phase_k y_k: y solves the path with off-diagonal |lower|
-        off = np.abs(off)
-        unit = np.divide(lower[:-1], off, out=np.ones_like(lower[:-1]), where=off > 0)
-        phase = np.cumprod(np.concatenate([[1.0], unit]))
-    w, y = eigh_tridiagonal(diag.real, off, lapack_driver="stevd")
+    w, y = eigh_tridiagonal(diag, off[:-1], lapack_driver="stevd")
     residuals = np.empty(w.shape)
     for start in range(0, len(w), PRODUCT_ROWS):  # by chunks: no s x s residual array
         chunk = slice(start, start + PRODUCT_ROWS)
-        x = y.T[chunk] * phase
+        x = y.T[chunk]
         gap = diag - w[chunk, np.newaxis]
         gap *= x
-        gap[:, 1:] += x[:, :-1] * lower[:-1]
-        gap[:, :-1] += x[:, 1:] * upper[:-1]
+        gap[:, 1:] += x[:, :-1] * off[:-1]
+        gap[:, :-1] += x[:, 1:] * off[:-1]
         residuals[chunk] = _norms(gap)
     return w, residuals.max()
 
@@ -228,9 +233,9 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
     """Eigenvalues of G same-size matrices, read one at a time, as rows (G, n)
     in block order.  The union of their patterns splits them all into the
     same blocks; each matrix leaves only its norm and nonzero entries.  One
-    loop solves each hermitian path where it finds it, and puts every other
-    block into the stack (G, blocks, s, s) of its size s, a path that is not
-    hermitian after the rest, for one `eigh` (stack exactly hermitian) or
+    loop solves each real, exactly symmetric path where it finds it, and puts
+    every other block into the stack (G, blocks, s, s) of its size s, any
+    other path after the rest, for one `eigh` (stack exactly hermitian) or
     `eig` call per size after the loop.  The first failing gate raises.  It
     streams so that a grid's dense matrices are never held at once: stacking
     them gives the same bits but a sweep's peak memory about an eighth more.
@@ -269,12 +274,12 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
         on = i >= 0
         bands = np.zeros((3, len(norms), len(order)), dtype)  # diagonal, below, above: (i - j) % 3
         bands[(i - j)[on] % 3, g[on], np.minimum(i, j)[on]] = entry[on]
-        # exactly hermitian, by the stacked route's rule: no tolerance
-        if not np.all((bands[0] == bands[0].conj()) & (bands[1] == bands[2].conj())):
+        # real and exactly symmetric, by the stacked route's rule: no tolerance
+        if np.iscomplexobj(bands) or not np.array_equal(bands[1], bands[2]):
             later.append(component)  # the stacked route, after its size's other blocks
             continue
         with np.errstate(over="ignore"):
-            solved = [_path_eigvals(*band) for band in bands.transpose(1, 0, 2)]
+            solved = [_path_eigvals(diag, off) for diag, off in bands[:2].transpose(1, 0, 2)]
         values.append(np.array([w for w, _ in solved]))
         worst.append(np.array([value for _, value in solved]))
     for component in later:

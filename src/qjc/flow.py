@@ -25,8 +25,8 @@ Two sweep routes with different labeling power:
 Events -- real-level crossings, and branch coalescences for the
 sign-flipped coupling -- are localized by bisection to `PARAM_TOL`.  A rho
 sweep whose energies are all below 1 (|eps|, |hw| and the ends of its range:
-`_energy_scale`) measures its realness floor and its coalescences' width in
-that scale; at unit scale both are the absolute ones.
+`_energy_scale`) measures its realness floor and its events' width in that
+scale; at unit scale both are the absolute ones.
 `_events` locates the crossings of both sweeps: it finds with array
 operations the grid steps where two real rows' difference changes sign,
 visits only those, in the (row, row, step) order of a nested loop, and
@@ -200,8 +200,9 @@ def _events(spec, grid, labels, tracks, pair, extra=()) -> tuple[FlowEvent, ...]
     not multiplied, so that no product over- or underflows.  A difference
     that is exactly zero on an interior grid point (the rho = 1 degeneracies
     land there) is already localized; endpoint zeros are boundary
-    degeneracies, not events.  A rho sweep's rows are real in its
-    `_energy_scale`; a theta sweep's at unit scale.
+    degeneracies, not events.  A rho sweep's rows are real, and its
+    crossings narrowed to PARAM_TOL, in its `_energy_scale`; a theta
+    sweep's at unit scale.
     """
     events = []
     real = tracks.real
@@ -223,8 +224,9 @@ def _events(spec, grid, labels, tracks, pair, extra=()) -> tuple[FlowEvent, ...]
                 value, energy = float(grid[g + 1]), complex(tracks[i, g + 1])
                 tolerance = 0.0
             else:
-                value = _bisect(lambda x: np.subtract(*pair(i, j, g, x)).real, grid[g], grid[g + 1])
-                energy, tolerance = next(pair(i, j, g, value)), PARAM_TOL
+                tolerance = PARAM_TOL * scale
+                value = _bisect(lambda x: np.subtract(*pair(i, j, g, x)).real, grid[g], grid[g + 1], tolerance)
+                energy = next(pair(i, j, g, value))
             events.append(
                 FlowEvent(
                     kind="crossing",

@@ -8,6 +8,7 @@ the seeded draw then walks every command, model and flag, float-range edges
 and SVG output included.
 """
 
+import json
 import random
 
 import numpy as np
@@ -105,10 +106,11 @@ def test_a_rescaled_sweep_prints_only_the_crossings_of_figure_one(capsys):
     code, out, _ = _outcome(capsys, UNDERFLOW_SWEEP)
     assert code == 0
     grid = np.linspace(0.0, 2e-160, 201)
-    assert _crossings(out) == [
-        (0.5 * (grid[57] + grid[58]), plain[0][1]),  # PARAM_TOL spans the step
-        *((grid[100], labels) for _, labels in plain[1:]),
-    ]
+    (first, labels), *rest = _crossings(out)
+    assert labels == plain[0][1]
+    # narrowed to PARAM_TOL in the sweep's energy scale 2e-160, not within a step
+    assert abs(first - 1e-160 * plain[0][0]) <= 2e-160 * PARAM_TOL
+    assert rest == [(grid[100], labels) for _, labels in plain[1:]]
     assert [value for value, _ in plain] == [0.5773502683639525, 1.0, 1.0, 1.0]
 
 
@@ -129,6 +131,49 @@ def test_a_rescaled_sign_flipped_sweep_finds_the_coalescences_of_the_unit_sweep(
     # PARAM_TOL times the scale 2e-160
     for (found, _), (value, _) in zip(scaled, plain):
         assert abs(found - 1e-160 * value) <= 1e-160 * PARAM_TOL + 2e-160 * PARAM_TOL
+
+
+TINY = ("--eps", "1e-160", "--hw", "1e-160", "--rho", "1e-160")
+
+
+def _levels(out, source):
+    """re_energy of each row from one source, in order."""
+    table = read_csv(out)
+    at = table.columns.index("re_energy"), table.columns.index("source")
+    return np.array([float(row[at[0]]) for row in table.rows if row[at[1]] == source])
+
+
+@pytest.mark.parametrize(
+    "argv, unit, tiny, source",
+    [
+        (("spectrum", "--model", "h2", "--D", "16"), (), (), "numeric"),
+        (("qes", "--model", "ht", "--N", "1"), ("--theta", "3"), ("--theta", "3e-160"), "qes"),
+    ],
+    ids=["spectrum", "qes"],
+)
+def test_the_dense_levels_of_a_rescaled_model_are_the_unit_levels_rescaled(capsys, argv, unit, tiny, source):
+    # xGEEV in some LAPACK builds returns the eigenvalues of its own rescaled
+    # copy of a matrix this small, 1e21 times too large
+    code, out, _ = _outcome(capsys, (*argv, *unit, "--eps", "1", "--hw", "1", "--rho", "1"))
+    assert code == 0
+    plain = _levels(out, source)
+    code, out, _ = _outcome(capsys, (*argv, *tiny, *TINY))
+    assert code == 0
+    scaled = _levels(out, source)
+    assert len(plain) == len(scaled) > 0
+    np.testing.assert_allclose(scaled, 1e-160 * plain, rtol=1e-14, atol=0.0)
+
+
+def test_the_polynomial_check_of_a_rescaled_model_sees_the_rescaled_levels(capsys):
+    code, out, _ = _outcome(capsys, ("polyrep-check", "--model", "ht", "--N", "1", "--theta", "3e-160", *TINY))
+    assert code == 0
+    assert json.loads(out)["max_spectrum_deviation"] < 1e-170
+
+
+def test_a_spectrum_far_above_unit_scale_passes_the_gate(capsys):
+    code, out, err = _outcome(capsys, ("spectrum", "--model", "h2", "--rho", "1e140", "--D", "16"))
+    assert (code, err) == (0, "")
+    assert len(_levels(out, "numeric")) == 32
 
 
 EDGES = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e154, -1e154, 1e300, -1e300)

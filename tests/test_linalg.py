@@ -189,12 +189,15 @@ def test_every_builder_gives_a_direct_sum_of_paths(phi):
     matrices += [build_jcm(ModelParams(rho=0.7), space).matrix, build_pseudo_jcm(ModelParams(rho=0.7), space).matrix]
     matrices.append(build_h12(ModelParams(rho=0.7, phi=phi, theta=1.2), space).matrix)
     for matrix in matrices:
+        # real: a complex path would leave the tridiagonal route for the stacked one
+        assert matrix.dtype == np.float64
         assert all(_is_path(matrix, component) for component in _components(matrix))
     # h12: one path of 2D - 2 states, and two states alone
     assert sorted(map(len, _components(matrices[-1]))) == [1, 1, 126]
     for big_n in (0, 2, 5):
         params = ModelParams(rho=0.7, phi=phi, theta=1.2, n_qes=big_n + 2)
         matrix = build_ht(params, space).matrix
+        assert matrix.dtype == np.float64
         components = sorted(_components(matrix), key=len)
         assert all(_is_path(matrix, component) for component in components)
         # |0, down>, |D - 1, up>, the QES path and the tail
@@ -246,7 +249,8 @@ def _path_matrix(s, seed, hermitian=True, complex_entries=False, one_ulp_off=Fal
     "matrix, solvers",
     [
         (_path_matrix(PATH_MIN, 1), ["eigh_tridiagonal"]),
-        (_path_matrix(PATH_MIN + 9, 2, complex_entries=True), ["eigh_tridiagonal"]),
+        # hermitian but complex: no builder makes one, so the stacked route
+        (_path_matrix(PATH_MIN + 9, 2, complex_entries=True), ["eigh"]),
         (_h12_path(), ["eigh_tridiagonal", "eigh"]),  # the two states alone are a stack of 1 x 1
         (_path_matrix(PATH_MIN, 3, hermitian=False), ["eig"]),
         (_path_matrix(PATH_MIN, 4, one_ulp_off=True), ["eig"]),
@@ -524,6 +528,30 @@ def test_an_empty_stack_gives_empty_results_of_the_documented_shapes():
     assert (w.shape, v.shape, residuals.shape) == ((0, 4), (0, 4, 4), (0, 4))
     assert eigvals_checked(empty).shape == (0, 4)
     assert eigvals_checked(np.zeros((2, 0, 0))).shape == (2, 0)
+
+
+_SMALL = np.array([[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "matrix, scales",
+    [
+        (_SMALL * 1e-160, [1e-160]),
+        (_SMALL * 1e140, [1e140]),
+        (np.array([_SMALL, _SMALL * 1e-160]), [1.0, 1e-160]),
+        (np.diag([5e-324, 1e-323]), [1.0]),  # subnormal: the prescale's cap, 2^1000, is exact
+    ],
+    ids=["1e-160", "1e140", "stack", "subnormal"],
+)
+def test_a_matrix_far_from_unit_scale_keeps_its_eigenvalues(matrix, scales):
+    # xGEEV in some LAPACK builds returns the eigenvalues of its own rescaled
+    # copy of a matrix whose entries lie outside about [6.7e-139, 1.5e138]
+    w, v = eig_checked(matrix)
+    for values, vectors, scale, scaled in zip(w.reshape(-1, 2), v.reshape(-1, 2, 2), scales, matrix.reshape(-1, 2, 2)):
+        expected = np.sort(np.linalg.eigvals(scaled / scale).real)
+        np.testing.assert_allclose(np.sort(values.real) / scale, expected, rtol=1e-14)
+        assert not values.imag.any()
+        np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0, rtol=1e-14)
 
 
 @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])

@@ -27,21 +27,17 @@ in every matrix, as every model builds, is solved there, with no s x s block
 built, by `eigh_tridiagonal`'s divide-and-conquer driver stevd (Cuppen,
 Numer. Math. 36, 177 (1981), made stable by Gu & Eisenstat, SIAM J. Matrix
 Anal. Appl. 16, 172 (1995)), each residual taken from the path's own entries,
-two neighbours per row, O(s^2) per path.  Every other block, and after them a
-complex path or one not symmetric in every matrix, goes, stacked with the
+two neighbours per row, O(s^2) per path.  Every other block, a complex path
+or one not symmetric in every matrix among them, goes, stacked with the
 blocks of its size, to the symmetric eigensolver when the stack is exactly
-hermitian and to the general one otherwise.  PATH_MIN is where the two routes
-cost the same, measured on one h12 matrix (a path and two singletons, rho =
-0.7, theta = 1.2) with BLAS on one thread on a 2-vCPU x86-64 host: stacked
-against tridiagonal, 0.36 against 0.39 ms at s = 48, 0.53 against 0.51 ms at
-64, 0.63 against 0.58 ms at 72, 1.6 against 1.2 ms at 128 and 84 against 17 ms
-at 766.  At weak coupling (rho = 0.12, theta = 0.027), where the levels
-cluster: 0.34 against 0.35 ms at 48, 0.47 against 0.46 ms at 64, 1.4 against
-0.85 ms at 128 and 82 against 11 ms at 766.  The tridiagonal route holds less
-memory at every s: its eigenvectors and stevd's s^2 workspace, two s x s
-arrays, against the stacked route's block, eigenvectors, LAPACK's 2 s^2
-workspace and products.  The gate is the same on both routes, against the
-whole matrix's ||H||_F.  On a hermitian block it also bounds each eigenvalue's
+hermitian and to the general one otherwise.  PATH_MIN is where the two
+routes cost the same, measured on h12 paths at strong and at weak coupling
+with BLAS on one thread; the timings are in CHANGES.md and
+BENCH_path-divide-and-conquer.json.  The tridiagonal route holds less memory
+at every s: its eigenvectors and stevd's s^2 workspace, two s x s arrays,
+against the stacked route's block, eigenvectors, LAPACK's 2 s^2 workspace
+and products.  The gate is the same on both routes, against the whole
+matrix's ||H||_F.  On a hermitian block it also bounds each eigenvalue's
 forward error: a unit vector v with residual r puts an exact eigenvalue of H
 within r of w (Parlett, The Symmetric Eigenvalue Problem, 1980, Thm 4.5.1); on
 a far-from-normal block only the backward error.
@@ -234,13 +230,13 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
     in block order.  The union of their patterns splits them all into the
     same blocks; each matrix leaves only its norm and nonzero entries.  One
     loop solves each real, exactly symmetric path where it finds it, and puts
-    every other block into the stack (G, blocks, s, s) of its size s, any
-    other path after the rest, for one `eigh` (stack exactly hermitian) or
-    `eig` call per size after the loop.  The first failing gate raises.  It
-    streams so that a grid's dense matrices are never held at once: stacking
-    them gives the same bits but a sweep's peak memory about an eighth more.
-    No matrices give (0, 0) and G empty matrices (G, 0); a matrix not square
-    or not the first's shape is refused."""
+    every other block into the stack (G, blocks, s, s) of its size s, for one
+    `eigh` (stack exactly hermitian) or `eig` call per size after the loop.
+    The first failing gate raises.  It streams so that a grid's dense
+    matrices are never held at once: stacking them gives the same bits but a
+    sweep's peak memory about an eighth more.  No matrices give (0, 0) and G
+    empty matrices (G, 0); a matrix not square or not the first's shape is
+    refused."""
     norms, entries, shape = [], [], None
     for g, m in enumerate(matrices):
         shape = shape or m.shape
@@ -262,27 +258,23 @@ def stream_eigvals(matrices: Iterable[np.ndarray]) -> np.ndarray:
     n, dtype = m.shape[0], np.result_type(entry, float)  # every matrix's entries fit
     # the union of the patterns, each entry once, in np.nonzero's order
     starts, targets = _adjacency(*np.divmod(np.unique(rows * n + cols), n), n)
-    by_size, later, values, worst = {}, [], [], []
+    by_size, values, worst = {}, [], []
     for component in _components(starts, targets):
         order = _path(component, starts, targets) if len(component) >= PATH_MIN else None
-        if not order:
-            by_size.setdefault(len(component), []).append(component)
-            continue
-        along = np.full(n, -1)  # each state's place on the path, -1 off it
-        along[order] = np.arange(len(order))
-        i, j = along[rows], along[cols]
-        on = i >= 0
-        bands = np.zeros((3, len(norms), len(order)), dtype)  # diagonal, below, above: (i - j) % 3
-        bands[(i - j)[on] % 3, g[on], np.minimum(i, j)[on]] = entry[on]
-        # real and exactly symmetric, by the stacked route's rule: no tolerance
-        if np.iscomplexobj(bands) or not np.array_equal(bands[1], bands[2]):
-            later.append(component)  # the stacked route, after its size's other blocks
-            continue
-        with np.errstate(over="ignore"):
-            solved = [_path_eigvals(diag, off) for diag, off in bands[:2].transpose(1, 0, 2)]
-        values.append(np.array([w for w, _ in solved]))
-        worst.append(np.array([value for _, value in solved]))
-    for component in later:
+        if order:
+            along = np.full(n, -1)  # each state's place on the path, -1 off it
+            along[order] = np.arange(len(order))
+            i, j = along[rows], along[cols]
+            on = i >= 0
+            bands = np.zeros((3, len(norms), len(order)), dtype)  # diagonal, below, above: (i - j) % 3
+            bands[(i - j)[on] % 3, g[on], np.minimum(i, j)[on]] = entry[on]
+            # real and exactly symmetric, by the stacked route's rule: no tolerance
+            if not np.iscomplexobj(bands) and np.array_equal(bands[1], bands[2]):
+                with np.errstate(over="ignore"):
+                    solved = [_path_eigvals(diag, off) for diag, off in bands[:2].transpose(1, 0, 2)]
+                values.append(np.array([w for w, _ in solved]))
+                worst.append(np.array([value for _, value in solved]))
+                continue
         by_size.setdefault(len(component), []).append(component)
     for members in by_size.values():
         idx = np.array(members)

@@ -14,7 +14,9 @@ higher-energy diagonal entry of the block.
 Two evaluations of the doublet levels agree bit for bit.
 `closed_form_tracks` evaluates every level over a coupling grid in one
 array pass; `doublet_block` + `doublet_eigenvalues` evaluate one block at one
-coupling.  Both take the gap and the mean as the same Python floats, scale
+coupling.  Both read the diagonals from `_diagonal`, whose photon energy
+hw m + P(m) takes an int m or an array of them by the same IEEE operations,
+so both take the gap and the mean as the same floats, scale
 gap and rho by 2^e (e >= 0 brings the larger into [0.5, 1)), compute
 gap * gap, rho * rho * (n+1)...(n+k), the discriminant and half its real
 square root by the same IEEE operations in the same order, scale that back
@@ -36,10 +38,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalError, ValidationError
 from .fock import TruncatedFockSpace
-from .models import ModelParams, poly_value
+from .models import ModelParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +113,9 @@ class LabeledLevel:
     branch: str | None = None
 
 
-def _ladder_product(n: int, k: int) -> float:
-    """(n+1)(n+2)...(n+k), the square of the k-step ladder matrix element."""
+def _ladder_product(n, k: int):
+    """(n+1)(n+2)...(n+k), the square of the k-step ladder matrix element,
+    for an int n or elementwise over an array of them."""
     prod = 1.0
     for i in range(1, k + 1):
         prod *= n + i
@@ -123,13 +127,18 @@ def transfer_amplitude(n: int, k: int) -> float:
     return math.sqrt(_ladder_product(n, k))
 
 
-def _diagonal(params: ModelParams, n: int) -> tuple[float, float]:
-    """Diagonal entries of doublet n: |n, up> then |n+k, down>."""
-    hw, eps, k = params.hbar_omega, params.epsilon, params.k
-    return (
-        hw * n + poly_value(params, n) + 0.5 * eps,
-        hw * (n + k) + poly_value(params, n + k) - 0.5 * eps,
-    )
+def _photon_energy(params: ModelParams, m):
+    """hw m + P(m) for an int m or elementwise over an array of them."""
+    return params.hbar_omega * m + (npoly.polyval(m, params.poly) if params.poly else 0.0)
+
+
+def _diagonal(params: ModelParams, n):
+    """Diagonal entries of doublet n (or of each doublet in an array n):
+    |n, up> then |n+k, down>.  An overflow gives inf, as Python floats do,
+    which the discriminant's check reports."""
+    half = 0.5 * params.epsilon
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _photon_energy(params, n) + half, _photon_energy(params, n + params.k) - half
 
 
 def _overflow(n: int, gap: float, coupling_squared: float) -> NumericalError:
@@ -257,19 +266,12 @@ def closed_form_tracks(params: ModelParams, doublets: int, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     k = params.k
     tracks = np.empty((k + 2 * doublets, rho.size), dtype=complex)
-    for j in range(k):
-        tracks[j] = params.hbar_omega * j + poly_value(params, j) - 0.5 * params.epsilon
-    diagonals = [_diagonal(params, n) for n in range(doublets)]
-    gap, mean, prod = (
-        np.array(column, dtype=float).reshape(-1, 1)
-        for column in (
-            [lower - upper for upper, lower in diagonals],
-            [0.5 * (upper + lower) for upper, lower in diagonals],
-            [_ladder_product(n, k) for n in range(doublets)],
-        )
-    )
-    e = np.maximum(0, -np.frexp(np.maximum(np.abs(gap), np.abs(rho)))[1])  # the prescale
-    with np.errstate(over="ignore", invalid="ignore"):
+    index = np.arange(doublets)[:, np.newaxis]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised by name below
+        tracks[:k] = (_photon_energy(params, np.arange(k)) - 0.5 * params.epsilon)[:, np.newaxis]
+        upper, lower = _diagonal(params, index)
+        gap, mean, prod = lower - upper, 0.5 * (upper + lower), _ladder_product(index, k)
+        e = np.maximum(0, -np.frexp(np.maximum(np.abs(gap), np.abs(rho)))[1])  # the prescale
         scaled_gap, scaled_rho = np.ldexp(gap, e), np.ldexp(rho, e)
         coupling_squared = scaled_rho * scaled_rho * prod
         disc = scaled_gap * scaled_gap + 4.0 * params.phi * coupling_squared

@@ -161,14 +161,6 @@ def _poly_degree(coeffs: tuple[float, ...]) -> int:
     return degree
 
 
-def poly_value(params: ModelParams, n: float) -> float:
-    """Scalar P(n); an overflow gives inf, which the gate of each route reports."""
-    if not params.poly:
-        return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(npoly.polyval(n, params.poly))
-
-
 def _check_guard(space: TruncatedFockSpace, transfer: int, model: str) -> None:
     if space.guard < transfer + 2:
         raise ValidationError(

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
 import qjc.closedform
@@ -25,7 +26,7 @@ from qjc.closedform import (
 )
 from qjc.errors import NumericalError, ValidationError
 from qjc.fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
-from qjc.models import ModelParams, build_extended, poly_value
+from qjc.models import ModelParams, build_extended
 
 
 def charpoly_eigenvalues(block):
@@ -262,9 +263,10 @@ def test_embedded_doublet_vector_is_full_space_eigenvector():
 
 
 def block_route_tracks(params, doublets, rho):
-    """The reference: singlets, then doublet_eigenvalues(doublet_block(...)) per point."""
+    """The reference: singlets j hw + P(j) - eps/2 in scalar floats, then
+    doublet_eigenvalues(doublet_block(...)) per point."""
     singlets = [
-        complex(params.hbar_omega * j + poly_value(params, j) - 0.5 * params.epsilon)
+        complex(params.hbar_omega * j + float(npoly.polyval(j, params.poly or [0.0])) - 0.5 * params.epsilon)
         for j in range(params.k)
     ]
     columns = []
@@ -305,6 +307,35 @@ def test_closed_form_tracks_equal_the_block_route_bit_for_bit(k, phi, poly):
         ]
     )
     assert_same_bits(closed_form_tracks(params, doublets, rho), block_route_tracks(params, doublets, rho))
+
+
+@pytest.mark.parametrize("k, poly", [(2, ()), (3, (0.0, 0.0, 0.01, 0.0, -4e-4))])
+@pytest.mark.parametrize("phi", [1, -1])
+def test_closed_form_tracks_equal_the_block_route_at_the_spectrums_doublet_count(k, phi, poly):
+    # `qjc spectrum --D 512` reads this many doublets in one array pass
+    params = ModelParams(epsilon=0.7, k=k, phi=phi, poly=poly)
+    space = TruncatedFockSpace(512)
+    doublets = space.cutoff - space.guard - k
+    assert len(full_algebraic_spectrum(params, space)) == k + 2 * doublets
+    flipped = dataclasses.replace(params, phi=-1)
+    points = np.array([doublet_coalescence_rho(flipped, n) for n in (1, doublets // 2, doublets - 1)])
+    rho = np.concatenate([[0.0, 0.3, 1.7], points, np.nextafter(points, 0.0), np.nextafter(points, np.inf)])
+    assert_same_bits(closed_form_tracks(params, doublets, rho), block_route_tracks(params, doublets, rho))
+
+
+def test_closed_form_tracks_read_the_diagonals_in_one_call(monkeypatch):
+    calls = []
+
+    def counted(params, n):
+        calls.append(np.shape(n))
+        return diagonal(params, n)
+
+    diagonal = qjc.closedform._diagonal
+    monkeypatch.setattr(qjc.closedform, "_diagonal", counted)
+    for doublets in (0, 1, 6, 502):
+        calls.clear()
+        closed_form_tracks(ModelParams(epsilon=0.7, k=2, poly=(0.0, 0.0, 0.05)), doublets, [0.0, 0.3])
+        assert len(calls) == 1, doublets
 
 
 @pytest.mark.parametrize("phi", [1, -1])

@@ -256,7 +256,7 @@ def _path_matrix(s, seed, hermitian=True, complex_entries=False, one_ulp_off=Fal
         (_path_matrix(PATH_MIN, 4, one_ulp_off=True), ["eig"]),
         (_path_matrix(PATH_MIN - 1, 5), ["eigh"]),
         (_path_matrix(PATH_MIN, 6, closed=True), ["eigh"]),  # as many edges as states: not a path
-        # hermitian at phi = +1 only: the stacked route, after the singletons' stack
+        # hermitian at phi = +1 only: the stacked route, beside the singletons' stack
         (np.array([_h12_path(64, phi=1), _h12_path(64, phi=-1)]), ["eigh", "eig"]),
         (_symmetric(12, 5), ["eigh"]),  # dense: not a path
         (np.random.default_rng(3).normal(size=(12, 12)), ["eig"]),
@@ -272,7 +272,7 @@ def test_only_a_long_hermitian_path_takes_the_tridiagonal_route(monkeypatch, mat
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
     values = eigvals_checked(matrix)
-    assert calls == solvers
+    assert sorted(calls) == sorted(solvers)  # block order is no part of the contract
     assert spectrum_mismatch(values, eig_checked(matrix)[0]) <= 1e-12 * np.linalg.norm(matrix)
 
 

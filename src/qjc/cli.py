@@ -214,10 +214,9 @@ def _complex_str(value: complex) -> str:
     return f"{format_number(value.real)}{sign}{format_number(abs(value.imag))}j"
 
 
-def _write(merged: dict, args, table: Table | None, document: dict) -> int:
-    """Emit `document` as JSON under --format json or with no `table`, else `table` as CSV."""
-    json_out = table is None or merged["format"] == "json"
-    _emit(write_json(document) if json_out else write_csv(table), args.output)
+def _write(merged: dict, args, table: Table, document: dict) -> int:
+    """Emit `document` as JSON under --format json, else `table` as CSV."""
+    _emit(write_json(document) if merged["format"] == "json" else write_csv(table), args.output)
     return 0
 
 
@@ -307,7 +306,8 @@ def cmd_check(merged: dict, args) -> int:
         "spectrum_class": report.spectrum_class,
         "tolerances": {"structure": STRUCTURE_TOL, "realness": REALNESS_TOL},
     }
-    return _write(merged, args, None, document)
+    _emit(write_json(document), args.output)
+    return 0
 
 
 def cmd_qes(merged: dict, args) -> int:
@@ -413,6 +413,11 @@ _SWEPT_MODELS = {
 def cmd_sweep(merged: dict, args) -> int:
     """eigenvalue trajectories over rho or theta"""
     model, params, _ = _request(merged, *_SWEPT_MODELS[args.param], fock=False)
+    # inputs the sweep would ignore: the swept value, and theta with no coupling to drive
+    if merged[args.param] is not None:
+        raise ValidationError(f"{_flag(args.param)} is the swept parameter; --start and --stop set its range")
+    if args.param == "theta" and merged["c"] is not None and merged["c_hat"] is not None:
+        raise ValidationError("--c and --c-hat together leave a theta sweep no coupling to drive")
     spec = SweepSpec(
         params=params,
         parameter=args.param,

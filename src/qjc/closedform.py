@@ -65,21 +65,12 @@ class DoubletBlock:
         """Off-diagonal magnitude rho * sqrt((n+1)...(n+k))."""
         return float(self.matrix[0, 1])
 
-    @property
-    def coupling_squared(self) -> float:
-        """rho^2 (n+1)...(n+k) without the sqrt round-trip, so integer
-        discriminants stay integers."""
-        return self.rho * self.rho * _ladder_product(self.n, self.k)
-
-    def discriminant(self, rho: float | None = None) -> float:
-        """gap^2 + 4 phi coupling^2, negative when the pair is complex.  At a
-        coupling rho instead, given: the bits of the block built at rho."""
-        value, e = self.scaled_discriminant(self.rho if rho is None else rho)
-        return math.ldexp(value, -2 * e)
-
     def scaled_discriminant(self, rho: float) -> tuple[float, int]:
-        """(discriminant times 4^e, e), gap and rho prescaled by 2^e: the
-        discriminant's sign, which no underflow loses."""
+        """(value, e): value is 4^e times the discriminant gap^2 + 4 phi
+        rho^2 (n+1)...(n+k) at coupling rho, with gap and rho prescaled by 2^e
+        (e >= 0 brings the larger into [0.5, 1)).  Its sign, negative for a
+        complex pair, survives any underflow.  It has the bits of the block
+        built at rho, since rho enters nothing else."""
         gap = self.gap
         e = max(0, -math.frexp(max(abs(gap), abs(rho)))[1])
         gap, rho = math.ldexp(gap, e), math.ldexp(rho, e)

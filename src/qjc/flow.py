@@ -23,8 +23,8 @@ Two sweep routes with different labeling power:
   failing point raises only once the sweep reaches it.
 
 Events -- real-level crossings, and branch coalescences for the
-sign-flipped coupling -- are localized by bisection to `PARAM_TOL`.  A rho
-sweep whose energies are all below 1 (|eps|, |hw| and the ends of its range:
+sign-flipped coupling -- are localized by bisection to `PARAM_TOL`.  A sweep
+whose energies are all below 1 (|eps|, |hw| and the ends of its range:
 `_energy_scale`) measures its realness floor and its events' width in that
 scale; at unit scale both are the absolute ones.
 `_events` locates the crossings of both sweeps: it finds with array
@@ -47,10 +47,10 @@ from .errors import NumericalError, TrackingAmbiguityError, ValidationError
 from .fock import TruncatedFockSpace
 from .models import ModelParams, build_extended
 from .qes import algebraic_eigenvalues, restriction_matrix
+from .symmetry import REALNESS_TOL, real_mask
 
 PARAM_TOL = 1e-8
 MAX_REFINEMENTS = 10
-REAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,6 @@ class FlowEvent:
     """A localized spectral event along a sweep."""
 
     kind: str  # "crossing" | "coalescence"
-    parameter: str
     value: float
     energy: complex
     labels: tuple[str, str]
@@ -155,8 +154,9 @@ def _closed_form_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _energy_scale(params: ModelParams, lo: float, hi: float) -> float:
-    """The energy unit of a rho sweep on [lo, hi]: the largest of |eps|, |hw|,
-    |lo| and |hi|, capped at 1, so that only a sweep below unit scale has one."""
+    """The energy unit of a rho or theta sweep on [lo, hi]: the largest of
+    |eps|, |hw|, |lo| and |hi|, capped at 1, so that only a sweep below unit
+    scale has one."""
     return min(1.0, max(abs(params.epsilon), abs(params.hbar_omega), abs(lo), abs(hi)))
 
 
@@ -185,11 +185,6 @@ def _bisect(func, lo: float, hi: float, width: float = PARAM_TOL) -> float:
     )
 
 
-def _real_rows(tracks: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Rows whose every |Im| is at most REAL_TOL * max(scale, |E|)."""
-    return np.all(np.abs(tracks.imag) <= REAL_TOL * np.maximum(scale, np.abs(tracks)), axis=1)
-
-
 def _events(spec, grid, labels, tracks, pair, extra=()) -> tuple[FlowEvent, ...]:
     """Crossings of every pair of real rows plus `extra`, sorted by value.
 
@@ -200,14 +195,14 @@ def _events(spec, grid, labels, tracks, pair, extra=()) -> tuple[FlowEvent, ...]
     not multiplied, so that no product over- or underflows.  A difference
     that is exactly zero on an interior grid point (the rho = 1 degeneracies
     land there) is already localized; endpoint zeros are boundary
-    degeneracies, not events.  A rho sweep's rows are real, and its
-    crossings narrowed to PARAM_TOL, in its `_energy_scale`; a theta
-    sweep's at unit scale.
+    degeneracies, not events.  A row is real where `real_mask` holds at
+    every grid point, and crossings are narrowed to PARAM_TOL, both in the
+    sweep's `_energy_scale`.
     """
     events = []
     real = tracks.real
-    scale = _energy_scale(spec.params, spec.start, spec.stop) if spec.parameter == "rho" else 1.0
-    rows = np.flatnonzero(_real_rows(tracks, scale))
+    scale = _energy_scale(spec.params, spec.start, spec.stop)
+    rows = np.flatnonzero(np.all(real_mask(tracks, scale), axis=1))
     for index, i in enumerate(rows.tolist()):
         # row i against every later real row j at once: diff[j, g] is
         # tracks[i, g].real - tracks[j, g].real, and np.nonzero visits the
@@ -227,16 +222,7 @@ def _events(spec, grid, labels, tracks, pair, extra=()) -> tuple[FlowEvent, ...]
                 tolerance = PARAM_TOL * scale
                 value = _bisect(lambda x: np.subtract(*pair(i, j, g, x)).real, grid[g], grid[g + 1], tolerance)
                 energy = next(pair(i, j, g, value))
-            events.append(
-                FlowEvent(
-                    kind="crossing",
-                    parameter=spec.parameter,
-                    value=value,
-                    energy=energy,
-                    labels=(labels[i], labels[j]),
-                    tolerance=tolerance,
-                )
-            )
+            events.append(FlowEvent("crossing", value, energy, (labels[i], labels[j]), tolerance))
     events.extend(extra)
     events.sort(key=lambda e: e.value)
     return tuple(events)
@@ -276,7 +262,7 @@ def _assign_tracks(predictions: np.ndarray, candidates: np.ndarray):
     first two of its ranking still free, the two a full sort would give.
     """
     assignment = [-1] * len(predictions)
-    tol = REAL_TOL * max(1.0, float(np.abs(candidates).max()))
+    tol = REALNESS_TOL * max(1.0, float(np.abs(candidates).max()))
     # one distance matrix, each row ranked once: the stable sort breaks a tie
     # by candidate index; np.hypot rounds as Python's complex abs, np.abs may not
     offsets = candidates[np.newaxis, :] - predictions[:, np.newaxis]
@@ -402,7 +388,6 @@ def _coalescences(params: ModelParams, doublet: int, lo: float, hi: float) -> li
             events.append(
                 FlowEvent(
                     kind="coalescence",
-                    parameter="rho",
                     value=sign * _bisect(discriminant, a, b, width),
                     energy=complex(mean),
                     labels=(f"doublet:{doublet}:I", f"doublet:{doublet}:II"),

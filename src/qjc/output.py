@@ -11,8 +11,8 @@ CSV dialect: '.' decimal point, ',' separator, one header row, and
 `write_csv` formats each distinct value of a column once (a mostly distinct
 float column cell by cell); a column with a bad cell goes row by row instead.
 JSON documents always carry schema_version = 1.  SVG is produced by a tiny
-string emitter (axes, polylines, labels) on purpose: the plots are static
-artifacts and a plotting library would be a contract risk, not a saving.
+string emitter, one element writer (`_element`), on purpose: the plots are
+static artifacts and a plotting library would be a contract risk, not a saving.
 """
 
 from __future__ import annotations
@@ -127,17 +127,28 @@ def _coord(value: float) -> str:
     return f"{value:.2f}"
 
 
-class _Scale:
-    def __init__(self, lo: float, hi: float, pix_lo: float, pix_hi: float):
-        if hi <= lo:
-            hi = lo + 1.0
-        self.lo, self.hi = lo, hi
-        self.pix_lo, self.pix_hi = pix_lo, pix_hi
+def _scale(lo: float, hi: float, pix_lo: float, pix_hi: float):
+    """The map from [lo, hi] onto pixels.  An empty span widens to lo + 1.0;
+    one that lo + 1.0 cannot widen, at |lo| above 2**53, maps to the middle."""
+    if hi <= lo:
+        hi = lo + 1.0
+    return lambda value: pix_lo + ((value - lo) / (hi - lo) if hi > lo else 0.5) * (pix_hi - pix_lo)
 
-    def __call__(self, value: float) -> float:
-        # a span that lo + 1.0 cannot widen, at |lo| above 2**53, maps to the middle
-        frac = (value - self.lo) / (self.hi - self.lo) if self.hi > self.lo else 0.5
-        return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
+
+def _element(tag: str, body: str | None = None, **attrs) -> str:
+    """One SVG element: attributes in call order but those set to None, `_` in
+    a name written `-` (`font_family` is `font-family`), self-closing without a
+    body.  Nothing is escaped."""
+    pairs = (f'{name.replace("_", "-")}="{value}"' for name, value in attrs.items() if value is not None)
+    head = " ".join([tag, *pairs])
+    return f"<{head}/>" if body is None else f"<{head}>{body}</{tag}>"
+
+
+def _label(body, x, y, size: int, anchor: str | None = None, **after) -> str:
+    """A sans-serif text element."""
+    return _element(
+        "text", body, x=x, y=y, text_anchor=anchor, font_family="sans-serif", font_size=size, **after
+    )
 
 
 def svg_line_plot(
@@ -159,47 +170,25 @@ def svg_line_plot(
     all_y = [float(y) for _, ys in series for y in ys if math.isfinite(y)]
     if not all_y:
         raise ValidationError("plot needs at least one finite y value")
-    x_scale = _Scale(min(xs), max(xs), _MARGIN, _WIDTH - _MARGIN)
+    x_scale = _scale(min(xs), max(xs), _MARGIN, _WIDTH - _MARGIN)
     pad = 0.05 * (max(all_y) - min(all_y) or 1.0)
-    y_scale = _Scale(min(all_y) - pad, max(all_y) + pad, _HEIGHT - _MARGIN, _MARGIN)
+    y_scale = _scale(min(all_y) - pad, max(all_y) + pad, _HEIGHT - _MARGIN, _MARGIN)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
-    ]
-    # axes
+    # axes, their labels and the extreme tick labels
     x0, y0 = _MARGIN, _HEIGHT - _MARGIN
     x1, y1 = _WIDTH - _MARGIN, _MARGIN
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>'
-    )
-    parts.append(
-        f'<text x="{(x0 + x1) // 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{(y0 + y1) // 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {(y0 + y1) // 2})">{y_label}</text>'
-    )
-    # extreme tick labels
+    parts = [
+        _element("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        _label(title, _WIDTH // 2, 24, 16, "middle"),
+        _element("line", x1=x0, y1=y0, x2=x1, y2=y0, stroke="black"),
+        _element("line", x1=x0, y1=y0, x2=x0, y2=y1, stroke="black"),
+        _label(x_label, (x0 + x1) // 2, _HEIGHT - 12, 13, "middle"),
+        _label(y_label, 16, (y0 + y1) // 2, 13, "middle", transform=f"rotate(-90 16 {(y0 + y1) // 2})"),
+    ]
     for value, px in ((min(xs), x0), (max(xs), x1)):
-        parts.append(
-            f'<text x="{px}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{format_number(value)}</text>'
-        )
+        parts.append(_label(format_number(value), px, y0 + 18, 11, "middle"))
     for value in (min(all_y), max(all_y)):
-        py = y_scale(value)
-        parts.append(
-            f'<text x="{x0 - 6}" y="{_coord(py)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{format_number(value)}</text>'
-        )
+        parts.append(_label(format_number(value), x0 - 6, _coord(y_scale(value)), 11, "end"))
     # polylines and legend
     for index, (label, ys) in enumerate(series):
         color = _PALETTE[index % len(_PALETTE)]
@@ -208,18 +197,14 @@ def svg_line_plot(
             for x, y in zip(xs, ys)
             if math.isfinite(float(y))
         )
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{x1 - 150}" y="{_MARGIN + 16 * index}" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
-        )
+        parts.append(_element("polyline", points=points, fill="none", stroke=color, stroke_width=1.5))
+        parts.append(_label(label, x1 - 150, _MARGIN + 16 * index, 11, fill=color))
     for mx, my in markers or []:
         parts.append(
-            f'<circle cx="{_coord(x_scale(mx))}" cy="{_coord(y_scale(my))}" '
-            f'r="4" fill="none" stroke="black" stroke-width="1.5"/>'
+            _element("circle", cx=_coord(x_scale(mx)), cy=_coord(y_scale(my)), r=4, fill="none",
+                     stroke="black", stroke_width=1.5)
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    body = "\n".join(["", *parts, ""])
+    svg = _element("svg", body, xmlns="http://www.w3.org/2000/svg", width=_WIDTH, height=_HEIGHT,
+                   viewBox=f"0 0 {_WIDTH} {_HEIGHT}")
+    return svg + "\n"

@@ -115,6 +115,12 @@ def commutator_deviation(h: SpinFockOperator, op: np.ndarray) -> float:
     return _largest(a * s[cols] - s[rows] * a)
 
 
+def real_mask(w: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Which values are real: |Im w| at most REALNESS_TOL * max(scale, |w|).
+    At the default scale the floor is absolute below |w| = 1."""
+    return np.abs(w.imag) <= REALNESS_TOL * np.maximum(scale, np.abs(w))
+
+
 def classify_eigenvalues(eigenvalues: np.ndarray) -> str:
     """Partition a spectrum into real values and conjugate pairs.
 
@@ -124,10 +130,9 @@ def classify_eigenvalues(eigenvalues: np.ndarray) -> str:
     means the truncation cutoff is too small for the requested model.
     """
     w = np.asarray(eigenvalues, dtype=complex)
-    scale = np.maximum(1.0, np.abs(w))
-    real_mask = np.abs(w.imag) <= REALNESS_TOL * scale
-    complex_vals = w[~real_mask]
-    n_real = int(np.count_nonzero(real_mask))
+    real = real_mask(w)
+    complex_vals = w[~real]
+    n_real = int(np.count_nonzero(real))
     # greedy: the last unpaired value takes its nearest conjugate partner,
     # the first one in the original order on a tie
     alive = np.ones(complex_vals.size, dtype=bool)

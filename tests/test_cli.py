@@ -232,6 +232,12 @@ def test_spectrum_holds_what_the_dense_solver_holds(monkeypatch, capsys, model, 
         (("sweep", "--model", "ht", "--N", "-1", "--param", "theta", "--start", "0",
           "--stop", "1", "--points", "5"), "--N must be >= 0"),
         (("polyrep-check", "--model", "ht", "--N", "-1"), "--N must be >= 0"),
+        # inputs a sweep would ignore: both couplings fixed, so theta drives
+        # nothing, and a value for the swept parameter itself
+        (("sweep", "--model", "ht", "--N", "1", "--c", "0.5", "--c-hat", "0.5", "--param", "theta",
+          "--start", "0", "--stop", "3", "--points", "3"), "--c and --c-hat"),
+        (("sweep", "--model", "h2", "--rho", "5", "--param", "rho", "--start", "0", "--stop", "1",
+          "--points", "2"), "--rho is the swept parameter"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, fragment):

@@ -19,7 +19,7 @@ from qjc.flow import PARAM_TOL
 from csv_reader import read_csv
 
 OVERFLOW_SWEEP = (
-    "sweep", "--model", "pseudo-jcm", "--rho", "1e80", "--eps", "0.7", "--hw", "1e154",
+    "sweep", "--model", "pseudo-jcm", "--eps", "0.7", "--hw", "1e154",
     "--param", "rho", "--start=-1", "--stop", "2", "--points", "21",
 )
 UNDERFLOW_SWEEP = (
@@ -134,6 +134,23 @@ def test_a_rescaled_sign_flipped_sweep_finds_the_coalescences_of_the_unit_sweep(
 
 
 TINY = ("--eps", "1e-160", "--hw", "1e-160", "--rho", "1e-160")
+
+
+def test_a_rescaled_theta_sweep_narrows_its_crossing(capsys):
+    # the unit sweep's crossing lies on its grid point 1.5; rescaled by 1e-160
+    # it falls inside a grid step and is narrowed to PARAM_TOL in the sweep's
+    # energy scale 3e-160, not left at the step's middle 1.55e-160.  Its labels
+    # stay track:1;track:2, not the unit sweep's track:0;track:2: the
+    # tracker's degeneracy tolerance is still absolute below unit scale
+    theta = ("sweep", "--model", "ht", "--N", "1", "--param", "theta", "--start", "0", "--points", "31")
+    code, out, _ = _outcome(capsys, (*theta, "--stop", "3", "--eps", "1", "--hw", "1", "--rho", "1"))
+    assert code == 0
+    assert _crossings(out) == [(1.5, "track:0;track:2")]
+    code, out, _ = _outcome(capsys, (*theta, "--stop", "3e-160", *TINY))
+    assert code == 0
+    [(found, labels)] = _crossings(out)
+    assert labels == "track:1;track:2"
+    assert abs(found - 1.5e-160) <= 3e-160 * PARAM_TOL
 
 
 def _levels(out, source):

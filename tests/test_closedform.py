@@ -346,11 +346,9 @@ def test_closed_form_tracks_round_a_tiny_root_as_cmath_does(phi):
     # prescaled real root there, whatever cmath does
     params = ModelParams(epsilon=1.0, k=1, phi=phi)
     rho = np.geomspace(1e-155, 1e-153, 400)
-    discs = [
-        abs(doublet_block(dataclasses.replace(params, rho=float(r)), n).discriminant())
-        for r in rho
-        for n in range(3)
-    ]
+    blocks = [doublet_block(dataclasses.replace(params, rho=float(r)), n) for r in rho for n in range(3)]
+    # each discriminant unscaled: the prescaled value times 4^-e
+    discs = [abs(math.ldexp(value, -2 * e)) for value, e in (b.scaled_discriminant(b.rho) for b in blocks)]
     assert any(cmath.sqrt(d).real != math.sqrt(d) for d in discs)
     assert_same_bits(closed_form_tracks(params, 3, rho), block_route_tracks(params, 3, rho))
 
@@ -360,7 +358,8 @@ def test_the_closed_form_squares_in_ieee_arithmetic():
     params = ModelParams(epsilon=0.0545, hbar_omega=2.7811, k=1, rho=0.3)
     block = doublet_block(params, 0)
     g = block.gap
-    assert block.discriminant() == g * g + 4.0 * block.coupling_squared
+    # no prescale at this gap (e = 0); rho^2 (n+1) at n = 0, k = 1 is 0.3 * 0.3
+    assert block.scaled_discriminant(block.rho) == (g * g + 4.0 * (0.3 * 0.3), 0)
     assert_same_bits(closed_form_tracks(params, 3, [0.3]), block_route_tracks(params, 3, [0.3]))
 
 
@@ -449,8 +448,12 @@ def test_discriminant_at_a_coupling_is_the_new_blocks_bit_for_bit(params):
         block = doublet_block(params, n)
         for rho in [0.0, -0.0, 5e-324, 1e-160, 0.3, 1 / 3, 1.7, -2.5, edge / 8, edge, 1e200]:
             outcomes = []
-            for probe in (lambda: block.discriminant(rho),
-                          lambda: doublet_block(dataclasses.replace(params, rho=rho), n).discriminant()):
+
+            def built_at_rho():  # the block built at rho, read at its own coupling
+                built = doublet_block(dataclasses.replace(params, rho=rho), n)
+                return built.scaled_discriminant(built.rho)
+
+            for probe in (lambda: block.scaled_discriminant(rho), built_at_rho):
                 try:
                     outcomes.append(repr(probe()))
                 except NumericalError as err:

@@ -18,14 +18,12 @@ from qjc.closedform import doublet_block, doublet_coalescence_rho
 from qjc.errors import NumericalError, TrackingAmbiguityError, ValidationError
 from qjc.flow import (
     PARAM_TOL,
-    REAL_TOL,
     FlowEvent,
     SweepSpec,
     _advance,
     _assign_tracks,
     _bisect,
     _events,
-    _real_rows,
     locate_coalescence,
     numeric_deviation,
     qes_theta_sweep,
@@ -34,6 +32,7 @@ from qjc.flow import (
 from qjc.fock import TruncatedFockSpace
 from qjc.models import ModelParams, build_extended
 from qjc.qes import algebraic_eigenvalues, restriction_matrix
+from qjc.symmetry import REALNESS_TOL, real_mask
 
 REAL_EIG = scipy.linalg.eig
 TWO_PHOTON = ModelParams(epsilon=1.0, k=2, phi=1)
@@ -134,7 +133,7 @@ def _events_by_loop(spec, grid, labels, tracks, pair, extra=()):
     """The reference for `_events`: every real pair, every grid step, one by
     one, each sign change bisected on the real parts of the two rows."""
     events = []
-    real_row = _real_rows(tracks)
+    real_row = np.all(real_mask(tracks), axis=1)
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
             if not (real_row[i] and real_row[j]):
@@ -160,7 +159,6 @@ def _events_by_loop(spec, grid, labels, tracks, pair, extra=()):
                 events.append(
                     FlowEvent(
                         kind="crossing",
-                        parameter=spec.parameter,
                         value=value,
                         energy=energy,
                         labels=(labels[i], labels[j]),
@@ -497,11 +495,11 @@ def _assign_by_sorting_every_round(predictions, candidates):
                 (abs(predictions[o] - predictions[track]) for o in unassigned if o != track),
                 default=math.inf,
             )
-            if gap <= REAL_TOL * scale or twin <= REAL_TOL * scale:
+            if gap <= REALNESS_TOL * scale or twin <= REALNESS_TOL * scale:
                 pass
             elif d1 > 0.35 * gap:
                 conj = abs(candidates[c1] - candidates[c2].conjugate())
-                if conj <= REAL_TOL * scale and abs(predictions[track].imag) <= REAL_TOL * scale:
+                if conj <= REALNESS_TOL * scale and abs(predictions[track].imag) <= REALNESS_TOL * scale:
                     c1 = c1 if candidates[c1].imag >= candidates[c2].imag else c2
                 else:
                     return None
@@ -593,7 +591,6 @@ def test_rho_sweep_rejects_theta_parameter_mixup():
 def test_event_fields():
     event = FlowEvent(
         kind="crossing",
-        parameter="rho",
         value=1.0,
         energy=-0.5 + 0j,
         labels=("a", "b"),

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from ._linalg import connected_components, eig_checked, residual_on_rows
+from ._linalg import _norms, connected_components, eig_checked, residual_on_rows
 from .errors import NumericalError, ValidationError
 from .fock import TruncatedFockSpace
 # invariance_defect is re-exported with the rest of the subspace API
@@ -157,13 +157,15 @@ def certify_in_full_space(
     sub: InvariantSubspace,
     params: ModelParams,
     space: TruncatedFockSpace | None = None,
-) -> float:
-    """Residual of the embedded eigenpair on the full matrix H.
+) -> float | np.ndarray:
+    """Residual of the embedded eigenpairs on the full matrix H.
 
-    ||H v - E v|| / ||v|| for an eigenvalue E and its vector v, or
-    ||H V - V E|| for a cluster basis V and its compressed matrix E = V* H V.
-    On another `space` the subspace is built there.  A plain pair is
-    computed on the rows of H the subspace reaches, which gives the dense
+    ||H v - E v|| / ||v|| for an eigenvalue E and its vector v; for a 1-D
+    array of eigenvalues, one vector per column, the array of those
+    residuals, column by column; ||H V - V E|| for a cluster basis V and
+    its compressed matrix E = V* H V.  On another `space` the subspace is
+    built there.  Plain pairs are computed on the rows of H the subspace
+    reaches, all columns in one stacked product, which gives each the dense
     residual bit for bit (`_linalg.residual_on_rows`); a cluster basis
     takes the dense product.
     """
@@ -172,10 +174,14 @@ def certify_in_full_space(
     if space != sub.space:
         sub = invariant_subspace(params, space)
     full = embed_subspace_vector(sub, vector)
-    if np.ndim(energy) == 0:
-        residual = residual_on_rows(sub.matrix, full, energy, sub.indices, sub.rows)
-        return float(np.linalg.norm(residual) / np.linalg.norm(full))
-    return float(np.linalg.norm(sub.matrix @ full - full @ energy))
+    if np.ndim(energy) == 2:
+        return float(np.linalg.norm(sub.matrix @ full - full @ energy))
+    columns = np.ascontiguousarray(full.T)  # one row per pair
+    residuals = residual_on_rows(sub.matrix, columns, energy, sub.indices, sub.rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as np.linalg.norm is
+        residual_norms, vector_norms = _norms(residuals), _norms(columns)
+    ratios = residual_norms / vector_norms
+    return float(ratios) if np.ndim(energy) == 0 else ratios
 
 
 def algebraic_spectrum(
@@ -189,8 +195,9 @@ def algebraic_spectrum(
     exceptional point -- and gets a shared Schur basis instead of per-value
     eigenvectors.  (Computed eigenvalues of an exact Jordan pair split by
     about sqrt(machine eps) times the matrix norm, hence the relative
-    clustering scale.)  Every pair and cluster is certified by
-    `certify_in_full_space` on the full matrix `build_subspace` built.
+    clustering scale.)  `certify_in_full_space` certifies each cluster, and
+    the plain pairs in one call per vector dtype, on the full matrix
+    `build_subspace` built.
     """
     _check_certification(sub, params, sub.space)  # refuse bad input before diagonalizing
     mat = restriction_matrix(params)
@@ -207,30 +214,24 @@ def algebraic_spectrum(
             res = certify_in_full_space(small, basis, sub, params)
             for i in cluster:
                 clusters[i] = (basis, res)
+    energies = [z if z.imag else complex(z.real) for z in w.tolist()]
+    # the plain pairs in one certification per vector dtype: a real vector
+    # stays real, so that its product stays a dgemv
+    real = np.all(v.imag == 0, axis=0)
+    residuals = {}
+    for group, vectors in ((real, v.real), (~real, v)):
+        members = [i for i in np.flatnonzero(group).tolist() if i not in clusters]
+        if members:
+            found = certify_in_full_space(np.array(energies)[members], vectors[:, members], sub, params)
+            residuals.update(zip(members, found.tolist()))
     pairs = []
-    for i in np.lexsort((w.imag, w.real)):
-        energy = complex(w[i])
-        if abs(energy.imag) == 0.0:
-            energy = complex(energy.real)
+    for i in np.lexsort((w.imag, w.real)).tolist():
         if i in clusters:
             basis, res = clusters[i]
-            pairs.append(
-                AlgebraicEigenpair(
-                    energy=energy,
-                    vector=None,
-                    residual=res,
-                    defective=True,
-                    cluster_basis=basis,
-                )
-            )
-            continue
-        vec = v[:, i]
-        if np.max(np.abs(vec.imag)) == 0.0:
-            vec = vec.real
-        residual = certify_in_full_space(energy, vec, sub, params)
-        pairs.append(
-            AlgebraicEigenpair(energy=energy, vector=vec, residual=residual)
-        )
+            pairs.append(AlgebraicEigenpair(energies[i], None, res, defective=True, cluster_basis=basis))
+        else:
+            vec = (v.real if real[i] else v)[:, i]
+            pairs.append(AlgebraicEigenpair(energies[i], vec, residuals[i]))
     return pairs
 
 

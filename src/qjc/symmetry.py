@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import eigvals_checked
-from .errors import UnpairableSpectrumError, ValidationError
+from .errors import NumericalError, UnpairableSpectrumError, ValidationError
 from .fock import SpinFockOperator, TruncatedFockSpace
 
 REALNESS_TOL = 1e-10
@@ -121,20 +121,10 @@ def real_mask(w: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return np.abs(w.imag) <= REALNESS_TOL * np.maximum(scale, np.abs(w))
 
 
-def classify_eigenvalues(eigenvalues: np.ndarray) -> str:
-    """Partition a spectrum into real values and conjugate pairs.
-
-    Returns "all-real", "conjugate-pairs" (nothing real, everything
-    paired), or "mixed".  Raises UnpairableSpectrumError when a complex
-    eigenvalue has no conjugate partner within tolerance, which usually
-    means the truncation cutoff is too small for the requested model.
-    """
-    w = np.asarray(eigenvalues, dtype=complex)
-    real = real_mask(w)
-    complex_vals = w[~real]
-    n_real = int(np.count_nonzero(real))
-    # greedy: the last unpaired value takes its nearest conjugate partner,
-    # the first one in the original order on a tie
+def _pair_greedily(complex_vals: np.ndarray) -> None:
+    """Raise UnpairableSpectrumError unless the greedy pairing pairs every
+    value: the last unpaired value takes its nearest conjugate partner, the
+    first one in the original order on a tie."""
     alive = np.ones(complex_vals.size, dtype=bool)
     for i in range(complex_vals.size - 1, -1, -1):
         if not alive[i]:
@@ -154,6 +144,31 @@ def classify_eigenvalues(eigenvalues: np.ndarray) -> str:
                 f"{dists[best]:.3e}); raise the cutoff"
             )
         alive[candidates[best]] = False
+
+
+def classify_eigenvalues(eigenvalues: np.ndarray) -> str:
+    """Partition a spectrum into real values and conjugate pairs.
+
+    Returns "all-real", "conjugate-pairs" (nothing real, everything
+    paired), or "mixed".  Raises UnpairableSpectrumError when a complex
+    eigenvalue has no conjugate partner within tolerance, which usually
+    means the truncation cutoff is too small for the requested model, and
+    NumericalError for a value that is not finite, which no tolerance reads.
+    """
+    w = np.asarray(eigenvalues, dtype=complex)
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise NumericalError(f"eigenvalue {w[~finite][0]:.6g} is not finite; no spectrum class reads it")
+    real = real_mask(w)
+    complex_vals = w[~real]
+    n_real = int(np.count_nonzero(real))
+    # If the non-real values are closed under exact conjugation as a multiset,
+    # as a real matrix's LAPACK spectrum is, the greedy pairing cannot fail:
+    # the value z a step takes is not real, so z != conj(z), and a free conj(z)
+    # lies at distance 0; the step pairs z with an exact conj(z), which leaves
+    # the free values closed.  The verdict is then n_real's alone.
+    if not np.array_equal(np.sort_complex(complex_vals), np.sort_complex(complex_vals.conj())):
+        _pair_greedily(complex_vals)
     if n_real == len(w):
         return "all-real"
     if n_real == 0:

@@ -10,6 +10,8 @@ and SVG output included.
 
 import json
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +193,39 @@ def test_a_spectrum_far_above_unit_scale_passes_the_gate(capsys):
     code, out, err = _outcome(capsys, ("spectrum", "--model", "h2", "--rho", "1e140", "--D", "16"))
     assert (code, err) == (0, "")
     assert len(_levels(out, "numeric")) == 32
+
+
+# README's "Known limits", each command as listed there.  A change that mends a
+# limit edits its case here and its README line together.
+CLASS_BY_CUTOFF = (
+    "check", "--model", "extended", "--k", "1", "--phi", "-1", "--hw", "1.3", "--rho", "0.02",
+)
+KNOWN_LIMITS = [  # (argv, exit code, what stdout or stderr holds)
+    (("spectrum", "--model", "ht", "--N", "6", "--rho", "0.7", "--theta", "1.2"), 3,
+     "residual 4.053e-09 exceeds"),
+    (("recur", "--model", "ht", "--N", "10", "--phi=-1", "--rho", "0.05", "--theta", "0.4"), 3,
+     "residual 1.038e+01 exceeds"),
+    (("recur", "--model", "ht", "--N", "6", "--rho", "0.7", "--c", "0", "--c-hat", "0.125"), 3,
+     "residual 5.096e-09 exceeds 1.0e-09; largest leak on the lower |8> component"),
+    (("sweep", "--model", "ht", "--N", "0", "--phi", "-1", "--rho", "0.25", "--param", "theta",
+      "--start", "0", "--stop", "3", "--points", "11"), 3, "level matching still ambiguous"),
+    # the spectrum class depends on the cutoff; both verdicts take the closure rule
+    ((*CLASS_BY_CUTOFF, "--D", "40"), 0, '"spectrum_class": "all-real"'),
+    ((*CLASS_BY_CUTOFF, "--D", "80"), 0, '"spectrum_class": "mixed"'),
+]
+
+
+def test_the_readme_known_limits_hold_as_listed(capsys):
+    for argv, expected, shown in KNOWN_LIMITS:
+        code, out, err = _outcome(capsys, argv)
+        assert code == expected and _keeps_the_contract(code, err), (argv, err)
+        assert shown in out + err, (argv, out, err)
+    # the README lists these commands, the last without its cutoff, and no other
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Known limits")[1].split("\n## ")[0]
+    listed = [" ".join(span.split()) for span in re.findall(r"`(qjc [^`]+)`", section)]
+    commands = [argv for argv, _, _ in KNOWN_LIMITS[:4]] + [CLASS_BY_CUTOFF]
+    assert listed == [" ".join(("qjc", *argv)) for argv in commands]
 
 
 EDGES = (0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e154, -1e154, 1e300, -1e300)

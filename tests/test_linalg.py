@@ -697,7 +697,7 @@ def _ht_cases():
 def bit_mismatches() -> list[str]:
     """Every case where a reached-rows residual differs from the dense
     `matrix @ x - E x` in any bit (run with BLAS on one thread)."""
-    rng = np.random.default_rng(2026)
+    rng, stack_rng = np.random.default_rng(2026), np.random.default_rng(2027)
     found = []
     for dim, banded, complex_matrix, complex_vector, trial in itertools.product(
         (128, 130, 258, 260, 514), (False, True), (False, True), (False, True), range(6)
@@ -706,8 +706,16 @@ def bit_mismatches() -> list[str]:
         rows = reached_rows(matrix[:, support], support)
         got = residual_on_rows(matrix, vector, energy, support, rows)
         dense = matrix @ vector - energy * vector
+        case = f"dim {dim} banded {banded} complex {complex_matrix}/{complex_vector} #{trial}"
         if not (np.array_equal(got, dense) and np.linalg.norm(got) == np.linalg.norm(dense)):
-            found.append(f"dim {dim} banded {banded} complex {complex_matrix}/{complex_vector} #{trial}")
+            found.append(case)
+        # a stack of vectors on the same support, each row the bits of its vector alone
+        stack = vector * stack_rng.standard_normal((3, 1))
+        energies = energy + stack_rng.standard_normal(3)
+        rows_of_stack = residual_on_rows(matrix, stack, energies, support, rows)
+        for one, x, e in zip(rows_of_stack, stack, energies.tolist()):
+            if not np.array_equal(one, matrix @ x - e * x):
+                found.append(f"stack: {case}")
     for index, (got, dense) in enumerate(_ht_cases()):
         if got != dense:
             found.append(f"ht case {index}")

@@ -1,7 +1,12 @@
 """Invariant-subspace construction and algebraic spectra."""
 
+import itertools
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -9,8 +14,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import pinned_env
 
 import qjc.models
+import qjc.qes
 from qjc.closedform import doublet_block, doublet_eigenvalues
 from qjc.errors import NumericalError, ValidationError
 from qjc.fock import SPIN_DOWN, SPIN_UP, TruncatedFockSpace, basis_index
@@ -246,6 +253,76 @@ def test_embedding_into_another_space_builds_the_subspace_there(phi):
         assert np.count_nonzero(full) == np.count_nonzero(pair.vector)
         dense = np.linalg.norm(h @ full - pair.energy * full) / np.linalg.norm(full)
         assert certify_in_full_space(pair.energy, pair.vector, sub, params, space) == dense
+
+
+def stacked_certificate_mismatches() -> dict:
+    """Every pair of `algebraic_spectrum` whose residual, certified in one
+    stacked pass per vector dtype, differs in any bit from its own
+    single-pair certificate or from the dense ||H v - E v|| / ||v||
+    (||H V - V E|| for a cluster basis), with the pairs seen of each kind.
+    Run it with BLAS on one thread: the dense product splits its rows
+    differently on more."""
+    found, seen = [], {"real": 0, "complex": 0, "defective": 0}
+    cases = []
+    for big_n, phi, cutoff in itertools.product(range(15), (1, -1), (65, 97, 130, 512)):
+        rho, theta = (0.35, 0.9, 1.6)[big_n % 3], (0.4, 1.7, 2.6)[big_n % 3]
+        cases.append((ModelParams(rho=rho, theta=theta, n_qes=big_n + 2, phi=phi), cutoff))
+    # the qes-defective golden's coalescence: a Jordan pair beside plain ones
+    cases += [(ModelParams(rho=1 / (2 * math.sqrt(2)), theta=0.0, n_qes=3, phi=-1), d) for d in (64, 130)]
+    for params, cutoff in cases:
+        sub = build_subspace(params, TruncatedFockSpace(cutoff, 8))
+        h = build_ht(params, sub.space).matrix
+        for index, pair in enumerate(algebraic_spectrum(sub, params)):
+            if pair.defective:
+                basis = pair.cluster_basis
+                small = basis.conj().T @ restriction_matrix(params) @ basis
+                full = embed_subspace_vector(sub, basis)
+                single = certify_in_full_space(small, basis, sub, params)
+                dense = float(np.linalg.norm(h @ full - full @ small))
+                kind = "defective"
+            else:
+                full = embed_subspace_vector(sub, pair.vector)
+                single = certify_in_full_space(pair.energy, pair.vector, sub, params)
+                dense = float(np.linalg.norm(h @ full - pair.energy * full) / np.linalg.norm(full))
+                kind = "complex" if np.iscomplexobj(pair.vector) else "real"
+            seen[kind] += 1
+            if not pair.residual == single == dense:
+                values = f"{pair.residual!r}, {single!r}, {dense!r}"
+                found.append(f"{params} D {cutoff} pair {index} ({kind}): {values}")
+    return {"mismatches": found, "seen": seen}
+
+
+def test_stacked_certificates_keep_their_bits():
+    script = "import json, test_qes; print(json.dumps(test_qes.stacked_certificate_mismatches()))"
+    # in a fresh interpreter with BLAS on one thread, as the dense product needs
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=pinned_env(),
+        cwd=Path(__file__).parent,
+        capture_output=True,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    result = json.loads(done.stdout)
+    assert result["mismatches"] == []
+    assert min(result["seen"].values()) > 0, result["seen"]
+
+
+def test_plain_pairs_are_certified_in_one_call_per_vector_dtype(monkeypatch):
+    params = ModelParams(rho=1.6, theta=0.4, n_qes=14, phi=-1)
+    sub = build_subspace(params, TruncatedFockSpace(64, 8))
+    calls = []
+    certify = qjc.qes.certify_in_full_space
+
+    def counted(energy, vector, *args):
+        calls.append((np.shape(energy), vector.dtype))
+        return certify(energy, vector, *args)
+
+    monkeypatch.setattr(qjc.qes, "certify_in_full_space", counted)
+    pairs = algebraic_spectrum(sub, params)
+    real = sum(not np.iscomplexobj(pair.vector) for pair in pairs)
+    assert 0 < real < len(pairs) == 28
+    assert calls == [((real,), np.float64), ((28 - real,), np.complex128)]
 
 
 def test_subspace_matrix_and_its_rows_are_read_only():

@@ -1,10 +1,12 @@
 """Measured symmetry structure of each model family."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import qjc.symmetry
-from qjc._linalg import eig_checked
+from qjc._linalg import eig_checked, eigvals_checked
 from qjc.errors import NumericalError, UnpairableSpectrumError, ValidationError
 from qjc.fock import SpinFockOperator, TruncatedFockSpace
 from qjc.models import ModelParams, build_extended, build_h12, build_ht, build_jcm, build_pseudo_jcm
@@ -167,7 +169,35 @@ def _verdict(classify, eigenvalues):
         return f"raised: {exc}"
 
 
-def test_classify_matches_the_list_pairing():
+def _builder_spectra():
+    """Every builder's spectrum at both signs of phi (jcm and pseudo-jcm fix
+    their own), from both eigensolvers: real matrices, so LAPACK gives each
+    complex value with its exact conjugate."""
+    space = TruncatedFockSpace(64, 8)
+    for phi, rho in itertools.product((1, -1), (0.3, 1.5)):
+        ops = [build_extended(ModelParams(rho=rho, phi=phi, k=k), space) for k in (1, 2, 3, 4)]
+        ops.append(build_jcm(ModelParams(rho=rho), space))
+        ops.append(build_pseudo_jcm(ModelParams(epsilon=1.0, rho=rho), space))
+        ops.append(build_h12(ModelParams(rho=rho, phi=phi, theta=1.2), space))
+        ops.append(build_ht(ModelParams(rho=rho, phi=phi, theta=1.2, n_qes=5), space))
+        for h in ops:
+            yield eigvals_checked(h.matrix)
+            yield eig_checked(h.matrix)[0]
+
+
+def test_classify_matches_the_list_pairing(monkeypatch):
+    looped = []
+    pair_greedily = qjc.symmetry._pair_greedily
+    monkeypatch.setattr(
+        qjc.symmetry, "_pair_greedily", lambda values: looped.append(values) or pair_greedily(values)
+    )
+    verdicts = set()
+    for spectrum in _builder_spectra():
+        verdict = _verdict(classify_eigenvalues, spectrum)
+        assert verdict == _verdict(_classify_by_list, spectrum)
+        verdicts.add(verdict)
+    # every verdict a builder gives, each without the greedy loop: closed under conjugation
+    assert verdicts == {"all-real", "mixed"} and looped == []
     rng = np.random.default_rng(11)
     for trial in range(60):
         n = int(rng.integers(0, 40))
@@ -179,10 +209,33 @@ def test_classify_matches_the_list_pairing():
         # shift a few values within, or beyond, the pairing tolerance
         spectrum[: trial % 3] += (1e-12j, 1e-7)[trial % 2]
         assert _verdict(classify_eigenvalues, spectrum) == _verdict(_classify_by_list, spectrum)
+    # closed, with repeated pairs: no loop; one value one ulp off: the loop, within tolerance
+    closed = np.array([0.5, 1 + 2j, 1 - 2j, 1 + 2j, 1 - 2j, -3 - 1j, -3 + 1j, 1 + 2j, 1 - 2j])
+    moved = closed.copy()
+    moved[3] = complex(np.nextafter(1.0, 2.0), 2.0)
+    cases = [(closed, "mixed", 0), (closed[1:], "conjugate-pairs", 0), (moved, "mixed", 1)]
+    for spectrum, verdict, loops in cases:
+        looped.clear()
+        assert _verdict(classify_eigenvalues, spectrum) == verdict == _verdict(_classify_by_list, spectrum)
+        assert len(looped) == loops
     unpaired = np.array([2 + 1j, 2 - 1j, 0.5, 3 + 0.25j, 1 - 1e-3j, 1 + 1e-3j])
     verdict = _verdict(classify_eigenvalues, unpaired)
     assert verdict.startswith("raised: eigenvalue 3+0.25j unpaired")
     assert verdict == _verdict(_classify_by_list, unpaired)
+    # an even number of non-real values, not closed: the loop raises all the same
+    even = np.array([1 + 2j, 1 - 2j, 2 + 1j, 2 + 1j])
+    assert _verdict(classify_eigenvalues, even) == _verdict(_classify_by_list, even)
+    assert _verdict(classify_eigenvalues, even).startswith("raised: eigenvalue 2+1j unpaired")
+
+
+@pytest.mark.parametrize(
+    "values", [[np.nan, np.nan], [complex(0, np.inf), complex(0, -np.inf)], [np.inf, 1.0]]
+)
+def test_classify_refuses_a_value_that_is_not_finite(values):
+    # each once gave a verdict: no nan gap is above the pairing tolerance, and
+    # |Im w| <= REALNESS_TOL * |w| holds at |w| = inf
+    with pytest.raises(NumericalError, match="is not finite; no spectrum class reads it"):
+        classify_eigenvalues(np.array(values))
 
 
 @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])

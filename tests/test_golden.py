@@ -118,6 +118,9 @@ CASES = {
         "qes", "--model", "ht", "--N", "9", "--phi", "1", "--rho", "0.8732", "--theta", "1.0155",
         "--D", "512",
     ),
+    # the slab route at scale: certification and reconstruction residuals at 2D = 4096 and 2048
+    "qes-ht-d2048": ("qes", "--model", "ht", "--N", "9", "--D", "2048", "--rho", "0.9", "--theta", "1.2"),
+    "recur-ht-d1024": ("recur", "--model", "ht", "--N", "4", "--D", "1024", "--rho", "0.7", "--theta", "1.2"),
     "qes-ht-d130": ("qes", "--model", "ht", "--N", "5", "--phi", "-1", "--rho", "0.6", "--theta", "2.1", "--D", "130"),
     # reconstruction residuals on an odd cutoff (2D = 2 mod 4), generic and rho = 0 chains
     "recur-ht-d129": ("recur", "--model", "ht", "--N", "3", "--rho", "0.7", "--theta", "1.2", "--D", "129"),

@@ -44,16 +44,17 @@ a far-from-normal block only the backward error.
 Block and dense eigenvalues agree up to rounding, not bit for bit.
 
 `residual_on_rows` computes the eigenpair residual H x - E x of a vector x
-that lives on a few basis states, or of a stack of them, on the rows that x
-can reach and nowhere else.  Row rule: the rows are x's support and every
-row where H has a nonzero in a support column (`reached_rows`), widened to
-whole blocks of ROW_BLOCK consecutive rows that start at a multiple of
-ROW_BLOCK.  Then every kept row is the same full-length BLAS dot product,
-computed in the same kernel row block, as in the dense product H @ x, and
-every row left out is zero there.  So the full-length residual, and any norm
-of it, equals the dense one bit for bit -- with BLAS on one thread.  On more
-threads the dense product itself splits its rows differently, and the two
-differ in their last bits, as the golden outputs between thread counts do.
+that lives on a few basis states, or of a stack of them, from the rows of H
+that x can reach and on them alone.  Row rule: the rows are x's support and
+every row where H has a nonzero in a support column (`reached_rows`),
+widened to whole blocks of ROW_BLOCK consecutive rows that start at a
+multiple of ROW_BLOCK.  Then every kept row is the same full-length BLAS
+dot product, computed in the same kernel row block, as in the dense product
+H @ x, and every row left out is zero there.  So the full-length residual,
+and any norm of it, equals the dense one bit for bit -- with BLAS on one
+thread.  On more threads the dense product itself splits its rows
+differently, and the two differ in their last bits, as the golden outputs
+between thread counts do.
 """
 
 from __future__ import annotations
@@ -312,14 +313,14 @@ def reached_rows(columns: np.ndarray, support) -> np.ndarray:
 
 
 def residual_on_rows(
-    matrix: np.ndarray, vector: np.ndarray, energy, support, rows: np.ndarray
+    slab: np.ndarray, vector: np.ndarray, energy, support, rows: np.ndarray
 ) -> np.ndarray:
-    """matrix @ vector - energy * vector, computed on `rows` only.
+    """H @ vector - energy * vector, computed on `rows` only, from the slab H[rows].
 
     `vector` is one vector (n,) with one `energy`, or a stack (k, n) with k
-    energies, whose rows meet the one gather matrix[rows] in one stacked
-    gemv, each with the bits it gets alone.  `rows` is
-    `reached_rows(matrix[:, support], support)`; every other entry of the
+    energies, whose rows meet the C-contiguous `slab` in one stacked gemv,
+    each with the bits it gets alone.  `rows` is
+    `reached_rows(H[:, support], support)`; every other entry of the
     full-length result is zero, as it is in the dense product.  Raises
     NumericalError when a vector has a nonzero outside `support`, since its
     column could reach a row outside `rows` and the residual would silently
@@ -332,9 +333,9 @@ def residual_on_rows(
             f"the residual rows {rows.tolist()}; a residual on those rows "
             "would omit what it reaches"
         )
-    products = np.matmul(matrix[rows], vector[..., np.newaxis])[..., 0]
+    products = np.matmul(slab, vector[..., np.newaxis])[..., 0]
     kept = products - np.asarray(energy)[..., np.newaxis] * vector[..., rows]
-    out = np.zeros(vector.shape[:-1] + matrix.shape[:1], dtype=kept.dtype)
+    out = np.zeros(vector.shape[:-1] + slab.shape[1:], dtype=kept.dtype)
     out[..., rows] = kept
     return out
 

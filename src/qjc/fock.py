@@ -15,6 +15,7 @@ compare against exact formulas should restrict to indices n < D - guard.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,19 +64,77 @@ class TruncatedFockSpace:
         return self.cutoff - self.guard - 1
 
 
-@dataclass(frozen=True, eq=False)
 class SpinFockOperator:
-    """A dense operator on the spin tensor Fock space."""
+    """An operator on the spin tensor Fock space, held as its entries.
 
-    matrix: np.ndarray
-    space: TruncatedFockSpace
+    A model builder gives its diagonal and, for each photon offset j,
+    bands[j] = (upper, lower): H[m, D+m+j] = upper[m], H[D+m+j, m] = lower[m]
+    for m < D - j, O(D) numbers.  `entries` lists them as (rows, cols,
+    values, mirror): H[rows[i], cols[i]] = values[i] and H[cols[i], rows[i]]
+    = mirror[i], each position once, every other entry 0.  A builder's
+    dense `matrix` is made anew by each read, the reader's own, so only a
+    dense solve makes it.  A dense `matrix` given instead gives its nonzeros
+    as the entries.
+    """
 
-    def __post_init__(self):
-        d = self.space.dim
-        if self.matrix.shape != (d, d):
-            raise ValidationError(
-                f"matrix shape {self.matrix.shape} does not match space dim {d}"
-            )
+    _bands = None
+
+    def __init__(self, matrix: np.ndarray, space: TruncatedFockSpace):
+        if matrix.shape != (space.dim, space.dim):
+            raise ValidationError(f"matrix shape {matrix.shape} does not match space dim {space.dim}")
+        rows, cols = np.divmod(np.flatnonzero(matrix), space.dim)
+        self.entries = rows, cols, matrix[rows, cols], matrix[cols, rows]
+        self._matrix, self.space = matrix, space
+
+    @classmethod
+    def from_bands(cls, space: TruncatedFockSpace, diagonal: np.ndarray, bands: dict) -> SpinFockOperator:
+        op = cls.__new__(cls)
+        op.space, op._bands = space, (diagonal, bands)
+        return op
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._bands is None:
+            return self._matrix
+        (diagonal, bands), d = self._bands, self.space.cutoff
+        h = np.zeros((self.space.dim,) * 2)
+        np.fill_diagonal(h, diagonal)
+        for j, (upper, lower) in bands.items():
+            np.fill_diagonal(h[:d, d + j :], upper)
+            np.fill_diagonal(h[d + j :, :d], lower)
+        return h
+
+    @functools.cached_property
+    def entries(self) -> tuple[np.ndarray, ...]:
+        (diagonal, bands), d = self._bands, self.space.cutoff
+        at = np.arange(self.space.dim)
+        rows, cols, values, mirror = [at], [at], [diagonal], [diagonal]
+        for j, (upper, lower) in bands.items():  # (m, D+m+j), then its mirror (D+m+j, m)
+            rows += [at[: d - j], at[d + j :]]
+            cols += rows[-1:-3:-1]
+            values += [upper, lower]
+            mirror += [lower, upper]
+        return tuple(map(np.concatenate, (rows, cols, values, mirror)))
+
+    @functools.cached_property
+    def nonzero(self) -> tuple[np.ndarray, ...]:
+        """`entries` less its exact zeros: the pattern H != 0, a nan included."""
+        rows, cols, values, mirror = self.entries
+        kept = values != 0
+        return rows[kept], cols[kept], values[kept], mirror[kept]
+
+    def block(self, picked, axis: int) -> np.ndarray:
+        """H[picked] (axis 0) or H[:, picked] (axis 1) for distinct states
+        `picked`, scattered from the entries into a new C-contiguous array:
+        the dense matrix's bits, each -0.0 included."""
+        place = np.full(self.space.dim, -1)  # each state's place in the block, -1 off it
+        place[np.asarray(picked)] = np.arange(len(picked))
+        at, values, shape = list(self.entries[:2]), self.entries[2], [self.space.dim] * 2
+        at[axis], shape[axis] = place[at[axis]], len(picked)
+        kept = at[axis] >= 0
+        out = np.zeros(shape, values.dtype)
+        out[at[0][kept], at[1][kept]] = values[kept]
+        return out
 
 
 def basis_index(space: TruncatedFockSpace, n: int, ms: float) -> int:

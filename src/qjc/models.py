@@ -15,12 +15,13 @@ n = n_qes = N + 2.
 
 Every exchange term moves |n, up> onto |n+j, down> with j <= k, so each
 builder states only its diagonal and one pair of bands per photon offset j;
-`_assemble` writes them into the dense matrix.
+`_assemble` gives them to the operator, whose 2D x 2D matrix only a dense
+solve makes.
 
 `invariant_subspace` is the one place that knows which states span the
 dressed model's closed subspace, and its one cache: the QES route
 diagonalizes it, the dense route reads its full matrix and the recurrence
-route certifies its reconstructed vectors on it.
+route certifies its reconstructed vectors on the rows it reaches.
 """
 
 from __future__ import annotations
@@ -208,19 +209,14 @@ def _assemble(
     n = 0 .. D-1-j; every other entry is zero.  An overflow gives an inf
     entry, which the eigensolver's gate reports as an error.
     """
-    d = space.cutoff
-    n = np.arange(d, dtype=float)
-    h = np.zeros((space.dim, space.dim))
+    n = np.arange(space.cutoff, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         photon = params.hbar_omega * n
         if poly:
             photon = photon + npoly.polyval(n, poly)
         half = 0.5 * params.epsilon
-        np.fill_diagonal(h, np.concatenate([photon + half, photon - half]))
-        for j, (band, upper, lower) in bands.items():
-            np.fill_diagonal(h[:d, d + j :], upper * band)
-            np.fill_diagonal(h[d + j :, :d], lower * band)
-    return SpinFockOperator(h, space)
+        runs = {j: (upper * band, lower * band) for j, (band, upper, lower) in bands.items()}
+        return SpinFockOperator.from_bands(space, np.concatenate([photon + half, photon - half]), runs)
 
 
 def build_extended(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator:
@@ -298,19 +294,20 @@ class InvariantSubspace:
     """Basis bookkeeping for one closed subspace.
 
     `indices` are positions in the full spin-major basis, all upper states
-    (photon ascending) followed by all lower states.  `matrix` is the full
-    matrix of the generating model `params` on `space`, `defect` its
-    certified leak max |<out| H |in>|, and `rows` the rows of `matrix` that
-    the subspace reaches (`_linalg.reached_rows`), on which its eigenpairs
-    are certified.
+    (photon ascending) followed by all lower states.  `operator` is the
+    generating model `params` on `space`, as `build_ht` gives it, `defect`
+    its certified leak max |<out| H |in>|, `rows` the rows of H that the
+    subspace reaches (`_linalg.reached_rows`), on which its eigenpairs are
+    certified, and `slab` those rows of H, H[rows].
     """
 
     params: ModelParams
     space: TruncatedFockSpace
     indices: tuple[int, ...]
     defect: float
-    matrix: np.ndarray = field(compare=False, repr=False)
+    operator: SpinFockOperator = field(compare=False, repr=False)
     rows: np.ndarray = field(compare=False, repr=False)
+    slab: np.ndarray = field(compare=False, repr=False)
 
     @property
     def big_n(self) -> int:
@@ -320,13 +317,17 @@ class InvariantSubspace:
     def dim(self) -> int:
         return 2 * self.big_n + 4
 
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The full matrix, read-only, made on first read: for a dense solve."""
+        matrix = self.operator.matrix
+        matrix.setflags(write=False)
+        return matrix
+
 
 def _leak(columns: np.ndarray, indices: tuple[int, ...]) -> float:
-    """Largest |entry| of H[:, indices] (`columns`) off the rows `indices`."""
-    outside = np.ones(columns.shape[0], dtype=bool)
-    outside[list(indices)] = False
-    leak = columns[outside]
-    return float(np.max(np.abs(leak))) if leak.size else 0.0
+    """Largest |entry| of H[:, indices] (`columns`) off the rows `indices`, or 0."""
+    return float(np.max(np.abs(np.delete(columns, list(indices), axis=0)), initial=0.0))
 
 
 def invariance_defect(h_matrix: np.ndarray, indices: tuple[int, ...]) -> float:
@@ -338,19 +339,21 @@ def invariance_defect(h_matrix: np.ndarray, indices: tuple[int, ...]) -> float:
 def invariant_subspace(params: ModelParams, space: TruncatedFockSpace) -> InvariantSubspace:
     """span{|0..N, up>, |0..N+2, down>} of `build_ht` on `space`, with its leak.
 
-    One build, and one read of the subspace's columns for both the leak and
-    the rows they reach.  The matrix and rows are read-only, so `rows` stays
-    the rows `matrix` reaches.  The last build is kept for the routes that
-    read one parameter set back to back (the CLI clears it after a command).
+    One build, whose entries give the subspace's columns, read once for both
+    the leak and the rows they reach, and those rows' slab; the full matrix
+    is not made.  The rows and slab are read-only, so `rows` stays the rows
+    the subspace reaches.  The last build is kept for the routes that read
+    one parameter set back to back (the CLI clears it after a command).
     `build_ht` rejects a cutoff too small for N and the guard band.
     """
-    h = build_ht(params, space).matrix
+    h = build_ht(params, space)
     indices = tuple(
         [basis_index(space, j, SPIN_UP) for j in range(params.big_n + 1)]
         + [basis_index(space, m, SPIN_DOWN) for m in range(params.big_n + 3)]
     )
-    columns = h[:, list(indices)]
+    columns = h.block(indices, axis=1)
     defect, rows = _leak(columns, indices), reached_rows(columns, indices)
-    for array in (h, rows):
+    slab = h.block(rows, axis=0)
+    for array in (rows, slab):
         array.setflags(write=False)
-    return InvariantSubspace(params, space, indices, defect, h, rows)
+    return InvariantSubspace(params, space, indices, defect, h, rows, slab)

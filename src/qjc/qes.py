@@ -165,9 +165,9 @@ def certify_in_full_space(
     residuals, column by column; ||H V - V E|| for a cluster basis V and
     its compressed matrix E = V* H V.  On another `space` the subspace is
     built there.  Plain pairs are computed on the rows of H the subspace
-    reaches, all columns in one stacked product, which gives each the dense
-    residual bit for bit (`_linalg.residual_on_rows`); a cluster basis
-    takes the dense product.
+    reaches, from its slab of those rows, all columns in one stacked
+    product, which gives each the dense residual bit for bit
+    (`_linalg.residual_on_rows`); a cluster basis takes the dense product.
     """
     space = space or sub.space
     _check_certification(sub, params, space)
@@ -177,7 +177,7 @@ def certify_in_full_space(
     if np.ndim(energy) == 2:
         return float(np.linalg.norm(sub.matrix @ full - full @ energy))
     columns = np.ascontiguousarray(full.T)  # one row per pair
-    residuals = residual_on_rows(sub.matrix, columns, energy, sub.indices, sub.rows)
+    residuals = residual_on_rows(sub.slab, columns, energy, sub.indices, sub.rows)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as np.linalg.norm is
         residual_norms, vector_norms = _norms(residuals), _norms(columns)
     ratios = residual_norms / vector_norms
@@ -196,8 +196,8 @@ def algebraic_spectrum(
     eigenvectors.  (Computed eigenvalues of an exact Jordan pair split by
     about sqrt(machine eps) times the matrix norm, hence the relative
     clustering scale.)  `certify_in_full_space` certifies each cluster, and
-    the plain pairs in one call per vector dtype, on the full matrix
-    `build_subspace` built.
+    the plain pairs in one call per vector dtype, on the full space of the
+    model `build_subspace` built.
     """
     _check_certification(sub, params, sub.space)  # refuse bad input before diagonalizing
     mat = restriction_matrix(params)

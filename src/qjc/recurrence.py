@@ -48,9 +48,9 @@ that came out real is copied as it is: conj would make its +0.0 a -0.0).
 Consecutive calls for one parameter set share their work: `run_to_critical`
 keeps the last exact record, series or limit alike, keyed on the parameters
 (which hold phi, k and n_qes as int, so phi = 1.0 shares phi = 1's series).
-The residual gate reads the cached `models.invariant_subspace`.  So
-`critical_roots` and the reconstructions of its roots build one record and
-one matrix.  The calls for one parameter set arrive back to back, so the
+The residual gate reads the cached `models.invariant_subspace`'s row slab.
+So `critical_roots` and the reconstructions of its roots build one record
+and one model.  The calls for one parameter set arrive back to back, so the
 record cache holds one entry; more would only serve a return to an earlier
 set.
 """
@@ -500,7 +500,7 @@ def _certified_reconstruction(params: ModelParams, energy, space: TruncatedFockS
             raise NumericalError("series collapsed to the zero vector")
         vector = psi / norm
         sub = invariant_subspace(params, space)
-        residual = residual_on_rows(sub.matrix, vector, energy, sub.indices, sub.rows)
+        residual = residual_on_rows(sub.slab, vector, energy, sub.indices, sub.rows)
         rel = float(np.linalg.norm(residual))
     if not (math.isfinite(norm) and math.isfinite(rel)):
         # an infinite norm makes psi / norm the zero vector (or nan), so rel 0 or nan

@@ -2,11 +2,16 @@
 
 Every check measures an entrywise deviation and reports it alongside the
 boolean verdict, so truncation effects stay visible.  Each deviation is
-read from the nonzero entries of H: it has the bits of its dense n x n
-form, and no n x n array but the pattern's boolean mask is made.  For the
-photon-parity conjugation the deviation is measured on the guard-banded
-submatrix: parity itself is diagonal and exact, but the identities it
-certifies are only claimed below the guard band.
+read from the operator's nonzero entries (`SpinFockOperator.nonzero`, one
+read per operator): rows r, columns c, H[r, c] and H[c, r].  The PT and
+commutator deviations are exactly 0 where H[r, c] = 0; the (pseudo-)
+hermitian ones are 0 where H[r, c] = H[c, r] = 0, and at (c, r) |conj| of
+their value at (r, c), bit for bit, since the sign flips are exact.  So the
+pattern of H gives the dense form's largest |.|, or 0 (`initial`), with a
+nan kept and no n x n array made.  For the photon-parity conjugation the
+deviation is measured on the guard-banded submatrix: parity itself is
+diagonal and exact, but the identities it certifies are only claimed below
+the guard band.
 
 PT here means: photon-parity conjugation combined with complex conjugation
 of the matrix in the convention where the oscillator eigenfunctions are
@@ -46,18 +51,6 @@ def parity_matrix(space: TruncatedFockSpace) -> np.ndarray:
     return np.diag(_parity_signs(space))
 
 
-def _pairs(h: SpinFockOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rows r, columns c, H[r, c] and H[c, r] on the pattern of H, read once.
-
-    The PT and commutator deviations are exactly 0 where H[r, c] = 0.  The
-    (pseudo-)hermitian ones are 0 where H[r, c] = H[c, r] = 0, and at (c, r)
-    they are |conj| of their value at (r, c), bit for bit, since the sign
-    flips are exact.  So the pattern of H alone gives the dense form's
-    largest |.|, or 0 (`initial`), and a nan still propagates."""
-    rows, cols = np.divmod(np.flatnonzero(h.matrix != 0), h.matrix.shape[0])
-    return rows, cols, h.matrix[rows, cols], h.matrix[cols, rows]
-
-
 def _largest(delta: np.ndarray) -> float:
     return float(np.max(np.abs(delta), initial=0.0))
 
@@ -65,13 +58,14 @@ def _largest(delta: np.ndarray) -> float:
 def check_hermitian(h: SpinFockOperator, tol: float = STRUCTURE_TOL) -> tuple[bool, float]:
     """Pseudo-hermiticity with eta = 1.  Multiplying a finite entry by 1.0 is
     exact, so the deviation has the bits of max |H - H^dagger|."""
-    return check_pseudo_hermitian(h, np.ones(h.matrix.shape[0]), tol)
+    return check_pseudo_hermitian(h, np.ones(h.space.dim), tol)
 
 
 def _signs(op: np.ndarray, h: SpinFockOperator) -> np.ndarray:
     """Signs of `op`: a +-1 diagonal operator shaped like H, or its diagonal."""
-    if op.shape not in (h.matrix.shape, h.matrix.shape[:1]):
-        raise ValidationError(f"operator shape {op.shape} does not match {h.matrix.shape}")
+    shape = (h.space.dim,) * 2
+    if op.shape not in (shape, shape[:1]):
+        raise ValidationError(f"operator shape {op.shape} does not match {shape}")
     signs = op if op.ndim == 1 else np.diag(op)
     off_diagonal = op.ndim == 2 and np.count_nonzero(op - np.diag(signs))
     if off_diagonal or not np.all((signs == 1) | (signs == -1)):
@@ -91,7 +85,7 @@ def check_pseudo_hermitian(
     `eta` is a diagonal +-1 operator, given as a matrix or as its diagonal.
     """
     s = _signs(eta, h)
-    rows, cols, a, b = _pairs(h)
+    rows, cols, a, b = h.nonzero
     if guard_banded:
         keep = np.tile(np.arange(h.space.cutoff) <= h.space.reliable_max, 2)
         kept = keep[rows] & keep[cols]
@@ -103,7 +97,7 @@ def check_pseudo_hermitian(
 def check_pt(h: SpinFockOperator) -> tuple[bool, float]:
     """Invariance under parity conjugation plus complex conjugation."""
     p = _parity_signs(h.space)
-    rows, cols, a, _ = _pairs(h)
+    rows, cols, a, _ = h.nonzero
     dev = _largest(p[rows] * a.conj() * p[cols] - a)
     return dev <= STRUCTURE_TOL, dev
 
@@ -111,7 +105,7 @@ def check_pt(h: SpinFockOperator) -> tuple[bool, float]:
 def commutator_deviation(h: SpinFockOperator, op: np.ndarray) -> float:
     """Largest entry of [H, op] for a +-1 diagonal op (matrix or diagonal)."""
     s = _signs(op, h)
-    rows, cols, a, _ = _pairs(h)
+    rows, cols, a, _ = h.nonzero
     return _largest(a * s[cols] - s[rows] * a)
 
 

@@ -17,8 +17,10 @@ import scipy.linalg
 import qjc.cli
 import qjc.errors
 import qjc.flow
+import qjc.fock
 import qjc.models
 import qjc.output
+import qjc.polyrep
 import qjc.qes
 import qjc.recurrence
 from qjc._linalg import PRODUCT_ROWS
@@ -131,7 +133,8 @@ def test_spectrum_holds_what_the_dense_solver_holds(monkeypatch, capsys, model, 
     built, held = [], []
 
     def build_then_trace(params, space):
-        built.append(build(params, space))
+        # the bound starts from the dense matrix: made here, before the trace, and given
+        built.append(qjc.fock.SpinFockOperator(build(params, space).matrix, space))
         tracemalloc.start()
         return built[-1]
 
@@ -623,6 +626,55 @@ def test_spectrum_ht_builds_the_matrix_once(capsys, monkeypatch):
     assert len(builds) == 1
     # and a finished command frees it
     assert qjc.models.invariant_subspace.cache_info().currsize == 0
+
+
+@pytest.fixture
+def scattered(monkeypatch):
+    """The operators whose full dense matrix is made, one item each time one is."""
+    made = []
+    make = qjc.fock.SpinFockOperator.matrix.fget
+
+    def counted(op):
+        made.append(op)
+        return make(op)
+
+    monkeypatch.setattr(qjc.fock.SpinFockOperator, "matrix", property(counted))
+    qjc.models.invariant_subspace.cache_clear()
+    return made
+
+
+@pytest.mark.parametrize(
+    "argv, dense",
+    [
+        (("qes", "--model", "ht", "--N", "9", "--rho", "0.9", "--theta", "1.2", "--D", "128"), 0),
+        (("recur", "--model", "ht", "--N", "4", "--rho", "0.7", "--theta", "1.2"), 0),
+        # classify_spectrum's eigensolver reads the dense matrix; the deviations do not
+        (("check", "--model", "h12", "--phi", "-1", "--rho", "0.9", "--theta", "1.2"), 1),
+        (("check", "--model", "ht", "--N", "2", "--rho", "0.3", "--theta", "0.7"), 1),
+        (("spectrum", "--model", "ht", "--N", "3", "--rho", "0.7", "--theta", "1.2", "--phi", "-1"), 1),
+        (("spectrum", "--model", "h2", "--rho", "0.5"), 1),
+        # a defective cluster's Schur basis is certified by the dense product
+        (("qes", "--model", "ht", "--N", "1", "--rho", "0.35355339059327373", "--theta", "0", "--phi", "-1"), 1),
+    ],
+    ids=["qes", "recur", "check-h12", "check-ht", "spectrum-ht", "spectrum-h2", "qes-defective"],
+)
+def test_the_dense_matrix_is_made_only_where_it_is_read(capsys, scattered, argv, dense):
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(scattered) == dense
+
+
+def test_the_ht_routes_make_no_dense_matrix(scattered):
+    # the QES, recurrence and polynomial routes of one parameter set, as a library call
+    params = qjc.models.ModelParams(rho=0.7, theta=1.2, phi=-1, n_qes=6)
+    space = qjc.fock.TruncatedFockSpace(128, 8)
+    pairs = qjc.qes.algebraic_spectrum(qjc.qes.build_subspace(params, space), params)
+    roots = qjc.recurrence.critical_roots(params)
+    for root in roots:
+        qjc.recurrence.reconstruct_eigenvector(params, root, space)
+    qjc.polyrep.restriction_spectrum(qjc.polyrep.gauge_transform_ht(params))
+    assert len(pairs) == 12 and len(roots) == 11
+    assert scattered == []
 
 
 def test_eigensolver_gate_refuses_an_inaccurate_eigenpair(capsys, monkeypatch):

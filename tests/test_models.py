@@ -380,3 +380,65 @@ def test_one_exact_build_steps_the_series():
         for name in _series_step_callers(path.read_text())
     }
     assert callers == {("recurrence", "run_to_critical")}
+
+
+def _fill_diagonal_build(params, space, bands, poly=()):
+    """The dense assembly that the entries replace: the diagonal and each band
+    written into a zero 2D x 2D matrix by np.fill_diagonal."""
+    d = space.cutoff
+    n = np.arange(d, dtype=float)
+    h = np.zeros((space.dim, space.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        photon = params.hbar_omega * n
+        if poly:
+            photon = photon + npoly.polyval(n, poly)
+        half = 0.5 * params.epsilon
+        np.fill_diagonal(h, np.concatenate([photon + half, photon - half]))
+        for j, (band, upper, lower) in bands.items():
+            np.fill_diagonal(h[:d, d + j :], upper * band)
+            np.fill_diagonal(h[d + j :, :d], lower * band)
+    return h
+
+
+def _entry_cases(space):
+    """(builder, params) over every builder, both signs of phi, rho = 0, a
+    c = 0 override and couplings whose entries overflow to inf."""
+    yield build_jcm, ModelParams(rho=0.7, epsilon=0.3)
+    yield build_pseudo_jcm, ModelParams(rho=0.7, epsilon=0.3)
+    for phi in (1, -1):
+        for k in (1, 2, 3, 4):
+            for poly in ((), (0.0, 0.0, 0.05)):
+                yield build_extended, ModelParams(rho=0.7, epsilon=0.3, phi=phi, k=k, poly=poly)
+        yield build_extended, ModelParams(rho=0.0, phi=phi, k=2)
+        yield build_extended, ModelParams(rho=1e307, phi=phi, k=3)
+        for rho in (0.0, 0.9, 1e307):
+            yield build_h12, ModelParams(rho=rho, theta=0.7, phi=phi)
+            yield build_ht, ModelParams(rho=rho, theta=1.2, phi=phi, n_qes=3)
+        yield build_ht, ModelParams(rho=0.9, theta=1.2, phi=phi, n_qes=3, c=0.0)
+
+
+@pytest.mark.parametrize("cutoff", [16, 64, 97, 512])
+def test_entries_scatter_to_the_fill_diagonal_matrix(monkeypatch, cutoff):
+    space = TruncatedFockSpace(cutoff, 8)
+    assemble, calls = qjc.models._assemble, []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(qjc.models, "_assemble", recorded)
+    signed_zeros = infinities = 0
+    for build, params in _entry_cases(space):
+        calls.clear()
+        op = build(params, space)
+        (args, kwargs), = calls
+        expected = _fill_diagonal_build(*args, **kwargs)
+        # byte for byte: the same values at the same places, each -0.0 included
+        assert op.matrix.tobytes() == expected.tobytes(), (build.__name__, params)
+        rows, cols, values, mirror = op.nonzero
+        assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(zip(*map(np.ndarray.tolist, np.nonzero(expected))))
+        assert values.tobytes() == expected[rows, cols].tobytes()
+        assert mirror.tobytes() == expected[cols, rows].tobytes()
+        signed_zeros += np.count_nonzero(np.signbit(expected) & (expected == 0))
+        infinities += np.count_nonzero(np.isinf(expected))
+    assert signed_zeros and infinities  # the cases reach both edges

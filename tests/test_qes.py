@@ -1,10 +1,13 @@
 """Invariant-subspace construction and algebraic spectra."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +17,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import pinned_env
+from test_golden import CASES, GOLDEN, pinned_env
 
+import qjc.cli
 import qjc.models
 import qjc.qes
 from qjc.closedform import doublet_block, doublet_eigenvalues
@@ -330,6 +334,51 @@ def test_subspace_matrix_and_its_rows_are_read_only():
     sub = build_subspace(params, SPACE)
     assert not sub.matrix.flags.writeable and not sub.rows.flags.writeable
     assert set(sub.indices) <= set(sub.rows.tolist())
+
+
+def qes_at_scale() -> dict:
+    """In-process `qes --model ht --N 9 --D 2048`: its exit code, stdout and
+    tracemalloc peak, and every pair whose residual is not the dense
+    ||H v - E v|| / ||v|| of an explicit `build_ht` matrix (which takes
+    134 MB; run with BLAS on one thread)."""
+    qjc.models.invariant_subspace.cache_clear()
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = qjc.cli.main(list(CASES["qes-ht-d2048"]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    params, space = ModelParams(rho=0.9, theta=1.2, n_qes=11), TruncatedFockSpace(2048, 8)
+    sub = build_subspace(params, space)
+    matrix = build_ht(params, space).matrix
+    pairs, mismatches = algebraic_spectrum(sub, params), []
+    for index, pair in enumerate(pairs):
+        full = embed_subspace_vector(sub, pair.vector)
+        dense = float(np.linalg.norm(matrix @ full - pair.energy * full) / np.linalg.norm(full))
+        if pair.residual != dense:
+            mismatches.append(f"pair {index}: {pair.residual!r} against {dense!r}")
+    return {"code": code, "stdout": out.getvalue(), "peak": peak, "pairs": len(pairs), "mismatches": mismatches}
+
+
+def test_the_qes_route_holds_o_of_d_memory():
+    # the golden's bytes and the dense residual bits need BLAS on one thread:
+    # run in a fresh interpreter, as the golden cases are
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, test_qes; print(json.dumps(test_qes.qes_at_scale()))"],
+        env=pinned_env(),
+        cwd=Path(__file__).parent,
+        capture_output=True,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    result = json.loads(done.stdout)
+    assert result["code"] == 0
+    assert result["stdout"] == (GOLDEN / "qes-ht-d2048.out").read_text()
+    # the dense 4096 x 4096 matrix alone is 134 MB
+    assert result["peak"] < 16 * 2**20
+    assert result["pairs"] == 22 and result["mismatches"] == []
 
 
 def test_cutoff_guards():

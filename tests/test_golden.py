@@ -120,6 +120,11 @@ CASES = {
     ),
     # the slab route at scale: certification and reconstruction residuals at 2D = 4096 and 2048
     "qes-ht-d2048": ("qes", "--model", "ht", "--N", "9", "--D", "2048", "--rho", "0.9", "--theta", "1.2"),
+    # the Jordan pair of qes-defective, its cluster certified at 2D = 4096
+    "qes-defective-d2048": (
+        "qes", "--model", "ht", "--N", "1", "--rho", "0.35355339059327373",
+        "--theta", "0", "--phi", "-1", "--D", "2048",
+    ),
     "recur-ht-d1024": ("recur", "--model", "ht", "--N", "4", "--D", "1024", "--rho", "0.7", "--theta", "1.2"),
     "qes-ht-d130": ("qes", "--model", "ht", "--N", "5", "--phi", "-1", "--rho", "0.6", "--theta", "2.1", "--D", "130"),
     # reconstruction residuals on an odd cutoff (2D = 2 mod 4), generic and rho = 0 chains

@@ -254,7 +254,7 @@ def cmd_spectrum(merged: dict, args) -> int:
     model, params, space = _request(merged)
     # for ht the dense route reads the full matrix the subspace was certified on
     sub = build_subspace(params, space) if model == "ht" else None
-    h_matrix = sub.matrix if sub else _BUILDERS[model](params, space).matrix
+    h_matrix = (sub.operator if sub else _BUILDERS[model](params, space)).matrix
     numeric, residuals = eig_checked(h_matrix, return_residuals=True)[::2]  # v is not held
     table = Table(columns=SPECTRUM_COLUMNS)
     if _MODELS[model].ladder:

@@ -7,7 +7,8 @@ ascending, then all (n, -1/2) with n ascending.  With that ordering every
 two-by-two operator-block expression maps literally onto matrix quadrants:
 sigma_plus (x) a, for instance, is the upper-right D-by-D quadrant holding
 <n|a|n+1> = sqrt(n+1) on its first superdiagonal.  `models` writes each
-Hamiltonian straight from such bands.
+Hamiltonian straight from such bands, and `SpinFockOperator` holds it as
+them: its 2D x 2D matrix exists only inside a dense solve.
 
 Truncation artifacts live in the top `guard` photon states; callers that
 compare against exact formulas should restrict to indices n < D - guard.
@@ -67,49 +68,39 @@ class TruncatedFockSpace:
 class SpinFockOperator:
     """An operator on the spin tensor Fock space, held as its entries.
 
-    A model builder gives its diagonal and, for each photon offset j,
-    bands[j] = (upper, lower): H[m, D+m+j] = upper[m], H[D+m+j, m] = lower[m]
-    for m < D - j, O(D) numbers.  `entries` lists them as (rows, cols,
-    values, mirror): H[rows[i], cols[i]] = values[i] and H[cols[i], rows[i]]
-    = mirror[i], each position once, every other entry 0.  A builder's
-    dense `matrix` is made anew by each read, the reader's own, so only a
-    dense solve makes it.  A dense `matrix` given instead gives its nonzeros
-    as the entries.
+    A model builder gives its diagonal, 2D long, and for each photon offset
+    0 <= j < D bands[j] = (upper, lower), D - j long each:
+    H[m, D+m+j] = upper[m] and H[D+m+j, m] = lower[m], O(D) numbers.
+    `entries` lists them as (rows, cols, values, mirror):
+    H[rows[i], cols[i]] = values[i] and H[cols[i], rows[i]] = mirror[i], each
+    position once, every other entry 0.  The dense `matrix` is made anew by
+    each read, the reader's own, so only a dense solve makes it.
     """
 
-    _bands = None
-
-    def __init__(self, matrix: np.ndarray, space: TruncatedFockSpace):
-        if matrix.shape != (space.dim, space.dim):
-            raise ValidationError(f"matrix shape {matrix.shape} does not match space dim {space.dim}")
-        rows, cols = np.divmod(np.flatnonzero(matrix), space.dim)
-        self.entries = rows, cols, matrix[rows, cols], matrix[cols, rows]
-        self._matrix, self.space = matrix, space
-
-    @classmethod
-    def from_bands(cls, space: TruncatedFockSpace, diagonal: np.ndarray, bands: dict) -> SpinFockOperator:
-        op = cls.__new__(cls)
-        op.space, op._bands = space, (diagonal, bands)
-        return op
+    def __init__(self, space: TruncatedFockSpace, diagonal: np.ndarray, bands: dict):
+        if np.shape(diagonal) != (space.dim,):
+            raise ValidationError(f"diagonal shape {np.shape(diagonal)} does not match space dim {space.dim}")
+        for j, runs in bands.items():
+            if not 0 <= j < space.cutoff or any(np.shape(run) != (space.cutoff - j,) for run in runs):
+                shapes = [np.shape(run) for run in runs]
+                raise ValidationError(f"band {j} of shapes {shapes} does not fit cutoff {space.cutoff}")
+        self.space, self.diagonal, self.bands = space, diagonal, bands
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._bands is None:
-            return self._matrix
-        (diagonal, bands), d = self._bands, self.space.cutoff
-        h = np.zeros((self.space.dim,) * 2)
-        np.fill_diagonal(h, diagonal)
-        for j, (upper, lower) in bands.items():
+        d, runs = self.space.cutoff, [run for pair in self.bands.values() for run in pair]
+        h = np.zeros((self.space.dim,) * 2, np.result_type(self.diagonal, *runs))
+        np.fill_diagonal(h, self.diagonal)
+        for j, (upper, lower) in self.bands.items():
             np.fill_diagonal(h[:d, d + j :], upper)
             np.fill_diagonal(h[d + j :, :d], lower)
         return h
 
     @functools.cached_property
     def entries(self) -> tuple[np.ndarray, ...]:
-        (diagonal, bands), d = self._bands, self.space.cutoff
-        at = np.arange(self.space.dim)
-        rows, cols, values, mirror = [at], [at], [diagonal], [diagonal]
-        for j, (upper, lower) in bands.items():  # (m, D+m+j), then its mirror (D+m+j, m)
+        at, d = np.arange(self.space.dim), self.space.cutoff
+        rows, cols, values, mirror = [at], [at], [self.diagonal], [self.diagonal]
+        for j, (upper, lower) in self.bands.items():  # (m, D+m+j), then its mirror (D+m+j, m)
             rows += [at[: d - j], at[d + j :]]
             cols += rows[-1:-3:-1]
             values += [upper, lower]

@@ -20,8 +20,8 @@ solve makes.
 
 `invariant_subspace` is the one place that knows which states span the
 dressed model's closed subspace, and its one cache: the QES route
-diagonalizes it, the dense route reads its full matrix and the recurrence
-route certifies its reconstructed vectors on the rows it reaches.
+diagonalizes it and, as the recurrence route does, certifies its vectors on
+the rows it reaches; the dense route reads its operator's full matrix.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def _assemble(
             photon = photon + npoly.polyval(n, poly)
         half = 0.5 * params.epsilon
         runs = {j: (upper * band, lower * band) for j, (band, upper, lower) in bands.items()}
-        return SpinFockOperator.from_bands(space, np.concatenate([photon + half, photon - half]), runs)
+        return SpinFockOperator(space, np.concatenate([photon + half, photon - half]), runs)
 
 
 def build_extended(params: ModelParams, space: TruncatedFockSpace) -> SpinFockOperator:
@@ -316,13 +316,6 @@ class InvariantSubspace:
     @property
     def dim(self) -> int:
         return 2 * self.big_n + 4
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """The full matrix, read-only, made on first read: for a dense solve."""
-        matrix = self.operator.matrix
-        matrix.setflags(write=False)
-        return matrix
 
 
 def _leak(columns: np.ndarray, indices: tuple[int, ...]) -> float:

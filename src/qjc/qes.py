@@ -7,10 +7,10 @@ For n = n_qes = N + 2 the model from `build_ht` maps the span of
 into itself exactly: the dressed one-photon term carries a factor
 (n_hat - n) that vanishes on precisely the transition that would escape.
 `models.invariant_subspace` builds that subspace and certifies the
-invariance on the full truncated matrix; this module diagonalizes the
+invariance on the full truncated operator; this module diagonalizes the
 restriction assembled directly from the ladder formulas (never by projecting
 the floating-point full matrix, so no truncation noise enters the algebraic
-spectrum).
+spectrum) and certifies its eigenpairs on the rows of H they reach.
 """
 
 from __future__ import annotations
@@ -167,15 +167,21 @@ def certify_in_full_space(
     built there.  Plain pairs are computed on the rows of H the subspace
     reaches, from its slab of those rows, all columns in one stacked
     product, which gives each the dense residual bit for bit
-    (`_linalg.residual_on_rows`); a cluster basis takes the dense product.
+    (`_linalg.residual_on_rows`).  A cluster basis takes one gemm of the
+    slab, whose rows start at multiples of ROW_BLOCK: on those rows it has
+    the dense gemm's bits (with BLAS on one thread), and every other row
+    is zero in both.
     """
     space = space or sub.space
     _check_certification(sub, params, space)
     if space != sub.space:
         sub = invariant_subspace(params, space)
     full = embed_subspace_vector(sub, vector)
-    if np.ndim(energy) == 2:
-        return float(np.linalg.norm(sub.matrix @ full - full @ energy))
+    if np.ndim(energy) == 2:  # zero off the reached rows, as in the dense product
+        kept = sub.slab @ full - (full @ energy)[sub.rows]
+        out = np.zeros(full.shape, kept.dtype)
+        out[sub.rows] = kept
+        return float(np.linalg.norm(out))
     columns = np.ascontiguousarray(full.T)  # one row per pair
     residuals = residual_on_rows(sub.slab, columns, energy, sub.indices, sub.rows)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as np.linalg.norm is

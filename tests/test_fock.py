@@ -18,6 +18,7 @@ from qjc.fock import (
     TruncatedFockSpace,
     basis_index,
 )
+from qjc.errors import ValidationError
 from qjc.models import ModelParams, build_jcm
 from qjc.symmetry import parity_matrix
 
@@ -174,7 +175,15 @@ def test_basis_index_validation(n, ms):
 
 def test_operator_shape_validation():
     space = TruncatedFockSpace(cutoff=4, guard=0)
-    with pytest.raises(ValueError):
-        SpinFockOperator(np.eye(6), space)
-    with pytest.raises(ValueError):
-        SpinFockOperator(np.eye(10), space)
+    diagonal, band = np.zeros(8), np.ones(3)
+    assert SpinFockOperator(space, diagonal, {1: (band, band)}).matrix.shape == (8, 8)
+    for wrong in (
+        (np.zeros(6), {}),  # a diagonal not 2D long
+        (np.zeros(10), {}),
+        (diagonal, {-1: (np.ones(5), np.ones(5))}),  # a band outside 0 <= j < D
+        (diagonal, {4: (np.ones(0), np.ones(0))}),
+        (diagonal, {1: (band, np.ones(4))}),  # a run not D - j long
+        (diagonal, {2: (np.ones(3), np.ones(2))}),
+    ):
+        with pytest.raises(ValidationError):
+            SpinFockOperator(space, *wrong)

@@ -689,7 +689,7 @@ def _ht_cases():
             except NumericalError:
                 continue
             gate = invariant_subspace(params, space)
-            dense = gate.matrix @ psi - root * psi
+            dense = build_ht(params, space).matrix @ psi - root * psi
             got = residual_on_rows(gate.slab, psi, root, gate.indices, gate.rows)
             yield got.tolist(), dense.tolist()
 

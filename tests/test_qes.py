@@ -259,6 +259,21 @@ def test_embedding_into_another_space_builds_the_subspace_there(phi):
         assert certify_in_full_space(pair.energy, pair.vector, sub, params, space) == dense
 
 
+def _certificates(pair, sub, params, h) -> tuple[float, float, str]:
+    """A pair's own single-pair certificate, its dense ||H v - E v|| / ||v||
+    (||H V - V E|| for a cluster basis V) on the full matrix h, and its kind."""
+    if pair.defective:
+        basis = pair.cluster_basis
+        small = basis.conj().T @ restriction_matrix(params) @ basis
+        full = embed_subspace_vector(sub, basis)
+        single = certify_in_full_space(small, basis, sub, params)
+        return single, float(np.linalg.norm(h @ full - full @ small)), "defective"
+    full = embed_subspace_vector(sub, pair.vector)
+    single = certify_in_full_space(pair.energy, pair.vector, sub, params)
+    dense = float(np.linalg.norm(h @ full - pair.energy * full) / np.linalg.norm(full))
+    return single, dense, "complex" if np.iscomplexobj(pair.vector) else "real"
+
+
 def stacked_certificate_mismatches() -> dict:
     """Every pair of `algebraic_spectrum` whose residual, certified in one
     stacked pass per vector dtype, differs in any bit from its own
@@ -273,22 +288,20 @@ def stacked_certificate_mismatches() -> dict:
         cases.append((ModelParams(rho=rho, theta=theta, n_qes=big_n + 2, phi=phi), cutoff))
     # the qes-defective golden's coalescence: a Jordan pair beside plain ones
     cases += [(ModelParams(rho=1 / (2 * math.sqrt(2)), theta=0.0, n_qes=3, phi=-1), d) for d in (64, 130)]
+    # exceptional points: at theta = 0 (c = c_hat = 0) and phi = -1 the doublet of
+    # upper |j> and lower |j+2> coalesces where (2 hw - eps)^2 = 4 rho^2 (j+1)(j+2)
+    for big_n, (hw, eps), cutoff in itertools.product(
+        range(8), ((1.0, 1.0), (0.37, -2.25), (1.3, 0.4)), (64, 97, 130, 512)
+    ):
+        for j in range(big_n + 1):
+            rho = abs(2 * hw - eps) / (2 * math.sqrt((j + 1) * (j + 2)))
+            params = ModelParams(hbar_omega=hw, epsilon=eps, rho=rho, theta=0.0, n_qes=big_n + 2, phi=-1)
+            cases.append((params, cutoff))
     for params, cutoff in cases:
         sub = build_subspace(params, TruncatedFockSpace(cutoff, 8))
         h = build_ht(params, sub.space).matrix
         for index, pair in enumerate(algebraic_spectrum(sub, params)):
-            if pair.defective:
-                basis = pair.cluster_basis
-                small = basis.conj().T @ restriction_matrix(params) @ basis
-                full = embed_subspace_vector(sub, basis)
-                single = certify_in_full_space(small, basis, sub, params)
-                dense = float(np.linalg.norm(h @ full - full @ small))
-                kind = "defective"
-            else:
-                full = embed_subspace_vector(sub, pair.vector)
-                single = certify_in_full_space(pair.energy, pair.vector, sub, params)
-                dense = float(np.linalg.norm(h @ full - pair.energy * full) / np.linalg.norm(full))
-                kind = "complex" if np.iscomplexobj(pair.vector) else "real"
+            single, dense, kind = _certificates(pair, sub, params, h)
             seen[kind] += 1
             if not pair.residual == single == dense:
                 values = f"{pair.residual!r}, {single!r}, {dense!r}"
@@ -310,6 +323,8 @@ def test_stacked_certificates_keep_their_bits():
     result = json.loads(done.stdout)
     assert result["mismatches"] == []
     assert min(result["seen"].values()) > 0, result["seen"]
+    # a Jordan pair in each of the 2 + 412 defective clusters
+    assert result["seen"]["defective"] == 2 * 414, result["seen"]
 
 
 def test_plain_pairs_are_certified_in_one_call_per_vector_dtype(monkeypatch):
@@ -332,53 +347,62 @@ def test_plain_pairs_are_certified_in_one_call_per_vector_dtype(monkeypatch):
 def test_subspace_matrix_and_its_rows_are_read_only():
     params = ModelParams(rho=0.1, theta=0.2, n_qes=3, phi=-1)
     sub = build_subspace(params, SPACE)
-    assert not sub.matrix.flags.writeable and not sub.rows.flags.writeable
+    assert not sub.slab.flags.writeable and not sub.rows.flags.writeable
     assert set(sub.indices) <= set(sub.rows.tolist())
 
 
-def qes_at_scale() -> dict:
-    """In-process `qes --model ht --N 9 --D 2048`: its exit code, stdout and
-    tracemalloc peak, and every pair whose residual is not the dense
-    ||H v - E v|| / ||v|| of an explicit `build_ht` matrix (which takes
-    134 MB; run with BLAS on one thread)."""
+# golden name -> its parameters and number of pairs, all on cutoff 2048
+AT_SCALE = {
+    "qes-ht-d2048": (ModelParams(rho=0.9, theta=1.2, n_qes=11), 22),
+    "qes-defective-d2048": (ModelParams(rho=0.35355339059327373, theta=0.0, n_qes=3, phi=-1), 6),
+}
+
+
+def qes_at_scale(name: str) -> dict:
+    """In-process `qes` of the golden `name` at D 2048: its exit code, stdout
+    and tracemalloc peak, and every pair whose residual is not the dense
+    certificate of an explicit `build_ht` matrix (which takes 134 MB; run
+    with BLAS on one thread)."""
     qjc.models.invariant_subspace.cache_clear()
     out = io.StringIO()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(out):
-            code = qjc.cli.main(list(CASES["qes-ht-d2048"]))
+            code = qjc.cli.main(list(CASES[name]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    params, space = ModelParams(rho=0.9, theta=1.2, n_qes=11), TruncatedFockSpace(2048, 8)
+    params, space = AT_SCALE[name][0], TruncatedFockSpace(2048, 8)
     sub = build_subspace(params, space)
     matrix = build_ht(params, space).matrix
     pairs, mismatches = algebraic_spectrum(sub, params), []
     for index, pair in enumerate(pairs):
-        full = embed_subspace_vector(sub, pair.vector)
-        dense = float(np.linalg.norm(matrix @ full - pair.energy * full) / np.linalg.norm(full))
+        dense = _certificates(pair, sub, params, matrix)[1]
         if pair.residual != dense:
             mismatches.append(f"pair {index}: {pair.residual!r} against {dense!r}")
     return {"code": code, "stdout": out.getvalue(), "peak": peak, "pairs": len(pairs), "mismatches": mismatches}
 
 
 def test_the_qes_route_holds_o_of_d_memory():
-    # the golden's bytes and the dense residual bits need BLAS on one thread:
-    # run in a fresh interpreter, as the golden cases are
-    done = subprocess.run(
-        [sys.executable, "-c", "import json, test_qes; print(json.dumps(test_qes.qes_at_scale()))"],
-        env=pinned_env(),
-        cwd=Path(__file__).parent,
-        capture_output=True,
-        check=False,
-    )
-    assert done.returncode == 0, done.stderr.decode()
-    result = json.loads(done.stdout)
-    assert result["code"] == 0
-    assert result["stdout"] == (GOLDEN / "qes-ht-d2048.out").read_text()
-    # the dense 4096 x 4096 matrix alone is 134 MB
-    assert result["peak"] < 16 * 2**20
-    assert result["pairs"] == 22 and result["mismatches"] == []
+    # plain pairs, then a Jordan pair's cluster beside them
+    for name, (_, pairs) in AT_SCALE.items():
+        # the golden's bytes and the dense residual bits need BLAS on one thread:
+        # run in a fresh interpreter, as the golden cases are
+        script = f"import json, test_qes; print(json.dumps(test_qes.qes_at_scale({name!r})))"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=pinned_env(),
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            check=False,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        result = json.loads(done.stdout)
+        assert result["code"] == 0
+        assert result["stdout"] == (GOLDEN / f"{name}.out").read_text()
+        # the dense 4096 x 4096 matrix alone is 134 MB
+        assert result["peak"] < 16 * 2**20, name
+        assert result["pairs"] == pairs and result["mismatches"] == [], name
 
 
 def test_cutoff_guards():

@@ -627,7 +627,7 @@ def test_reconstructed_vector_is_the_callers_own():
     assert psi.flags.writeable
     psi[:] = 7.0
     npt.assert_array_equal(reconstruct_eigenvector(params, root, SPACE), expected)
-    assert not qjc.models.invariant_subspace(params, SPACE).matrix.flags.writeable
+    assert not qjc.models.invariant_subspace(params, SPACE).slab.flags.writeable
     assert build_ht(params, SPACE).matrix.flags.writeable
 
 

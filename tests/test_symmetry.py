@@ -326,7 +326,9 @@ def _path_models():
     large = TruncatedFockSpace(256, 8)
     yield "h12-D256", build_h12(ModelParams(rho=0.9, phi=-1, theta=0.7), large)
     yield "h2-D256", build_extended(ModelParams(rho=0.9, phi=-1, k=2), large)
-    yield "pseudo-jcm-complex", SpinFockOperator(build_pseudo_jcm(ModelParams(rho=0.9), SPACE).matrix * (1 + 0.5j), SPACE)
+    real, scale = build_pseudo_jcm(ModelParams(rho=0.9), SPACE), 1 + 0.5j
+    bands = {j: (upper * scale, lower * scale) for j, (upper, lower) in real.bands.items()}
+    yield "pseudo-jcm-complex", SpinFockOperator(SPACE, real.diagonal * scale, bands)
 
 
 @pytest.mark.parametrize("h", [pytest.param(h, id=name) for name, h in _path_models()])
@@ -336,11 +338,12 @@ def test_sign_masks_match_dense_conjugation_on_path_models(h):
 
 @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
 def test_a_non_finite_entry_gives_the_dense_deviations(entry):
-    matrix = build_h12(ModelParams(rho=0.9, phi=-1, theta=0.7), SPACE).matrix.copy()
-    matrix[3, 40] = entry  # an entry whose transpose is 0
-    _assert_dense_conjugation(SpinFockOperator(matrix, SPACE))
-    matrix[40, 3] = entry
-    _assert_dense_conjugation(SpinFockOperator(matrix, SPACE))
+    h = build_h12(ModelParams(rho=0.9, phi=-1, theta=0.7), SPACE)
+    upper, lower = np.zeros(SPACE.cutoff - 5), np.zeros(SPACE.cutoff - 5)
+    upper[3] = entry  # H[3, 40], on band j = 5: an entry whose transpose is 0
+    _assert_dense_conjugation(SpinFockOperator(SPACE, h.diagonal, {**h.bands, 5: (upper, lower)}))
+    lower[3] = entry  # and H[40, 3]
+    _assert_dense_conjugation(SpinFockOperator(SPACE, h.diagonal, {**h.bands, 5: (upper, lower)}))
 
 
 def test_report_builds_no_dense_metric(monkeypatch):
